@@ -13,8 +13,8 @@ from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          DemoIssuer, Envelope, Ruling, adopt,
                          classify_flow, disclose_identity, handle_arrive,
                          handle_send, matched_token)
-from .law_lang import (HASH_ALGORITHM, LawParseError, LawSource,
-                       canonical_serialize, law_hash, parse_law, print_law)
+from .law_lang import (HASH_ALGORITHM, LawParseError, LawSource, law_hash,
+                       parse_law, print_law)
 from .model import (EventKind, FlowKind, Law, LawHierarchy, MetaDirection,
                     OverrideKind, Rule, RuleMode, UnknownLawError)
 from .runner import RunReport, RunnerError, check_law_dir, run_scenario
@@ -54,7 +54,6 @@ __all__ = [
     "ViolationKind",
     "adopt",
     "build_hierarchy",
-    "canonical_serialize",
     "check_law_dir",
     "check_strengthening",
     "classify_flow",

@@ -389,14 +389,6 @@ class Program:
         self.entries = entries
 
 
-def _terminal_name(actions) -> Optional[str]:
-    if actions and isinstance(actions[-1], Permit):
-        return "permit"
-    if actions and isinstance(actions[-1], Block):
-        return "block"
-    return None
-
-
 def program_for(h: LawHierarchy, leaf: str) -> Program:
     cached = h.cache.get(("program", leaf))
     if cached is not None:
@@ -410,19 +402,13 @@ def program_for(h: LawHierarchy, leaf: str) -> Program:
             # Deepest law first; textual order within a law.
             for j in range(len(laws) - 1, i, -1):
                 for ov in laws[j].overrides:
-                    owner = ov.owner
-                    if owner is None:
-                        for anc in reversed(laws[:j]):
-                            if anc.rule(ov.target) is not None:
-                                owner = anc.name
-                                break
-                    if owner == law.name and ov.target == rule.id:
+                    if ov.owner == law.name and ov.target == rule.id:
                         ovs.append(_OvEntry(
                             source=laws[j].name,
                             events=frozenset(ov.events),
                             pred=compile_predicate(ov.predicate),
                             actions=ov.actions,
-                            terminal=_terminal_name(ov.actions)))
+                            terminal=ov.terminal))
             entries.append(_RuleEntry(
                 law_name=law.name,
                 rule_id=rule.id,
@@ -430,7 +416,7 @@ def program_for(h: LawHierarchy, leaf: str) -> Program:
                 events=frozenset(rule.events),
                 pred=compile_predicate(rule.predicate),
                 actions=rule.actions,
-                terminal=_terminal_name(rule.actions),
+                terminal=rule.terminal,
                 overrides=tuple(ovs)))
     program = Program(leaf=leaf, leaf_profile=laws[-1].profile,
                       entries=tuple(entries))

@@ -1,9 +1,10 @@
-"""Message fabric: wire frames, a deterministic simulator, and services.
+"""Message fabric: wire frames, two transports, and services.
 
 Every frame on the wire is a 4-byte big-endian length prefix followed by a
 self-describing JSON body whose keys appear in a fixed, documented order
-(payload bytes travel base64-encoded).  The same frames drive both the
-in-process simulator and the TCP mode.
+(payload bytes travel base64-encoded).  The frames back the TCP transport
+and services; the in-process simulator carries the decoded message objects
+themselves, so it never runs the codec.
 
 Frame kinds and field order:
 
@@ -17,42 +18,34 @@ Frame kinds and field order:
     registry_records kind, records (each: component, address, module,
                      registered_at)
 
-The simulator delivers strictly in (deliver_at, enqueue sequence) order, so
-a fixed schedule of sends yields one possible execution, always the same.
+``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
+``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.  The
+simulator delivers strictly in (deliver_at, enqueue sequence) order, so a
+fixed schedule of sends yields one possible execution, always the same.
 The registry is best-effort bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import logging
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
 from . import law_lang
-from .controller import Envelope
+from .controller import BareInbound, Envelope
 from .model import LawHierarchy, UnknownLawError
 
 log = logging.getLogger("mds.fabric")
 
 MAX_FRAME = 16 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class Bare:
-    sender_address: str
-    target: str
-    operation: str
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class Enveloped:
-    envelope: Envelope
+DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ class RegistryRecords:
     records: tuple[RegistryRecord, ...]
 
 
-WireMessage = Union[Enveloped, Bare, Registration, LawFetch, LawResponse,
+WireMessage = Union[Envelope, BareInbound, Registration, LawFetch, LawResponse,
                     RegistryQuery, RegistryRecords]
 
 
@@ -112,19 +105,18 @@ def _unb64(text: str) -> bytes:
 
 
 def _body_of(msg: WireMessage) -> dict:
-    if isinstance(msg, Enveloped):
-        env = msg.envelope
+    if isinstance(msg, Envelope):
         return {
             "kind": "enveloped",
-            "sender_module": env.sender_module,
-            "sender_profile": list(env.sender_profile),
-            "sender_lineage": list(env.sender_lineage),
-            "operation": env.operation,
-            "payload": _b64(env.payload),
-            "sender": env.sender,
-            "target": env.target,
+            "sender_module": msg.sender_module,
+            "sender_profile": list(msg.sender_profile),
+            "sender_lineage": list(msg.sender_lineage),
+            "operation": msg.operation,
+            "payload": _b64(msg.payload),
+            "sender": msg.sender,
+            "target": msg.target,
         }
-    if isinstance(msg, Bare):
+    if isinstance(msg, BareInbound):
         return {
             "kind": "bare",
             "sender_address": msg.sender_address,
@@ -169,18 +161,19 @@ def decode_body(body: bytes) -> WireMessage:
     kind = data.get("kind")
     try:
         if kind == "enveloped":
-            return Enveloped(Envelope(
+            return Envelope(
                 sender_module=data["sender_module"],
                 sender_profile=tuple(data["sender_profile"]),
                 sender_lineage=tuple(data["sender_lineage"]),
                 operation=data["operation"],
                 payload=_unb64(data["payload"]),
                 sender=data["sender"],
-                target=data["target"]))
+                target=data["target"])
         if kind == "bare":
-            return Bare(sender_address=data["sender_address"],
-                        target=data["target"], operation=data["operation"],
-                        payload=_unb64(data["payload"]))
+            return BareInbound(sender_address=data["sender_address"],
+                               target=data["target"],
+                               operation=data["operation"],
+                               payload=_unb64(data["payload"]))
         if kind == "registration":
             return Registration(component=data["component"],
                                 module=data["module"],
@@ -251,8 +244,11 @@ class SimNetwork:
         self._handlers: dict[str, Callable[[WireMessage], None]] = {}
         self.dropped: list[tuple[str, WireMessage]] = []
 
-    def register(self, address: str, handler: Callable[[WireMessage], None]):
+    def register(self, address: str,
+                 handler: Callable[[WireMessage], None]) -> str:
+        """Deliver messages for ``address`` to ``handler``; returns address."""
         self._handlers[address] = handler
+        return address
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
         if latency < 0:
@@ -281,17 +277,23 @@ class SimNetwork:
             if count > max_events:
                 raise RuntimeError("simulator did not quiesce")
 
-    def advance(self, ticks: int):
-        """Move the clock forward, delivering everything due on the way."""
+    def advance(self, ticks: int) -> str:
+        """Move the clock forward, delivering everything due on the way.
+
+        Returns the step text a scenario report shows.
+        """
         target = self.clock + ticks
         while self._pending and self._pending[0][0] <= target:
             self.step()
         if target > self.clock:
             self.clock = target
+        return f"advance {ticks} -> t={self.clock}"
 
+    def now(self) -> int:
+        return self.clock
 
-def sim_send(net: SimNetwork, address: str, msg: WireMessage, latency: int = 0):
-    net.send(address, msg, latency)
+    def close(self):
+        """Nothing to release: the simulator holds no sockets or threads."""
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +313,6 @@ class LawServer:
         if name not in self._texts:
             raise UnknownLawError(f"law server does not hold {name!r}")
         return self._texts[name], self._lineage[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._texts)
 
     def respond(self, msg: LawFetch) -> LawResponse:
         try:
@@ -365,20 +364,6 @@ class Registry:
         return RegistryRecords(records=tuple(found))
 
 
-def registry_register(registry: Registry, component: str, module: str,
-                      address: str, timestamp: Optional[int] = None) -> RegistryRecord:
-    return registry.register(component, module, address, timestamp)
-
-
-def registry_query(registry: Registry, module: Optional[str] = None,
-                   name: Optional[str] = None) -> list[RegistryRecord]:
-    return registry.query(module=module, name=name)
-
-
-def law_server_get(server: LawServer, name: str) -> tuple[str, tuple[str, ...]]:
-    return server.get(name)
-
-
 # ---------------------------------------------------------------------------
 # TCP transport
 # ---------------------------------------------------------------------------
@@ -423,7 +408,6 @@ class TcpService:
         self._sock.listen(32)
         self.address = self._sock.getsockname()
         self._closing = False
-        self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(target=self._accept_loop,
                                                daemon=True)
         self._accept_thread.start()
@@ -434,9 +418,8 @@ class TcpService:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._serve, args=(conn,),
+                             daemon=True).start()
 
     def _serve(self, conn: socket.socket):
         with conn:
@@ -508,3 +491,61 @@ def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
     if not isinstance(reply, LawResponse):
         raise FrameError("law server sent no law_response")
     return reply
+
+
+class TcpNetwork:
+    """The ``SimNetwork`` interface over loopback sockets.
+
+    Each registered address gets its own ``TcpService``, whose handler runs
+    under a lock of its own; peers outside the run reach it at the host:port
+    that ``register`` returns.  ``send`` opens one connection per message
+    (``latency`` is the real network's, so the argument is ignored), and
+    ``run_until_idle`` waits until every message sent has been handled.
+    There is no shared clock: ``now`` counts its own readings, so the
+    timestamps of a run are 0, 1, 2, ... in the order they were read.
+    """
+
+    def __init__(self):
+        self._services: dict[str, TcpService] = {}
+        self._sent = 0
+        self._handled = 0
+        self._cv = threading.Condition()
+        self._ticks = itertools.count()
+
+    def register(self, address: str,
+                 handler: Callable[[WireMessage], None]) -> str:
+        """Serve ``handler`` on a fresh socket; returns its host:port."""
+        lock = threading.Lock()
+
+        def handle(msg: WireMessage) -> None:
+            with lock:
+                handler(msg)
+            with self._cv:
+                self._handled += 1
+                self._cv.notify_all()
+
+        service = TcpService(handle)
+        self._services[address] = service
+        return "{}:{}".format(*service.address)
+
+    def send(self, address: str, msg: WireMessage, latency: int = 0):
+        call_remote(self._services[address].address, msg, expect_reply=False)
+        self._sent += 1
+
+    def run_until_idle(self):
+        with self._cv:
+            if not self._cv.wait_for(lambda: self._handled >= self._sent,
+                                     timeout=DELIVERY_TIMEOUT):
+                raise TimeoutError("tcp delivery timed out")
+
+    def advance(self, ticks: int) -> str:
+        """Sleep 10 ms per tick; returns the step text."""
+        time.sleep(ticks * 0.01)
+        return f"advance {ticks}"
+
+    def now(self) -> int:
+        return next(self._ticks)
+
+    def close(self):
+        for service in self._services.values():
+            service.close()

@@ -836,9 +836,6 @@ def print_law(law: Law) -> str:
     return "\n".join(out) + "\n"
 
 
-canonical_serialize = print_law
-
-
 def law_hash(law: Law) -> str:
     """Content digest (sha256 hex) of the canonical serialized law text."""
     return hashlib.sha256(print_law(law).encode("utf-8")).hexdigest()

@@ -228,9 +228,6 @@ Action = Union[
     RequireCertificate, AppendProfile,
 ]
 
-TERMINALS = (Permit, Block)
-
-
 def terminal_of(actions: tuple[Action, ...]) -> Optional[str]:
     """'permit', 'block', or None when the body carries no terminal."""
     if actions and isinstance(actions[-1], Permit):

@@ -1,9 +1,11 @@
 """Scenario execution: build the system a script describes, then drive it.
 
-Two transports share one code path.  In ``sim`` mode messages travel a
-deterministic in-process network on a logical clock, so a scenario plus a
-seed fixes the audit byte for byte.  In ``tcp`` mode every adopted persona
-listens on its own loopback socket and frames cross real connections.
+The runner drives one transport interface (``fabric.SimNetwork`` or
+``fabric.TcpNetwork``); the mode picks which, and nothing after assembly
+depends on it.  In ``sim`` mode messages travel a deterministic in-process
+network on a logical clock, so a scenario plus a seed fixes the audit byte
+for byte.  In ``tcp`` mode every adopted persona listens on its own
+loopback socket and frames cross real connections.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -15,10 +17,10 @@ fallback as default:FLOW, or ``-`` when nothing applied.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -26,8 +28,8 @@ from typing import Optional, Union
 from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         ComponentId, Decision, DemoIssuer, Ruling, adopt,
-                         handle_arrive, handle_send, matched_token)
+                         ComponentId, Decision, DemoIssuer, Envelope, Ruling,
+                         adopt, handle_arrive, handle_send, matched_token)
 from .model import FlowKind, Law, LawHierarchy
 from .scenario import (AdvanceStep, Scenario, SendStep, load_scenario)
 
@@ -123,8 +125,7 @@ class ScenarioRunner:
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
         self._audit_lock = threading.Lock()
-        self._tick = 0
-        self._last_arrival: Optional[tuple[str, Ruling]] = None
+        self._last_arrival: Optional[Ruling] = None
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
         h0, problems = check_law_dir(law_dir)
@@ -141,48 +142,40 @@ class ScenarioRunner:
         self.issuer = DemoIssuer("demo-ca")
         self.decls = {d.name: d for d in scn.components}
         self.agents: dict[str, Agent] = {}
-
-        if mode == "sim":
-            self.net = fabric.SimNetwork()
-        else:
-            self._services: dict[str, fabric.TcpService] = {}
-            self._locks: dict[str, threading.Lock] = {}
-            self._handled = 0
-            self._cv = threading.Condition()
-
+        self.net = fabric.SimNetwork() if mode == "sim" else fabric.TcpNetwork()
         self._adopt_all()
 
     # -- law distribution ---------------------------------------------------
 
     def _distribute(self, h0: LawHierarchy) -> LawHierarchy:
         """Re-obtain every law through the law server and verify hashes."""
-        fetched: dict[str, Law] = {}
-        if self.mode == "tcp":
+        service = None
+        if self.mode == "sim":
+            server = fabric.LawServer(h0)
+
+            def fetch(name: str) -> fabric.LawResponse:
+                return server.respond(fabric.LawFetch(name))
+        else:
             env = os.environ.get(ENV_LAW_SERVER)
-            service = None
             if env:
                 addr = _parse_addr(env)
             else:
                 service = fabric.serve_law_server(h0)
                 addr = service.address
-            try:
-                for name in sorted(h0.laws):
-                    resp = fabric.fetch_law(addr, name)
-                    if not resp.found:
-                        raise RunnerError(f"law server lacks {name!r}")
-                    if resp.algo != law_lang.HASH_ALGORITHM:
-                        raise RunnerError(
-                            f"law server hashes with {resp.algo!r}")
-                    fetched[name] = self._verify_text(name, resp.text,
-                                                      resp.lineage)
-            finally:
-                if service is not None:
-                    service.close()
-        else:
-            server = fabric.LawServer(h0)
-            for name in server.names():
-                text, lineage = server.get(name)
-                fetched[name] = self._verify_text(name, text, lineage)
+            fetch = functools.partial(fabric.fetch_law, addr)
+        fetched: dict[str, Law] = {}
+        try:
+            for name in sorted(h0.laws):
+                resp = fetch(name)
+                if not resp.found:
+                    raise RunnerError(f"law server lacks {name!r}")
+                if resp.algo != law_lang.HASH_ALGORITHM:
+                    raise RunnerError(f"law server hashes with {resp.algo!r}")
+                fetched[name] = self._verify_text(name, resp.text,
+                                                  resp.lineage)
+        finally:
+            if service is not None:
+                service.close()
         h, violations = build_hierarchy(fetched.values())
         if h is None:
             raise RunnerError(
@@ -214,16 +207,11 @@ class ScenarioRunner:
             cert = self._mint(decl)
             for module in decl.modules:
                 label = f"{decl.name}@{module}"
-                if self.mode == "tcp":
-                    self._locks[label] = threading.Lock()
-                    service = fabric.TcpService(self._tcp_handler(label))
                 try:
                     agent, ruling = adopt(
                         ComponentId(name=decl.name, address=label),
                         self.h, module, cert=cert)
                 except AdoptionRefused as exc:
-                    if self.mode == "tcp":
-                        service.close()
                     matched = (matched_token(exc.outcome.matched)
                                if exc.outcome else "-")
                     self._audit_line(label, "adopted", None, "refused", matched)
@@ -231,12 +219,8 @@ class ScenarioRunner:
                         0, f"adopt {label}: refused ({exc.reason})", True))
                     continue
                 self.agents[label] = agent
-                if self.mode == "sim":
-                    address = label
-                    self.net.register(label, self._sim_handler(label))
-                else:
-                    self._services[label] = service
-                    address = f"{service.address[0]}:{service.address[1]}"
+                address = self.net.register(
+                    label, functools.partial(self._deliver, label))
                 if ("notify-registry",) in ruling.effects:
                     self._register(decl.name, module, address)
                 self._audit_line(label, "adopted", None, "adopted",
@@ -258,65 +242,37 @@ class ScenarioRunner:
 
     # -- delivery -----------------------------------------------------------
 
-    def _sim_handler(self, label: str):
-        def handle(msg: fabric.WireMessage):
-            self._deliver(label, msg)
-        return handle
-
-    def _tcp_handler(self, label: str):
-        def handle(msg: fabric.WireMessage):
-            with self._locks[label]:
-                self._deliver(label, msg)
-            with self._cv:
-                self._handled += 1
-                self._cv.notify_all()
-            return None
-        return handle
-
     def _deliver(self, label: str, msg: fabric.WireMessage):
-        agent = self.agents.get(label)
-        if agent is None:
-            return
-        if isinstance(msg, fabric.Enveloped):
-            inbound: Union[BareInbound, object] = msg.envelope
-        elif isinstance(msg, fabric.Bare):
-            inbound = BareInbound(sender_address=msg.sender_address,
-                                  target=msg.target, operation=msg.operation,
-                                  payload=msg.payload)
-        else:
-            return
-        ruling, _delivery = handle_arrive(agent, self.h, inbound)
+        if not isinstance(msg, (Envelope, BareInbound)):
+            return  # a frame kind no controller rules on
+        ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
         self._audit_line(label, "arrived", ruling.flow, str(ruling.decision),
                          matched_token(ruling.matched))
         with self._audit_lock:
-            self._last_arrival = (label, ruling)
+            self._last_arrival = ruling
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
         with self._audit_lock:
-            ts = self.net.clock if self.mode == "sim" else self._tick
-            self._tick += 1
+            ts = self.net.now()
             flow_tok = flow.value if flow is not None else "-"
             self.audit.append(
                 f"{ts} | {agent_label} | {event} | {flow_tok} | {decision}"
                 f" | {matched}")
 
-    def _transmit(self, label: str, msg: fabric.WireMessage):
-        if self.mode == "sim":
-            self.net.send(label, msg, latency=self.rng.randint(1, 3))
-        else:
-            addr = self._services[label].address
-            fabric.call_remote(addr, msg, expect_reply=False)
-
-    def _drain(self, expected: int):
-        if self.mode == "sim":
-            self.net.run_until_idle()
-            return
-        with self._cv:
-            target = expected
-            if not self._cv.wait_for(lambda: self._handled >= target,
-                                     timeout=10.0):
-                raise RunnerError("tcp delivery timed out")
+    def _transmit(self, label: str, msg: fabric.WireMessage) -> tuple[str, str]:
+        """Send msg to a persona, wait for its arrival ruling, and return
+        (outcome, matched token)."""
+        self.net.send(label, msg, latency=self.rng.randint(1, 3))
+        self.net.run_until_idle()
+        with self._audit_lock:
+            ruling = self._last_arrival
+        if ruling is None:
+            raise RunnerError("message was sent but never handled")
+        token = matched_token(ruling.matched)
+        if ruling.decision is Decision.DELIVER:
+            return DELIVERED, token
+        return BLOCKED_AT_RECEIVER, token
 
     # -- steps --------------------------------------------------------------
 
@@ -324,26 +280,16 @@ class ScenarioRunner:
         try:
             for step in self.scn.steps:
                 if isinstance(step, AdvanceStep):
-                    self._advance(step)
+                    self.reports.append(StepReport(
+                        step.line, self.net.advance(step.ticks), True))
                 else:
                     self._send_step(step)
         finally:
-            if self.mode == "tcp":
-                for service in self._services.values():
-                    service.close()
+            self.net.close()
         ok = all(r.ok for r in self.reports)
         return RunReport(scenario=self.scn.name, mode=self.mode,
                          seed=self.seed, ok=ok, steps=self.reports,
                          audit_lines=list(self.audit))
-
-    def _advance(self, step: AdvanceStep):
-        if self.mode == "sim":
-            self.net.advance(step.ticks)
-            text = f"advance {step.ticks} -> t={self.net.clock}"
-        else:
-            time.sleep(step.ticks * 0.01)
-            text = f"advance {step.ticks}"
-        self.reports.append(StepReport(step.line, text, True))
 
     def _persona(self, name: str, explicit: Optional[str]) -> str:
         decl = self.decls[name]
@@ -352,12 +298,6 @@ class ScenarioRunner:
         if label not in self.agents:
             raise RunnerError(f"{label} refused adoption; cannot take part")
         return label
-
-    def _expected_handled(self) -> int:
-        if self.mode == "sim":
-            return 0
-        with self._cv:
-            return self._handled
 
     def _send_step(self, step: SendStep):
         sender_part = step.sender + (f"@{step.sender_law}"
@@ -368,15 +308,12 @@ class ScenarioRunner:
         desc = f"{verb} {sender_part} -> {target_part} op {step.operation}"
         with self._audit_lock:
             self._last_arrival = None
-        before = self._expected_handled()
 
         if step.from_outside:
             tlabel = self._persona(step.target, step.target_law)
-            bare = fabric.Bare(sender_address=step.sender, target=step.target,
-                               operation=step.operation, payload=step.payload)
-            self._transmit(tlabel, bare)
-            self._drain(before + 1)
-            outcome, matched = self._arrival_outcome()
+            outcome, matched = self._transmit(tlabel, BareInbound(
+                sender_address=step.sender, target=step.target,
+                operation=step.operation, payload=step.payload))
         else:
             slabel = self._persona(step.sender, step.sender_law)
             agent = self.agents[slabel]
@@ -400,9 +337,7 @@ class ScenarioRunner:
                 outcome, matched = DELIVERED, matched_token(ruling.matched)
             else:
                 assert env is not None
-                self._transmit(tlabel, fabric.Enveloped(env))
-                self._drain(before + 1)
-                outcome, matched = self._arrival_outcome()
+                outcome, matched = self._transmit(tlabel, env)
 
         text = f"{desc}: {outcome}"
         if matched != "-":
@@ -420,17 +355,6 @@ class ScenarioRunner:
                     want += f" matched {step.expect.matched}"
                 text += f" [FAIL expected {want}]"
         self.reports.append(StepReport(step.line, text, ok))
-
-    def _arrival_outcome(self) -> tuple[str, str]:
-        with self._audit_lock:
-            arrival = self._last_arrival
-        if arrival is None:
-            raise RunnerError("message was sent but never handled")
-        _label, ruling = arrival
-        token = matched_token(ruling.matched)
-        if ruling.decision is Decision.DELIVER:
-            return DELIVERED, token
-        return BLOCKED_AT_RECEIVER, token
 
 
 def run_scenario(path: Union[str, Path], mode: str = "sim",

@@ -8,12 +8,12 @@ import threading
 import pytest
 
 from mds import fabric
-from mds.fabric import (Bare, Enveloped, FrameError, FrameReader, LawFetch,
-                        LawResponse, LawServer, Registration, Registry,
-                        RegistryQuery, RegistryRecord, RegistryRecords,
-                        SimNetwork, call_remote, decode_frame, encode_frame,
-                        fetch_law, serve_law_server, serve_registry)
-from mds.controller import Envelope
+from mds.fabric import (FrameError, FrameReader, LawFetch, LawResponse,
+                        LawServer, Registration, Registry, RegistryQuery,
+                        RegistryRecord, RegistryRecords, SimNetwork,
+                        call_remote, decode_frame, encode_frame, fetch_law,
+                        serve_law_server, serve_registry)
+from mds.controller import BareInbound, Envelope
 
 
 class TestGoldenFrame:
@@ -23,8 +23,8 @@ class TestGoldenFrame:
         body = (b'{"kind":"bare","sender_address":"wild","target":"m1",'
                 b'"operation":"ping","payload":"AQID"}')
         expected = len(body).to_bytes(4, "big") + body
-        msg = Bare(sender_address="wild", target="m1", operation="ping",
-                   payload=b"\x01\x02\x03")
+        msg = BareInbound(sender_address="wild", target="m1", operation="ping",
+                          payload=b"\x01\x02\x03")
         assert encode_frame(msg) == expected
         assert decode_frame(expected) == msg
 
@@ -37,7 +37,7 @@ class TestGoldenFrame:
         env = Envelope(sender_module="MS", sender_profile=("log",),
                        sender_lineage=("aa", "bb"), operation="log",
                        payload=b"", sender="m1", target="m2")
-        assert encode_frame(Enveloped(env)) == expected
+        assert encode_frame(env) == expected
 
 
 def _random_message(rng: random.Random):
@@ -50,13 +50,13 @@ def _random_message(rng: random.Random):
 
     kind = rng.randrange(7)
     if kind == 0:
-        return Bare(word(), word(), word(), blob())
+        return BareInbound(word(), word(), word(), blob())
     if kind == 1:
-        return Enveloped(Envelope(
+        return Envelope(
             sender_module=word(), sender_profile=tuple(
                 word(5) for _ in range(rng.randint(0, 3))),
             sender_lineage=tuple(word(12) for _ in range(rng.randint(1, 4))),
-            operation=word(), payload=blob(), sender=word(), target=word()))
+            operation=word(), payload=blob(), sender=word(), target=word())
     if kind == 2:
         return Registration(word(), word(), word())
     if kind == 3:
@@ -125,7 +125,7 @@ class TestFrameErrors:
             reader.feed(header)
 
     def test_encode_rejects_oversized_body(self):
-        huge = Bare("a", "b", "c", b"x" * fabric.MAX_FRAME)
+        huge = BareInbound("a", "b", "c", b"x" * fabric.MAX_FRAME)
         with pytest.raises(FrameError):
             encode_frame(huge)
 
@@ -136,7 +136,7 @@ class TestSimNetwork:
         seen = []
         net.register("x", seen.append)
         for i in range(5):
-            net.send("x", Bare("s", "x", f"op{i}", b""), latency=2)
+            net.send("x", BareInbound("s", "x", f"op{i}", b""), latency=2)
         net.run_until_idle()
         assert [m.operation for m in seen] == [f"op{i}" for i in range(5)]
 
@@ -144,8 +144,8 @@ class TestSimNetwork:
         net = SimNetwork()
         seen = []
         net.register("x", seen.append)
-        net.send("x", Bare("s", "x", "slow", b""), latency=9)
-        net.send("x", Bare("s", "x", "fast", b""), latency=1)
+        net.send("x", BareInbound("s", "x", "slow", b""), latency=9)
+        net.send("x", BareInbound("s", "x", "fast", b""), latency=1)
         net.run_until_idle()
         assert [m.operation for m in seen] == ["fast", "slow"]
         assert net.clock == 9
@@ -154,8 +154,8 @@ class TestSimNetwork:
         net = SimNetwork()
         seen = []
         net.register("x", seen.append)
-        net.send("x", Bare("s", "x", "soon", b""), latency=2)
-        net.send("x", Bare("s", "x", "later", b""), latency=8)
+        net.send("x", BareInbound("s", "x", "soon", b""), latency=2)
+        net.send("x", BareInbound("s", "x", "later", b""), latency=8)
         net.advance(4)
         assert [m.operation for m in seen] == ["soon"]
         assert net.clock == 4
@@ -164,7 +164,7 @@ class TestSimNetwork:
 
     def test_unknown_address_is_dropped_not_fatal(self):
         net = SimNetwork()
-        net.send("nowhere", Bare("s", "nowhere", "op", b""))
+        net.send("nowhere", BareInbound("s", "nowhere", "op", b""))
         net.run_until_idle()
         assert len(net.dropped) == 1
 
@@ -175,7 +175,7 @@ class TestSimNetwork:
             seen = []
             net.register("x", lambda m: seen.append(m.operation))
             for i in range(40):
-                net.send("x", Bare("s", "x", f"op{i}", b""),
+                net.send("x", BareInbound("s", "x", f"op{i}", b""),
                          latency=rng.randint(1, 3))
             net.run_until_idle()
             return seen

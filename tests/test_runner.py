@@ -39,6 +39,18 @@ class TestShippedScenarios:
         assert ([s.text.split(": ", 1)[1] for s in sim.steps]
                 == [s.text.split(": ", 1)[1] for s in tcp.steps])
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_tcp_audit_matches_sim_after_timestamps(self, scenario_dir,
+                                                    name):
+        sim = run_scenario(scenario_dir / f"{name}.mds", mode="sim", seed=7)
+        tcp = run_scenario(scenario_dir / f"{name}.mds", mode="tcp", seed=7)
+        assert tcp.ok, [s.text for s in tcp.failures()]
+        sim_cols = [line.split(" | ", 1) for line in sim.audit_lines]
+        tcp_cols = [line.split(" | ", 1) for line in tcp.audit_lines]
+        assert [rest for _, rest in tcp_cols] == [rest for _, rest in sim_cols]
+        # tcp has no shared clock: each audit line takes the next tick
+        assert [int(ts) for ts, _ in tcp_cols] == list(range(len(tcp_cols)))
+
 
 class TestDeterminism:
     def test_same_seed_same_audit(self, scenario_dir):
