@@ -500,15 +500,17 @@ class TcpNetwork:
     under a lock of its own; peers outside the run reach it at the host:port
     that ``register`` returns.  ``send`` opens one connection per message
     (``latency`` is the real network's, so the argument is ignored), and
-    ``run_until_idle`` waits until every message sent has been handled.
+    ``run_until_idle`` waits until the handled count reaches the mark each
+    ``send`` raises from the count it finds, so a stray frame handled between
+    sends (a ``law_fetch``, a registry peer's) does not end a later wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
 
     def __init__(self):
         self._services: dict[str, TcpService] = {}
-        self._sent = 0
         self._handled = 0
+        self._target = 0
         self._cv = threading.Condition()
         self._ticks = itertools.count()
 
@@ -518,23 +520,26 @@ class TcpNetwork:
         lock = threading.Lock()
 
         def handle(msg: WireMessage) -> None:
-            with lock:
-                handler(msg)
-            with self._cv:
-                self._handled += 1
-                self._cv.notify_all()
+            try:
+                with lock:
+                    handler(msg)
+            finally:  # a failed handler is done too; the sender sees no ruling
+                with self._cv:
+                    self._handled += 1
+                    self._cv.notify_all()
 
         service = TcpService(handle)
         self._services[address] = service
         return "{}:{}".format(*service.address)
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
+        with self._cv:
+            self._target = max(self._target, self._handled) + 1
         call_remote(self._services[address].address, msg, expect_reply=False)
-        self._sent += 1
 
     def run_until_idle(self):
         with self._cv:
-            if not self._cv.wait_for(lambda: self._handled >= self._sent,
+            if not self._cv.wait_for(lambda: self._handled >= self._target,
                                      timeout=DELIVERY_TIMEOUT):
                 raise TimeoutError("tcp delivery timed out")
 
