@@ -19,10 +19,13 @@ Frame kinds and field order:
                      registered_at)
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
-``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.  The
-simulator delivers strictly in (deliver_at, enqueue sequence) order, so a
-fixed schedule of sends yields one possible execution, always the same.
-The registry is best-effort bookkeeping: rulings never depend on it.
+``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
+``TcpNetwork`` keeps one persistent connection per registered address,
+opened at the first send to it; ``call_remote`` opens one connection per
+request, for law fetches and registry calls.  The simulator delivers
+strictly in (deliver_at, enqueue sequence) order, so a fixed schedule of
+sends yields one possible execution, always the same.  The registry is
+best-effort bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
@@ -101,7 +104,22 @@ def _b64(payload: bytes) -> str:
 
 
 def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+    return base64.b64decode(text, validate=True)
+
+
+def _text(data: dict, key: str) -> str:
+    value = data[key]
+    if not isinstance(value, str):
+        raise FrameError(f"field {key!r} is not a string")
+    return value
+
+
+def _texts(data: dict, key: str) -> tuple[str, ...]:
+    value = data[key]
+    if not (isinstance(value, list)
+            and all(isinstance(item, str) for item in value)):
+        raise FrameError(f"field {key!r} is not a list of strings")
+    return tuple(value)
 
 
 def _body_of(msg: WireMessage) -> dict:
@@ -162,35 +180,38 @@ def decode_body(body: bytes) -> WireMessage:
     try:
         if kind == "enveloped":
             return Envelope(
-                sender_module=data["sender_module"],
-                sender_profile=tuple(data["sender_profile"]),
-                sender_lineage=tuple(data["sender_lineage"]),
-                operation=data["operation"],
+                sender_module=_text(data, "sender_module"),
+                sender_profile=_texts(data, "sender_profile"),
+                sender_lineage=_texts(data, "sender_lineage"),
+                operation=_text(data, "operation"),
                 payload=_unb64(data["payload"]),
-                sender=data["sender"],
-                target=data["target"])
+                sender=_text(data, "sender"),
+                target=_text(data, "target"))
         if kind == "bare":
-            return BareInbound(sender_address=data["sender_address"],
-                               target=data["target"],
-                               operation=data["operation"],
+            return BareInbound(sender_address=_text(data, "sender_address"),
+                               target=_text(data, "target"),
+                               operation=_text(data, "operation"),
                                payload=_unb64(data["payload"]))
         if kind == "registration":
-            return Registration(component=data["component"],
-                                module=data["module"],
-                                address=data["address"])
+            return Registration(component=_text(data, "component"),
+                                module=_text(data, "module"),
+                                address=_text(data, "address"))
         if kind == "law_fetch":
-            return LawFetch(name=data["name"])
+            return LawFetch(name=_text(data, "name"))
         if kind == "law_response":
-            return LawResponse(name=data["name"], found=bool(data["found"]),
-                               text=data["text"],
-                               lineage=tuple(data["lineage"]),
-                               algo=data["algo"])
+            return LawResponse(name=_text(data, "name"),
+                               found=bool(data["found"]),
+                               text=_text(data, "text"),
+                               lineage=_texts(data, "lineage"),
+                               algo=_text(data, "algo"))
         if kind == "registry_query":
-            return RegistryQuery(field=data["field"], value=data["value"])
+            return RegistryQuery(field=_text(data, "field"),
+                                 value=_text(data, "value"))
         if kind == "registry_records":
             return RegistryRecords(records=tuple(
-                RegistryRecord(component=r["component"], address=r["address"],
-                               module=r["module"],
+                RegistryRecord(component=_text(r, "component"),
+                               address=_text(r, "address"),
+                               module=_text(r, "module"),
                                registered_at=int(r["registered_at"]))
                 for r in data["records"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -432,9 +453,9 @@ class TcpService:
                     return
                 try:
                     reply = self._handler(msg)
-                except Exception:
+                except Exception:  # the frame boundary holds: read the next
                     log.exception("frame handler failed")
-                    return
+                    continue
                 if reply is not None:
                     try:
                         send_frame(conn, reply)
@@ -443,10 +464,11 @@ class TcpService:
 
     def close(self):
         self._closing = True
-        try:
-            self._sock.close()
+        try:  # close() alone does not wake a thread blocked in accept()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
 
 
 def serve_law_server(h: LawHierarchy, host: str = "127.0.0.1",
@@ -498,17 +520,20 @@ class TcpNetwork:
 
     Each registered address gets its own ``TcpService``, whose handler runs
     under a lock of its own; peers outside the run reach it at the host:port
-    that ``register`` returns.  ``send`` opens one connection per message
-    (``latency`` is the real network's, so the argument is ignored), and
-    ``run_until_idle`` waits until the handled count reaches the mark each
-    ``send`` raises from the count it finds, so a stray frame handled between
-    sends (a ``law_fetch``, a registry peer's) does not end a later wait.
+    that ``register`` returns.  ``send`` writes each frame to one persistent
+    connection per registered address, opened at the first send to it and
+    closed by ``close`` (``latency`` is the real network's, so the argument
+    is ignored).  ``run_until_idle`` waits until the handled count reaches
+    the mark each ``send`` raises from the count it finds, so a stray frame
+    handled between sends (a ``law_fetch``, a registry peer's) does not end
+    a later wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
 
     def __init__(self):
         self._services: dict[str, TcpService] = {}
+        self._conns: dict[str, socket.socket] = {}
         self._handled = 0
         self._target = 0
         self._cv = threading.Condition()
@@ -535,7 +560,18 @@ class TcpNetwork:
     def send(self, address: str, msg: WireMessage, latency: int = 0):
         with self._cv:
             self._target = max(self._target, self._handled) + 1
-        call_remote(self._services[address].address, msg, expect_reply=False)
+        conn = self._conns.get(address)
+        if conn is None:
+            conn = socket.create_connection(self._services[address].address)
+            # frames flow one way: never hold one back for an ACK
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conns[address] = conn
+        try:
+            send_frame(conn, msg)
+        except OSError:  # a partial frame may be out: never reuse the stream
+            del self._conns[address]
+            conn.close()
+            raise
 
     def run_until_idle(self):
         with self._cv:
@@ -552,5 +588,10 @@ class TcpNetwork:
         return next(self._ticks)
 
     def close(self):
+        """Close the connections, so each service thread sees EOF and exits,
+        then the services."""
+        for conn in self._conns.values():
+            conn.close()
+        self._conns.clear()
         for service in self._services.values():
             service.close()

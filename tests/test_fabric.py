@@ -4,6 +4,7 @@ import json
 import random
 import string
 import threading
+import time
 
 import pytest
 
@@ -11,8 +12,8 @@ from mds import fabric
 from mds.fabric import (FrameError, FrameReader, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
-                        call_remote, decode_frame, encode_frame, fetch_law,
-                        serve_law_server, serve_registry)
+                        TcpNetwork, call_remote, decode_frame, encode_frame,
+                        fetch_law, serve_law_server, serve_registry)
 from mds.controller import BareInbound, Envelope
 
 
@@ -115,6 +116,35 @@ class TestFrameErrors:
 
     def test_not_json(self):
         body = b"\xff\xfe"
+        with pytest.raises(FrameError):
+            decode_frame(len(body).to_bytes(4, "big") + body)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sender_profile", [{}]),
+        ("operation", 5),
+        ("payload", "!!"),
+    ])
+    def test_ill_typed_enveloped_field(self, field, value):
+        data = {"kind": "enveloped", "sender_module": "MS",
+                "sender_profile": ["log"], "sender_lineage": ["aa"],
+                "operation": "log", "payload": "", "sender": "m1",
+                "target": "m2"}
+        data[field] = value
+        body = json.dumps(data).encode()
+        with pytest.raises(FrameError):
+            decode_frame(len(body).to_bytes(4, "big") + body)
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "registration", "component": [], "module": "M",
+         "address": "a"},
+        {"kind": "law_response", "name": "L", "found": True, "text": 5,
+         "lineage": ["aa"], "algo": "sha256"},
+        {"kind": "registry_records", "records": [
+            {"component": "c", "address": {}, "module": "M",
+             "registered_at": 1}]},
+    ])
+    def test_ill_typed_service_field(self, data):
+        body = json.dumps(data).encode()
         with pytest.raises(FrameError):
             decode_frame(len(body).to_bytes(4, "big") + body)
 
@@ -268,3 +298,56 @@ class TestTcpServices:
             assert not missing.found
         finally:
             service.close()
+
+
+class TestTcpNetwork:
+    def test_sends_to_one_address_share_one_connection(self, monkeypatch):
+        opened = []
+        connect = fabric.socket.create_connection
+
+        def counting(address, *args, **kwargs):
+            opened.append(address)
+            return connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(fabric.socket, "create_connection", counting)
+        before = threading.active_count()
+        net = TcpNetwork()
+        got = []
+        try:
+            net.register("a", got.append)
+            for i in range(5):
+                net.send("a", LawFetch(f"L{i}"))
+                net.run_until_idle()
+        finally:
+            net.close()
+        assert got == [LawFetch(f"L{i}") for i in range(5)]
+        assert len(opened) == 1
+        # close() ends the connection, so the service thread exits while
+        # the network object is still alive
+        deadline = time.monotonic() + 1.0
+        while (threading.active_count() > before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+
+    def test_failing_handler_does_not_end_the_connection(self):
+        got = []
+
+        def handler(msg):
+            if not got:
+                got.append(None)
+                raise RuntimeError("first frame fails")
+            got.append(msg)
+
+        net = TcpNetwork()
+        try:
+            net.register("a", handler)
+            net.send("a", LawFetch("first"))
+            net.run_until_idle()
+            start = time.monotonic()
+            net.send("a", LawFetch("second"))
+            net.run_until_idle()
+            assert time.monotonic() - start < fabric.DELIVERY_TIMEOUT / 10
+        finally:
+            net.close()
+        assert got == [None, LawFetch("second")]

@@ -2,6 +2,8 @@
 
 import re
 import socket
+import threading
+import time
 
 import pytest
 
@@ -65,6 +67,18 @@ class TestShippedScenarios:
                 assert conn.recv(1) == b""
         report = runner.run()
         assert report.ok, [s.text for s in report.failures()]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_tcp_run_leaves_no_threads(self, scenario_dir, name):
+        before = threading.active_count()
+        report = run_scenario(scenario_dir / f"{name}.mds", mode="tcp",
+                              seed=7)
+        assert report.ok, [s.text for s in report.failures()]
+        deadline = time.monotonic() + 1.0
+        while (threading.active_count() > before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() <= before
 
 
 class TestDeterminism:
