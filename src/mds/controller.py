@@ -217,14 +217,6 @@ class Agent:
     cert_attrs: dict[str, str] = field(default_factory=dict)
     last_delivery: Optional[tuple[str, tuple[str, ...]]] = None
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.component.name, self.law)
-
-    @property
-    def label(self) -> str:
-        return f"{self.component.name}@{self.law}"
-
     def profile_labels(self) -> tuple[str, ...]:
         raw = self.state.get("profile", "")
         if not isinstance(raw, str) or not raw:
@@ -587,7 +579,10 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
             ruling = Ruling(Decision.BLOCK_NOTICE, None, "malformed envelope",
                             (), ())
             return ruling, None
-        genuine = inbound.sender_lineage[0] == h.root_hash
+        # in-system only if the lineage is the one this hierarchy holds for
+        # the claimed module, root to leaf
+        genuine = (h.lineage.get(inbound.sender_module)
+                   == inbound.sender_lineage)
         if genuine and inbound.sender_module == agent.law:
             flow = FlowKind.INNER
         elif genuine:

@@ -1,22 +1,9 @@
 """Message fabric: wire frames, two transports, and services.
 
-Every frame on the wire is a 4-byte big-endian length prefix followed by a
-self-describing JSON body whose keys appear in a fixed, documented order
-(payload bytes travel base64-encoded).  The frames back the TCP transport
-and services; the in-process simulator carries the decoded message objects
-themselves, so it never runs the codec.
-
-Frame kinds and field order:
-
-    enveloped        kind, sender_module, sender_profile, sender_lineage,
-                     operation, payload, sender, target
-    bare             kind, sender_address, target, operation, payload
-    registration     kind, component, module, address
-    law_fetch        kind, name
-    law_response     kind, name, found, text, lineage, algo
-    registry_query   kind, field, value
-    registry_records kind, records (each: component, address, module,
-                     registered_at)
+A frame is a 4-byte big-endian length prefix and a JSON body laid out as
+``WIRE_FORMAT`` lists; ``read_frame`` is the one reader of the prefix.  The
+frames back the TCP transport and services; the in-process simulator
+carries the decoded message objects themselves, so it never runs the codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
 ``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
@@ -38,6 +25,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
@@ -49,6 +37,7 @@ log = logging.getLogger("mds.fabric")
 
 MAX_FRAME = 16 * 1024 * 1024
 DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits
+MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 
 
 @dataclass(frozen=True)
@@ -99,155 +88,103 @@ class FrameError(ValueError):
     pass
 
 
+# A wire type is (JSON type, encode, decode): a field's value travels as
+# encode(value), a JSON value of exactly that type (so JSON true is no
+# integer), and decode turns it back; None for both means "as it is".
+
+def _texts(items: list) -> tuple[str, ...]:
+    if not all(type(item) is str for item in items):
+        raise TypeError("a list holds a non-string")
+    return tuple(items)
+
+
 def _b64(payload: bytes) -> str:
     return base64.b64encode(payload).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text, validate=True)
+def _to_json(obj, fields, body: dict) -> dict:
+    for name, (_, encode, _) in fields:
+        value = getattr(obj, name)
+        body[name] = value if encode is None else encode(value)
+    return body
 
 
-def _text(data: dict, key: str) -> str:
-    value = data[key]
-    if not isinstance(value, str):
-        raise FrameError(f"field {key!r} is not a string")
-    return value
+def _from_json(cls, fields, data):
+    if type(data) is not dict:
+        raise TypeError("a record is not a JSON object")
+    values = []
+    for name, (json_type, _, decode) in fields:
+        value = data[name]
+        if type(value) is not json_type:
+            raise TypeError(f"{name!r} is not a JSON {json_type.__name__}")
+        values.append(value if decode is None else decode(value))
+    return cls(*values)
 
 
-def _texts(data: dict, key: str) -> tuple[str, ...]:
-    value = data[key]
-    if not (isinstance(value, list)
-            and all(isinstance(item, str) for item in value)):
-        raise FrameError(f"field {key!r} is not a list of strings")
-    return tuple(value)
+def _records(cls: type, fields) -> tuple:
+    """A list of ``cls`` records, each a JSON object of ``fields``."""
+    return (list, lambda records: [_to_json(r, fields, {}) for r in records],
+            lambda items: tuple(_from_json(cls, fields, i) for i in items))
 
 
-def _body_of(msg: WireMessage) -> dict:
-    if isinstance(msg, Envelope):
-        return {
-            "kind": "enveloped",
-            "sender_module": msg.sender_module,
-            "sender_profile": list(msg.sender_profile),
-            "sender_lineage": list(msg.sender_lineage),
-            "operation": msg.operation,
-            "payload": _b64(msg.payload),
-            "sender": msg.sender,
-            "target": msg.target,
-        }
-    if isinstance(msg, BareInbound):
-        return {
-            "kind": "bare",
-            "sender_address": msg.sender_address,
-            "target": msg.target,
-            "operation": msg.operation,
-            "payload": _b64(msg.payload),
-        }
-    if isinstance(msg, Registration):
-        return {"kind": "registration", "component": msg.component,
-                "module": msg.module, "address": msg.address}
-    if isinstance(msg, LawFetch):
-        return {"kind": "law_fetch", "name": msg.name}
-    if isinstance(msg, LawResponse):
-        return {"kind": "law_response", "name": msg.name, "found": msg.found,
-                "text": msg.text, "lineage": list(msg.lineage),
-                "algo": msg.algo}
-    if isinstance(msg, RegistryQuery):
-        return {"kind": "registry_query", "field": msg.field,
-                "value": msg.value}
-    if isinstance(msg, RegistryRecords):
-        return {"kind": "registry_records", "records": [
-            {"component": r.component, "address": r.address,
-             "module": r.module, "registered_at": r.registered_at}
-            for r in msg.records]}
-    raise TypeError(f"not a wire message: {msg!r}")  # pragma: no cover
+TEXT = (str, None, None)
+TEXTS = (list, list, _texts)
+BYTES = (str, _b64, partial(base64.b64decode, validate=True))  # base64 text
+BOOL = (bool, None, None)
+INT = (int, None, None)
+
+# The wire format.  A frame body is a JSON object: "kind" first, then the
+# fields of that kind's message class in the order listed here, which is
+# also the order the class declares them in.
+WIRE_FORMAT = {
+    "enveloped": (Envelope, (
+        ("sender_module", TEXT), ("sender_profile", TEXTS),
+        ("sender_lineage", TEXTS), ("operation", TEXT), ("payload", BYTES),
+        ("sender", TEXT), ("target", TEXT))),
+    "bare": (BareInbound, (
+        ("sender_address", TEXT), ("target", TEXT), ("operation", TEXT),
+        ("payload", BYTES))),
+    "registration": (Registration, (
+        ("component", TEXT), ("module", TEXT), ("address", TEXT))),
+    "law_fetch": (LawFetch, (("name", TEXT),)),
+    "law_response": (LawResponse, (
+        ("name", TEXT), ("found", BOOL), ("text", TEXT), ("lineage", TEXTS),
+        ("algo", TEXT))),
+    "registry_query": (RegistryQuery, (("field", TEXT), ("value", TEXT))),
+    "registry_records": (RegistryRecords, (
+        ("records", _records(RegistryRecord, (
+            ("component", TEXT), ("address", TEXT), ("module", TEXT),
+            ("registered_at", INT)))),)),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in WIRE_FORMAT.items()}
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def encode_frame(msg: WireMessage) -> bytes:
-    body = json.dumps(_body_of(msg), separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
+    kind = _KIND_OF[type(msg)]
+    body = _to_json(msg, WIRE_FORMAT[kind][1], {"kind": kind})
+    data = _compact_json(body).encode("utf-8")
+    if len(data) > MAX_FRAME:
         raise FrameError("frame body too large")
-    return len(body).to_bytes(4, "big") + body
+    return len(data).to_bytes(4, "big") + data
 
 
 def decode_body(body: bytes) -> WireMessage:
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON, or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"undecodable frame body: {exc}") from None
     if not isinstance(data, dict):
         raise FrameError("frame body is not a record")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in WIRE_FORMAT:
+        raise FrameError(f"unknown frame kind {kind!r}")
     try:
-        if kind == "enveloped":
-            return Envelope(
-                sender_module=_text(data, "sender_module"),
-                sender_profile=_texts(data, "sender_profile"),
-                sender_lineage=_texts(data, "sender_lineage"),
-                operation=_text(data, "operation"),
-                payload=_unb64(data["payload"]),
-                sender=_text(data, "sender"),
-                target=_text(data, "target"))
-        if kind == "bare":
-            return BareInbound(sender_address=_text(data, "sender_address"),
-                               target=_text(data, "target"),
-                               operation=_text(data, "operation"),
-                               payload=_unb64(data["payload"]))
-        if kind == "registration":
-            return Registration(component=_text(data, "component"),
-                                module=_text(data, "module"),
-                                address=_text(data, "address"))
-        if kind == "law_fetch":
-            return LawFetch(name=_text(data, "name"))
-        if kind == "law_response":
-            return LawResponse(name=_text(data, "name"),
-                               found=bool(data["found"]),
-                               text=_text(data, "text"),
-                               lineage=_texts(data, "lineage"),
-                               algo=_text(data, "algo"))
-        if kind == "registry_query":
-            return RegistryQuery(field=_text(data, "field"),
-                                 value=_text(data, "value"))
-        if kind == "registry_records":
-            return RegistryRecords(records=tuple(
-                RegistryRecord(component=_text(r, "component"),
-                               address=_text(r, "address"),
-                               module=_text(r, "module"),
-                               registered_at=int(r["registered_at"]))
-                for r in data["records"]))
+        return _from_json(*WIRE_FORMAT[kind], data)
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"malformed {kind!r} frame: {exc}") from None
-    raise FrameError(f"unknown frame kind {kind!r}")
-
-
-def decode_frame(frame: bytes) -> WireMessage:
-    if len(frame) < 4:
-        raise FrameError("truncated length prefix")
-    size = int.from_bytes(frame[:4], "big")
-    if len(frame) != 4 + size:
-        raise FrameError("frame length mismatch")
-    return decode_body(frame[4:])
-
-
-class FrameReader:
-    """Incremental decoder for a byte stream of frames."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[WireMessage]:
-        self._buf.extend(data)
-        out: list[WireMessage] = []
-        while True:
-            if len(self._buf) < 4:
-                return out
-            size = int.from_bytes(self._buf[:4], "big")
-            if size > MAX_FRAME:
-                raise FrameError("frame too large")
-            if len(self._buf) < 4 + size:
-                return out
-            body = bytes(self._buf[4:4 + size])
-            del self._buf[:4 + size]
-            out.append(decode_body(body))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +228,11 @@ class SimNetwork:
         handler(msg)
         return True
 
-    def run_until_idle(self, max_events: int = 1_000_000):
-        count = 0
-        while self.step():
-            count += 1
-            if count > max_events:
-                raise RuntimeError("simulator did not quiesce")
+    def run_until_idle(self):
+        for _ in range(MAX_SIM_EVENTS):
+            if not self.step():
+                return
+        raise RuntimeError("simulator did not quiesce")
 
     def advance(self, ticks: int) -> str:
         """Move the clock forward, delivering everything due on the way.
@@ -353,14 +289,12 @@ class Registry:
         self._lock = threading.Lock()
         self._stamp = 0
 
-    def register(self, component: str, module: str, address: str,
-                 timestamp: Optional[int] = None) -> RegistryRecord:
+    def register(self, component: str, module: str,
+                 address: str) -> RegistryRecord:
         with self._lock:
-            if timestamp is None:
-                self._stamp += 1
-                timestamp = self._stamp
+            self._stamp += 1
             record = RegistryRecord(component=component, address=address,
-                                    module=module, registered_at=timestamp)
+                                    module=module, registered_at=self._stamp)
             self._records[(component, module)] = record
             return record
 
@@ -391,24 +325,28 @@ class Registry:
 
 
 def read_frame(sock: socket.socket) -> Optional[WireMessage]:
-    header = _read_exact(sock, 4)
-    if header is None:
+    """Read one frame; None when the peer closed the stream between frames."""
+    header = _read_upto(sock, 4)
+    if not header:
         return None
+    if len(header) < 4:
+        raise FrameError("truncated length prefix")
     size = int.from_bytes(header, "big")
     if size > MAX_FRAME:
         raise FrameError("frame too large")
-    body = _read_exact(sock, size)
-    if body is None:
+    body = _read_upto(sock, size)
+    if len(body) < size:
         raise FrameError("connection closed mid-frame")
     return decode_body(body)
 
 
-def _read_exact(sock: socket.socket, n: int) -> Optional[bytes]:
+def _read_upto(sock: socket.socket, n: int) -> bytes:
+    """``n`` bytes, or fewer if the peer closes the stream first."""
     buf = bytearray()
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
-            return None
+            break
         buf.extend(chunk)
     return bytes(buf)
 
@@ -429,9 +367,9 @@ class TcpService:
         self._sock.listen(32)
         self.address = self._sock.getsockname()
         self._closing = False
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True)
-        self._accept_thread.start()
+        self._conns: set[socket.socket] = set()  # accepted, still served
+        self._lock = threading.Lock()
+        threading.Thread(target=self._accept_loop, daemon=True).start()
 
     def _accept_loop(self):
         while not self._closing:
@@ -439,11 +377,16 @@ class TcpService:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
+            with self._lock:
+                if self._closing:
+                    conn.close()
+                    return
+                self._conns.add(conn)
             threading.Thread(target=self._serve, args=(conn,),
                              daemon=True).start()
 
     def _serve(self, conn: socket.socket):
-        with conn:
+        try:
             while True:
                 try:
                     msg = read_frame(conn)
@@ -461,13 +404,21 @@ class TcpService:
                         send_frame(conn, reply)
                     except OSError:
                         return
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
 
     def close(self):
-        self._closing = True
-        try:  # close() alone does not wake a thread blocked in accept()
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        # close() alone wakes no thread blocked in accept() or recv()
+        with self._lock:
+            self._closing = True
+            conns = list(self._conns)
+        for sock in (self._sock, *conns):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its serving thread
+                pass
         self._sock.close()
 
 
@@ -504,8 +455,7 @@ def call_remote(address: tuple[str, int], msg: WireMessage,
         send_frame(sock, msg)
         if not expect_reply:
             return None
-        sock.settimeout(timeout)
-        return read_frame(sock)
+        return read_frame(sock)  # create_connection set the timeout
 
 
 def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
@@ -588,8 +538,7 @@ class TcpNetwork:
         return next(self._ticks)
 
     def close(self):
-        """Close the connections, so each service thread sees EOF and exits,
-        then the services."""
+        """Close the connections this network opened, then the services."""
         for conn in self._conns.values():
             conn.close()
         self._conns.clear()

@@ -80,6 +80,7 @@ from .model import (
     StateEquals,
     StateLess,
     TruePred,
+    terminal_of,
     valid_name,
 )
 
@@ -404,11 +405,7 @@ class _Parser:
             self.advance()
             predicate = self.parse_predicate()
         actions = self.parse_body(target_tok)
-        term = None
-        if actions and isinstance(actions[-1], Permit):
-            term = "permit"
-        elif actions and isinstance(actions[-1], Block):
-            term = "block"
+        term = terminal_of(actions)
         if kind is OverrideKind.PERMIT:
             if term is None:
                 actions = actions + (Permit(),)
@@ -666,11 +663,6 @@ class _Parser:
                     "error", anchor.line, anchor.col,
                     f"duplicate rule id {rule.id!r}"))
             seen_ids.add(rule.id)
-            for act in rule.actions[:-1]:
-                if isinstance(act, (Permit, Block)):
-                    self.diags.append(ParseDiagnostic(
-                        "error", anchor.line, anchor.col,
-                        f"rule {rule.id!r}: terminal action not in last position"))
         seen_meta: set[tuple[str, MetaDirection]] = set()
         for grant in law.meta:
             rule = law.rule(grant.rule_id)

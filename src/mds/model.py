@@ -335,22 +335,3 @@ class LawHierarchy:
             cursor = law.parent
         chain.reverse()
         return tuple(chain)
-
-    @property
-    def root_hash(self) -> str:
-        return self.lineage[self.root][0]
-
-
-def effective_rules(h: LawHierarchy, leaf: str) -> list[tuple[str, Rule]]:
-    """All rules a leaf-law agent evaluates under, root first.
-
-    The order is the evaluation order: laws root-to-leaf, rules in textual
-    order within each law.  Overrides are not rules and are not listed; they
-    substitute into their target rule's body during evaluation.
-    """
-    out: list[tuple[str, Rule]] = []
-    for name in h.path(leaf):
-        law = h.law(name)
-        for rule in law.rules:
-            out.append((name, rule))
-    return out

@@ -80,12 +80,6 @@ class Scenario:
     outsides: list[str] = field(default_factory=list)
     steps: list[Step] = field(default_factory=list)
 
-    def component(self, name: str) -> Optional[ComponentDecl]:
-        for decl in self.components:
-            if decl.name == name:
-                return decl
-        return None
-
 
 def _split(line: str, lineno: int) -> list[str]:
     """Whitespace split that keeps one double-quoted string per token."""

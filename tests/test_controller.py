@@ -211,6 +211,17 @@ class TestArriveRulings:
         assert ruling.flow is FlowKind.IMPORT
         assert ruling.decision is Decision.BLOCK_SILENT
 
+    def test_root_only_lineage_classified_as_import(self, shipped):
+        # the root hash alone names no module's law: the whole lineage must
+        # be the one the receiver's hierarchy holds for the claimed module
+        b, _ = _adopt(shipped, "app", "OPS")
+        claimant = Envelope(sender_module="MS", sender_profile=("log",),
+                            sender_lineage=(shipped.lineage["MS"][0],),
+                            operation="log", payload=b"", sender="impostor",
+                            target="app")
+        ruling, _ = handle_arrive(b, shipped, claimant)
+        assert ruling.flow is FlowKind.IMPORT
+
     def test_malformed_envelope_rejected_with_notice(self, shipped):
         b, _ = _adopt(shipped, "m1", "MS")
         broken = Envelope(sender_module="", sender_profile=(),

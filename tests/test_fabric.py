@@ -1,7 +1,10 @@
 """Wire frames, the deterministic simulator, and the shared services."""
 
+import copy
+import dataclasses
 import json
 import random
+import socket
 import string
 import threading
 import time
@@ -9,12 +12,39 @@ import time
 import pytest
 
 from mds import fabric
-from mds.fabric import (FrameError, FrameReader, LawFetch, LawResponse,
+from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
-                        TcpNetwork, call_remote, decode_frame, encode_frame,
-                        fetch_law, serve_law_server, serve_registry)
+                        TcpNetwork, TcpService, call_remote, encode_frame,
+                        fetch_law, read_frame, serve_law_server,
+                        serve_registry)
 from mds.controller import BareInbound, Envelope
+
+
+class ChunkedSocket:
+    """Stands in for a socket: ``recv`` hands out the stream in chunks of
+    random size, then b"" for the end of the stream."""
+
+    def __init__(self, stream: bytes, seed: int = 0):
+        self._stream = stream
+        self._at = 0
+        self._rng = random.Random(seed)
+
+    def recv(self, n: int) -> bytes:
+        size = min(n, self._rng.randint(1, 7))
+        chunk = self._stream[self._at:self._at + size]
+        self._at += len(chunk)
+        return chunk
+
+
+def _read(stream: bytes, seed: int = 0):
+    """The first message ``read_frame`` finds in ``stream``."""
+    return read_frame(ChunkedSocket(stream, seed))
+
+
+def _frame(data: dict) -> bytes:
+    body = json.dumps(data).encode()
+    return len(body).to_bytes(4, "big") + body
 
 
 class TestGoldenFrame:
@@ -27,7 +57,7 @@ class TestGoldenFrame:
         msg = BareInbound(sender_address="wild", target="m1", operation="ping",
                           payload=b"\x01\x02\x03")
         assert encode_frame(msg) == expected
-        assert decode_frame(expected) == msg
+        assert _read(expected) == msg
 
     def test_enveloped_frame_bytes(self):
         body = (b'{"kind":"enveloped","sender_module":"MS",'
@@ -79,45 +109,44 @@ class TestRoundTrip:
         rng = random.Random(20240817)
         for i in range(10_000):
             msg = _random_message(rng)
-            assert decode_frame(encode_frame(msg)) == msg, i
+            assert _read(encode_frame(msg), seed=i) == msg, i
 
     def test_reader_handles_arbitrary_chunking(self):
         rng = random.Random(5)
         messages = [_random_message(rng) for _ in range(60)]
-        stream = b"".join(encode_frame(m) for m in messages)
-        reader = FrameReader()
+        sock = ChunkedSocket(b"".join(encode_frame(m) for m in messages))
         got = []
-        cursor = 0
-        while cursor < len(stream):
-            size = rng.randint(1, 7)
-            got.extend(reader.feed(stream[cursor:cursor + size]))
-            cursor += size
+        while (msg := read_frame(sock)) is not None:
+            got.append(msg)
         assert got == messages
 
 
 class TestFrameErrors:
     def test_truncated_prefix(self):
         with pytest.raises(FrameError):
-            decode_frame(b"\x00\x00")
+            _read(b"\x00\x00")
 
     def test_length_mismatch(self):
         with pytest.raises(FrameError):
-            decode_frame(b"\x00\x00\x00\x05{}")
+            _read(b"\x00\x00\x00\x05{}")
 
     def test_unknown_kind(self):
-        body = b'{"kind":"gossip"}'
         with pytest.raises(FrameError):
-            decode_frame(len(body).to_bytes(4, "big") + body)
+            _read(_frame({"kind": "gossip"}))
 
     def test_missing_field(self):
-        body = b'{"kind":"bare","target":"t"}'
         with pytest.raises(FrameError):
-            decode_frame(len(body).to_bytes(4, "big") + body)
+            _read(_frame({"kind": "bare", "target": "t"}))
 
     def test_not_json(self):
-        body = b"\xff\xfe"
-        with pytest.raises(FrameError):
-            decode_frame(len(body).to_bytes(4, "big") + body)
+        bodies = [
+            b"\xff\xfe",
+            b"[" * 100_000,  # nested past the recursion limit
+            b"1" * 5000,  # more digits than int() converts
+        ]
+        for body in bodies:
+            with pytest.raises(FrameError):
+                _read(len(body).to_bytes(4, "big") + body)
 
     @pytest.mark.parametrize("field, value", [
         ("sender_profile", [{}]),
@@ -130,9 +159,8 @@ class TestFrameErrors:
                 "operation": "log", "payload": "", "sender": "m1",
                 "target": "m2"}
         data[field] = value
-        body = json.dumps(data).encode()
         with pytest.raises(FrameError):
-            decode_frame(len(body).to_bytes(4, "big") + body)
+            _read(_frame(data))
 
     @pytest.mark.parametrize("data", [
         {"kind": "registration", "component": [], "module": "M",
@@ -142,22 +170,82 @@ class TestFrameErrors:
         {"kind": "registry_records", "records": [
             {"component": "c", "address": {}, "module": "M",
              "registered_at": 1}]},
+        {"kind": "law_response", "name": "L", "found": "false", "text": "",
+         "lineage": [], "algo": "sha256"},
+        {"kind": "registry_records", "records": [
+            {"component": "c", "address": "a", "module": "M",
+             "registered_at": 1.9}]},
+        {"kind": "registry_records", "records": [
+            {"component": "c", "address": "a", "module": "M",
+             "registered_at": True}]},
     ])
     def test_ill_typed_service_field(self, data):
-        body = json.dumps(data).encode()
         with pytest.raises(FrameError):
-            decode_frame(len(body).to_bytes(4, "big") + body)
+            _read(_frame(data))
 
     def test_reader_rejects_oversized_declaration(self):
-        reader = FrameReader()
         header = (fabric.MAX_FRAME + 1).to_bytes(4, "big")
         with pytest.raises(FrameError):
-            reader.feed(header)
+            _read(header)
 
     def test_encode_rejects_oversized_body(self):
         huge = BareInbound("a", "b", "c", b"x" * fabric.MAX_FRAME)
         with pytest.raises(FrameError):
             encode_frame(huge)
+
+
+_SAMPLES = {
+    "enveloped": Envelope("MS", ("log",), ("aa", "bb"), "log", b"\x01", "m1",
+                          "m2"),
+    "bare": BareInbound("wild", "m1", "ping", b"\x01\x02"),
+    "registration": Registration("c", "M", "addr"),
+    "law_fetch": LawFetch("L"),
+    "law_response": LawResponse("L", True, "law L { }", ("aa",), "sha256"),
+    "registry_query": RegistryQuery("module", "M"),
+    "registry_records": RegistryRecords((RegistryRecord("c", "a", "M", 3),)),
+}
+
+# One or more values of each JSON type, some of them valid in some field.
+_JSON_VALUES = [None, True, False, 0, -7, 2 ** 70, 1.5, float("nan"), "",
+                "text", "AQID", "!!", [], ["a", "b"], [1], [None], [{}],
+                {}, {"k": "v"}]
+
+
+class TestEveryField:
+    def test_any_json_value_in_any_field(self):
+        """Each JSON value put in each field of each kind (and of each
+        registry record) either fails as a FrameError or reads as a message
+        that survives another encode and read unchanged."""
+        assert set(_SAMPLES) == set(WIRE_FORMAT)
+        accepted = 0
+        for kind, (cls, fields) in WIRE_FORMAT.items():
+            base = json.loads(encode_frame(_SAMPLES[kind])[4:])
+            # wire order is the order the class declares its fields in
+            declared = [f.name for f in dataclasses.fields(cls)]
+            assert [name for name, _ in fields] == declared
+            assert list(base) == ["kind"] + declared
+            paths = [(key,) for key in base]
+            for key, value in base.items():
+                if value and isinstance(value, list) and type(value[0]) is dict:
+                    record = getattr(_SAMPLES[kind], key)[0]
+                    assert list(value[0]) == [
+                        f.name for f in dataclasses.fields(record)]
+                    paths += [(key, 0, inner) for inner in value[0]]
+            for path in paths:
+                for value in _JSON_VALUES:
+                    data = copy.deepcopy(base)
+                    record = data
+                    for step in path[:-1]:
+                        record = record[step]
+                    record[path[-1]] = value
+                    try:
+                        msg = _read(_frame(data))
+                    except FrameError:
+                        continue
+                    accepted += 1
+                    assert type(msg) is cls, (kind, path, value)
+                    assert _read(encode_frame(msg)) == msg, (kind, path, value)
+        assert accepted > 0
 
 
 class TestSimNetwork:
@@ -273,6 +361,14 @@ class TestRegistry:
         assert len(reg.query()) == 8 * 50
 
 
+def _settle(condition, within: float = 1.0) -> bool:
+    """Poll ``condition`` until it holds or ``within`` seconds pass."""
+    deadline = time.monotonic() + within
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
 class TestTcpServices:
     def test_registry_over_sockets(self):
         reg = Registry()
@@ -282,11 +378,27 @@ class TestTcpServices:
             ack = call_remote(address, Registration("c", "M", "addr"),
                               expect_reply=False)
             assert ack is None
+            # registration is fire-and-forget: the thread serving its
+            # connection may not have handled it when the query arrives
+            assert _settle(lambda: reg.query(name="c"))
             reply = call_remote(address, RegistryQuery("name", "c"))
             assert isinstance(reply, RegistryRecords)
             assert reply.records[0].address == "addr"
         finally:
             service.close()
+
+    def test_close_ends_accepted_connections(self):
+        before = threading.active_count()
+        service = TcpService(lambda msg: None)
+        peer = socket.create_connection(service.address)
+        try:
+            # the accept thread and one serving thread for the peer
+            assert _settle(lambda: threading.active_count() == before + 2)
+            service.close()
+            # both end although the peer keeps its end open
+            assert _settle(lambda: threading.active_count() <= before)
+        finally:
+            peer.close()
 
     def test_law_fetch_over_sockets(self, shipped):
         service = serve_law_server(shipped)

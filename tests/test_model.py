@@ -3,10 +3,10 @@
 import pytest
 
 from mds.conformance import build_hierarchy
+from mds.controller import program_for
 from mds.law_lang import parse_law
 from mds.model import (Block, EventKind, FlowKind, Permit, SetState,
-                       UnknownLawError, effective_rules, terminal_of,
-                       valid_name)
+                       UnknownLawError, terminal_of, valid_name)
 
 
 class TestNames:
@@ -87,7 +87,6 @@ class TestHierarchy:
 
     def test_effective_rules_order_ancestors_first(self):
         h = _chain_hierarchy()
-        names = [rule.id for _, rule in effective_rules(h, "Leaf")]
-        assert names == ["r-Top", "r-Mid", "r-Leaf"]
-        owners = [owner for owner, _ in effective_rules(h, "Leaf")]
-        assert owners == ["Top", "Mid", "Leaf"]
+        entries = program_for(h, "Leaf").entries
+        assert [e.rule_id for e in entries] == ["r-Top", "r-Mid", "r-Leaf"]
+        assert [e.law_name for e in entries] == ["Top", "Mid", "Leaf"]
