@@ -25,9 +25,17 @@ def _cmd_law_check(args) -> int:
             print(problem)
         print(f"rejected: {args.directory}")
         return 1
-    for name in sorted(h.laws):
+    children: dict[str, list[str]] = {name: [] for name in h.laws}
+    for law in h.laws.values():
+        if law.parent is not None:
+            children[law.parent].append(law.name)
+    # Depth first from the root, children by name.
+    pending = [h.root]
+    while pending:
+        name = pending.pop()
         depth = len(h.lineage[name]) - 1
         print(f"{'  ' * depth}{name}  {h.laws[name].hash[:12]}")
+        pending.extend(sorted(children[name], reverse=True))
     print(f"ok: {len(h.laws)} laws, root {h.root}")
     return 0
 

@@ -18,21 +18,31 @@ matching rule that carries a terminal (or whose default body is substituted
 by the deepest matching override on the leaf path) decides.  When nothing
 matches, built-in fallbacks decide: block for inflow, import, and export;
 permit for outflow, innerflow, and adoption.
+
+``program_for`` does the per-rule work once per leaf law.  It keeps one scan
+list per event kind, holding only the rules that event can reach, in scan
+order.  Each rule's guard and body are compiled to closures, with values
+that name the module resolved against the leaf, and each rule's matched
+pair is built then.  Only default rules carry the overrides that may replace
+them, each compiled the same way.  A rule or override is compiled once for
+every leaf below it, unless its body names the module.  ``evaluate`` runs
+guards and bodies and nothing else.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from fnmatch import fnmatchcase
 from typing import Callable, Optional, Union
 
 from .model import (
+    Action,
     And,
     AppendProfile,
     Block,
-    CertConstraint,
     CertEquals,
     EventKind,
     FlowIs,
@@ -44,12 +54,14 @@ from .model import (
     OpEquals,
     OpGlob,
     Or,
+    Override,
     PeerModuleIs,
     PeerOutside,
     PeerProfileHas,
     Permit,
     Predicate,
     RequireCertificate,
+    Rule,
     RuleMode,
     SetState,
     SpecialValue,
@@ -170,7 +182,7 @@ Verifier = Callable[[Certificate], bool]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
     """Sender identification concatenated to every in-system message."""
 
@@ -183,7 +195,7 @@ class Envelope:
     target: str   # component name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BareInbound:
     """A message that arrived without an envelope (from outside the system)."""
 
@@ -193,7 +205,7 @@ class BareInbound:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
     operation: str
     payload: bytes
@@ -216,12 +228,18 @@ class Agent:
     cert: Optional[Certificate] = None
     cert_attrs: dict[str, str] = field(default_factory=dict)
     last_delivery: Optional[tuple[str, tuple[str, ...]]] = None
+    # state["profile"] as last split, and its labels
+    _profile: tuple = field(default=("", ()), init=False, repr=False,
+                            compare=False)
 
     def profile_labels(self) -> tuple[str, ...]:
         raw = self.state.get("profile", "")
-        if not isinstance(raw, str) or not raw:
-            return ()
-        return tuple(x for x in raw.split(",") if x)
+        seen, labels = self._profile
+        if raw is not seen:
+            labels = (tuple(x for x in raw.split(",") if x)
+                      if isinstance(raw, str) else ())
+            self._profile = (raw, labels)
+        return labels
 
 
 class Decision(Enum):
@@ -256,7 +274,7 @@ def matched_token(matched: Matched) -> str:
     return f"{matched[0]}:{matched[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ruling:
     decision: Decision
     matched: Matched
@@ -283,6 +301,8 @@ class EventContext:
     peer_outside: bool
 
 
+_NO_PROFILE: frozenset = frozenset()
+
 _CompiledPred = Callable[[EventContext, dict, dict], bool]
 
 
@@ -294,8 +314,9 @@ def compile_predicate(p: Predicate) -> _CompiledPred:
         v = p.value
         return lambda ctx, st, ce: ctx.operation == v
     if isinstance(p, OpGlob):
-        pat = p.pattern
-        return lambda ctx, st, ce: fnmatchcase(ctx.operation, pat)
+        # fnmatchcase's own matcher, compiled once
+        match = re.compile(fnmatch.translate(p.pattern)).match
+        return lambda ctx, st, ce: match(ctx.operation) is not None
     if isinstance(p, FlowIs):
         k = p.kind
         return lambda ctx, st, ce: ctx.flow is k
@@ -343,95 +364,219 @@ def compile_predicate(p: Predicate) -> _CompiledPred:
     raise TypeError(f"unknown predicate node {p!r}")  # pragma: no cover
 
 
-class _OvEntry:
-    __slots__ = ("source", "events", "pred", "actions", "terminal")
+# A compiled body applies its actions to (state, cert_attrs, updates,
+# effects) and returns (verdict, reason) if it decides, or None.
+_Decided = Optional[tuple[str, Optional[str]]]
+_CompiledBody = Callable[[dict, dict, list, list], _Decided]
 
-    def __init__(self, source, events, pred, actions, terminal):
+_PERMIT = ("permit", None)
+_BLOCK = ("block", None)
+_NOTIFY = ("notify-registry",)
+
+
+def _compile_step(act: Action, leaf: str,
+                  leaf_profile: tuple[str, ...]) -> _CompiledBody:
+    """Close one non-terminal action over into a compiled body."""
+    if isinstance(act, SetState):
+        key, value = act.key, act.value
+        if value is SpecialValue.MODULE_NAME:
+            value = leaf
+        elif value is SpecialValue.MODULE_PROFILE:
+            value = ",".join(leaf_profile)
+        note = ("set", key, value)
+
+        def set_state(st, ce, updates, effects):
+            st[key] = value
+            updates.append(note)
+        return set_state
+    if isinstance(act, IncrementState):
+        key, delta = act.key, act.delta
+
+        def increment(st, ce, updates, effects):
+            cur = st.get(key)
+            new = (cur if type(cur) is int else 0) + delta
+            st[key] = new
+            updates.append(("increment", key, delta, new))
+        return increment
+    if isinstance(act, NotifyRegistry):
+        return lambda st, ce, updates, effects: effects.append(_NOTIFY)
+    if isinstance(act, AppendProfile):
+        wanted = act.labels
+
+        def append_profile(st, ce, updates, effects):
+            raw = st.get("profile", "")
+            labels = ([x for x in raw.split(",") if x]
+                      if isinstance(raw, str) else [])
+            added = [l for l in wanted if l not in labels]
+            if added:
+                st["profile"] = ",".join(labels + added)
+                updates.append(("append-profile", tuple(added)))
+        return append_profile
+    if isinstance(act, RequireCertificate):
+        # (attribute, equality?, wanted value, the block it decides)
+        checks = []
+        for c in act.constraints:
+            want = leaf if isinstance(c.value, SpecialValue) else c.value
+            if c.op == "equals":
+                why = f"certificate attribute {c.attr!r} != {want!r}"
+            else:
+                why = f"certificate attribute {c.attr!r} does not list {want!r}"
+            checks.append((c.attr, c.op == "equals", want, ("block", why)))
+
+        def require_cert(st, ce, updates, effects):
+            for attr, equals, want, refusal in checks:
+                have = ce.get(attr)
+                if equals:
+                    if have != want:
+                        return refusal
+                elif want not in [x.strip() for x in (have or "").split(",")]:
+                    return refusal
+            return None
+        return require_cert
+    raise TypeError(f"unknown action {act!r}")  # pragma: no cover
+
+
+def compile_body(actions: tuple[Action, ...], leaf: str,
+                 leaf_profile: tuple[str, ...]) -> _CompiledBody:
+    """Close a rule or override body over into a fast callable.
+
+    Values that name the adopting module are resolved against the leaf law
+    here, once.  Actions after the first terminal are never reached.
+    """
+    steps: list[_CompiledBody] = []
+    end: _Decided = None
+    for act in actions:
+        if isinstance(act, (Permit, Block)):
+            end = _PERMIT if isinstance(act, Permit) else _BLOCK
+            break
+        steps.append(_compile_step(act, leaf, leaf_profile))
+    if not steps:
+        return lambda st, ce, updates, effects: end
+    if len(steps) == 1:
+        step = steps[0]
+        return lambda st, ce, updates, effects: (
+            step(st, ce, updates, effects) or end)
+
+    def body(st, ce, updates, effects):
+        for step in steps:
+            decided = step(st, ce, updates, effects)
+            if decided is not None:
+                return decided
+        return end
+    return body
+
+
+def _names_module(actions: tuple[Action, ...]) -> bool:
+    """True if a body holds a value resolved against the leaf law."""
+    for act in actions:
+        if isinstance(act, SetState) and isinstance(act.value, SpecialValue):
+            return True
+        if isinstance(act, RequireCertificate) and any(
+                isinstance(c.value, SpecialValue) for c in act.constraints):
+            return True
+    return False
+
+
+def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
+                    leaf_profile: tuple[str, ...]
+                    ) -> tuple[_CompiledPred, _CompiledBody]:
+    """(guard, body) of a rule or override, compiled once per hierarchy.
+
+    Leaves share what ancestors declare, so the first leaf to reach a clause
+    compiles it for all; only a body that names the module is compiled again
+    for each leaf.
+    """
+    done = h.cache.setdefault("clauses", {})
+    hit = done.get(id(clause))
+    if hit is None:
+        body = (None if _names_module(clause.actions)
+                else compile_body(clause.actions, leaf, leaf_profile))
+        # The clause is kept so that its id is not reused while cached.
+        hit = done[id(clause)] = (clause, compile_predicate(clause.predicate),
+                                  body)
+    _, guard, body = hit
+    if body is None:
+        body = compile_body(clause.actions, leaf, leaf_profile)
+    return guard, body
+
+
+class _OvEntry:
+    __slots__ = ("source", "events", "pred", "body", "matched")
+
+    def __init__(self, source: str, ov: Override, pred: _CompiledPred,
+                 body: _CompiledBody):
         self.source = source      # law declaring the override
-        self.events = events
+        self.events = ov.events
         self.pred = pred
-        self.actions = actions
-        self.terminal = terminal
+        self.body = body
+        self.matched = (source, ov.target)
 
 
 class _RuleEntry:
-    __slots__ = ("law_name", "rule_id", "mode", "events", "pred", "actions",
-                 "terminal", "overrides")
+    __slots__ = ("law_name", "rule_id", "events", "pred", "body", "matched",
+                 "overrides")
 
-    def __init__(self, law_name, rule_id, mode, events, pred, actions,
-                 terminal, overrides):
+    def __init__(self, law_name: str, rule: Rule, pred: _CompiledPred,
+                 body: _CompiledBody, overrides: tuple[_OvEntry, ...]):
         self.law_name = law_name
-        self.rule_id = rule_id
-        self.mode = mode
-        self.events = events
+        self.rule_id = rule.id
+        self.events = rule.events
         self.pred = pred
-        self.actions = actions
-        self.terminal = terminal
-        self.overrides = overrides
+        self.body = body
+        self.matched = (law_name, rule.id)
+        self.overrides = overrides  # deepest law first; empty unless DEFAULT
 
 
 class Program:
-    """Pre-resolved scan order for one leaf law of one hierarchy."""
+    """Pre-resolved scan order for one leaf law of one hierarchy.
 
-    __slots__ = ("leaf", "leaf_profile", "entries")
+    ``entries`` lists every rule on the path root-first.  ``scans`` holds,
+    per event kind, one row for each entry that event can reach: (guard,
+    body, matched, overrides that event can reach as (guard, body, matched)).
+    """
 
-    def __init__(self, leaf: str, leaf_profile: tuple[str, ...], entries):
+    __slots__ = ("leaf", "entries", "scans")
+
+    def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...]):
         self.leaf = leaf
-        self.leaf_profile = leaf_profile
         self.entries = entries
+        self.scans = {
+            event: tuple(
+                (e.pred, e.body, e.matched,
+                 tuple((o.pred, o.body, o.matched) for o in e.overrides
+                       if event in o.events) if e.overrides else ())
+                for e in entries if event in e.events)
+            for event in EventKind}
 
 
 def program_for(h: LawHierarchy, leaf: str) -> Program:
     cached = h.cache.get(("program", leaf))
     if cached is not None:
         return cached
-    path = h.path(leaf)
-    laws = [h.law(name) for name in path]
-    entries: list[_RuleEntry] = []
-    for i, law in enumerate(laws):
+    laws = [h.law(name) for name in h.path(leaf)]
+    profile = laws[-1].profile
+    # Overrides on the path by (owner, target), deepest law first and in
+    # textual order within a law.
+    overrides: dict[tuple[Optional[str], str], list[_OvEntry]] = {}
+    for law in reversed(laws):
+        for ov in law.overrides:
+            overrides.setdefault((ov.owner, ov.target), []).append(_OvEntry(
+                law.name, ov, *_compile_clause(h, ov, leaf, profile)))
+    entries = []
+    for law in laws:
         for rule in law.rules:
-            ovs: list[_OvEntry] = []
-            # Deepest law first; textual order within a law.
-            for j in range(len(laws) - 1, i, -1):
-                for ov in laws[j].overrides:
-                    if ov.owner == law.name and ov.target == rule.id:
-                        ovs.append(_OvEntry(
-                            source=laws[j].name,
-                            events=frozenset(ov.events),
-                            pred=compile_predicate(ov.predicate),
-                            actions=ov.actions,
-                            terminal=ov.terminal))
+            ovs = ()
+            if rule.mode is RuleMode.DEFAULT:
+                ovs = tuple(overrides.get((law.name, rule.id), ()))
             entries.append(_RuleEntry(
-                law_name=law.name,
-                rule_id=rule.id,
-                mode=rule.mode,
-                events=frozenset(rule.events),
-                pred=compile_predicate(rule.predicate),
-                actions=rule.actions,
-                terminal=rule.terminal,
-                overrides=tuple(ovs)))
-    program = Program(leaf=leaf, leaf_profile=laws[-1].profile,
-                      entries=tuple(entries))
+                law.name, rule, *_compile_clause(h, rule, leaf, profile), ovs))
+    program = Program(leaf, tuple(entries))
     h.cache[("program", leaf)] = program
     return program
 
 
-_FALLBACK_PERMIT = frozenset((FlowKind.OUTFLOW, FlowKind.INNER))
-
-
-def _check_cert(constraints: tuple[CertConstraint, ...], cert_attrs: dict,
-                leaf: str) -> Optional[str]:
-    for c in constraints:
-        want = leaf if isinstance(c.value, SpecialValue) else c.value
-        have = cert_attrs.get(c.attr)
-        if c.op == "equals":
-            if have != want:
-                return f"certificate attribute {c.attr!r} != {want!r}"
-        else:
-            items = [x.strip() for x in (have or "").split(",")]
-            if want not in items:
-                return f"certificate attribute {c.attr!r} does not list {want!r}"
-    return None
+_FALLBACK_PERMIT = (FlowKind.OUTFLOW, FlowKind.INNER)
+_DEFAULT_OF_ROOT = {flow: DefaultOfRoot(flow) for flow in (None, *FlowKind)}
 
 
 def evaluate(program: Program, state: dict, cert_attrs: dict,
@@ -443,63 +588,24 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
     """
     updates: list[tuple] = []
     effects: list[tuple] = []
-    event = ctx.event
-    for entry in program.entries:
-        if event not in entry.events:
+    for pred, body, matched, overrides in program.scans[ctx.event]:
+        if not pred(ctx, state, cert_attrs):
             continue
-        if not entry.pred(ctx, state, cert_attrs):
-            continue
-        actions = entry.actions
-        terminal = entry.terminal
-        matched: Matched = (entry.law_name, entry.rule_id)
-        if entry.mode is RuleMode.DEFAULT and entry.overrides:
-            for ov in entry.overrides:
-                if event in ov.events and ov.pred(ctx, state, cert_attrs):
-                    actions = ov.actions
-                    terminal = ov.terminal
-                    matched = (ov.source, entry.rule_id)
-                    break
-        for act in actions:
-            if isinstance(act, Permit):
-                return "permit", matched, tuple(updates), tuple(effects), None
-            if isinstance(act, Block):
-                return "block", matched, tuple(updates), tuple(effects), None
-            if isinstance(act, SetState):
-                if act.value is SpecialValue.MODULE_NAME:
-                    value: Union[str, int] = program.leaf
-                elif act.value is SpecialValue.MODULE_PROFILE:
-                    value = ",".join(program.leaf_profile)
-                else:
-                    value = act.value
-                state[act.key] = value
-                updates.append(("set", act.key, value))
-            elif isinstance(act, IncrementState):
-                cur = state.get(act.key)
-                base = cur if type(cur) is int else 0
-                state[act.key] = base + act.delta
-                updates.append(("increment", act.key, act.delta, base + act.delta))
-            elif isinstance(act, NotifyRegistry):
-                effects.append(("notify-registry",))
-            elif isinstance(act, AppendProfile):
-                raw = state.get("profile", "")
-                labels = [x for x in raw.split(",") if x] if isinstance(raw, str) else []
-                added = [l for l in act.labels if l not in labels]
-                if added:
-                    state["profile"] = ",".join(labels + added)
-                    updates.append(("append-profile", tuple(added)))
-            elif isinstance(act, RequireCertificate):
-                failure = _check_cert(act.constraints, cert_attrs, program.leaf)
-                if failure is not None:
-                    return ("block", matched, tuple(updates), tuple(effects),
-                            failure)
-        if terminal is not None:  # pragma: no cover - returned above
-            raise AssertionError("terminal action must be last")
+        for ov_pred, ov_body, ov_matched in overrides:
+            if ov_pred(ctx, state, cert_attrs):
+                body, matched = ov_body, ov_matched
+                break
+        decided = body(state, cert_attrs, updates, effects)
+        if decided is not None:
+            return (decided[0], matched, tuple(updates), tuple(effects),
+                    decided[1])
     # Nothing decided: built-in fallback.
-    if event is EventKind.ADOPTED or ctx.flow in _FALLBACK_PERMIT:
-        return ("permit", DefaultOfRoot(ctx.flow), tuple(updates),
-                tuple(effects), None)
-    return ("block", DefaultOfRoot(ctx.flow), tuple(updates), tuple(effects),
-            None)
+    if ctx.event is EventKind.ADOPTED or ctx.flow in _FALLBACK_PERMIT:
+        verdict = "permit"
+    else:
+        verdict = "block"
+    return (verdict, _DEFAULT_OF_ROOT[ctx.flow], tuple(updates),
+            tuple(effects), None)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +629,7 @@ def adopt(component: ComponentId, h: LawHierarchy, law: str,
         attrs = cert.attr_dict()
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
                   cert=cert, cert_attrs=attrs)
-    ctx = EventContext(event=EventKind.ADOPTED, operation="", flow=None,
-                       peer_name=None, peer_profile=frozenset(),
-                       peer_outside=False)
+    ctx = EventContext(EventKind.ADOPTED, "", None, None, _NO_PROFILE, False)
     program = program_for(h, law)
     verdict, matched, updates, effects, reason = evaluate(
         program, agent.state, agent.cert_attrs, ctx)
@@ -542,10 +646,10 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
     """Sender-side ruling.  Forward yields the enveloped message, or a bare
     payload (None envelope) when the target is outside the system."""
     flow = classify_flow(agent.law, agent.law, target_locus)
-    outside = isinstance(target_locus, _Outside)
-    ctx = EventContext(event=EventKind.SENT, operation=operation, flow=flow,
-                       peer_name=target if outside else target_locus,
-                       peer_profile=frozenset(), peer_outside=outside)
+    outside = target_locus is OUTSIDE
+    ctx = EventContext(EventKind.SENT, operation, flow,
+                       target if outside else target_locus, _NO_PROFILE,
+                       outside)
     program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
         program, agent.state, agent.cert_attrs, ctx)
@@ -556,15 +660,8 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
     ruling = Ruling(Decision.FORWARD, matched, None, updates, effects, flow)
     if outside:
         return ruling, None
-    env = Envelope(
-        sender_module=agent.law,
-        sender_profile=agent.profile_labels(),
-        sender_lineage=agent.lineage,
-        operation=operation,
-        payload=payload,
-        sender=agent.component.name,
-        target=target,
-    )
+    env = Envelope(agent.law, agent.profile_labels(), agent.lineage,
+                   operation, payload, agent.component.name, target)
     return ruling, env
 
 
@@ -597,18 +694,17 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
                 inbound.sender_module, inbound.sender_profile)
         else:
             peer_name = inbound.sender
-            peer_profile = frozenset()
+            peer_profile = _NO_PROFILE
             peer_outside = True
             identity = None
     else:
         flow = FlowKind.IMPORT
         peer_name = inbound.sender_address
-        peer_profile = frozenset()
+        peer_profile = _NO_PROFILE
         peer_outside = True
         identity = None
-    ctx = EventContext(event=EventKind.ARRIVED, operation=inbound.operation,
-                       flow=flow, peer_name=peer_name,
-                       peer_profile=peer_profile, peer_outside=peer_outside)
+    ctx = EventContext(EventKind.ARRIVED, inbound.operation, flow, peer_name,
+                       peer_profile, peer_outside)
     program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
         program, agent.state, agent.cert_attrs, ctx)
@@ -618,8 +714,8 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
                       flow), None
     agent.last_delivery = identity
     disclose = agent.state.get("disclose") == "yes"
-    delivery = Delivery(operation=inbound.operation, payload=inbound.payload,
-                        sender_identity=identity if disclose else None)
+    delivery = Delivery(inbound.operation, inbound.payload,
+                        identity if disclose else None)
     return Ruling(Decision.DELIVER, matched, None, updates, effects,
                   flow), delivery
 

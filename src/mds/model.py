@@ -276,10 +276,6 @@ class Override:
     actions: tuple[Action, ...]
     owner: Optional[str] = None
 
-    @property
-    def terminal(self) -> Optional[str]:
-        return terminal_of(self.actions)
-
 
 @dataclass(frozen=True)
 class Law:
@@ -311,7 +307,8 @@ class LawHierarchy:
 
     ``lineage[name]`` is the chain of law hashes from the root down to
     ``name`` inclusive, so ``lineage[name][0]`` is always the root's hash.
-    ``cache`` holds per-leaf compiled artifacts; it never affects equality.
+    ``cache`` holds compiled artifacts (a program per leaf and the rules and
+    overrides they share); it never affects equality.
     """
 
     root: str

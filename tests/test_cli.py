@@ -11,6 +11,44 @@ class TestLawCommands:
         out = capsys.readouterr().out
         assert "ok: 6 laws, root S" in out
 
+    @staticmethod
+    def _tree_lines(out: str) -> list[tuple[int, str]]:
+        """(depth, law name) of each law line `law check` printed."""
+        rows = []
+        for line in out.splitlines():
+            if line.startswith("ok:"):
+                break
+            name = line.split()[0]
+            rows.append(((len(line) - len(line.lstrip(" "))) // 2, name))
+        return rows
+
+    @pytest.mark.parametrize("tree", ["shipped", "deep"])
+    def test_check_prints_each_law_under_its_parent(self, tree, law_dir,
+                                                     tmp_path, capsys):
+        parents = {"S": None, "MGMT": "S", "MS": "S", "OPS": "S", "P": "S",
+                   "SB": "S"}
+        if tree == "deep":
+            # Name order differs from tree order at every level.
+            parents = {"Z": None, "B": "Z", "A": "Z", "BA": "B", "AB": "A",
+                       "AA": "A", "AAA": "AA", "C": "Z"}
+            for name, parent in parents.items():
+                head = f"law {name}" + (f" extends {parent}" if parent else "")
+                (tmp_path / f"{name}.law").write_text(head + " {\n}\n")
+            law_dir = tmp_path
+        assert main(["law", "check", str(law_dir)]) == 0
+        rows = self._tree_lines(capsys.readouterr().out)
+        root = next(name for name, parent in parents.items() if parent is None)
+        assert rows[0] == (0, root)
+        assert sorted(name for _, name in rows) == sorted(parents)
+        for i, (depth, name) in enumerate(rows[1:], start=1):
+            # The nearest law above at one level less is the parent.
+            above = next(n for d, n in reversed(rows[:i]) if d == depth - 1)
+            assert above == parents[name]
+        # Siblings print in name order.
+        for parent in parents:
+            kids = [n for _, n in rows if parents[n] == parent]
+            assert kids == sorted(kids)
+
     def test_check_rejects_violations_with_kind(self, violation_dir, capsys):
         code = main(["law", "check", str(violation_dir / "cycle")])
         assert code == 1

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from mds import controller
 from mds.conformance import build_hierarchy
 from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             Certificate, ComponentId, Decision, DemoIssuer,
@@ -12,7 +13,8 @@ from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             classify_flow, demo_verify, disclose_identity,
                             handle_arrive, handle_send, matched_token)
 from mds.law_lang import parse_law
-from mds.model import FlowKind
+from mds.model import EventKind, FlowKind
+from mds.oracle import OracleEvent, oracle_evaluate
 
 ISSUER = DemoIssuer("demo-ca")
 
@@ -454,3 +456,146 @@ class TestLocalityQuick:
             second = handle_send(sender1, shipped, op, b"", tname,
                                  agents[tname].law)
             assert first[0] == second[0]
+
+
+class TestCompiledBodiesMatchOracle:
+    """Actions whose values compiled bodies resolve at compile time.
+
+    The random systems of the differential fuzzer never generate these
+    (module-name, module-profile, require-cert), so they are driven here
+    through the controller and the interpretive oracle side by side.
+    """
+
+    ROOT = """
+    law Root {
+      profile [base];
+      categorical rule stamp on adopted, sent {
+        set state.home = module-name;
+        set state.badge = module-profile;
+      }
+      categorical rule vet on sent if op == "vet" {
+        require-cert dept == "finance", modules contains module-name;
+        increment state.vetted by 1;
+      }
+      default rule gate on sent if op matches "g*" {
+        set state.gate = "root";
+        permit;
+      }
+      allow-override gate may-replace;
+    }
+    """
+    LEFT = """
+    law Left extends Root {
+      profile [left, l2];
+      override gate replace on sent if op == "go" {
+        set state.via = module-name;
+        require-cert dept == "eng";
+        block;
+      }
+    }
+    """
+    RIGHT = "law Right extends Root {\n  profile [right];\n}\n"
+
+    # (component, leaf, certificate attributes, "modules" defaulting to leaf)
+    CAST = (
+        ("fin", "Left", {"dept": "finance"}),
+        ("eng", "Left", {"dept": "eng"}),
+        ("fin2", "Right", {"dept": "finance"}),
+        ("stray", "Right", {"dept": "finance", "modules": "Left"}),
+    )
+
+    def test_controller_agrees_with_oracle(self):
+        h = _hier(self.ROOT, self.LEFT, self.RIGHT)
+        reasons = {}  # (component, op) -> reason of an inner-flow block
+        for name, leaf, attrs in self.CAST:
+            cert = ISSUER.issue(name, {"modules": leaf, **attrs})
+            agent, ruling = adopt(ComponentId(name, name), h, leaf, cert=cert)
+            expected = oracle_evaluate(h.laws, leaf, {}, agent.cert_attrs,
+                                       OracleEvent(EventKind.ADOPTED))
+            assert expected == ("permit", matched_token(ruling.matched),
+                                agent.state)
+            # One root rule, resolved against each leaf.
+            assert agent.state["home"] == leaf
+            assert agent.state["badge"] == ",".join(h.laws[leaf].profile)
+            for op in ("vet", "go", "gx", "other", "vet"):
+                for target, locus in (("peer", leaf), ("peer", "Root"),
+                                      ("ext", OUTSIDE)):
+                    outside = locus is OUTSIDE
+                    flow = classify_flow(leaf, leaf, locus)
+                    expected = oracle_evaluate(
+                        h.laws, leaf, agent.state, agent.cert_attrs,
+                        OracleEvent(EventKind.SENT, op, flow,
+                                    target if outside else locus,
+                                    frozenset(), outside))
+                    ruling, _ = handle_send(agent, h, op, b"", target, locus)
+                    verdict = "permit" if ruling.decision.permits else "block"
+                    assert (verdict, matched_token(ruling.matched),
+                            agent.state) == expected, (name, op, locus)
+                    if flow is FlowKind.INNER and verdict == "block":
+                        reasons[(name, op)] = ruling.reason
+        # require-cert as a non-terminal action blocks with its reason
+        assert reasons[("eng", "vet")] == \
+            "certificate attribute 'dept' != 'finance'"
+        assert reasons[("stray", "vet")] == \
+            "certificate attribute 'modules' does not list 'Right'"
+        assert ("fin", "vet") not in reasons
+        # The override body, not the rule's, ran on Left only: its set
+        # applied before its require-cert decided.
+        assert reasons[("fin", "go")] == \
+            "certificate attribute 'dept' != 'eng'"
+        assert reasons[("eng", "go")] == "blocked by Left:gate"
+        assert ("fin2", "go") not in reasons
+
+
+class TestTracedSeams:
+    """The calls a tracer wraps: ``program_for`` and ``evaluate`` are looked
+    up on ``mds.controller`` at call time by every controller operation, and
+    every rule-decided ``matched`` names an entry of the program scanned."""
+
+    def _spy(self, monkeypatch):
+        calls = []   # (name, program or leaf, matched)
+        real_program_for = controller.program_for
+        real_evaluate = controller.evaluate
+
+        def program_for(h, leaf):
+            calls.append(("program_for", leaf, None))
+            return real_program_for(h, leaf)
+
+        def evaluate(program, state, cert_attrs, ctx):
+            result = real_evaluate(program, state, cert_attrs, ctx)
+            calls.append(("evaluate", program, result[1]))
+            return result
+
+        monkeypatch.setattr(controller, "program_for", program_for)
+        monkeypatch.setattr(controller, "evaluate", evaluate)
+        return calls
+
+    def test_operations_reach_both_seams(self, shipped, monkeypatch):
+        calls = self._spy(monkeypatch)
+        a, _ = _adopt(shipped, "a", "MS")
+        b, _ = _adopt(shipped, "b", "MS")
+        assert [c[0] for c in calls] == ["program_for", "evaluate"] * 2
+        del calls[:]
+        _, env = handle_send(a, shipped, "retrieve", b"", "b", "MS")
+        assert [c[0] for c in calls] == ["program_for", "evaluate"]
+        del calls[:]
+        handle_arrive(b, shipped, env)
+        assert [c[0] for c in calls] == ["program_for", "evaluate"]
+
+    def test_every_rule_match_names_a_program_entry(self, scenario_dir,
+                                                    monkeypatch):
+        from mds.runner import run_scenario
+        calls = self._spy(monkeypatch)
+        for path in sorted(scenario_dir.glob("*.mds")):
+            assert run_scenario(path, seed=7).ok
+        decided = [(p, m) for name, p, m in calls
+                   if name == "evaluate" and isinstance(m, tuple)]
+        assert decided
+        by_override = 0
+        for program, (law, rule) in decided:
+            entries = [e for e in program.entries if e.rule_id == rule]
+            rules = {e.law_name for e in entries}
+            sources = {ov.source for e in entries for ov in e.overrides}
+            assert law in rules | sources, (program.leaf, law, rule)
+            by_override += law not in rules
+        assert by_override, "no override decided in the shipped scenarios"
