@@ -25,8 +25,13 @@ order.  Each rule's guard and body are compiled to closures, with values
 that name the module resolved against the leaf, and each rule's matched
 pair is built then.  Only default rules carry the overrides that may replace
 them, each compiled the same way.  A rule or override is compiled once for
-every leaf below it, unless its body names the module.  ``evaluate`` runs
-guards and bodies and nothing else.
+every leaf below it, unless its body names the module; the same pass
+records which operations the ``op ==`` atoms of its guard let match, and
+whether the guard reads anything but the operation.  From these,
+``Program.scan`` narrows an event's scan to the rows one operation can
+reach, the first time that operation is seen; a guard the operation
+settles is dropped or never run.  ``evaluate`` looks the narrowed scan up
+by operation, then runs guards and bodies and nothing else.
 """
 
 from __future__ import annotations
@@ -454,6 +459,8 @@ def compile_body(actions: tuple[Action, ...], leaf: str,
         return lambda st, ce, updates, effects: end
     if len(steps) == 1:
         step = steps[0]
+        if end is None:
+            return step
         return lambda st, ce, updates, effects: (
             step(st, ce, updates, effects) or end)
 
@@ -477,10 +484,36 @@ def _names_module(actions: tuple[Action, ...]) -> bool:
     return False
 
 
+def _ops_of(p: Predicate) -> Optional[frozenset]:
+    """Operations whose ``op ==`` atoms can make p true, or None for any."""
+    if isinstance(p, OpEquals):
+        return frozenset((p.value,))
+    if isinstance(p, And):
+        known = [ops for ops in map(_ops_of, p.parts) if ops is not None]
+        return frozenset.intersection(*known) if known else None
+    if isinstance(p, Or):
+        sets = [_ops_of(x) for x in p.parts]
+        return None if None in sets else frozenset().union(*sets)
+    return None
+
+
+def _reads_only_op(p: Predicate) -> bool:
+    """True if p reads nothing but the operation."""
+    if isinstance(p, (TruePred, OpEquals, OpGlob)):
+        return True
+    if isinstance(p, Not):
+        return _reads_only_op(p.inner)
+    if isinstance(p, (And, Or)):
+        return all(map(_reads_only_op, p.parts))
+    return False
+
+
 def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
                     leaf_profile: tuple[str, ...]
-                    ) -> tuple[_CompiledPred, _CompiledBody]:
-    """(guard, body) of a rule or override, compiled once per hierarchy.
+                    ) -> tuple[_CompiledPred, _CompiledBody,
+                               Optional[frozenset], bool]:
+    """(guard, body, operations, reads only op) of a rule or override,
+    compiled and analysed once per hierarchy.
 
     Leaves share what ancestors declare, so the first leaf to reach a clause
     compiles it for all; only a body that names the module is compiled again
@@ -492,32 +525,38 @@ def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
         body = (None if _names_module(clause.actions)
                 else compile_body(clause.actions, leaf, leaf_profile))
         # The clause is kept so that its id is not reused while cached.
-        hit = done[id(clause)] = (clause, compile_predicate(clause.predicate),
-                                  body)
-    _, guard, body = hit
+        hit = done[id(clause)] = (
+            clause, compile_predicate(clause.predicate), body,
+            _ops_of(clause.predicate), _reads_only_op(clause.predicate))
+    _, guard, body, ops, op_only = hit
     if body is None:
         body = compile_body(clause.actions, leaf, leaf_profile)
-    return guard, body
+    return guard, body, ops, op_only
 
 
 class _OvEntry:
-    __slots__ = ("source", "events", "pred", "body", "matched")
+    __slots__ = ("source", "events", "pred", "body", "matched", "ops",
+                 "op_only")
 
     def __init__(self, source: str, ov: Override, pred: _CompiledPred,
-                 body: _CompiledBody):
+                 body: _CompiledBody, ops: Optional[frozenset],
+                 op_only: bool):
         self.source = source      # law declaring the override
         self.events = ov.events
         self.pred = pred
         self.body = body
         self.matched = (source, ov.target)
+        self.ops = ops            # see _ops_of
+        self.op_only = op_only
 
 
 class _RuleEntry:
     __slots__ = ("law_name", "rule_id", "events", "pred", "body", "matched",
-                 "overrides")
+                 "overrides", "ops", "op_only")
 
     def __init__(self, law_name: str, rule: Rule, pred: _CompiledPred,
-                 body: _CompiledBody, overrides: tuple[_OvEntry, ...]):
+                 body: _CompiledBody, ops: Optional[frozenset], op_only: bool,
+                 overrides: tuple[_OvEntry, ...]):
         self.law_name = law_name
         self.rule_id = rule.id
         self.events = rule.events
@@ -525,6 +564,11 @@ class _RuleEntry:
         self.body = body
         self.matched = (law_name, rule.id)
         self.overrides = overrides  # deepest law first; empty unless DEFAULT
+        self.ops = ops
+        self.op_only = op_only
+
+
+_OTHER = object()  # table key of the scan for operations no ``op ==`` names
 
 
 class Program:
@@ -533,20 +577,108 @@ class Program:
     ``entries`` lists every rule on the path root-first.  ``scans`` holds,
     per event kind, one row for each entry that event can reach: (guard,
     body, matched, overrides that event can reach as (guard, body, matched)).
+    ``tables`` holds, per event kind, the rows of that scan an operation can
+    reach, keyed by operation (``_OTHER`` for every operation no ``op ==``
+    names) and filled by ``scan``; a None guard there always holds.
     """
 
-    __slots__ = ("leaf", "entries", "scans")
+    __slots__ = ("leaf", "entries", "scans", "named", "tables", "_entries",
+                 "_index", "_variants")
 
     def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...]):
         self.leaf = leaf
         self.entries = entries
+        # per event kind, the entry behind each row of scans
+        self._entries = {event: tuple(e for e in entries if event in e.events)
+                         for event in EventKind}
         self.scans = {
             event: tuple(
                 (e.pred, e.body, e.matched,
                  tuple((o.pred, o.body, o.matched) for o in e.overrides
                        if event in o.events) if e.overrides else ())
-                for e in entries if event in e.events)
-            for event in EventKind}
+                for e in reached)
+            for event, reached in self._entries.items()}
+        # operations some ``op ==`` of the program names
+        self.named = frozenset().union(*(
+            c.ops for e in entries for c in (e, *e.overrides)
+            if c.ops is not None))
+        self.tables: dict[EventKind, dict] = {event: {} for event in EventKind}
+        self._index: dict[EventKind, tuple[list, dict]] = {}
+        self._variants: dict[tuple, tuple] = {}  # each narrowed row, once
+
+    def scan(self, event: EventKind, operation: str) -> tuple:
+        """The rows of ``scans[event]`` that the operation can reach, in
+        scan order, built on first use.
+
+        Rows whose guard cannot hold for the operation are dropped; a guard
+        that reads only the operation and holds for it becomes None, which
+        ``evaluate`` skips; an override that always applies becomes the
+        row's body, and the overrides after it are dropped.  Operations that
+        no ``op ==`` names share one scan, so a peer cannot grow the table.
+        """
+        key = operation if operation in self.named else _OTHER
+        table = self.tables[event]
+        rows = table.get(key)
+        if rows is not None:
+            return rows
+        index = self._index.get(event)
+        if index is None:
+            index = self._index[event] = self._index_of(event)
+        anywhere, by_op = index
+        if key is _OTHER:
+            ctx, positions = None, anywhere
+        else:
+            ctx = EventContext(event, operation, None, None, _NO_PROFILE,
+                               False)
+            positions = sorted(anywhere + by_op.get(operation, []))
+        reached, full = self._entries[event], self.scans[event]
+        kept = []
+        for i in positions:
+            entry, row = reached[i], full[i]
+            settled = ctx is not None and entry.op_only
+            if settled and not entry.pred(ctx, None, None):
+                continue
+            if settled or row[3]:
+                row = self._narrow(entry, row, event, ctx, settled)
+            kept.append(row)
+        rows = table[key] = tuple(kept)
+        return rows
+
+    def _index_of(self, event: EventKind) -> tuple[list, dict]:
+        """Positions in ``scans[event]`` of the rows any operation can
+        reach, and per operation of those only it can reach."""
+        anywhere: list[int] = []
+        by_op: dict[str, list[int]] = {}
+        for i, entry in enumerate(self._entries[event]):
+            if entry.ops is None:
+                anywhere.append(i)
+            else:
+                for op in entry.ops:
+                    by_op.setdefault(op, []).append(i)
+        return anywhere, by_op
+
+    def _narrow(self, entry: _RuleEntry, row: tuple, event: EventKind,
+                ctx: Optional[EventContext], settled: bool) -> tuple:
+        """The row with a None guard if ``settled``, and only the overrides
+        ctx's operation can reach (ctx None: an unnamed operation)."""
+        pred, body, matched, overrides = row
+        kept = []
+        if overrides:
+            reached = [o for o in entry.overrides if event in o.events]
+            for ov, ov_row in zip(reached, overrides):
+                if ov.ops is not None and (ctx is None
+                                           or ctx.operation not in ov.ops):
+                    continue
+                if ctx is not None and ov.op_only:
+                    if ov.pred(ctx, None, None):
+                        _, body, matched = ov_row
+                        break
+                    continue
+                kept.append(ov_row)
+            if not settled and len(kept) == len(overrides):
+                return row
+        narrowed = (None if settled else pred, body, matched, tuple(kept))
+        return self._variants.setdefault(narrowed, narrowed)
 
 
 def program_for(h: LawHierarchy, leaf: str) -> Program:
@@ -586,10 +718,14 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
     Verdict is 'permit' or 'block'.  Non-terminal actions of every matching
     rule passed on the way apply in order; the state dict is mutated.
     """
+    op = ctx.operation
+    rows = program.tables[ctx.event].get(op if op in program.named else _OTHER)
+    if rows is None:
+        rows = program.scan(ctx.event, op)
     updates: list[tuple] = []
     effects: list[tuple] = []
-    for pred, body, matched, overrides in program.scans[ctx.event]:
-        if not pred(ctx, state, cert_attrs):
+    for pred, body, matched, overrides in rows:
+        if pred is not None and not pred(ctx, state, cert_attrs):
             continue
         for ov_pred, ov_body, ov_matched in overrides:
             if ov_pred(ctx, state, cert_attrs):

@@ -482,7 +482,11 @@ class _Parser:
             self.advance()
             labels: list[str] = []
             while True:
-                labels.append(self.expect_name("profile label").value)
+                label = self.expect_name("profile label")
+                if label.value in labels:
+                    self.fail(label, f"duplicate append-profile label "
+                                     f"{label.value!r}")
+                labels.append(label.value)
                 if self.peek().kind == "PUNCT" and self.peek().value == ",":
                     self.advance()
                     continue
@@ -828,9 +832,14 @@ def print_law(law: Law) -> str:
     return "\n".join(out) + "\n"
 
 
+def text_hash(text: str) -> str:
+    """Content digest (sha256 hex) of a law text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def law_hash(law: Law) -> str:
-    """Content digest (sha256 hex) of the canonical serialized law text."""
-    return hashlib.sha256(print_law(law).encode("utf-8")).hexdigest()
+    """Content digest of the canonical serialized law text."""
+    return text_hash(print_law(law))
 
 
 def finalize(law: Law) -> Law:

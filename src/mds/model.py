@@ -38,6 +38,10 @@ class FlowKind(Enum):
     IMPORT = "import"    # receipt from outside the system
     EXPORT = "export"    # send to outside the system
 
+    # Members are singletons compared by identity, so the identity hash is
+    # sound; Enum's own hashes the name in Python, on every dict lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -46,6 +50,8 @@ class EventKind(Enum):
     ADOPTED = "adopted"
     SENT = "sent"
     ARRIVED = "arrived"
+
+    __hash__ = object.__hash__  # as FlowKind's
 
     def __str__(self) -> str:
         return self.value

@@ -171,7 +171,7 @@ class ScenarioRunner:
                     raise RunnerError(f"law server lacks {name!r}")
                 if resp.algo != law_lang.HASH_ALGORITHM:
                     raise RunnerError(f"law server hashes with {resp.algo!r}")
-                fetched[name] = self._verify_text(name, resp.text,
+                fetched[name] = self._verify_text(h0.law(name), resp.text,
                                                   resp.lineage)
         finally:
             if service is not None:
@@ -187,7 +187,17 @@ class ScenarioRunner:
         return h
 
     @staticmethod
-    def _verify_text(name: str, text: str, lineage: tuple[str, ...]) -> Law:
+    def _verify_text(known: Law, text: str, lineage: tuple[str, ...]) -> Law:
+        """The law the server sent as ``known``'s, checked against the
+        lineage it came with.
+
+        Text whose hash is both the lineage's last and ``known``'s is the
+        canonical text of ``known`` itself, so ``known`` is returned without
+        a parse; any other text is parsed and checked in full.
+        """
+        name = known.name
+        if lineage and lineage[-1] == known.hash == law_lang.text_hash(text):
+            return known
         law = law_lang.parse_law(law_lang.LawSource(text, f"lawserver:{name}"))
         if law.name != name:
             raise RunnerError(f"law server sent {law.name!r} for {name!r}")

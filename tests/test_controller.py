@@ -13,8 +13,8 @@ from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             classify_flow, demo_verify, disclose_identity,
                             handle_arrive, handle_send, matched_token)
 from mds.law_lang import parse_law
-from mds.model import EventKind, FlowKind
-from mds.oracle import OracleEvent, oracle_evaluate
+from mds.model import And, EventKind, FlowKind, Not, OpEquals, OpGlob, Or
+from mds.oracle import OracleEvent, generate_system, oracle_evaluate
 
 ISSUER = DemoIssuer("demo-ca")
 
@@ -545,6 +545,203 @@ class TestCompiledBodiesMatchOracle:
             "certificate attribute 'dept' != 'eng'"
         assert reasons[("eng", "go")] == "blocked by Left:gate"
         assert ("fin2", "go") not in reasons
+
+    def test_multi_label_append_profile_agrees_with_oracle(self):
+        # A repeated label is a parse error; distinct labels append in
+        # order, skipping one the profile already holds.
+        law = ('law Grow {\n  categorical rule grow on adopted {\n'
+               '    append-profile b, a, c;\n  }\n}\n')
+        h = _hier(law)
+        for start in ({}, {"profile": "a"}, {"profile": "c,b"}):
+            state = dict(start)
+            controller.evaluate(controller.program_for(h, "Grow"), state, {},
+                                controller.EventContext(
+                                    EventKind.ADOPTED, "", None, None,
+                                    frozenset(), False))
+            _, _, expected = oracle_evaluate(h.laws, "Grow", start, {},
+                                             OracleEvent(EventKind.ADOPTED))
+            assert state == expected, start
+
+
+# Guards that read only the operation, some of which hold for an
+# operation some ``op ==`` names and some of which do not.
+_OP_ONLY_GUARDS = (
+    OpGlob("p*"), OpEquals("sync"), Not(OpEquals("ping")),
+    Or((OpEquals("log"), OpGlob("*g"))),
+    And((OpGlob("*o*"), Not(OpEquals("probe")))),
+)
+
+
+def _with_op_only_overrides(laws, rng):
+    """The laws with each override's guard swapped for one that reads only
+    the operation; conformance does not look at guards."""
+    return {name: replace(law, hash="", overrides=tuple(
+        replace(ov, predicate=rng.choice(_OP_ONLY_GUARDS))
+        for ov in law.overrides)) for name, law in laws.items()}
+
+
+def _guards(p):
+    """Every predicate node of p, p included."""
+    yield p
+    if isinstance(p, Not):
+        yield from _guards(p.inner)
+    for child in getattr(p, "parts", ()):
+        yield from _guards(child)
+
+
+class TestOperationIndex:
+    """``evaluate`` runs only the rows of ``scans[event]`` that
+    ``Program.scan`` keeps for the event's operation."""
+
+    INDEXED = """
+    law Idx {
+      categorical rule a on sent if op == "x" {
+        increment state.a by 1;
+      }
+      categorical rule b on sent if op matches "q*" {
+        increment state.b by 1;
+      }
+      categorical rule c on sent if op == "x" or op == "y" and state.n < 3 {
+        increment state.c by 1;
+      }
+      default rule d on sent if flow == inner {
+        permit;
+      }
+      allow-override d may-replace;
+    }
+    """
+    KID = """
+    law IdxKid extends Idx {
+      override d replace on sent if op == "q1" {
+        block;
+      }
+      override d replace on sent if not op == "x" and peer.outside {
+        permit;
+      }
+    }
+    """
+
+    def test_rows_an_operation_cannot_reach_are_dropped(self):
+        h = _hier(self.INDEXED, self.KID)
+        program = controller.program_for(h, "IdxKid")
+        scan = program.scans[EventKind.SENT]
+        assert program.named == {"x", "y", "q1"}
+        # op-only guards that hold become None; c still reads state
+        x_rows = program.scan(EventKind.SENT, "x")
+        assert [r[2][1] for r in x_rows] == ["a", "c", "d"]
+        assert x_rows[0][0] is None and x_rows[1][0] is scan[2][0]
+        # the override for q1 always applies: it becomes d's body, and the
+        # one after it never runs
+        q1_rows = program.scan(EventKind.SENT, "q1")
+        assert [r[0] for r in q1_rows] == [None, scan[3][0]]
+        assert q1_rows[1][1:] == (scan[3][3][0][1], ("IdxKid", "d"), ())
+        # an unnamed operation keeps the guards it cannot settle, and
+        # loses the override only q1 can reach
+        assert program.scan(EventKind.SENT, "q9") == (
+            scan[1], (*scan[3][:3], scan[3][3][1:]))
+        assert program.scan(EventKind.SENT, "zz") is \
+            program.scan(EventKind.SENT, "q9")
+
+    def test_made_up_operations_share_one_scan(self, shipped):
+        h, _ = build_hierarchy(shipped.laws.values())
+        for leaf in h.laws:
+            program = controller.program_for(h, leaf)
+            ops = sorted(program.named) + [f"made-up-{i}" for i in range(1000)]
+            for event in EventKind:
+                for op in ops:
+                    ctx = controller.EventContext(event, op, FlowKind.INNER,
+                                                  leaf, frozenset(), False)
+                    controller.evaluate(program, {}, {}, ctx)
+                assert (len(program.tables[event])
+                        <= len(program.named) + 1), (leaf, event)
+
+    @staticmethod
+    def _full_scan(program, state, cert_attrs, ctx):
+        """Reference: ``evaluate`` over every row of ``scans[event]``."""
+        updates, effects = [], []
+        for pred, body, matched, overrides in program.scans[ctx.event]:
+            if not pred(ctx, state, cert_attrs):
+                continue
+            for ov_pred, ov_body, ov_matched in overrides:
+                if ov_pred(ctx, state, cert_attrs):
+                    body, matched = ov_body, ov_matched
+                    break
+            decided = body(state, cert_attrs, updates, effects)
+            if decided is not None:
+                return (decided[0], matched, tuple(updates), tuple(effects),
+                        decided[1])
+        permit = (ctx.event is EventKind.ADOPTED
+                  or ctx.flow in (FlowKind.OUTFLOW, FlowKind.INNER))
+        return ("permit" if permit else "block",
+                controller.DefaultOfRoot(ctx.flow), tuple(updates),
+                tuple(effects), None)
+
+    @staticmethod
+    def _systems(rng):
+        """Generated law sets: those of the first hundred seeds, and each of
+        the first six hundred that holds overrides, once as generated and
+        once with every override guard reading only the operation."""
+        for seed in range(600):
+            laws = generate_system(seed).laws
+            overridden = any(law.overrides for law in laws.values())
+            if seed < 100 or overridden:
+                yield seed, laws
+            if overridden:
+                yield seed, _with_op_only_overrides(laws, rng)
+
+    def test_indexed_scan_rules_as_full_scan_and_oracle(self):
+        rng = random.Random(6)
+        # ops no generated law names; the first four match its globs
+        unnamed = ("pqr", "rex", "zog", "xox", "made-up", "")
+        covered = set()
+        for seed, laws in self._systems(rng):
+            h, violations = build_hierarchy(laws.values())
+            assert h is not None, violations
+            for leaf in h.laws:
+                program = controller.program_for(h, leaf)
+                preds = [g for law in h.laws.values()
+                         for c in (*law.rules, *law.overrides)
+                         for g in _guards(c.predicate)]
+                if any(isinstance(g, Not) and isinstance(g.inner, OpEquals)
+                       for g in preds):
+                    covered.add("not op ==")
+                if any(o.op_only for e in program.entries
+                       for o in e.overrides):
+                    covered.add("op-only override")
+                ops = sorted(program.named) + list(unnamed)
+                overridden = any(e.overrides for e in program.entries)
+                for _ in range(200 if overridden else 30):
+                    event = rng.choice(list(EventKind))
+                    flow = (None if event is EventKind.ADOPTED
+                            else rng.choice(list(FlowKind)))
+                    op = rng.choice(ops)
+                    covered.add(flow or "adopted")
+                    covered.add("named" if op in program.named else
+                                "glob" if op in unnamed[:4] else "made-up")
+                    ev = OracleEvent(
+                        event, op, flow,
+                        rng.choice((None, leaf, "R", "wild")),
+                        frozenset(rng.sample(("audited", "probation",
+                                              "trusted"), rng.randint(0, 2))),
+                        rng.random() < 0.3)
+                    ctx = controller.EventContext(
+                        ev.event, ev.operation, ev.flow, ev.peer_name,
+                        ev.peer_profile, ev.peer_outside)
+                    state = {key: rng.choice(("on", "off", 0, 1, 2, 3))
+                             for key in ("mode", "count", "budget")
+                             if rng.random() < 0.6}
+                    cert = {"dept": rng.choice(("finance", "eng"))}
+                    indexed_state, full_state = dict(state), dict(state)
+                    indexed = controller.evaluate(program, indexed_state,
+                                                  cert, ctx)
+                    full = self._full_scan(program, full_state, cert, ctx)
+                    assert indexed == full, (seed, leaf, ev)
+                    assert indexed_state == full_state, (seed, leaf, ev)
+                    assert oracle_evaluate(h.laws, leaf, state, cert, ev) == (
+                        indexed[0], matched_token(indexed[1]),
+                        indexed_state), (seed, leaf, ev)
+        assert covered >= {"named", "glob", "made-up", "not op ==",
+                           "op-only override", "adopted", *FlowKind}
 
 
 class TestTracedSeams:

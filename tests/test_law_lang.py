@@ -101,6 +101,8 @@ class TestParseErrors:
         ('law T { override r replace on sent { set state.k = "v"; } }',
          "terminal"),
         ('law T { default rule r on sent if op == 3 { permit; } }', "string"),
+        ('law T { default rule r on sent { append-profile x, y, x; permit; } }',
+         "duplicate append-profile label 'x'"),
     ])
     def test_rejects_with_message(self, text, fragment):
         with pytest.raises(LawParseError) as err:

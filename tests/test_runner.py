@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from mds import fabric
+from mds import fabric, law_lang
 from mds.runner import (RunnerError, ScenarioRunner, check_law_dir,
                         run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -152,6 +152,35 @@ class TestRunnerMechanics:
         failed = report.failures()
         assert len(failed) == 1
         assert "[FAIL expected blocked-at-receiver]" in failed[0].text
+
+
+class TestLawDistribution:
+    def test_sim_run_parses_each_law_once(self, scenario_dir, law_dir,
+                                          monkeypatch):
+        parsed = []
+        real = law_lang.parse_law
+
+        def parse_law(source):
+            parsed.append(source)
+            return real(source)
+
+        monkeypatch.setattr(law_lang, "parse_law", parse_law)
+        assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
+        assert len(parsed) == len(list(law_dir.glob("*.law")))
+
+    def test_tampered_law_text_is_refused(self, scenario_dir, monkeypatch):
+        real = fabric.LawServer.get
+
+        def get(self, name):
+            text, lineage = real(self, name)
+            if name == "MS":
+                text = text.replace('"log"', '"lag"')
+            return text, lineage
+
+        monkeypatch.setattr(fabric.LawServer, "get", get)
+        scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
+        with pytest.raises(RunnerError, match="hash mismatch.*'MS'"):
+            ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
 
 class TestLawDirChecking:
