@@ -1,4 +1,4 @@
-"""Textual law language: parser, canonical printer, and law hashing.
+r"""Textual law language: parser, canonical printer, and law hashing.
 
 Grammar (``#`` starts a comment; input must be UTF-8 without a BOM)::
 
@@ -33,6 +33,14 @@ A rule body carries at most one terminal action (permit/block), and only in
 last position; a body without a terminal applies its actions and lets the
 scan continue.  Identifiers must not start with a digit or ``-``.
 
+The lexer reads the text one ``\n``-separated row at a time with a single
+regular expression.  Space, tab and carriage return separate tokens, and a
+comment runs to the end of its row.  A STRING closes on its own row, holds
+no control character and knows only the escapes ``\\ \" \n \t``.  A run of
+``[A-Za-z0-9_-]`` is an INT when it reads ``-?[0-9]+`` and a name when it
+starts with a letter or ``_``; any other run is an error.  Columns count
+characters from 1, tabs included.
+
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
 overrides, two-space indent, comments stripped.  ``print_law`` is idempotent
@@ -44,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     Action,
@@ -81,7 +89,6 @@ from .model import (
     StateLess,
     TruePred,
     terminal_of,
-    valid_name,
 )
 
 HASH_ALGORITHM = "sha256"
@@ -122,21 +129,64 @@ class LawParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT_DOUBLE = ("==",)
-_PUNCT_SINGLE = "{}[](),;.=<"
-_NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+# One alternative per lexeme; ``Match.lastindex`` tells which matched.
+# Every character of a row matches some alternative, so ``finditer`` walks
+# a row without gaps.  A '"' that opens no well-formed string on its row
+# falls through to the last alternative and ``_bad_string`` says why.
+# What a string may hold: no control character, and only the escapes
+# \\ \" \n \t.
+_STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\[\\"nt])*'
+
+_LAW_LEXEME = re.compile(
+    r"([ \t\r]+)"                               # 1 blank
+    r"|(#.*)"                                   # 2 comment, to the row's end
+    r"|([A-Za-z_][A-Za-z0-9_-]*)"               # 3 NAME
+    r"|(==|[{}\[\](),;.=<])"                    # 4 PUNCT
+    r'|("' + _STRING_BODY + '")'                # 5 STRING
+    r"|(-?[0-9]+(?![A-Za-z0-9_-]))"             # 6 NUMBER
+    r"|([A-Za-z0-9_-]+)"                        # 7 word that is neither
+    r"|(.)")                                    # 8 anything else
+_COMMENT, _STRING, _BAD_WORD = 2, 5, 7
+_KINDS = (None, None, None, "NAME", "PUNCT", "STRING", "NUMBER")
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME NUMBER STRING PUNCT EOF
     value: str
     line: int
     col: int
 
 
+_tuple_new = tuple.__new__
+
+
 class _Abort(Exception):
     pass
+
+
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m.group(1)]
+
+
+def _bad_string(row: str, start: int, line: int, last_row: bool,
+                diags: list[ParseDiagnostic]):
+    """Report why the '"' at ``row[start]`` opens no well-formed string."""
+    end = _STRING_PREFIX.match(row, start + 1).end()
+    ahead = (row if last_row else row + "\n")[end:end + 2]
+    if ahead in ("", "\\") or ahead[0] == "\n":
+        # The row ends, or the text ends after a backslash.
+        diags.append(ParseDiagnostic(
+            "error", line, start + 1, "unterminated string"))
+    elif ahead[0] == "\\":
+        diags.append(ParseDiagnostic(
+            "error", line, end + 1, f"unknown escape \\{ahead[1]}"))
+    else:
+        diags.append(ParseDiagnostic(
+            "error", line, end + 1, "control character in string"))
+    raise _Abort
 
 
 def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
@@ -144,96 +194,38 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
         diags.append(ParseDiagnostic("error", 1, 1, "byte order mark not allowed"))
         raise _Abort
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        break
-                    esc = text[i + 1]
-                    mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-                    if mapped is None:
-                        diags.append(ParseDiagnostic(
-                            "error", line, col, f"unknown escape \\{esc}"))
-                        raise _Abort
-                    buf.append(mapped)
-                    i += 2
-                    col += 2
-                    continue
-                if ord(c) < 0x20:
-                    diags.append(ParseDiagnostic(
-                        "error", line, col, "control character in string"))
-                    raise _Abort
-                buf.append(c)
-                i += 1
-                col += 1
-            if not closed:
+    append = toks.append
+    rows = text.split("\n")
+    m = None
+    for line, row in enumerate(rows, start=1):
+        for m in _LAW_LEXEME.finditer(row):
+            group = m.lastindex
+            if group <= _COMMENT:
+                continue
+            value = m.group()
+            if group == _STRING:
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(_unescape, value)
+            elif group >= _BAD_WORD:
+                if value == '"':
+                    _bad_string(row, m.start(), line, line == len(rows),
+                                diags)
+                message = (f"bad identifier {value!r} (must not start with a "
+                           f"digit or '-')" if group == _BAD_WORD
+                           else f"unexpected character {value!r}")
                 diags.append(ParseDiagnostic(
-                    "error", start_line, start_col, "unterminated string"))
+                    "error", line, m.start() + 1, message))
                 raise _Abort
-            toks.append(_Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if text.startswith("==", i):
-            toks.append(_Token("PUNCT", "==", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _NAME_CHARS:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            if re.fullmatch(r"-?\d+", word):
-                toks.append(_Token("NUMBER", word, start_line, start_col))
-            elif valid_name(word):
-                toks.append(_Token("NAME", word, start_line, start_col))
-            else:
-                diags.append(ParseDiagnostic(
-                    "error", start_line, start_col,
-                    f"bad identifier {word!r} (must not start with a digit or '-')"))
-                raise _Abort
-            continue
-        if ch in _PUNCT_SINGLE:
-            toks.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        diags.append(ParseDiagnostic(
-            "error", line, col, f"unexpected character {ch!r}"))
-        raise _Abort
-    toks.append(_Token("EOF", "", line, col))
+            # Calling tuple.__new__ skips NamedTuple's Python-level __new__.
+            append(_tuple_new(_Token, (_KINDS[group], value, line,
+                                       m.start() + 1)))
+    # End of input follows the last row, or sits at the '#' of a comment
+    # that ends the text.
+    col = len(rows[-1]) + 1
+    if rows[-1] and m.lastindex == _COMMENT:
+        col = m.start() + 1
+    append(_Token("EOF", "", len(rows), col))
     return toks
 
 
@@ -248,8 +240,9 @@ class _Parser:
         self.pos = 0
         self.diags = diags
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        # ``advance`` never steps past the EOF token.
+        return self.toks[self.pos]
 
     def advance(self) -> _Token:
         tok = self.toks[self.pos]

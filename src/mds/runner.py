@@ -198,7 +198,12 @@ class ScenarioRunner:
         name = known.name
         if lineage and lineage[-1] == known.hash == law_lang.text_hash(text):
             return known
-        law = law_lang.parse_law(law_lang.LawSource(text, f"lawserver:{name}"))
+        try:
+            law = law_lang.parse_law(
+                law_lang.LawSource(text, f"lawserver:{name}"))
+        except law_lang.LawParseError as exc:
+            raise RunnerError(f"law server sent text for {name!r} that does "
+                              f"not parse: {exc}") from exc
         if law.name != name:
             raise RunnerError(f"law server sent {law.name!r} for {name!r}")
         if not lineage or law.hash != lineage[-1]:

@@ -21,6 +21,7 @@ declared.  Lines starting with `#` and blank lines are skipped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -81,34 +82,28 @@ class Scenario:
     steps: list[Step] = field(default_factory=list)
 
 
+# A string with its opening '"', a '"' that nothing closes, or a word.  Only
+# \" and \\ are escapes; any other backslash stays.  A word runs up to
+# whitespace, quotes included; ``\s`` and ``str.isspace`` agree on every
+# code point.
+_WORD = re.compile(r'("(?:[^"\\]|\\["\\]|\\(?!["\\]))*)"|(")|(\S+)')
+_QUOTED_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def _split(line: str, lineno: int) -> list[str]:
-    """Whitespace split that keeps one double-quoted string per token."""
+    """Whitespace split that keeps one double-quoted string per token.
+
+    A string token keeps its opening '"' as a marker so callers see a string.
+    """
+    if '"' not in line:
+        return line.split()
     out: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            buf = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n and line[i + 1] in '"\\':
-                    buf.append(line[i + 1])
-                    i += 2
-                else:
-                    buf.append(line[i])
-                    i += 1
-            if i >= n:
-                raise ScenarioError(lineno, "unterminated string")
-            i += 1
-            out.append('"' + "".join(buf))  # marker so callers see a string
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            out.append(line[i:j])
-            i = j
+    for quoted, lone, word in _WORD.findall(line):
+        if lone:
+            raise ScenarioError(lineno, "unterminated string")
+        if "\\" in quoted:
+            quoted = _QUOTED_ESCAPE.sub(r"\1", quoted)
+        out.append(quoted or word)
     return out
 
 
@@ -141,6 +136,7 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     law_dir: Optional[str] = None
     components: list[ComponentDecl] = []
     outsides: list[str] = []
+    names: set[str] = set()  # components and outside parties so far
     steps: list[Step] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -172,7 +168,7 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             cname = words[1]
             if not valid_name(cname):
                 raise ScenarioError(lineno, f"bad component name {cname!r}")
-            if any(d.name == cname for d in components) or cname in outsides:
+            if cname in names:
                 raise ScenarioError(lineno, f"duplicate name {cname!r}")
             modules = tuple(m.strip() for m in words[3].split(",") if m.strip())
             if not modules:
@@ -188,14 +184,16 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                     raise ScenarioError(lineno, f"unexpected {words[4]!r}")
                 cert_attrs = _parse_cert(words[5:], lineno)
             components.append(ComponentDecl(cname, modules, cert_attrs))
+            names.add(cname)
 
         elif head == "outside":
             if len(words) != 2 or not valid_name(words[1]):
                 raise ScenarioError(lineno, "expected: outside NAME")
             oname = words[1]
-            if oname in outsides or any(d.name == oname for d in components):
+            if oname in names:
                 raise ScenarioError(lineno, f"duplicate name {oname!r}")
             outsides.append(oname)
+            names.add(oname)
 
         elif head in ("send", "outsidesend"):
             if len(words) < 6 or words[2] != "->" or words[4] != "op":

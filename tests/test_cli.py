@@ -2,6 +2,7 @@
 
 import pytest
 
+from mds import fabric
 from mds.cli import main
 
 
@@ -85,6 +86,23 @@ class TestRunCommand:
             "component a modules MS\ncomponent b modules OPS\n"
             "send a -> b op probe\nexpect delivered\n")
         assert main(["run", str(script)]) == 1
+
+
+    def test_unparsable_served_law_fails_in_one_line(self, scenario_dir,
+                                                     monkeypatch, capsys):
+        real = fabric.LawServer.get
+
+        def get(self, name):
+            text, lineage = real(self, name)
+            if name == "MS":
+                text = text.replace("permit;", "block;", 1)
+            return text, lineage
+
+        monkeypatch.setattr(fabric.LawServer, "get", get)
+        assert main(["run", str(scenario_dir / "crosscutting.mds")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("run failed: law server sent text for 'MS'")
 
 
 class TestOtherCommands:

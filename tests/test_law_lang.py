@@ -126,6 +126,92 @@ class TestParseErrors:
             parse_law(text)
 
 
+RULE = "law T { default rule r on sent if "
+
+
+class TestLexerDiagnostics:
+    """Position and wording of each lexer diagnostic, one case per row."""
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        pytest.param("\ufefflaw T { }", 1, 1, "byte order mark not allowed",
+                     id="bom"),
+        pytest.param(RULE + 'op == "abc', 1, 41, "unterminated string",
+                     id="unterminated-at-end-of-text"),
+        pytest.param('law T {\n  default rule r on sent if op == "ab\ncd" '
+                     '{ permit; }\n}\n', 2, 35, "unterminated string",
+                     id="unterminated-across-newline"),
+        pytest.param(RULE + 'op == "ab\\', 1, 41, "unterminated string",
+                     id="unterminated-after-trailing-backslash"),
+        pytest.param(RULE + 'op == "ab\\\ncd" { permit; } }', 1, 44,
+                     "unknown escape \\\n", id="backslash-before-newline"),
+        pytest.param(RULE + 'op == "a\\qb" { permit; } }', 1, 43,
+                     "unknown escape \\q", id="unknown-escape"),
+        pytest.param(RULE + 'op == "a\x01b" { permit; } }', 1, 43,
+                     "control character in string", id="control-character"),
+        pytest.param(RULE + 'op == "a\tb" { permit; } }', 1, 43,
+                     "control character in string", id="tab-in-string"),
+        pytest.param(RULE + 'op == "a\rb" { permit; } }', 1, 43,
+                     "control character in string", id="cr-in-string"),
+        pytest.param(RULE + 'op == "a\\q\x01 { permit; } }', 1, 43,
+                     "unknown escape \\q", id="escape-before-control"),
+        pytest.param(RULE + 'op == "a\x01\\q { permit; } }', 1, 43,
+                     "control character in string", id="control-before-escape"),
+        pytest.param(RULE + 'op == "a\\\\" "b\\n\\t\\"" $ }', 1, 57,
+                     "unexpected character '$'", id="column-after-escapes"),
+        pytest.param("law 1bad { }", 1, 5,
+                     "bad identifier '1bad' (must not start with a digit "
+                     "or '-')", id="1bad"),
+        pytest.param("law T { default rule -x on sent { permit; } }", 1, 22,
+                     "bad identifier '-x' (must not start with a digit "
+                     "or '-')", id="-x"),
+        pytest.param(RULE + "state.n < 12ab { permit; } }", 1, 45,
+                     "bad identifier '12ab' (must not start with a digit "
+                     "or '-')", id="12ab"),
+        pytest.param(RULE + "state.n < --5 { permit; } }", 1, 45,
+                     "bad identifier '--5' (must not start with a digit "
+                     "or '-')", id="--5"),
+        pytest.param("law T { $ }", 1, 9, "unexpected character '$'",
+                     id="dollar"),
+        pytest.param("law T { default rule r on sent { permit; } } \x0b", 1,
+                     46, "unexpected character '\\x0b'", id="vertical-tab"),
+        pytest.param("law T { default rule r on sent { permit; } } \ufeff", 1,
+                     46, "unexpected character '\\ufeff'", id="inner-bom"),
+        pytest.param("law T {\t\t$ }", 1, 10, "unexpected character '$'",
+                     id="columns-after-tabs"),
+        pytest.param("law T {\r\r$ }", 1, 10, "unexpected character '$'",
+                     id="columns-after-cr"),
+        pytest.param("law T\t{\r\n\t default\r rule r on sent if op == 3 "
+                     "{ permit; } }", 2, 36, "expected string operation name",
+                     id="columns-on-a-crlf-line"),
+        pytest.param(RULE + 'op === "a" { permit; } }', 1, 40,
+                     "expected string operation name", id="triple-equals"),
+        pytest.param("law T {\n", 2, 1,
+                     "unexpected end of input inside law body",
+                     id="end-after-newline"),
+        pytest.param("law T {\n  # open", 2, 3,
+                     "unexpected end of input inside law body",
+                     id="end-inside-comment"),
+        pytest.param("law T {\n  default rule r on sent { permit", 2, 34,
+                     "expected ';', found 'EOF'", id="end-inside-body"),
+        pytest.param("", 1, 1, "expected keyword 'law', found 'EOF'",
+                     id="empty"),
+    ])
+    def test_diagnostic(self, text, line, col, message):
+        with pytest.raises(LawParseError) as err:
+            parse_law(text)
+        diag = err.value.diagnostics[0]
+        assert (diag.line, diag.col, diag.message) == (line, col, message)
+
+    def test_string_escapes(self):
+        law = parse_law(RULE + 'op == "q\\\\\\"\\n\\té\x7f" '
+                        "{ permit; } }")
+        assert law.rules[0].predicate == OpEquals('q\\"\n\té\x7f')
+
+    def test_comment_hides_quotes_and_escapes(self):
+        law = parse_law('law T { # "\\q $\n}\n')
+        assert law.rules == ()
+
+
 class TestCanonicalPrint:
     def test_shipped_laws_round_trip(self, law_dir):
         for file in sorted(law_dir.glob("*.law")):

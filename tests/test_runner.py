@@ -182,6 +182,22 @@ class TestLawDistribution:
         with pytest.raises(RunnerError, match="hash mismatch.*'MS'"):
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
+    def test_unparsable_law_text_is_refused(self, scenario_dir, monkeypatch):
+        real = fabric.LawServer.get
+
+        def get(self, name):
+            text, lineage = real(self, name)
+            if name == "MS":
+                text = text.replace("permit;", "block;", 1)
+            return text, lineage
+
+        monkeypatch.setattr(fabric.LawServer, "get", get)
+        scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
+        with pytest.raises(RunnerError,
+                           match="'MS' that does not parse: lawserver:MS: "
+                                 r"\d+:\d+: error: permit override body"):
+            ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
+
 
 class TestLawDirChecking:
     def test_missing_directory_is_a_problem(self, tmp_path):

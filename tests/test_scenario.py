@@ -1,8 +1,11 @@
 """Scenario script parsing and validation."""
 
+import re
+import sys
+
 import pytest
 
-from mds.scenario import (AdvanceStep, ScenarioError, SendStep,
+from mds.scenario import (AdvanceStep, ScenarioError, SendStep, _split,
                           parse_scenario)
 
 GOOD = """
@@ -135,6 +138,52 @@ class TestErrors:
     def test_repeated_module_in_declaration(self):
         _expect_error("scenario t\nlaw d\ncomponent a modules M,M\n",
                       "repeated module", line=3)
+
+
+class TestSplit:
+    """How a script line breaks into words; a string keeps its '"' marker."""
+
+    @pytest.mark.parametrize("line,words", [
+        pytest.param('a "q\\"x" b', ["a", '"q"x', "b"], id="escaped-quote"),
+        pytest.param('a "q\\\\x" b', ["a", '"q\\x', "b"],
+                     id="escaped-backslash"),
+        pytest.param('a "q\\nx\\\\\\"y" b', ["a", '"q\\nx\\"y', "b"],
+                     id="other-backslash-stays"),
+        pytest.param('a"b c"', ['a"b', 'c"'], id="quotes-inside-words"),
+        pytest.param('"x"y', ['"x', "y"], id="word-after-string"),
+        pytest.param('"" z', ['"', "z"], id="empty-string"),
+        pytest.param("a  b\x1cc", ["a", "b", "c"], id="space-and-x1c"),
+        pytest.param('a\x1cb "c d"\x1c e', ["a", "b", '"c d', "e"],
+                     id="x1c-around-a-string"),
+        pytest.param("a\x1fb\xa0c d", ["a", "b", "c", "d"],
+                     id="unicode-whitespace"),
+    ])
+    def test_words(self, line, words):
+        assert _split(line, 1) == words
+
+    @pytest.mark.parametrize("line", [
+        pytest.param('a "unterminated', id="no-closing-quote"),
+        pytest.param('a "ends in backslash\\', id="trailing-backslash"),
+        pytest.param('a "escaped quote\\"', id="escaped-closing-quote"),
+    ])
+    def test_unterminated_string(self, line):
+        with pytest.raises(ScenarioError) as err:
+            _split(line, 3)
+        assert (err.value.line, err.value.message) == (3, "unterminated string")
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The quoted-line path splits on \s, the plain path on str.split().
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\s", every)) == {
+            c for c in every if c.isspace()}
+
+    def test_payload_unescapes_in_a_script(self):
+        scn = parse_scenario(MINI + 'send a -> c op x payload "P\\"7\\\\\\q"\n')
+        assert scn.steps[0].payload == b'P"7\\\\q'
+
+    def test_unterminated_payload_names_its_line(self):
+        _expect_error(MINI + 'send a -> c op x payload "open\n',
+                      "unterminated string", line=5)
 
 
 class TestEmptyScript:
