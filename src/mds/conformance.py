@@ -190,44 +190,31 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
 
     root = roots[0]
     # Walk root-down so every law is validated against an already-annotated
-    # ancestry; children in name order for deterministic reports.
+    # ancestry; children in name order for deterministic reports.  Each
+    # law's chain (root first, itself last) and lineage extend its parent's.
     children: dict[str, list[str]] = {name: [] for name in by_name}
     for law in by_name.values():
         if law.parent is not None:
             children[law.parent].append(law.name)
-    validated: dict[str, Law] = {root.name: by_name[root.name]}
-    order: list[str] = [root.name]
-    queue = [root.name]
-    while queue:
-        current = queue.pop(0)
-        for child_name in sorted(children[current]):
-            order.append(child_name)
-            queue.append(child_name)
-    # Unreached laws would mean a cycle, which was already rejected.
-    for name in order[1:]:
-        law = by_name[name]
-        chain_names = []
-        cursor: Optional[str] = law.parent
-        while cursor is not None:
-            chain_names.append(cursor)
-            cursor = by_name[cursor].parent
-        chain_names.reverse()  # root first
-        chain = [validated[n] for n in chain_names]
-        derived, child_violations = derive_law(chain[-1], law, ancestors=chain[:-1])
-        if child_violations:
-            violations.extend(child_violations)
-            validated[name] = law  # unannotated, so descendants still get checked
-        else:
+    validated: dict[str, Law] = {root.name: root}
+    chains: dict[str, list[Law]] = {root.name: [root]}
+    lineage: dict[str, tuple[str, ...]] = {root.name: (root.hash,)}
+    order = [root.name]
+    for current in order:  # grows as the walk reaches each law's children
+        chain = chains[current]
+        for name in sorted(children[current]):
+            law = by_name[name]
+            derived, child_violations = derive_law(chain[-1], law,
+                                                   ancestors=chain[:-1])
+            if child_violations:
+                violations.extend(child_violations)
+                derived = law  # unannotated, so descendants still get checked
             validated[name] = derived
+            chains[name] = chain + [derived]
+            lineage[name] = lineage[current] + (derived.hash,)
+            order.append(name)
+    # Unreached laws would mean a cycle, which was already rejected.
 
     if violations:
         return None, violations
-
-    lineage: dict[str, tuple[str, ...]] = {}
-    for name in order:
-        law = validated[name]
-        if law.parent is None:
-            lineage[name] = (law.hash,)
-        else:
-            lineage[name] = lineage[law.parent] + (law.hash,)
     return LawHierarchy(root=root.name, laws=validated, lineage=lineage), []

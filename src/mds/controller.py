@@ -141,8 +141,10 @@ class Certificate:
     """A signed attribute record presented at adoption.
 
     ``attributes["modules"]`` lists, comma-separated, the laws the subject
-    may adopt.  Verification is pluggable; the bundled issuer is a stand-in
-    for a real certification authority and must not be mistaken for one.
+    may adopt.  ``adopt`` checks every certificate with ``demo_verify``,
+    which accepts only what ``DemoIssuer`` signed; that issuer is a
+    stand-in for a real certification authority and must not be mistaken
+    for one.
     """
 
     subject: str
@@ -177,9 +179,6 @@ class DemoIssuer:
 def demo_verify(cert: Certificate) -> bool:
     return cert.signature == _cert_digest(
         cert.subject, cert.issuer, cert.attributes, cert.issuer)
-
-
-Verifier = Callable[[Certificate], bool]
 
 
 # ---------------------------------------------------------------------------
@@ -750,18 +749,17 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
 
 
 def adopt(component: ComponentId, h: LawHierarchy, law: str,
-          cert: Optional[Certificate] = None,
-          verifier: Optional[Verifier] = demo_verify) -> tuple[Agent, Ruling]:
+          cert: Optional[Certificate] = None) -> tuple[Agent, Ruling]:
     """Create an agent of ``law`` for the component, or refuse.
 
     The adoption event runs every matching adopted-event rule root-first;
     a failed certificate requirement or a block terminal refuses adoption.
-    Certificate attributes are readable by rules only if the verifier
+    Certificate attributes are readable by rules only if ``demo_verify``
     accepts the certificate.
     """
     h.law(law)  # raises UnknownLawError early
     attrs: dict[str, str] = {}
-    if cert is not None and (verifier is None or verifier(cert)):
+    if cert is not None and demo_verify(cert):
         attrs = cert.attr_dict()
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
                   cert=cert, cert_attrs=attrs)

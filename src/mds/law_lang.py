@@ -52,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .model import (
     Action,
@@ -98,6 +98,7 @@ _FLOW_TOKENS = {k.value: k for k in FlowKind}
 _EVENT_TOKENS = {e.value: e for e in EventKind}
 _DIRECTION_TOKENS = {d.value: d for d in MetaDirection}
 _OVERRIDE_TOKENS = {k.value: k for k in OverrideKind}
+_SPECIAL_TOKENS = {v.value: v for v in SpecialValue}
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,13 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
 
-def _bad_string(row: str, start: int, line: int, last_row: bool,
+def _bad_string(row: str, start: int, line: int,
                 diags: list[ParseDiagnostic]):
     """Report why the '"' at ``row[start]`` opens no well-formed string."""
     end = _STRING_PREFIX.match(row, start + 1).end()
-    ahead = (row if last_row else row + "\n")[end:end + 2]
-    if ahead in ("", "\\") or ahead[0] == "\n":
-        # The row ends, or the text ends after a backslash.
+    ahead = row[end:end + 2]
+    if ahead in ("", "\\"):
+        # The row ends, or ends after a backslash.
         diags.append(ParseDiagnostic(
             "error", line, start + 1, "unterminated string"))
     elif ahead[0] == "\\":
@@ -196,7 +197,6 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
     toks: list[_Token] = []
     append = toks.append
     rows = text.split("\n")
-    m = None
     for line, row in enumerate(rows, start=1):
         for m in _LAW_LEXEME.finditer(row):
             group = m.lastindex
@@ -209,8 +209,7 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
                     value = _ESCAPE.sub(_unescape, value)
             elif group >= _BAD_WORD:
                 if value == '"':
-                    _bad_string(row, m.start(), line, line == len(rows),
-                                diags)
+                    _bad_string(row, m.start(), line, diags)
                 message = (f"bad identifier {value!r} (must not start with a "
                            f"digit or '-')" if group == _BAD_WORD
                            else f"unexpected character {value!r}")
@@ -220,12 +219,7 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
             # Calling tuple.__new__ skips NamedTuple's Python-level __new__.
             append(_tuple_new(_Token, (_KINDS[group], value, line,
                                        m.start() + 1)))
-    # End of input follows the last row, or sits at the '#' of a comment
-    # that ends the text.
-    col = len(rows[-1]) + 1
-    if rows[-1] and m.lastindex == _COMMENT:
-        col = m.start() + 1
-    append(_Token("EOF", "", len(rows), col))
+    append(_Token("EOF", "", len(rows), len(rows[-1]) + 1))
     return toks
 
 
@@ -254,6 +248,20 @@ class _Parser:
         self.diags.append(ParseDiagnostic("error", tok.line, tok.col, message))
         raise _Abort
 
+    def accept(self, kind: str, value: str) -> bool:
+        """Step over the next token if it is ``kind`` ``value``."""
+        tok = self.toks[self.pos]
+        if tok.kind == kind and tok.value == value:
+            self.pos += 1
+            return True
+        return False
+
+    def expect_kind(self, kind: str, message: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            self.fail(tok, message)
+        return self.advance()
+
     def expect_punct(self, value: str) -> _Token:
         tok = self.peek()
         if tok.kind != "PUNCT" or tok.value != value:
@@ -276,33 +284,46 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "NAME" and tok.value == word
 
+    def at_punct(self, value: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "PUNCT" and tok.value == value
+
+    def comma_list(self, item: Callable[[list], object]) -> list:
+        """One or more ``item(done)`` separated by commas, where ``done``
+        holds the items parsed so far."""
+        done: list = []
+        while True:
+            done.append(item(done))
+            if not self.accept("PUNCT", ","):
+                return done
+
+    def label(self, done: list[str], kind: str = "profile") -> str:
+        tok = self.expect_name("profile label")
+        if tok.value in done:
+            self.fail(tok, f"duplicate {kind} label {tok.value!r}")
+        return tok.value
+
     # -- top level ----------------------------------------------------------
 
     def parse(self) -> Law:
         self.expect_keyword("law")
         name_tok = self.expect_name("law name")
         parent: Optional[str] = None
-        if self.at_name("extends"):
-            self.advance()
+        if self.accept("NAME", "extends"):
             parent = self.expect_name("parent law name").value
         self.expect_punct("{")
-        profile: tuple[str, ...] = ()
-        profile_seen = False
+        profile: Optional[tuple[str, ...]] = None
         rules: list[Rule] = []
         meta: list[MetaPermission] = []
         overrides: list[Override] = []
-        while True:
+        while not self.accept("PUNCT", "}"):
             tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value == "}":
-                self.advance()
-                break
             if tok.kind == "EOF":
                 self.fail(tok, "unexpected end of input inside law body")
             if self.at_name("profile"):
-                if profile_seen:
+                if profile is not None:
                     self.fail(tok, "duplicate profile declaration")
                 profile = self.parse_profile()
-                profile_seen = True
             elif self.at_name("categorical") or self.at_name("default"):
                 rules.append(self.parse_rule())
             elif self.at_name("allow-override"):
@@ -318,7 +339,7 @@ class _Parser:
         law = Law(
             name=name_tok.value,
             parent=parent,
-            profile=profile,
+            profile=profile or (),
             rules=tuple(rules),
             meta=tuple(meta),
             overrides=tuple(overrides),
@@ -329,49 +350,35 @@ class _Parser:
     def parse_profile(self) -> tuple[str, ...]:
         self.expect_keyword("profile")
         self.expect_punct("[")
-        labels: list[str] = []
-        if not (self.peek().kind == "PUNCT" and self.peek().value == "]"):
-            while True:
-                tok = self.expect_name("profile label")
-                if tok.value in labels:
-                    self.fail(tok, f"duplicate profile label {tok.value!r}")
-                labels.append(tok.value)
-                if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                    self.advance()
-                    continue
-                break
+        labels = [] if self.at_punct("]") else self.comma_list(self.label)
         self.expect_punct("]")
         self.expect_punct(";")
         return tuple(labels)
 
-    def parse_events(self) -> tuple[EventKind, ...]:
+    def event(self, done: list[EventKind]) -> EventKind:
+        tok = self.expect_name("event kind (adopted, sent, arrived)")
+        kind = _EVENT_TOKENS.get(tok.value)
+        if kind is None:
+            self.fail(tok, f"unknown event kind {tok.value!r}")
+        if kind in done:
+            self.fail(tok, f"duplicate event kind {tok.value!r}")
+        return kind
+
+    def guarded(self) -> tuple[tuple[EventKind, ...], Predicate,
+                               tuple[Action, ...]]:
+        """The ``on EVENTS [if PRED] BODY`` tail of rules and overrides."""
         self.expect_keyword("on")
-        seen: list[EventKind] = []
-        while True:
-            tok = self.expect_name("event kind (adopted, sent, arrived)")
-            kind = _EVENT_TOKENS.get(tok.value)
-            if kind is None:
-                self.fail(tok, f"unknown event kind {tok.value!r}")
-            if kind in seen:
-                self.fail(tok, f"duplicate event kind {tok.value!r}")
-            seen.append(kind)
-            if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                self.advance()
-                continue
-            break
-        return tuple(e for e in _EVENT_ORDER if e in seen)
+        seen = self.comma_list(self.event)
+        events = tuple(e for e in _EVENT_ORDER if e in seen)
+        predicate = self.parse_or() if self.accept("NAME", "if") else TruePred()
+        return events, predicate, self.parse_body()
 
     def parse_rule(self) -> Rule:
         mode_tok = self.advance()
         mode = RuleMode.CATEGORICAL if mode_tok.value == "categorical" else RuleMode.DEFAULT
         self.expect_keyword("rule")
         id_tok = self.expect_name("rule id")
-        events = self.parse_events()
-        predicate: Predicate = TruePred()
-        if self.at_name("if"):
-            self.advance()
-            predicate = self.parse_predicate()
-        actions = self.parse_body(id_tok)
+        events, predicate, actions = self.guarded()
         return Rule(id=id_tok.value, mode=mode, events=events,
                     predicate=predicate, actions=actions)
 
@@ -392,39 +399,25 @@ class _Parser:
         kind = _OVERRIDE_TOKENS.get(kind_tok.value)
         if kind is None:
             self.fail(kind_tok, f"unknown override kind {kind_tok.value!r}")
-        events = self.parse_events()
-        predicate: Predicate = TruePred()
-        if self.at_name("if"):
-            self.advance()
-            predicate = self.parse_predicate()
-        actions = self.parse_body(target_tok)
+        events, predicate, actions = self.guarded()
         term = terminal_of(actions)
-        if kind is OverrideKind.PERMIT:
-            if term is None:
-                actions = actions + (Permit(),)
-            elif term != "permit":
-                self.fail(kind_tok, "permit override body ends in block")
-        elif kind is OverrideKind.BLOCK:
-            if term is None:
-                actions = actions + (Block(),)
-            elif term != "block":
-                self.fail(kind_tok, "block override body ends in permit")
-        else:
+        if kind is OverrideKind.REPLACE:
             if term is None:
                 self.fail(kind_tok, "replace override body needs a terminal action")
+        elif term is None:
+            actions += (Permit() if kind is OverrideKind.PERMIT else Block(),)
+        elif term != kind.value:
+            self.fail(kind_tok, f"{kind.value} override body ends in {term}")
         return Override(target=target_tok.value, kind=kind, events=events,
                         predicate=predicate, actions=actions)
 
     # -- bodies / actions ---------------------------------------------------
 
-    def parse_body(self, anchor: _Token) -> tuple[Action, ...]:
+    def parse_body(self) -> tuple[Action, ...]:
         self.expect_punct("{")
         actions: list[Action] = []
-        while True:
+        while not self.accept("PUNCT", "}"):
             tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value == "}":
-                self.advance()
-                break
             if tok.kind == "EOF":
                 self.fail(tok, "unexpected end of input inside rule body")
             if actions and isinstance(actions[-1], (Permit, Block)):
@@ -434,56 +427,32 @@ class _Parser:
         return tuple(actions)
 
     def parse_action(self) -> Action:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != "NAME":
             self.fail(tok, f"expected action, found {tok.value or tok.kind!r}")
         word = tok.value
         if word == "permit":
-            self.advance()
             return Permit()
         if word == "block":
-            self.advance()
             return Block()
         if word == "set":
-            self.advance()
             key = self.parse_state_key()
             self.expect_punct("=")
             return SetState(key=key, value=self.parse_value())
         if word == "increment":
-            self.advance()
             key = self.parse_state_key()
             self.expect_keyword("by")
-            num = self.peek()
-            if num.kind != "NUMBER":
-                self.fail(num, "expected integer delta")
-            self.advance()
+            num = self.expect_kind("NUMBER", "expected integer delta")
             return IncrementState(key=key, delta=int(num.value))
         if word == "notify-registry":
-            self.advance()
             return NotifyRegistry()
         if word == "require-cert":
-            self.advance()
-            constraints: list[CertConstraint] = []
-            while True:
-                constraints.append(self.parse_cert_constraint())
-                if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                    self.advance()
-                    continue
-                break
+            constraints = self.comma_list(
+                lambda done: self.parse_cert_constraint())
             return RequireCertificate(constraints=tuple(constraints))
         if word == "append-profile":
-            self.advance()
-            labels: list[str] = []
-            while True:
-                label = self.expect_name("profile label")
-                if label.value in labels:
-                    self.fail(label, f"duplicate append-profile label "
-                                     f"{label.value!r}")
-                labels.append(label.value)
-                if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                    self.advance()
-                    continue
-                break
+            labels = self.comma_list(
+                lambda done: self.label(done, "append-profile"))
             return AppendProfile(labels=tuple(labels))
         self.fail(tok, f"unknown action {word!r}")
 
@@ -493,55 +462,38 @@ class _Parser:
         return self.expect_name("state key").value
 
     def parse_value(self) -> Union[str, int, SpecialValue]:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "STRING":
-            self.advance()
             return tok.value
         if tok.kind == "NUMBER":
-            self.advance()
             return int(tok.value)
-        if tok.kind == "NAME" and tok.value == SpecialValue.MODULE_NAME.value:
-            self.advance()
-            return SpecialValue.MODULE_NAME
-        if tok.kind == "NAME" and tok.value == SpecialValue.MODULE_PROFILE.value:
-            self.advance()
-            return SpecialValue.MODULE_PROFILE
+        if tok.kind == "NAME" and tok.value in _SPECIAL_TOKENS:
+            return _SPECIAL_TOKENS[tok.value]
         self.fail(tok, "expected string, integer, module-name, or module-profile")
 
     def parse_cert_constraint(self) -> CertConstraint:
         attr = self.expect_name("certificate attribute").value
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "==":
-            self.advance()
-            val = self.peek()
-            if val.kind != "STRING":
-                self.fail(val, "expected string after '=='")
-            self.advance()
+        if self.accept("PUNCT", "=="):
+            val = self.expect_kind("STRING", "expected string after '=='")
             return CertConstraint(attr=attr, op="equals", value=val.value)
-        if tok.kind == "NAME" and tok.value == "contains":
-            self.advance()
-            val = self.peek()
+        if self.accept("NAME", "contains"):
+            val = self.advance()
             if val.kind == "STRING":
-                self.advance()
                 return CertConstraint(attr=attr, op="contains", value=val.value)
             if val.kind == "NAME" and val.value == SpecialValue.MODULE_NAME.value:
-                self.advance()
                 return CertConstraint(attr=attr, op="contains",
                                       value=SpecialValue.MODULE_NAME)
             self.fail(val, "expected string or module-name after 'contains'")
-        self.fail(tok, "expected '==' or 'contains' in certificate constraint")
+        self.fail(self.peek(),
+                  "expected '==' or 'contains' in certificate constraint")
 
     # -- predicates ---------------------------------------------------------
-
-    def parse_predicate(self) -> Predicate:
-        return self.parse_or()
 
     def parse_or(self) -> Predicate:
         parts: list[Predicate] = []
         first = self.parse_and()
         parts.extend(first.parts if isinstance(first, Or) else (first,))
-        while self.at_name("or"):
-            self.advance()
+        while self.accept("NAME", "or"):
             nxt = self.parse_and()
             parts.extend(nxt.parts if isinstance(nxt, Or) else (nxt,))
         return parts[0] if len(parts) == 1 else Or(parts=tuple(parts))
@@ -550,48 +502,34 @@ class _Parser:
         parts: list[Predicate] = []
         first = self.parse_not()
         parts.extend(first.parts if isinstance(first, And) else (first,))
-        while self.at_name("and"):
-            self.advance()
+        while self.accept("NAME", "and"):
             nxt = self.parse_not()
             parts.extend(nxt.parts if isinstance(nxt, And) else (nxt,))
         return parts[0] if len(parts) == 1 else And(parts=tuple(parts))
 
     def parse_not(self) -> Predicate:
-        if self.at_name("not"):
-            self.advance()
+        if self.accept("NAME", "not"):
             return Not(inner=self.parse_not())
         return self.parse_primary()
 
     def parse_primary(self) -> Predicate:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "(":
-            self.advance()
+        if self.accept("PUNCT", "("):
             inner = self.parse_or()
             self.expect_punct(")")
             return inner
+        tok = self.advance()
         if tok.kind != "NAME":
             self.fail(tok, f"expected predicate atom, found {tok.value or tok.kind!r}")
         word = tok.value
         if word == "op":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.value == "==":
-                self.advance()
-                val = self.peek()
-                if val.kind != "STRING":
-                    self.fail(val, "expected string operation name")
-                self.advance()
+            if self.accept("PUNCT", "=="):
+                val = self.expect_kind("STRING", "expected string operation name")
                 return OpEquals(value=val.value)
-            if nxt.kind == "NAME" and nxt.value == "matches":
-                self.advance()
-                val = self.peek()
-                if val.kind != "STRING":
-                    self.fail(val, "expected string glob pattern")
-                self.advance()
+            if self.accept("NAME", "matches"):
+                val = self.expect_kind("STRING", "expected string glob pattern")
                 return OpGlob(pattern=val.value)
-            self.fail(nxt, "expected '==' or 'matches' after op")
+            self.fail(self.peek(), "expected '==' or 'matches' after op")
         if word == "flow":
-            self.advance()
             self.expect_punct("==")
             val = self.expect_name("flow kind")
             kind = _FLOW_TOKENS.get(val.value)
@@ -599,7 +537,6 @@ class _Parser:
                 self.fail(val, f"unknown flow kind {val.value!r}")
             return FlowIs(kind=kind)
         if word == "peer":
-            self.advance()
             self.expect_punct(".")
             what = self.expect_name("peer attribute")
             if what.value == "module":
@@ -607,46 +544,30 @@ class _Parser:
                 return PeerModuleIs(name=self.expect_name("module name").value)
             if what.value == "profile":
                 self.expect_keyword("has")
-                val = self.peek()
-                if val.kind != "STRING":
-                    self.fail(val, "expected string label")
-                self.advance()
+                val = self.expect_kind("STRING", "expected string label")
                 return PeerProfileHas(label=val.value)
             if what.value == "outside":
                 return PeerOutside()
             self.fail(what, f"unknown peer attribute {what.value!r}")
         if word == "state":
-            self.advance()
             self.expect_punct(".")
             key = self.expect_name("state key").value
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.value == "==":
-                self.advance()
-                val = self.peek()
+            if self.accept("PUNCT", "=="):
+                val = self.advance()
                 if val.kind == "STRING":
-                    self.advance()
                     return StateEquals(key=key, value=val.value)
                 if val.kind == "NUMBER":
-                    self.advance()
                     return StateEquals(key=key, value=int(val.value))
                 self.fail(val, "expected string or integer")
-            if nxt.kind == "PUNCT" and nxt.value == "<":
-                self.advance()
-                val = self.peek()
-                if val.kind != "NUMBER":
-                    self.fail(val, "expected integer bound")
-                self.advance()
+            if self.accept("PUNCT", "<"):
+                val = self.expect_kind("NUMBER", "expected integer bound")
                 return StateLess(key=key, bound=int(val.value))
-            self.fail(nxt, "expected '==' or '<' after state key")
+            self.fail(self.peek(), "expected '==' or '<' after state key")
         if word == "cert":
-            self.advance()
             self.expect_punct(".")
             attr = self.expect_name("certificate attribute").value
             self.expect_punct("==")
-            val = self.peek()
-            if val.kind != "STRING":
-                self.fail(val, "expected string value")
-            self.advance()
+            val = self.expect_kind("STRING", "expected string value")
             return CertEquals(attr=attr, value=val.value)
         self.fail(tok, f"expected predicate atom, found {word!r}")
 

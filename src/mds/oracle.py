@@ -404,7 +404,7 @@ def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
             ancestors: list[Law] = []
         else:
             parent = rng.choice(order)
-            ancestors = [laws[n] for n in _lineage_names(laws, parent)]
+            ancestors = oracle_path(laws, parent)
         law = _gen_law(rng, name, parent, names, ancestors)
         laws[name] = law
         order.append(name)
@@ -444,16 +444,6 @@ def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
                                          operation=op, payload=payload))
     return GeneratedSystem(seed=seed, laws=laws, root=names[0],
                            components=components, script=script)
-
-
-def _lineage_names(laws: dict[str, Law], leaf: str) -> list[str]:
-    chain = []
-    cursor: Optional[str] = leaf
-    while cursor is not None:
-        chain.append(cursor)
-        cursor = laws[cursor].parent
-    chain.reverse()
-    return chain
 
 
 # ---------------------------------------------------------------------------

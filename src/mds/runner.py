@@ -132,7 +132,8 @@ class ScenarioRunner:
         if h0 is None:
             raise RunnerError("law directory rejected:\n  " +
                               "\n  ".join(problems))
-        self.h = self._distribute(h0)
+        self._distribute(h0)
+        self.h = h0
 
         self.registry = fabric.Registry()
         self._remote_registry: Optional[tuple[str, int]] = None
@@ -147,8 +148,9 @@ class ScenarioRunner:
 
     # -- law distribution ---------------------------------------------------
 
-    def _distribute(self, h0: LawHierarchy) -> LawHierarchy:
-        """Re-obtain every law through the law server and verify hashes."""
+    def _distribute(self, h0: LawHierarchy):
+        """Re-obtain every law through the law server and check it against
+        ``h0``, the hierarchy it was served from."""
         service = None
         if self.mode == "sim":
             server = fabric.LawServer(h0)
@@ -163,7 +165,6 @@ class ScenarioRunner:
                 service = fabric.serve_law_server(h0)
                 addr = service.address
             fetch = functools.partial(fabric.fetch_law, addr)
-        fetched: dict[str, Law] = {}
         try:
             for name in sorted(h0.laws):
                 resp = fetch(name)
@@ -171,33 +172,25 @@ class ScenarioRunner:
                     raise RunnerError(f"law server lacks {name!r}")
                 if resp.algo != law_lang.HASH_ALGORITHM:
                     raise RunnerError(f"law server hashes with {resp.algo!r}")
-                fetched[name] = self._verify_text(h0.law(name), resp.text,
-                                                  resp.lineage)
+                if resp.lineage != h0.lineage[name]:
+                    raise RunnerError(f"lineage mismatch for fetched law "
+                                      f"{name!r}")
+                self._verify_text(h0.law(name), resp.text)
         finally:
             if service is not None:
                 service.close()
-        h, violations = build_hierarchy(fetched.values())
-        if h is None:
-            raise RunnerError(
-                "fetched laws failed hierarchy checks: " +
-                "; ".join(f"{v.kind.value}: {v.law}" for v in violations))
-        for name in h.laws:
-            if h.lineage[name] != h0.lineage[name]:
-                raise RunnerError(f"lineage drift for {name!r} after fetch")
-        return h
 
     @staticmethod
-    def _verify_text(known: Law, text: str, lineage: tuple[str, ...]) -> Law:
-        """The law the server sent as ``known``'s, checked against the
-        lineage it came with.
+    def _verify_text(known: Law, text: str):
+        """Check that the text the server sent for ``known`` is ``known``.
 
-        Text whose hash is both the lineage's last and ``known``'s is the
-        canonical text of ``known`` itself, so ``known`` is returned without
-        a parse; any other text is parsed and checked in full.
+        Text that hashes to ``known``'s hash is its canonical text, so it
+        needs no parse; any other text must parse to a law of the same name
+        and hash.
         """
+        if law_lang.text_hash(text) == known.hash:
+            return
         name = known.name
-        if lineage and lineage[-1] == known.hash == law_lang.text_hash(text):
-            return known
         try:
             law = law_lang.parse_law(
                 law_lang.LawSource(text, f"lawserver:{name}"))
@@ -206,9 +199,8 @@ class ScenarioRunner:
                               f"not parse: {exc}") from exc
         if law.name != name:
             raise RunnerError(f"law server sent {law.name!r} for {name!r}")
-        if not lineage or law.hash != lineage[-1]:
+        if law.hash != known.hash:
             raise RunnerError(f"hash mismatch for fetched law {name!r}")
-        return law
 
     # -- assembly -----------------------------------------------------------
 

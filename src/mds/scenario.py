@@ -139,7 +139,8 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     names: set[str] = set()  # components and outside parties so far
     steps: list[Step] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only; strip() drops a "\r" before it.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

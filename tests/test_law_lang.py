@@ -126,7 +126,9 @@ class TestParseErrors:
             parse_law(text)
 
 
-RULE = "law T { default rule r on sent if "
+ON = "law T { default rule r on sent "
+RULE = ON + "if "
+BODY = ON + "{ "
 
 
 class TestLexerDiagnostics:
@@ -142,8 +144,8 @@ class TestLexerDiagnostics:
                      id="unterminated-across-newline"),
         pytest.param(RULE + 'op == "ab\\', 1, 41, "unterminated string",
                      id="unterminated-after-trailing-backslash"),
-        pytest.param(RULE + 'op == "ab\\\ncd" { permit; } }', 1, 44,
-                     "unknown escape \\\n", id="backslash-before-newline"),
+        pytest.param(RULE + 'op == "ab\\\ncd" { permit; } }', 1, 41,
+                     "unterminated string", id="backslash-before-newline"),
         pytest.param(RULE + 'op == "a\\qb" { permit; } }', 1, 43,
                      "unknown escape \\q", id="unknown-escape"),
         pytest.param(RULE + 'op == "a\x01b" { permit; } }', 1, 43,
@@ -188,7 +190,7 @@ class TestLexerDiagnostics:
         pytest.param("law T {\n", 2, 1,
                      "unexpected end of input inside law body",
                      id="end-after-newline"),
-        pytest.param("law T {\n  # open", 2, 3,
+        pytest.param("law T {\n  # open", 2, 9,
                      "unexpected end of input inside law body",
                      id="end-inside-comment"),
         pytest.param("law T {\n  default rule r on sent { permit", 2, 34,
@@ -210,6 +212,255 @@ class TestLexerDiagnostics:
     def test_comment_hides_quotes_and_escapes(self):
         law = parse_law('law T { # "\\q $\n}\n')
         assert law.rules == ()
+
+
+class TestParserDiagnostics:
+    """Every parser diagnostic, each pinned to its full (line, col, message)
+    list.  One row per ``fail`` site and law-level check, so a change to how
+    the parser is put together cannot move or reword any of them unseen."""
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        pytest.param("{ }",
+                     1, 1, "expected keyword 'law', found '{'",
+                     id="expect-keyword-not-a-name"),
+        pytest.param("rule T { }",
+                     1, 1, "expected keyword 'law', found 'rule'",
+                     id="expect-keyword-wrong-word"),
+        pytest.param("law { }",
+                     1, 5, "expected law name, found '{'", id="law-name"),
+        pytest.param("law T extends { }",
+                     1, 15, "expected parent law name, found '{'",
+                     id="parent-law-name"),
+        pytest.param("law T ; }",
+                     1, 7, "expected '{', found ';'", id="expect-open-brace"),
+        pytest.param("law T {",
+                     1, 8, "unexpected end of input inside law body",
+                     id="end-inside-law-body"),
+        pytest.param("law T { profile [a]; profile [b]; }",
+                     1, 22, "duplicate profile declaration",
+                     id="duplicate-profile"),
+        pytest.param("law T { profile [a, ]; }",
+                     1, 21, "expected profile label, found ']'",
+                     id="profile-label"),
+        pytest.param("law T { profile [a, b, a]; }",
+                     1, 24, "duplicate profile label 'a'",
+                     id="duplicate-profile-label"),
+        pytest.param("law T { profile [a b]; }",
+                     1, 20, "expected ']', found 'b'", id="profile-close"),
+        pytest.param("law T { profile [a] }",
+                     1, 21, "expected ';', found '}'", id="profile-semicolon"),
+        pytest.param("law T { permit; }",
+                     1, 9,
+                     "expected rule, allow-override, override, or profile; found 'permit'",
+                     id="not-a-declaration"),
+        pytest.param("law T { ; }",
+                     1, 9,
+                     "expected rule, allow-override, override, or profile; found ';'",
+                     id="not-a-declaration-punct"),
+        pytest.param("law T { } law U { }",
+                     1, 11, "trailing input after law", id="trailing-input"),
+        pytest.param("law T { default policy r on sent { permit; } }",
+                     1, 17, "expected keyword 'rule', found 'policy'",
+                     id="rule-keyword"),
+        pytest.param("law T { default rule { permit; } }",
+                     1, 22, "expected rule id, found '{'", id="rule-id"),
+        pytest.param("law T { default rule r when sent { permit; } }",
+                     1, 24, "expected keyword 'on', found 'when'",
+                     id="on-keyword"),
+        pytest.param("law T { default rule r on 3 { permit; } }",
+                     1, 27,
+                     "expected event kind (adopted, sent, arrived), found '3'",
+                     id="event-kind"),
+        pytest.param("law T { default rule r on flying { permit; } }",
+                     1, 27, "unknown event kind 'flying'", id="unknown-event"),
+        pytest.param("law T { default rule r on sent, arrived, sent { permit; "
+                     "} }",
+                     1, 42, "duplicate event kind 'sent'",
+                     id="duplicate-event"),
+        pytest.param("law T { default rule r on sent, { permit; } }",
+                     1, 33,
+                     "expected event kind (adopted, sent, arrived), found '{'",
+                     id="event-after-comma"),
+        pytest.param(ON + "permit; }",
+                     1, 32, "expected '{', found 'permit'", id="body-open"),
+        pytest.param(BODY + "",
+                     1, 34, "unexpected end of input inside rule body",
+                     id="end-inside-rule-body"),
+        pytest.param(BODY + "permit; block; } }",
+                     1, 42, "terminal action must be last in the body",
+                     id="terminal-not-last"),
+        pytest.param(BODY + "3; } }",
+                     1, 34, "expected action, found '3'",
+                     id="action-not-a-name"),
+        pytest.param(BODY + "jump; } }",
+                     1, 34, "unknown action 'jump'", id="unknown-action"),
+        pytest.param(BODY + "permit }",
+                     1, 41, "expected ';', found '}'", id="action-semicolon"),
+        pytest.param(BODY + "set count = 1; } }",
+                     1, 38, "expected keyword 'state', found 'count'",
+                     id="state-keyword"),
+        pytest.param(BODY + "set state count = 1; } }",
+                     1, 44, "expected '.', found 'count'", id="state-dot"),
+        pytest.param(BODY + "set state. = 1; } }",
+                     1, 45, "expected state key, found '='", id="state-key"),
+        pytest.param(BODY + "set state.k == 1; } }",
+                     1, 46, "expected '=', found '=='", id="set-equals"),
+        pytest.param(BODY + "set state.k = peer; } }",
+                     1, 48,
+                     "expected string, integer, module-name, or module-profile",
+                     id="set-value"),
+        pytest.param(BODY + "increment state.k to 1; } }",
+                     1, 52, "expected keyword 'by', found 'to'",
+                     id="increment-by"),
+        pytest.param(BODY + 'increment state.k by "1"; } }',
+                     1, 55, "expected integer delta", id="increment-delta"),
+        pytest.param(BODY + 'require-cert == "a"; } }',
+                     1, 47, "expected certificate attribute, found '=='",
+                     id="require-cert-attribute"),
+        pytest.param(BODY + 'require-cert role < "a"; } }',
+                     1, 52,
+                     "expected '==' or 'contains' in certificate constraint",
+                     id="require-cert-op"),
+        pytest.param(BODY + "require-cert role == 3; } }",
+                     1, 55, "expected string after '=='",
+                     id="require-cert-equals-value"),
+        pytest.param("law T { default rule r on sent { require-cert modules "
+                     "contains module-profile; } }",
+                     1, 64, "expected string or module-name after 'contains'",
+                     id="require-cert-contains-value"),
+        pytest.param(BODY + 'require-cert role == "a", ; } }',
+                     1, 60, "expected certificate attribute, found ';'",
+                     id="require-cert-second"),
+        pytest.param(BODY + "append-profile ; } }",
+                     1, 49, "expected profile label, found ';'",
+                     id="append-profile-label"),
+        pytest.param(BODY + "append-profile x, y, x; } }",
+                     1, 55, "duplicate append-profile label 'x'",
+                     id="duplicate-append-profile-label"),
+        pytest.param("law T { allow-override ; }",
+                     1, 24, "expected rule id, found ';'",
+                     id="allow-override-id"),
+        pytest.param("law T { allow-override r 3; }",
+                     1, 26, "expected override direction, found '3'",
+                     id="override-direction"),
+        pytest.param("law T { allow-override r may-fly; }",
+                     1, 26, "unknown override direction 'may-fly'",
+                     id="unknown-direction"),
+        pytest.param("law T { allow-override r may-permit }",
+                     1, 37, "expected ';', found '}'",
+                     id="allow-override-semicolon"),
+        pytest.param("law T { override { } }",
+                     1, 18, "expected target rule id, found '{'",
+                     id="override-target"),
+        pytest.param("law T { override r ; }",
+                     1, 20,
+                     "expected override kind (permit, block, replace), found ';'",
+                     id="override-kind"),
+        pytest.param("law T { override r allow on sent { } }",
+                     1, 20, "unknown override kind 'allow'",
+                     id="unknown-override-kind"),
+        pytest.param("law T { override r permit on sent { block; } }",
+                     1, 20, "permit override body ends in block",
+                     id="permit-override-ends-in-block"),
+        pytest.param("law T { override r block on sent { permit; } }",
+                     1, 20, "block override body ends in permit",
+                     id="block-override-ends-in-permit"),
+        pytest.param('law T { override r replace on sent { set state.k = "v"; '
+                     "} }",
+                     1, 20, "replace override body needs a terminal action",
+                     id="replace-needs-terminal"),
+        pytest.param(RULE + "; { permit; } }",
+                     1, 35, "expected predicate atom, found ';'",
+                     id="atom-not-a-name"),
+        pytest.param(RULE + "color == red { permit; } }",
+                     1, 35, "expected predicate atom, found 'color'",
+                     id="atom-unknown-word"),
+        pytest.param(RULE + "op == 3 { permit; } }",
+                     1, 41, "expected string operation name", id="op-string"),
+        pytest.param(RULE + "op matches get { permit; } }",
+                     1, 46, "expected string glob pattern", id="op-glob"),
+        pytest.param(RULE + 'op < "a" { permit; } }',
+                     1, 38, "expected '==' or 'matches' after op",
+                     id="op-operator"),
+        pytest.param(RULE + "flow matches inner { permit; } }",
+                     1, 40, "expected '==', found 'matches'",
+                     id="flow-equals"),
+        pytest.param(RULE + 'flow == "inner" { permit; } }',
+                     1, 43, "expected flow kind, found 'inner'",
+                     id="flow-kind"),
+        pytest.param(RULE + "flow == sideways { permit; } }",
+                     1, 43, "unknown flow kind 'sideways'", id="unknown-flow"),
+        pytest.param(RULE + "peer module == X { permit; } }",
+                     1, 40, "expected '.', found 'module'", id="peer-dot"),
+        pytest.param(RULE + "peer. { permit; } }",
+                     1, 41, "expected peer attribute, found '{'",
+                     id="peer-attribute"),
+        pytest.param(RULE + "peer.name == X { permit; } }",
+                     1, 40, "unknown peer attribute 'name'",
+                     id="unknown-peer-attribute"),
+        pytest.param(RULE + "peer.module X { permit; } }",
+                     1, 47, "expected '==', found 'X'",
+                     id="peer-module-equals"),
+        pytest.param(RULE + 'peer.module == "X" { permit; } }',
+                     1, 50, "expected module name, found 'X'",
+                     id="peer-module-name"),
+        pytest.param(RULE + 'peer.profile == "a" { permit; } }',
+                     1, 48, "expected keyword 'has', found '=='",
+                     id="peer-profile-has"),
+        pytest.param(RULE + "peer.profile has a { permit; } }",
+                     1, 52, "expected string label", id="peer-profile-label"),
+        pytest.param(RULE + "state.3 { permit; } }",
+                     1, 41, "expected state key, found '3'",
+                     id="state-atom-key"),
+        pytest.param(RULE + "state.k == on { permit; } }",
+                     1, 46, "expected string or integer",
+                     id="state-equals-value"),
+        pytest.param(RULE + 'state.k < "3" { permit; } }',
+                     1, 45, "expected integer bound", id="state-bound"),
+        pytest.param(RULE + "state.k matches 3 { permit; } }",
+                     1, 43, "expected '==' or '<' after state key",
+                     id="state-operator"),
+        pytest.param(RULE + 'cert role == "a" { permit; } }',
+                     1, 40, "expected '.', found 'role'", id="cert-dot"),
+        pytest.param(RULE + 'cert. == "a" { permit; } }',
+                     1, 41, "expected certificate attribute, found '=='",
+                     id="cert-attribute"),
+        pytest.param(RULE + 'cert.role contains "a" { permit; } }',
+                     1, 45, "expected '==', found 'contains'",
+                     id="cert-equals"),
+        pytest.param(RULE + "cert.role == admin { permit; } }",
+                     1, 48, "expected string value", id="cert-value"),
+        pytest.param(RULE + '(op == "a" { permit; } }',
+                     1, 46, "expected ')', found '{'", id="close-paren"),
+        pytest.param(RULE + "not { permit; } }",
+                     1, 39, "expected predicate atom, found '{'",
+                     id="not-without-atom"),
+        pytest.param(RULE + 'op == "a" and { permit; } }',
+                     1, 49, "expected predicate atom, found '{'",
+                     id="and-without-atom"),
+        pytest.param(RULE + 'op == "a" or ) { permit; } }',
+                     1, 48, "expected predicate atom, found ')'",
+                     id="or-without-atom"),
+        pytest.param(BODY + "permit; } default rule r on arrived { block; } }",
+                     1, 5, "duplicate rule id 'r'", id="duplicate-rule-id"),
+        pytest.param("law T { allow-override ghost may-permit; }",
+                     1, 5, "allow-override names unknown rule 'ghost'",
+                     id="allow-override-unknown-rule"),
+        pytest.param("law T { categorical rule c on sent { permit; } "
+                     "allow-override c may-permit; }",
+                     1, 5, "allow-override names categorical rule 'c'",
+                     id="allow-override-categorical"),
+        pytest.param("law T { default rule r on sent { } allow-override r "
+                     "may-permit; allow-override r may-permit; }",
+                     1, 5, "duplicate allow-override for 'r'",
+                     id="duplicate-allow-override"),
+
+    ])
+    def test_diagnostic(self, text, line, col, message):
+        with pytest.raises(LawParseError) as err:
+            parse_law(text)
+        assert [(d.line, d.col, d.message)
+                for d in err.value.diagnostics] == [(line, col, message)]
 
 
 class TestCanonicalPrint:

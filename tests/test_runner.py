@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from mds import fabric, law_lang
+from mds import conformance, fabric, law_lang
 from mds.runner import (RunnerError, ScenarioRunner, check_law_dir,
                         run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -167,6 +167,34 @@ class TestLawDistribution:
         monkeypatch.setattr(law_lang, "parse_law", parse_law)
         assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
         assert len(parsed) == len(list(law_dir.glob("*.law")))
+
+    def test_sim_run_builds_the_hierarchy_once(self, scenario_dir,
+                                               monkeypatch):
+        calls = []
+        real = conformance.build_hierarchy
+
+        def build_hierarchy(laws):
+            calls.append(laws)
+            return real(laws)
+
+        monkeypatch.setattr("mds.runner.build_hierarchy", build_hierarchy)
+        assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
+        assert len(calls) == 1
+
+    def test_wrong_ancestor_hash_in_lineage_is_refused(self, scenario_dir,
+                                                       monkeypatch):
+        real = fabric.LawServer.get
+
+        def get(self, name):
+            text, lineage = real(self, name)
+            if name == "MS":
+                lineage = ("0" * 64,) + lineage[1:]
+            return text, lineage
+
+        monkeypatch.setattr(fabric.LawServer, "get", get)
+        scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
+        with pytest.raises(RunnerError, match="lineage.*'MS'"):
+            ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
     def test_tampered_law_text_is_refused(self, scenario_dir, monkeypatch):
         real = fabric.LawServer.get

@@ -185,6 +185,19 @@ class TestSplit:
         _expect_error(MINI + 'send a -> c op x payload "open\n',
                       "unterminated string", line=5)
 
+    def test_payload_keeps_a_unicode_line_break(self):
+        scn = parse_scenario(MINI + 'send a -> c op x payload "a\x85b"\n')
+        assert scn.steps[0].payload == "a\x85b".encode("utf-8")
+
+    def test_form_feed_line_does_not_shift_later_line_numbers(self):
+        _expect_error("scenario t\nlaw d\n\x0c\nexpect maybe\n",
+                      "outcome must be one of", line=4)
+
+    def test_crlf_line_ends(self):
+        scn = parse_scenario(MINI.replace("\n", "\r\n")
+                             + "send a -> c op x\r\nexpect delivered\r\n")
+        assert scn.steps[0].expect.outcome == "delivered"
+
 
 class TestEmptyScript:
     def test_zero_steps_is_valid(self):
