@@ -19,19 +19,18 @@ by the deepest matching override on the leaf path) decides.  When nothing
 matches, built-in fallbacks decide: block for inflow, import, and export;
 permit for outflow, innerflow, and adoption.
 
-``program_for`` does the per-rule work once per leaf law.  It keeps one scan
-list per event kind, holding only the rules that event can reach, in scan
-order.  Each rule's guard and body are compiled to closures, with values
-that name the module resolved against the leaf, and each rule's matched
-pair is built then.  Only default rules carry the overrides that may replace
-them, each compiled the same way.  A rule or override is compiled once for
-every leaf below it, unless its body names the module; the same pass
-records which operations the ``op ==`` atoms of its guard let match, and
-whether the guard reads anything but the operation.  From these,
-``Program.scan`` narrows an event's scan to the rows one operation can
-reach, the first time that operation is seen; a guard the operation
-settles is dropped or never run.  ``evaluate`` looks the narrowed scan up
-by operation, then runs guards and bodies and nothing else.
+``program_for`` does the per-rule work once per leaf law.  Its entries list
+the rules on the path root-first: each with its guard and body compiled to
+closures, values that name the module resolved against the leaf, and its
+matched pair; a default rule also carries the overrides that may replace
+it, compiled the same way.  A rule or override is compiled once for every
+leaf below it, unless its body names the module; the same pass records
+which operations the ``op ==`` atoms of its guard let match, and whether
+the guard reads anything but the operation.  ``Program.scan`` builds from
+the entries the scan of one event and operation, the first time that pair
+is seen; a guard the operation settles is dropped or never run.
+``evaluate`` looks that scan up, then runs guards and bodies and nothing
+else.
 """
 
 from __future__ import annotations
@@ -573,111 +572,71 @@ _OTHER = object()  # table key of the scan for operations no ``op ==`` names
 class Program:
     """Pre-resolved scan order for one leaf law of one hierarchy.
 
-    ``entries`` lists every rule on the path root-first.  ``scans`` holds,
-    per event kind, one row for each entry that event can reach: (guard,
-    body, matched, overrides that event can reach as (guard, body, matched)).
-    ``tables`` holds, per event kind, the rows of that scan an operation can
-    reach, keyed by operation (``_OTHER`` for every operation no ``op ==``
-    names) and filled by ``scan``; a None guard there always holds.
+    ``entries`` lists every rule on the path root-first.  ``tables`` holds,
+    per event kind, the scan each operation reaches, keyed by operation
+    (``_OTHER`` for every operation no ``op ==`` names) and filled by
+    ``scan``.  A scan row is (guard, body, matched, overrides as (guard,
+    body, matched)); a None guard always holds.
     """
 
-    __slots__ = ("leaf", "entries", "scans", "named", "tables", "_entries",
-                 "_index", "_variants")
+    __slots__ = ("leaf", "entries", "named", "tables", "_rows")
 
     def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...]):
         self.leaf = leaf
         self.entries = entries
-        # per event kind, the entry behind each row of scans
-        self._entries = {event: tuple(e for e in entries if event in e.events)
-                         for event in EventKind}
-        self.scans = {
-            event: tuple(
-                (e.pred, e.body, e.matched,
-                 tuple((o.pred, o.body, o.matched) for o in e.overrides
-                       if event in o.events) if e.overrides else ())
-                for e in reached)
-            for event, reached in self._entries.items()}
         # operations some ``op ==`` of the program names
         self.named = frozenset().union(*(
             c.ops for e in entries for c in (e, *e.overrides)
             if c.ops is not None))
         self.tables: dict[EventKind, dict] = {event: {} for event in EventKind}
-        self._index: dict[EventKind, tuple[list, dict]] = {}
-        self._variants: dict[tuple, tuple] = {}  # each narrowed row, once
+        self._rows: dict[tuple, tuple] = {}  # each distinct row, once
 
     def scan(self, event: EventKind, operation: str) -> tuple:
-        """The rows of ``scans[event]`` that the operation can reach, in
-        scan order, built on first use.
+        """The rows of ``entries`` that the event and operation can reach,
+        in scan order, built in one pass on first use.
 
-        Rows whose guard cannot hold for the operation are dropped; a guard
-        that reads only the operation and holds for it becomes None, which
-        ``evaluate`` skips; an override that always applies becomes the
-        row's body, and the overrides after it are dropped.  Operations that
-        no ``op ==`` names share one scan, so a peer cannot grow the table.
+        A clause whose event or ``op ==`` atoms exclude the operation is
+        skipped.  For a named operation, a guard that reads only the
+        operation is settled: a rule whose guard fails is dropped, and one
+        whose guard holds gets a None guard, which ``evaluate`` skips; an
+        override whose guard holds becomes the row's body, and the overrides
+        after it are dropped.  Operations that no ``op ==`` names share one
+        scan, so a peer cannot grow the table.
         """
         key = operation if operation in self.named else _OTHER
         table = self.tables[event]
         rows = table.get(key)
         if rows is not None:
             return rows
-        index = self._index.get(event)
-        if index is None:
-            index = self._index[event] = self._index_of(event)
-        anywhere, by_op = index
-        if key is _OTHER:
-            ctx, positions = None, anywhere
-        else:
-            ctx = EventContext(event, operation, None, None, _NO_PROFILE,
-                               False)
-            positions = sorted(anywhere + by_op.get(operation, []))
-        reached, full = self._entries[event], self.scans[event]
+        # op-only guards are settled by a named operation alone
+        ctx = (None if key is _OTHER else
+               EventContext(event, operation, None, None, _NO_PROFILE, False))
         kept = []
-        for i in positions:
-            entry, row = reached[i], full[i]
-            settled = ctx is not None and entry.op_only
-            if settled and not entry.pred(ctx, None, None):
+        for entry in self.entries:
+            # ops lie within named, so an unnamed operation is in none
+            if event not in entry.events or (
+                    entry.ops is not None and operation not in entry.ops):
                 continue
-            if settled or row[3]:
-                row = self._narrow(entry, row, event, ctx, settled)
-            kept.append(row)
-        rows = table[key] = tuple(kept)
-        return rows
-
-    def _index_of(self, event: EventKind) -> tuple[list, dict]:
-        """Positions in ``scans[event]`` of the rows any operation can
-        reach, and per operation of those only it can reach."""
-        anywhere: list[int] = []
-        by_op: dict[str, list[int]] = {}
-        for i, entry in enumerate(self._entries[event]):
-            if entry.ops is None:
-                anywhere.append(i)
-            else:
-                for op in entry.ops:
-                    by_op.setdefault(op, []).append(i)
-        return anywhere, by_op
-
-    def _narrow(self, entry: _RuleEntry, row: tuple, event: EventKind,
-                ctx: Optional[EventContext], settled: bool) -> tuple:
-        """The row with a None guard if ``settled``, and only the overrides
-        ctx's operation can reach (ctx None: an unnamed operation)."""
-        pred, body, matched, overrides = row
-        kept = []
-        if overrides:
-            reached = [o for o in entry.overrides if event in o.events]
-            for ov, ov_row in zip(reached, overrides):
-                if ov.ops is not None and (ctx is None
-                                           or ctx.operation not in ov.ops):
+            guard = entry.pred
+            if ctx is not None and entry.op_only:
+                if not guard(ctx, None, None):
+                    continue
+                guard = None
+            body, matched, overrides = entry.body, entry.matched, []
+            for ov in entry.overrides:
+                if event not in ov.events or (
+                        ov.ops is not None and operation not in ov.ops):
                     continue
                 if ctx is not None and ov.op_only:
                     if ov.pred(ctx, None, None):
-                        _, body, matched = ov_row
+                        body, matched = ov.body, ov.matched
                         break
                     continue
-                kept.append(ov_row)
-            if not settled and len(kept) == len(overrides):
-                return row
-        narrowed = (None if settled else pred, body, matched, tuple(kept))
-        return self._variants.setdefault(narrowed, narrowed)
+                overrides.append((ov.pred, ov.body, ov.matched))
+            row = (guard, body, matched, tuple(overrides))
+            kept.append(self._rows.setdefault(row, row))
+        rows = table[key] = tuple(kept)
+        return rows
 
 
 def program_for(h: LawHierarchy, leaf: str) -> Program:

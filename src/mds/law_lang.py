@@ -256,6 +256,14 @@ class _Parser:
             return True
         return False
 
+    @staticmethod
+    def found(tok: _Token) -> str:
+        """The token as a diagnostic names it: a string in its quotes, the
+        end of input as 'EOF'."""
+        if tok.kind == "STRING":
+            return repr(_quote(tok.value))
+        return repr(tok.value or tok.kind)
+
     def expect_kind(self, kind: str, message: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -265,13 +273,13 @@ class _Parser:
     def expect_punct(self, value: str) -> _Token:
         tok = self.peek()
         if tok.kind != "PUNCT" or tok.value != value:
-            self.fail(tok, f"expected {value!r}, found {tok.value or tok.kind!r}")
+            self.fail(tok, f"expected {value!r}, found {self.found(tok)}")
         return self.advance()
 
     def expect_name(self, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != "NAME":
-            self.fail(tok, f"expected {what}, found {tok.value or tok.kind!r}")
+            self.fail(tok, f"expected {what}, found {self.found(tok)}")
         return self.advance()
 
     def expect_keyword(self, word: str):
@@ -332,7 +340,7 @@ class _Parser:
                 overrides.append(self.parse_override())
             else:
                 self.fail(tok, f"expected rule, allow-override, override, or profile; "
-                               f"found {tok.value or tok.kind!r}")
+                               f"found {self.found(tok)}")
         tail = self.peek()
         if tail.kind != "EOF":
             self.fail(tail, "trailing input after law")
@@ -429,7 +437,7 @@ class _Parser:
     def parse_action(self) -> Action:
         tok = self.advance()
         if tok.kind != "NAME":
-            self.fail(tok, f"expected action, found {tok.value or tok.kind!r}")
+            self.fail(tok, f"expected action, found {self.found(tok)}")
         word = tok.value
         if word == "permit":
             return Permit()
@@ -519,7 +527,7 @@ class _Parser:
             return inner
         tok = self.advance()
         if tok.kind != "NAME":
-            self.fail(tok, f"expected predicate atom, found {tok.value or tok.kind!r}")
+            self.fail(tok, f"expected predicate atom, found {self.found(tok)}")
         word = tok.value
         if word == "op":
             if self.accept("PUNCT", "=="):

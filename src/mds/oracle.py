@@ -20,13 +20,13 @@ from typing import Optional
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, BareInbound, ComponentId, DemoIssuer, adopt,
                          handle_arrive, handle_send, matched_token)
-from .model import (And, AppendProfile, Block, CertEquals, EventKind, FlowIs,
-                    FlowKind, IncrementState, Law, MetaDirection,
-                    MetaPermission, Not, NotifyRegistry, OpEquals, OpGlob, Or,
-                    Override, OverrideKind, Permit, PeerModuleIs, PeerOutside,
-                    PeerProfileHas, Predicate, RequireCertificate, Rule,
-                    RuleMode, SetState, SpecialValue, StateEquals, StateLess,
-                    TruePred)
+from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
+                    EventKind, FlowIs, FlowKind, IncrementState, Law,
+                    MetaDirection, MetaPermission, Not, NotifyRegistry,
+                    OpEquals, OpGlob, Or, Override, OverrideKind, Permit,
+                    PeerModuleIs, PeerOutside, PeerProfileHas, Predicate,
+                    RequireCertificate, Rule, RuleMode, SetState, SpecialValue,
+                    StateEquals, StateLess, TruePred)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,7 @@ def _profile_labels(state: dict) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+_MODULES = ("R", "A", "B", "C")
 _OPS = ("ping", "report", "approve", "log", "sync", "probe")
 _STATE_KEYS = ("mode", "count", "budget")
 _LABELS = ("audited", "probation", "trusted")
@@ -292,20 +293,35 @@ def _gen_predicate(rng: random.Random, modules: list[str],
     return And(parts) if shape < 0.65 else Or(parts)
 
 
+def _gen_cert_check(rng: random.Random) -> CertConstraint:
+    pick = rng.randrange(3)
+    if pick == 2:
+        return CertConstraint("modules", "contains", SpecialValue.MODULE_NAME)
+    attr, values = rng.choice(_CERT_ATTRS + (("modules", _MODULES),))
+    return CertConstraint(attr, ("equals", "contains")[pick],
+                          rng.choice(values))
+
+
 def _gen_actions(rng: random.Random, terminal_pool: tuple[str, ...]) -> tuple:
+    """A body ending in one of terminal_pool ("none" for no terminal).
+    ``require-cert`` can block, so it is drawn only where block is."""
     acts: list = []
     for _ in range(rng.randint(0, 2)):
-        pick = rng.randrange(4)
+        pick = rng.randrange(5 if "block" in terminal_pool else 4)
         if pick == 0:
-            acts.append(SetState(rng.choice(_STATE_KEYS),
-                                 rng.choice(("on", "off", 0, 2))))
+            acts.append(SetState(rng.choice(_STATE_KEYS), rng.choice(
+                ("on", "off", 0, 2, *SpecialValue))))
         elif pick == 1:
             acts.append(IncrementState(rng.choice(_STATE_KEYS),
                                        rng.randint(1, 2)))
         elif pick == 2:
             acts.append(NotifyRegistry())
+        elif pick == 3:
+            acts.append(AppendProfile(tuple(
+                rng.sample(_LABELS, rng.randint(1, len(_LABELS))))))
         else:
-            acts.append(AppendProfile((rng.choice(_LABELS),)))
+            acts.append(RequireCertificate(tuple(
+                _gen_cert_check(rng) for _ in range(rng.randint(1, 2)))))
     terminal = rng.choice(terminal_pool)
     if terminal == "permit":
         acts.append(Permit())
@@ -395,7 +411,7 @@ def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
                     max_messages: int = 60) -> GeneratedSystem:
     rng = random.Random(seed)
     count = rng.randint(1, max_modules)
-    names = ["R", "A", "B", "C"][:count]
+    names = list(_MODULES[:count])
     laws: dict[str, Law] = {}
     order: list[str] = []
     for i, name in enumerate(names):

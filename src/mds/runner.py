@@ -28,7 +28,7 @@ from typing import Optional, Union
 from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         ComponentId, Decision, DemoIssuer, Envelope, Ruling,
+                         ComponentId, Decision, DemoIssuer, Envelope,
                          adopt, handle_arrive, handle_send, matched_token)
 from .model import FlowKind, Law, LawHierarchy
 from .scenario import (AdvanceStep, Scenario, SendStep, load_scenario)
@@ -125,7 +125,7 @@ class ScenarioRunner:
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
         self._audit_lock = threading.Lock()
-        self._last_arrival: Optional[Ruling] = None
+        self._last_arrival: Optional[tuple[Decision, str]] = None
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
         h0, problems = check_law_dir(law_dir)
@@ -253,10 +253,11 @@ class ScenarioRunner:
         if not isinstance(msg, (Envelope, BareInbound)):
             return  # a frame kind no controller rules on
         ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
+        token = matched_token(ruling.matched)
         self._audit_line(label, "arrived", ruling.flow, str(ruling.decision),
-                         matched_token(ruling.matched))
+                         token)
         with self._audit_lock:
-            self._last_arrival = ruling
+            self._last_arrival = (ruling.decision, token)
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
@@ -273,11 +274,11 @@ class ScenarioRunner:
         self.net.send(label, msg, latency=self.rng.randint(1, 3))
         self.net.run_until_idle()
         with self._audit_lock:
-            ruling = self._last_arrival
-        if ruling is None:
+            arrival = self._last_arrival
+        if arrival is None:
             raise RunnerError("message was sent but never handled")
-        token = matched_token(ruling.matched)
-        if ruling.decision is Decision.DELIVER:
+        decision, token = arrival
+        if decision is Decision.DELIVER:
             return DELIVERED, token
         return BLOCKED_AT_RECEIVER, token
 
@@ -332,16 +333,15 @@ class ScenarioRunner:
                 locus = OUTSIDE
             ruling, env = handle_send(agent, self.h, step.operation,
                                       step.payload, step.target, locus)
+            matched = matched_token(ruling.matched)
             self._audit_line(slabel, "sent", ruling.flow,
-                             str(ruling.decision),
-                             matched_token(ruling.matched))
+                             str(ruling.decision), matched)
             if ruling.decision is Decision.BLOCK_NOTICE:
-                outcome, matched = BLOCKED_AT_SENDER, matched_token(
-                    ruling.matched)
+                outcome = BLOCKED_AT_SENDER
             elif tlabel is None:
                 self.outbound.append((step.target, step.operation,
                                       step.payload))
-                outcome, matched = DELIVERED, matched_token(ruling.matched)
+                outcome = DELIVERED
             else:
                 assert env is not None
                 outcome, matched = self._transmit(tlabel, env)

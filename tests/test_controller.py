@@ -590,8 +590,8 @@ def _guards(p):
 
 
 class TestOperationIndex:
-    """``evaluate`` runs only the rows of ``scans[event]`` that
-    ``Program.scan`` keeps for the event's operation."""
+    """``evaluate`` runs only the rows of ``entries`` that ``Program.scan``
+    keeps for the event and its operation."""
 
     INDEXED = """
     law Idx {
@@ -624,21 +624,23 @@ class TestOperationIndex:
     def test_rows_an_operation_cannot_reach_are_dropped(self):
         h = _hier(self.INDEXED, self.KID)
         program = controller.program_for(h, "IdxKid")
-        scan = program.scans[EventKind.SENT]
+        a, b, c, d = program.entries
         assert program.named == {"x", "y", "q1"}
         # op-only guards that hold become None; c still reads state
         x_rows = program.scan(EventKind.SENT, "x")
         assert [r[2][1] for r in x_rows] == ["a", "c", "d"]
-        assert x_rows[0][0] is None and x_rows[1][0] is scan[2][0]
+        assert x_rows[0][0] is None and x_rows[1][0] is c.pred
         # the override for q1 always applies: it becomes d's body, and the
         # one after it never runs
         q1_rows = program.scan(EventKind.SENT, "q1")
-        assert [r[0] for r in q1_rows] == [None, scan[3][0]]
-        assert q1_rows[1][1:] == (scan[3][3][0][1], ("IdxKid", "d"), ())
+        assert [r[0] for r in q1_rows] == [None, d.pred]
+        assert q1_rows[1][1:] == (d.overrides[0].body, ("IdxKid", "d"), ())
         # an unnamed operation keeps the guards it cannot settle, and
         # loses the override only q1 can reach
+        ov = d.overrides[1]
         assert program.scan(EventKind.SENT, "q9") == (
-            scan[1], (*scan[3][:3], scan[3][3][1:]))
+            (b.pred, b.body, b.matched, ()),
+            (d.pred, d.body, d.matched, ((ov.pred, ov.body, ov.matched),)))
         assert program.scan(EventKind.SENT, "zz") is \
             program.scan(EventKind.SENT, "q9")
 
@@ -657,14 +659,16 @@ class TestOperationIndex:
 
     @staticmethod
     def _full_scan(program, state, cert_attrs, ctx):
-        """Reference: ``evaluate`` over every row of ``scans[event]``."""
+        """Reference: ``evaluate`` over every entry of the program."""
         updates, effects = [], []
-        for pred, body, matched, overrides in program.scans[ctx.event]:
-            if not pred(ctx, state, cert_attrs):
+        for entry in program.entries:
+            if (ctx.event not in entry.events
+                    or not entry.pred(ctx, state, cert_attrs)):
                 continue
-            for ov_pred, ov_body, ov_matched in overrides:
-                if ov_pred(ctx, state, cert_attrs):
-                    body, matched = ov_body, ov_matched
+            body, matched = entry.body, entry.matched
+            for ov in entry.overrides:
+                if ctx.event in ov.events and ov.pred(ctx, state, cert_attrs):
+                    body, matched = ov.body, ov.matched
                     break
             decided = body(state, cert_attrs, updates, effects)
             if decided is not None:

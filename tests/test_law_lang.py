@@ -271,6 +271,11 @@ class TestParserDiagnostics:
                      1, 27,
                      "expected event kind (adopted, sent, arrived), found '3'",
                      id="event-kind"),
+        pytest.param('law T { default rule r on "" { permit; } }',
+                     1, 27,
+                     "expected event kind (adopted, sent, arrived), found "
+                     "'\"\"'",
+                     id="event-kind-empty-string"),
         pytest.param("law T { default rule r on flying { permit; } }",
                      1, 27, "unknown event kind 'flying'", id="unknown-event"),
         pytest.param("law T { default rule r on sent, arrived, sent { permit; "
@@ -386,7 +391,7 @@ class TestParserDiagnostics:
                      1, 40, "expected '==', found 'matches'",
                      id="flow-equals"),
         pytest.param(RULE + 'flow == "inner" { permit; } }',
-                     1, 43, "expected flow kind, found 'inner'",
+                     1, 43, "expected flow kind, found '\"inner\"'",
                      id="flow-kind"),
         pytest.param(RULE + "flow == sideways { permit; } }",
                      1, 43, "unknown flow kind 'sideways'", id="unknown-flow"),
@@ -402,7 +407,7 @@ class TestParserDiagnostics:
                      1, 47, "expected '==', found 'X'",
                      id="peer-module-equals"),
         pytest.param(RULE + 'peer.module == "X" { permit; } }',
-                     1, 50, "expected module name, found 'X'",
+                     1, 50, "expected module name, found '\"X\"'",
                      id="peer-module-name"),
         pytest.param(RULE + 'peer.profile == "a" { permit; } }',
                      1, 48, "expected keyword 'has', found '=='",
