@@ -107,7 +107,7 @@ def _cmd_bench(args) -> int:
 
 def _serve_forever(service: fabric.TcpService, what: str) -> int:
     host, port = service.address
-    print(f"{what} listening on {host}:{port}")
+    print(f"{what} listening on {host}:{port}", flush=True)
     try:
         while True:
             time.sleep(3600)

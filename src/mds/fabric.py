@@ -1,18 +1,21 @@
 """Message fabric: wire frames, two transports, and services.
 
 A frame is a 4-byte big-endian length prefix and a JSON body laid out as
-``WIRE_FORMAT`` lists; ``read_frame`` is the one reader of the prefix.  The
-frames back the TCP transport and services; the in-process simulator
-carries the decoded message objects themselves, so it never runs the codec.
+``WIRE_FORMAT`` lists; ``_body_size`` checks every prefix read, whether by
+``read_frame`` or from a service's buffer.  The frames back the TCP
+transport and services; the in-process simulator carries the decoded
+message objects themselves, so it never runs the codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
 ``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
-``TcpNetwork`` keeps one persistent connection per registered address,
-opened at the first send to it; ``call_remote`` opens one connection per
-request, for law fetches and registry calls.  The simulator delivers
-strictly in (deliver_at, enqueue sequence) order, so a fixed schedule of
-sends yields one possible execution, always the same.  The registry is
-best-effort bookkeeping: rulings never depend on it.
+``TcpNetwork`` opens its own connection to each address as it registers
+it, and reads and rules on the frames it sent there on the caller's
+thread.  ``TcpService`` serves peers from outside a run (and the law server
+and registry) from one selector thread; ``call_remote`` opens one
+connection per request, for law fetches and registry calls.  The simulator
+delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
+schedule of sends yields one possible execution, always the same.  The
+registry is best-effort bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import base64
 import itertools
 import json
 import logging
+import selectors
 import socket
 import threading
 import time
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import law_lang
 from .controller import BareInbound, Envelope
@@ -35,8 +41,10 @@ from .model import LawHierarchy, UnknownLawError
 
 log = logging.getLogger("mds.fabric")
 
-MAX_FRAME = 16 * 1024 * 1024
-DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits
+MAX_FRAME = 1024 * 1024  # bytes in a frame body; a law_response needs ~2 KB
+DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits per read
+FRAME_DEADLINE = 5.0  # seconds a served peer has to finish a frame it began
+MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 
 
@@ -324,6 +332,14 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 
+def _body_size(header: bytes) -> int:
+    """The body size a 4-byte length prefix declares, refused past MAX_FRAME."""
+    size = int.from_bytes(header, "big")
+    if size > MAX_FRAME:
+        raise FrameError("frame too large")
+    return size
+
+
 def read_frame(sock: socket.socket) -> Optional[WireMessage]:
     """Read one frame; None when the peer closed the stream between frames."""
     header = _read_upto(sock, 4)
@@ -331,9 +347,7 @@ def read_frame(sock: socket.socket) -> Optional[WireMessage]:
         return None
     if len(header) < 4:
         raise FrameError("truncated length prefix")
-    size = int.from_bytes(header, "big")
-    if size > MAX_FRAME:
-        raise FrameError("frame too large")
+    size = _body_size(header)
     body = _read_upto(sock, size)
     if len(body) < size:
         raise FrameError("connection closed mid-frame")
@@ -355,71 +369,218 @@ def send_frame(sock: socket.socket, msg: WireMessage):
     sock.sendall(encode_frame(msg))
 
 
+Handler = Callable[[WireMessage], Optional[WireMessage]]  # returns a reply
+
+
+class _Peer:
+    """An accepted connection: the bytes of frames not yet whole, and the
+    bytes of replies not yet sent."""
+
+    __slots__ = ("sock", "handler", "inbox", "outbox", "since", "events")
+
+    def __init__(self, sock: socket.socket, handler: Handler):
+        self.sock = sock
+        self.handler = handler
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.since: Optional[float] = None  # when the unfinished frame began
+        self.events = selectors.EVENT_READ
+
+
 class TcpService:
-    """A frame server: one thread per connection, frames handled serially."""
+    """Frame servers on one selector thread.
 
-    def __init__(self, handler: Callable[[WireMessage], Optional[WireMessage]],
+    ``TcpService(handler, host, port)`` listens at ``address``; ``serve``
+    adds more listeners, each with its own handler.  Every accepted
+    connection keeps a byte buffer, cut into frames at the length prefix
+    (the check ``read_frame`` makes).  The loop thread hands each whole
+    frame to the listener's handler, one frame at a time, and sends back
+    the reply it returns; it reads no more from a connection until that
+    reply is out.  A handler that raises is logged, and the next frame is
+    read.  A connection is dropped when its peer closes it or sends a bad
+    frame, or when a frame it began (or a reply to it) is still unfinished
+    after ``FRAME_DEADLINE`` seconds.  Beyond ``MAX_CONNECTIONS`` open
+    connections, each new one is closed as soon as it is accepted.
+    ``close`` stops the thread and closes every socket.
+    """
+
+    def __init__(self, handler: Optional[Handler] = None,
                  host: str = "127.0.0.1", port: int = 0):
-        self._handler = handler
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(32)
-        self.address = self._sock.getsockname()
-        self._closing = False
-        self._conns: set[socket.socket] = set()  # accepted, still served
+        self._selector = selectors.DefaultSelector()
+        # serve() and close() write a byte here to wake the loop
+        self._wake, self._waker = socket.socketpair()
+        self._wake.setblocking(False)
+        self._waker.setblocking(False)
+        self._selector.register(self._wake, selectors.EVENT_READ,
+                                self._on_wake)
         self._lock = threading.Lock()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-
-    def _accept_loop(self):
-        while not self._closing:
+        self._closing = False
+        self._joining: list[tuple[socket.socket, Handler]] = []
+        self._listeners: list[socket.socket] = []
+        self._peers: dict[socket.socket, _Peer] = {}
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="mds-tcp-service")
+        self._thread.start()
+        if handler is not None:
             try:
-                conn, _ = self._sock.accept()
+                self.address = self.serve(
+                    socket.create_server((host, port)), handler)
             except OSError:
-                return
-            with self._lock:
-                if self._closing:
-                    conn.close()
-                    return
-                self._conns.add(conn)
-            threading.Thread(target=self._serve, args=(conn,),
-                             daemon=True).start()
+                self.close()
+                raise
 
-    def _serve(self, conn: socket.socket):
-        try:
-            while True:
-                try:
-                    msg = read_frame(conn)
-                except (FrameError, OSError):
-                    return
-                if msg is None:
-                    return
-                try:
-                    reply = self._handler(msg)
-                except Exception:  # the frame boundary holds: read the next
-                    log.exception("frame handler failed")
-                    continue
-                if reply is not None:
-                    try:
-                        send_frame(conn, reply)
-                    except OSError:
-                        return
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-            conn.close()
+    def serve(self, listener: socket.socket,
+              handler: Handler) -> tuple[str, int]:
+        """Serve the connections ``listener`` accepts; returns its address."""
+        listener.setblocking(False)
+        with self._lock:
+            self._joining.append((listener, handler))
+        self._wakeup()
+        return listener.getsockname()
 
     def close(self):
-        # close() alone wakes no thread blocked in accept() or recv()
+        """Stop the loop thread, which closes every socket on its way out."""
         with self._lock:
             self._closing = True
-            conns = list(self._conns)
-        for sock in (self._sock, *conns):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already closed by its serving thread
+        self._wakeup()
+        self._thread.join()
+        self._waker.close()
+
+    def _wakeup(self):
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # a wake-up is pending already, or the loop is gone
+            pass
+
+    # -- the loop thread ----------------------------------------------------
+
+    def _run(self):
+        timeout = None
+        try:
+            while not self._closing:
+                for key, events in self._selector.select(timeout):
+                    key.data(events)
+                timeout = self._expire()
+        finally:
+            self._release()
+
+    def _expire(self) -> Optional[float]:
+        """Drop the peers whose unfinished frame ran out of time; returns
+        the seconds left to the next one that may, None if there is none."""
+        now = time.monotonic()
+        timeout = None
+        for peer in list(self._peers.values()):
+            if peer.since is None:
+                continue
+            left = peer.since + FRAME_DEADLINE - now
+            if left <= 0:
+                self._drop(peer)
+            elif timeout is None or left < timeout:
+                timeout = left
+        return timeout
+
+    def _on_wake(self, _events: int):
+        try:
+            while self._wake.recv(4096):
                 pass
-        self._sock.close()
+        except BlockingIOError:
+            pass
+        with self._lock:
+            joining, self._joining = self._joining, []
+        for listener, handler in joining:
+            self._listeners.append(listener)
+            self._selector.register(listener, selectors.EVENT_READ,
+                                    partial(self._accept, listener, handler))
+
+    def _accept(self, listener: socket.socket, handler: Handler,
+                _events: int):
+        try:
+            sock, _ = listener.accept()
+        except OSError:  # the peer gave up before it was accepted
+            return
+        if len(self._peers) >= MAX_CONNECTIONS:
+            sock.close()
+            return
+        sock.setblocking(False)
+        peer = _Peer(sock, handler)
+        self._peers[sock] = peer
+        self._selector.register(sock, peer.events,
+                                partial(self._on_peer, peer))
+
+    def _on_peer(self, peer: _Peer, events: int):
+        try:
+            if events & selectors.EVENT_READ:
+                data = peer.sock.recv(65536)
+                if not data:  # closed by the peer, perhaps mid-frame
+                    self._drop(peer)
+                    return
+                peer.inbox += data
+            self._pump(peer)
+        except BlockingIOError:
+            pass
+        except (OSError, FrameError):
+            self._drop(peer)
+
+    def _pump(self, peer: _Peer):
+        """Send what is owed, then handle whole frames, until the peer must
+        send more or take what is owed."""
+        inbox, outbox = peer.inbox, peer.outbox
+        handled = False
+        while True:
+            if outbox:
+                try:
+                    del outbox[:peer.sock.send(outbox)]
+                except BlockingIOError:
+                    break
+                if outbox:
+                    break
+            if len(inbox) < 4:
+                break
+            end = 4 + _body_size(inbox[:4])
+            if len(inbox) < end:
+                break
+            msg = decode_body(bytes(inbox[4:end]))
+            del inbox[:end]
+            handled = True
+            try:
+                reply = peer.handler(msg)
+            except Exception:  # the frame boundary holds: read the next
+                log.exception("frame handler failed")
+                continue
+            if reply is not None:
+                outbox += encode_frame(reply)
+        if not inbox and not outbox:
+            peer.since = None
+        elif handled or peer.since is None:
+            peer.since = time.monotonic()
+        events = selectors.EVENT_WRITE if outbox else selectors.EVENT_READ
+        if events != peer.events:
+            peer.events = events
+            self._selector.modify(peer.sock, events,
+                                  partial(self._on_peer, peer))
+
+    def _drop(self, peer: _Peer):
+        self._selector.unregister(peer.sock)
+        del self._peers[peer.sock]
+        peer.sock.close()
+
+    def _release(self):
+        with self._lock:
+            joining, self._joining = self._joining, []
+        for listener in self._listeners + [sock for sock, _ in joining]:
+            # a peer still waiting to be accepted reads the end of the
+            # stream too, not a reset
+            while True:
+                try:
+                    listener.accept()[0].close()
+                except OSError:
+                    break
+            listener.close()
+        for sock in self._peers:
+            sock.close()
+        self._peers.clear()
+        self._selector.close()
+        self._wake.close()
 
 
 def serve_law_server(h: LawHierarchy, host: str = "127.0.0.1",
@@ -465,69 +626,86 @@ def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
     return reply
 
 
+class _Link(NamedTuple):
+    """The network's own connection to one registered address."""
+    client: socket.socket  # send() writes here
+    server: socket.socket  # the accepted end run_until_idle reads
+    handle: Callable[[WireMessage], None]
+
+
 class TcpNetwork:
     """The ``SimNetwork`` interface over loopback sockets.
 
-    Each registered address gets its own ``TcpService``, whose handler runs
-    under a lock of its own; peers outside the run reach it at the host:port
-    that ``register`` returns.  ``send`` writes each frame to one persistent
-    connection per registered address, opened at the first send to it and
-    closed by ``close`` (``latency`` is the real network's, so the argument
-    is ignored).  ``run_until_idle`` waits until the handled count reaches
-    the mark each ``send`` raises from the count it finds, so a stray frame
-    handled between sends (a ``law_fetch``, a registry peer's) does not end
-    a later wait.
+    ``register`` binds a listening socket for the address, connects the
+    network's own client socket to it and accepts the server end, all on
+    the calling thread.  ``send`` writes the frame on that connection
+    (``latency`` is the real network's, so the argument is ignored), and
+    ``run_until_idle`` reads one frame per send from the server end and
+    runs the handler, again on the calling thread: no other thread takes
+    part in a delivery.  Peers outside the run reach the address at the
+    host:port ``register`` returns; one ``TcpService`` loop thread serves
+    every such connection.  Each address's handler runs under a lock of
+    its own, so an outside frame is never handled while the caller
+    handles one for the same address, and since it arrives on another
+    connection it cannot end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
 
     def __init__(self):
-        self._services: dict[str, TcpService] = {}
-        self._conns: dict[str, socket.socket] = {}
-        self._handled = 0
-        self._target = 0
-        self._cv = threading.Condition()
+        self._service = TcpService()
+        self._links: dict[str, _Link] = {}
+        self._sent: deque[str] = deque()  # an address per frame not yet read
         self._ticks = itertools.count()
 
     def register(self, address: str,
                  handler: Callable[[WireMessage], None]) -> str:
-        """Serve ``handler`` on a fresh socket; returns its host:port."""
+        """Connect to a fresh listening socket for ``handler``; returns its
+        host:port."""
         lock = threading.Lock()
 
         def handle(msg: WireMessage) -> None:
-            try:
-                with lock:
-                    handler(msg)
-            finally:  # a failed handler is done too; the sender sees no ruling
-                with self._cv:
-                    self._handled += 1
-                    self._cv.notify_all()
+            with lock:
+                handler(msg)
 
-        service = TcpService(handle)
-        self._services[address] = service
-        return "{}:{}".format(*service.address)
+        with ExitStack() as undo:
+            listener = undo.enter_context(
+                socket.create_server(("127.0.0.1", 0)))
+            client = undo.enter_context(
+                socket.create_connection(listener.getsockname()))
+            # frames flow one way: never hold one back for an ACK
+            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            listener.settimeout(DELIVERY_TIMEOUT)
+            server, peer = listener.accept()
+            undo.enter_context(server)
+            if peer != client.getsockname():
+                raise ConnectionError(f"{address!r}: accepted {peer}, not "
+                                      f"this network's own connection")
+            server.settimeout(DELIVERY_TIMEOUT)
+            host, port = self._service.serve(listener, handle)
+            undo.pop_all()
+        self._links[address] = _Link(client, server, handle)
+        return f"{host}:{port}"
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
-        with self._cv:
-            self._target = max(self._target, self._handled) + 1
-        conn = self._conns.get(address)
-        if conn is None:
-            conn = socket.create_connection(self._services[address].address)
-            # frames flow one way: never hold one back for an ACK
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns[address] = conn
-        try:
-            send_frame(conn, msg)
-        except OSError:  # a partial frame may be out: never reuse the stream
-            del self._conns[address]
-            conn.close()
-            raise
+        # one frame fits the loopback buffers, so the write cannot wait for
+        # the read that run_until_idle makes later on this thread
+        send_frame(self._links[address].client, msg)
+        self._sent.append(address)
 
     def run_until_idle(self):
-        with self._cv:
-            if not self._cv.wait_for(lambda: self._handled >= self._target,
-                                     timeout=DELIVERY_TIMEOUT):
-                raise TimeoutError("tcp delivery timed out")
+        while self._sent:
+            link = self._links[self._sent.popleft()]
+            try:
+                msg = read_frame(link.server)
+            except TimeoutError:
+                raise TimeoutError("tcp delivery timed out") from None
+            if msg is None:
+                raise ConnectionError("own connection closed")
+            try:
+                link.handle(msg)
+            except Exception:  # as in a service: the sender sees no ruling
+                log.exception("frame handler failed")
 
     def advance(self, ticks: int) -> str:
         """Sleep 10 ms per tick; returns the step text."""
@@ -538,9 +716,9 @@ class TcpNetwork:
         return next(self._ticks)
 
     def close(self):
-        """Close the connections this network opened, then the services."""
-        for conn in self._conns.values():
-            conn.close()
-        self._conns.clear()
-        for service in self._services.values():
-            service.close()
+        """Stop serving outside peers, then close the own connections."""
+        self._service.close()
+        for link in self._links.values():
+            link.client.close()
+            link.server.close()
+        self._links.clear()

@@ -2,16 +2,21 @@
 
 import copy
 import dataclasses
+import importlib
 import json
 import random
+import select
 import socket
 import string
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from mds import fabric
+from mds.conformance import build_hierarchy
 from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
@@ -19,6 +24,8 @@ from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         fetch_law, read_frame, serve_law_server,
                         serve_registry)
 from mds.controller import BareInbound, Envelope
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class ChunkedSocket:
@@ -392,10 +399,12 @@ class TestTcpServices:
         service = TcpService(lambda msg: None)
         peer = socket.create_connection(service.address)
         try:
-            # the accept thread and one serving thread for the peer
-            assert _settle(lambda: threading.active_count() == before + 2)
+            # one loop thread serves the listener and every connection
+            assert _settle(lambda: threading.active_count() == before + 1)
             service.close()
-            # both end although the peer keeps its end open
+            # the peer keeps its end open, yet reads the end of the stream
+            peer.settimeout(1.0)
+            assert peer.recv(1) == b""
             assert _settle(lambda: threading.active_count() <= before)
         finally:
             peer.close()
@@ -463,3 +472,169 @@ class TestTcpNetwork:
         finally:
             net.close()
         assert got == [None, LawFetch("second")]
+
+    def test_own_frames_are_handled_on_the_calling_thread(self):
+        threads = []
+        net = TcpNetwork()
+        try:
+            net.register("a", lambda msg: threads.append(
+                threading.get_ident()))
+            for i in range(3):
+                net.send("a", LawFetch(f"L{i}"))
+                net.run_until_idle()
+        finally:
+            net.close()
+        assert threads == [threading.get_ident()] * 3
+
+    def test_outside_frames_never_overlap_the_callers_handling(self):
+        guard = threading.Lock()
+        inside = 0
+        overlapped = False
+        handled = []  # (name, thread)
+
+        def handler(msg):
+            nonlocal inside, overlapped
+            with guard:
+                inside += 1
+                overlapped = overlapped or inside > 1
+            time.sleep(0.001)  # widen the window an overlap would need
+            with guard:
+                inside -= 1
+            handled.append((msg.name, threading.get_ident()))
+
+        net = TcpNetwork()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: overlaps show
+        try:
+            host, port = net.register("a", handler).rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as outside:
+                outside.sendall(b"".join(
+                    encode_frame(LawFetch("outside")) for _ in range(30)))
+                for _ in range(30):
+                    net.send("a", LawFetch("own"))
+                    net.run_until_idle()
+                assert _settle(lambda: len(handled) == 60, within=5.0)
+        finally:
+            sys.setswitchinterval(switch)
+            net.close()
+        main = threading.get_ident()
+        assert {t for name, t in handled if name == "own"} == {main}
+        loop_threads = {t for name, t in handled if name == "outside"}
+        assert len(loop_threads) == 1 and main not in loop_threads
+        assert not overlapped
+
+    def test_one_thread_serves_every_address(self):
+        before = threading.active_count()
+        net = TcpNetwork()
+        try:
+            for i in range(20):
+                net.register(f"p{i}", lambda msg: None)
+            assert threading.active_count() <= before + 1
+        finally:
+            net.close()
+        assert threading.active_count() <= before
+
+    def test_a_frame_of_the_largest_size_needs_no_reader_to_be_sent(self):
+        # send() writes the whole frame before run_until_idle reads it on
+        # the same thread, so a frame must fit the loopback buffers
+        got = []
+        payload = b"x" * (fabric.MAX_FRAME * 3 // 4 - 200)  # base64 grows 4/3
+
+        def deliver():
+            net = TcpNetwork()
+            try:
+                net.register("a", got.append)
+                net.send("a", BareInbound("s", "a", "op", payload))
+                net.run_until_idle()
+            finally:
+                net.close()
+
+        worker = threading.Thread(target=deliver, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert [msg.payload for msg in got] == [payload]
+
+
+def _ended(sock: socket.socket, within: float = 2.0) -> bool:
+    """Whether the other side ends the stream (by FIN or reset) in time."""
+    sock.settimeout(within)
+    try:
+        while sock.recv(4096):
+            pass
+    except ConnectionResetError:
+        pass
+    except TimeoutError:
+        return False
+    return True
+
+
+class TestServiceLimits:
+    def test_slow_peer_is_dropped_while_others_are_served(
+            self, shipped, monkeypatch):
+        monkeypatch.setattr(fabric, "FRAME_DEADLINE", 0.3)
+        service = serve_law_server(shipped)
+        try:
+            with socket.create_connection(service.address) as loris:
+                loris.sendall(b"\x00\x00")  # half a length prefix, then idle
+                reply = fetch_law(service.address, "SB")
+                assert reply.found and reply.lineage == shipped.lineage["SB"]
+                start = time.monotonic()
+                assert _ended(loris)
+                assert time.monotonic() - start < 1.5
+        finally:
+            service.close()
+
+    def test_connection_flood_starts_no_thread(self, shipped, monkeypatch):
+        monkeypatch.setattr(fabric, "FRAME_DEADLINE", 1.0)
+        service = serve_law_server(shipped)
+        threads = threading.active_count()
+        flood = []
+        try:
+            for _ in range(fabric.MAX_CONNECTIONS + 8):
+                sock = socket.create_connection(service.address)
+                flood.append(sock)
+                sock.sendall(b"\x00")
+            assert threading.active_count() <= threads
+            # the connections past the cap are closed at once, the others
+            # when their unfinished frames run out of time
+            time.sleep(0.4)
+            closed, _, _ = select.select(flood, [], [], 0)
+            assert len(closed) == 8
+            assert all(_ended(sock) for sock in flood)
+            assert threading.active_count() <= threads
+            assert fetch_law(service.address, "SB").found
+        finally:
+            for sock in flood:
+                sock.close()
+            service.close()
+
+    def test_oversized_declaration_is_refused_before_the_body(self):
+        stream = (fabric.MAX_FRAME + 1).to_bytes(4, "big") + b"{}" * 64
+        sock = ChunkedSocket(stream)
+        with pytest.raises(FrameError):
+            read_frame(sock)
+        assert sock._at == 4
+        # a service drops the connection on the prefix alone
+        service = TcpService(lambda msg: None)
+        try:
+            with socket.create_connection(service.address) as peer:
+                peer.sendall(stream[:4])
+                start = time.monotonic()
+                assert _ended(peer)
+                assert time.monotonic() - start < fabric.FRAME_DEADLINE / 2
+        finally:
+            service.close()
+
+    def test_law_responses_fit_in_a_frame(self, shipped, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        deep = workloads.build("deep-law", 1, REPO_ROOT / "laws", steps=1)
+        laws = workloads.parse_law_texts(deep.law_texts)
+        deep_h, problems = build_hierarchy(laws.values())
+        assert deep_h is not None, problems
+        for h in (shipped, deep_h):
+            server = LawServer(h)
+            sizes = [len(encode_frame(server.respond(LawFetch(name)))) - 4
+                     for name in h.laws]
+            assert max(sizes) <= fabric.MAX_FRAME

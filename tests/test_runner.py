@@ -8,8 +8,8 @@ import time
 import pytest
 
 from mds import conformance, fabric, law_lang
-from mds.runner import (RunnerError, ScenarioRunner, check_law_dir,
-                        run_scenario)
+from mds.runner import (ENV_LAW_SERVER, ENV_REGISTRY, RunnerError,
+                        ScenarioRunner, check_law_dir, run_scenario)
 from mds.scenario import load_scenario, parse_scenario
 
 AUDIT_LINE = re.compile(
@@ -225,6 +225,42 @@ class TestLawDistribution:
                            match="'MS' that does not parse: lawserver:MS: "
                                  r"\d+:\d+: error: permit override body"):
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
+
+
+class TestExternalServices:
+    def test_tcp_run_uses_the_law_server_and_registry_it_is_given(
+            self, scenario_dir, shipped, monkeypatch):
+        law_service = fabric.serve_law_server(shipped)
+        registry = fabric.Registry()
+        registry_service = fabric.serve_registry(registry)
+        own_law_servers = []
+        monkeypatch.setattr(fabric, "serve_law_server",
+                            lambda *args: own_law_servers.append(args))
+        try:
+            for env, service in ((ENV_LAW_SERVER, law_service),
+                                 (ENV_REGISTRY, registry_service)):
+                monkeypatch.setenv(env, "{}:{}".format(*service.address))
+            scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+            runner = ScenarioRunner(scn, scenario_dir, mode="tcp", seed=7)
+            report = runner.run()
+            assert report.ok, [s.text for s in report.failures()]
+            assert own_law_servers == []
+
+            def personas(reg):  # stamps follow the order frames arrive in
+                return [(r.component, r.module, r.address)
+                        for r in reg.query()]
+
+            notified = personas(runner.registry)
+            assert notified
+            # registration is fire-and-forget, so it may land after the run
+            deadline = time.monotonic() + 2.0
+            while (personas(registry) != notified
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert personas(registry) == notified
+        finally:
+            law_service.close()
+            registry_service.close()
 
 
 class TestLawDirChecking:
