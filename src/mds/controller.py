@@ -98,7 +98,7 @@ class FlowClassificationError(ValueError):
 
 
 class AdoptionRefused(RuntimeError):
-    def __init__(self, reason: str, outcome: Optional["Ruling"] = None):
+    def __init__(self, reason: str, outcome: "Ruling"):
         super().__init__(reason)
         self.reason = reason
         self.outcome = outcome

@@ -8,11 +8,13 @@ message objects themselves, so it never runs the codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
 ``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
-``TcpNetwork`` opens its own connection to each address as it registers
-it, and reads and rules on the frames it sent there on the caller's
-thread.  ``TcpService`` serves peers from outside a run (and the law server
-and registry) from one selector thread; ``call_remote`` opens one
-connection per request, for law fetches and registry calls.  The simulator
+``run_until_idle`` returns the last handler's result (None if it delivered
+nothing), and a handler's exception propagates from it.  ``TcpNetwork``
+opens its own connection to each address as it registers it, and reads
+and rules on the frames it sent there on the caller's thread.
+``TcpService`` serves peers from outside a run (and the law server and
+registry) from one selector thread; ``call_remote`` opens one connection
+per request, for law fetches and registry calls.  The simulator
 delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
 schedule of sends yields one possible execution, always the same.  The
 registry is best-effort bookkeeping: rulings never depend on it.
@@ -207,11 +209,11 @@ class SimNetwork:
         self.clock = 0
         self._seq = 0
         self._pending: list[tuple[int, int, str, WireMessage]] = []
-        self._handlers: dict[str, Callable[[WireMessage], None]] = {}
+        self._handlers: dict[str, Callable[[WireMessage], object]] = {}
         self.dropped: list[tuple[str, WireMessage]] = []
 
     def register(self, address: str,
-                 handler: Callable[[WireMessage], None]) -> str:
+                 handler: Callable[[WireMessage], object]) -> str:
         """Deliver messages for ``address`` to ``handler``; returns address."""
         self._handlers[address] = handler
         return address
@@ -222,9 +224,9 @@ class SimNetwork:
         heappush(self._pending, (self.clock + latency, self._seq, address, msg))
         self._seq += 1
 
-    def step(self) -> bool:
-        if not self._pending:
-            return False
+    def step(self) -> object:
+        """Deliver the next message due, of which there must be one; returns
+        what its handler returned (None when its address is unknown)."""
         deliver_at, _, address, msg = heappop(self._pending)
         if deliver_at > self.clock:
             self.clock = deliver_at
@@ -232,14 +234,15 @@ class SimNetwork:
         if handler is None:
             log.warning("dropping message for unknown address %r", address)
             self.dropped.append((address, msg))
-            return True
-        handler(msg)
-        return True
+            return None
+        return handler(msg)
 
-    def run_until_idle(self):
+    def run_until_idle(self) -> object:
+        result = None
         for _ in range(MAX_SIM_EVENTS):
-            if not self.step():
-                return
+            if not self._pending:
+                return result
+            result = self.step()
         raise RuntimeError("simulator did not quiesce")
 
     def advance(self, ticks: int) -> str:
@@ -630,7 +633,7 @@ class _Link(NamedTuple):
     """The network's own connection to one registered address."""
     client: socket.socket  # send() writes here
     server: socket.socket  # the accepted end run_until_idle reads
-    handle: Callable[[WireMessage], None]
+    handle: Callable[[WireMessage], object]
 
 
 class TcpNetwork:
@@ -642,12 +645,13 @@ class TcpNetwork:
     (``latency`` is the real network's, so the argument is ignored), and
     ``run_until_idle`` reads one frame per send from the server end and
     runs the handler, again on the calling thread: no other thread takes
-    part in a delivery.  Peers outside the run reach the address at the
-    host:port ``register`` returns; one ``TcpService`` loop thread serves
-    every such connection.  Each address's handler runs under a lock of
-    its own, so an outside frame is never handled while the caller
-    handles one for the same address, and since it arrives on another
-    connection it cannot end a wait.
+    part in a delivery, and the handler's result or exception reaches the
+    caller.  Peers outside the run reach the address at the host:port
+    ``register`` returns; one ``TcpService`` loop thread serves every
+    such connection, sends no reply and logs a handler's failure.  Each
+    address's handler runs under a lock of its own, so an outside frame
+    is never handled while the caller handles one for the same address,
+    and since it arrives on another connection it cannot end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -659,14 +663,17 @@ class TcpNetwork:
         self._ticks = itertools.count()
 
     def register(self, address: str,
-                 handler: Callable[[WireMessage], None]) -> str:
+                 handler: Callable[[WireMessage], object]) -> str:
         """Connect to a fresh listening socket for ``handler``; returns its
         host:port."""
         lock = threading.Lock()
 
-        def handle(msg: WireMessage) -> None:
+        def handle(msg: WireMessage) -> object:
             with lock:
-                handler(msg)
+                return handler(msg)
+
+        def serve(msg: WireMessage) -> None:  # an outside peer gets no reply
+            handle(msg)
 
         with ExitStack() as undo:
             listener = undo.enter_context(
@@ -682,7 +689,7 @@ class TcpNetwork:
                 raise ConnectionError(f"{address!r}: accepted {peer}, not "
                                       f"this network's own connection")
             server.settimeout(DELIVERY_TIMEOUT)
-            host, port = self._service.serve(listener, handle)
+            host, port = self._service.serve(listener, serve)
             undo.pop_all()
         self._links[address] = _Link(client, server, handle)
         return f"{host}:{port}"
@@ -693,19 +700,15 @@ class TcpNetwork:
         send_frame(self._links[address].client, msg)
         self._sent.append(address)
 
-    def run_until_idle(self):
+    def run_until_idle(self) -> object:
+        result = None
         while self._sent:
             link = self._links[self._sent.popleft()]
-            try:
-                msg = read_frame(link.server)
-            except TimeoutError:
-                raise TimeoutError("tcp delivery timed out") from None
+            msg = read_frame(link.server)
             if msg is None:
                 raise ConnectionError("own connection closed")
-            try:
-                link.handle(msg)
-            except Exception:  # as in a service: the sender sees no ruling
-                log.exception("frame handler failed")
+            result = link.handle(msg)
+        return result
 
     def advance(self, ticks: int) -> str:
         """Sleep 10 ms per tick; returns the step text."""

@@ -68,6 +68,8 @@ from .model import (
     Law,
     MetaDirection,
     MetaPermission,
+    NAME,
+    NAME_CHAR,
     Not,
     NotifyRegistry,
     OpEquals,
@@ -141,11 +143,11 @@ _STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\[\\"nt])*'
 _LAW_LEXEME = re.compile(
     r"([ \t\r]+)"                               # 1 blank
     r"|(#.*)"                                   # 2 comment, to the row's end
-    r"|([A-Za-z_][A-Za-z0-9_-]*)"               # 3 NAME
+    r"|(" + NAME + ")"                          # 3 NAME
     r"|(==|[{}\[\](),;.=<])"                    # 4 PUNCT
     r'|("' + _STRING_BODY + '")'                # 5 STRING
-    r"|(-?[0-9]+(?![A-Za-z0-9_-]))"             # 6 NUMBER
-    r"|([A-Za-z0-9_-]+)"                        # 7 word that is neither
+    r"|(-?[0-9]+(?!" + NAME_CHAR + "))"         # 6 NUMBER
+    r"|(" + NAME_CHAR + "+)"                    # 7 word that is neither
     r"|(.)")                                    # 8 anything else
 _COMMENT, _STRING, _BAD_WORD = 2, 5, 7
 _KINDS = (None, None, None, "NAME", "PUNCT", "STRING", "NUMBER")

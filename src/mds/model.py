@@ -20,13 +20,16 @@ from typing import Optional, Union
 
 
 # A law name doubles as a module name.  Identifiers (law names, rule ids,
-# profile labels, outside addresses) share one token charset.
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+# profile labels, outside addresses) share one token charset: NAME_CHAR, and
+# a NAME starts with neither a digit nor "-".
+NAME_CHAR = "[A-Za-z0-9_-]"
+NAME = "[A-Za-z_]" + NAME_CHAR + "*"
+_NAME_RE = re.compile(NAME)
 
 
 def valid_name(token: str) -> bool:
     """True if token is usable as a law name, rule id, label, or address."""
-    return bool(_NAME_RE.match(token))
+    return _NAME_RE.fullmatch(token) is not None
 
 
 class FlowKind(Enum):

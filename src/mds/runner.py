@@ -2,10 +2,13 @@
 
 The runner drives one transport interface (``fabric.SimNetwork`` or
 ``fabric.TcpNetwork``); the mode picks which, and nothing after assembly
-depends on it.  In ``sim`` mode messages travel a deterministic in-process
-network on a logical clock, so a scenario plus a seed fixes the audit byte
-for byte.  In ``tcp`` mode every adopted persona listens on its own
-loopback socket and frames cross real connections.
+depends on it.  ``run_until_idle`` returns the receiver's ruling from the
+delivery that made it, so a step reports the ruling on its own message,
+and a handler failure raises out of the step in both modes.  In ``sim``
+mode messages travel a deterministic in-process network on a logical
+clock, so a scenario plus a seed fixes the audit byte for byte.  In
+``tcp`` mode every adopted persona listens on its own loopback socket
+and frames cross real connections.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -31,14 +34,11 @@ from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          ComponentId, Decision, DemoIssuer, Envelope,
                          adopt, handle_arrive, handle_send, matched_token)
 from .model import FlowKind, Law, LawHierarchy
-from .scenario import (AdvanceStep, Scenario, SendStep, load_scenario)
+from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
+                       AdvanceStep, Scenario, SendStep, load_scenario)
 
 ENV_LAW_SERVER = "MDS_LAW_SERVER"
 ENV_REGISTRY = "MDS_REGISTRY"
-
-DELIVERED = "delivered"
-BLOCKED_AT_SENDER = "blocked-at-sender"
-BLOCKED_AT_RECEIVER = "blocked-at-receiver"
 
 
 class RunnerError(RuntimeError):
@@ -124,8 +124,7 @@ class ScenarioRunner:
         self.audit: list[str] = []
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
-        self._audit_lock = threading.Lock()
-        self._last_arrival: Optional[tuple[Decision, str]] = None
+        self._audit_lock = threading.Lock()  # outside peers audit too
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
         h0, problems = check_law_dir(law_dir)
@@ -219,9 +218,8 @@ class ScenarioRunner:
                         ComponentId(name=decl.name, address=label),
                         self.h, module, cert=cert)
                 except AdoptionRefused as exc:
-                    matched = (matched_token(exc.outcome.matched)
-                               if exc.outcome else "-")
-                    self._audit_line(label, "adopted", None, "refused", matched)
+                    self._audit_line(label, "adopted", None, "refused",
+                                     matched_token(exc.outcome.matched))
                     self.reports.append(StepReport(
                         0, f"adopt {label}: refused ({exc.reason})", True))
                     continue
@@ -249,15 +247,15 @@ class ScenarioRunner:
 
     # -- delivery -----------------------------------------------------------
 
-    def _deliver(self, label: str, msg: fabric.WireMessage):
+    def _deliver(self, label: str, msg: fabric.WireMessage
+                 ) -> Optional[tuple[Decision, str]]:
         if not isinstance(msg, (Envelope, BareInbound)):
-            return  # a frame kind no controller rules on
+            return None  # a frame kind no controller rules on
         ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
         token = matched_token(ruling.matched)
         self._audit_line(label, "arrived", ruling.flow, str(ruling.decision),
                          token)
-        with self._audit_lock:
-            self._last_arrival = (ruling.decision, token)
+        return ruling.decision, token
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
@@ -272,9 +270,7 @@ class ScenarioRunner:
         """Send msg to a persona, wait for its arrival ruling, and return
         (outcome, matched token)."""
         self.net.send(label, msg, latency=self.rng.randint(1, 3))
-        self.net.run_until_idle()
-        with self._audit_lock:
-            arrival = self._last_arrival
+        arrival = self.net.run_until_idle()
         if arrival is None:
             raise RunnerError("message was sent but never handled")
         decision, token = arrival
@@ -314,8 +310,6 @@ class ScenarioRunner:
                                      if step.target_law else "")
         verb = "outsidesend" if step.from_outside else "send"
         desc = f"{verb} {sender_part} -> {target_part} op {step.operation}"
-        with self._audit_lock:
-            self._last_arrival = None
 
         if step.from_outside:
             tlabel = self._persona(step.target, step.target_law)
@@ -327,7 +321,7 @@ class ScenarioRunner:
             agent = self.agents[slabel]
             if step.target in self.decls:
                 tlabel = self._persona(step.target, step.target_law)
-                locus: object = tlabel.split("@", 1)[1]
+                locus: object = self.agents[tlabel].law
             else:
                 tlabel = None
                 locus = OUTSIDE

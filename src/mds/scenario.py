@@ -25,9 +25,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .model import valid_name
+from .model import NAME, valid_name
 
-OUTCOMES = ("delivered", "blocked-at-sender", "blocked-at-receiver")
+OUTCOMES = DELIVERED, BLOCKED_AT_SENDER, BLOCKED_AT_RECEIVER = (
+    "delivered", "blocked-at-sender", "blocked-at-receiver")
 
 
 class ScenarioError(ValueError):
@@ -44,14 +45,14 @@ class ComponentDecl:
     cert_attrs: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expectation:
     outcome: str
     matched: Optional[str]
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SendStep:
     sender: str
     sender_law: Optional[str]
@@ -88,6 +89,7 @@ class Scenario:
 # code point.
 _WORD = re.compile(r'("(?:[^"\\]|\\["\\]|\\(?!["\\]))*)"|(")|(\S+)')
 _QUOTED_ESCAPE = re.compile(r'\\(["\\])')
+_ENDPOINT = re.compile(f"({NAME})(?:@({NAME}))?")
 
 
 def _split(line: str, lineno: int) -> list[str]:
@@ -108,14 +110,11 @@ def _split(line: str, lineno: int) -> list[str]:
 
 
 def _endpoint(token: str, lineno: int) -> tuple[str, Optional[str]]:
-    if "@" in token:
-        name, law = token.split("@", 1)
-        if not valid_name(name) or not valid_name(law):
-            raise ScenarioError(lineno, f"bad endpoint {token!r}")
-        return name, law
-    if not valid_name(token):
+    """NAME or NAME@MODULE, as (name, module or None)."""
+    m = _ENDPOINT.fullmatch(token)
+    if m is None:
         raise ScenarioError(lineno, f"bad endpoint {token!r}")
-    return token, None
+    return m.groups()
 
 
 def _parse_cert(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
@@ -138,6 +137,7 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     outsides: list[str] = []
     names: set[str] = set()  # components and outside parties so far
     steps: list[Step] = []
+    last_send: Optional[SendStep] = None  # what an expect line binds to
 
     # Lines end at "\n" only; strip() drops a "\r" before it.
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -215,11 +215,10 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                 payload = rest[1][1:].encode("utf-8")
             if head == "outsidesend" and sender_law is not None:
                 raise ScenarioError(lineno, "outside senders hold no law")
-            steps.append(SendStep(sender=sender, sender_law=sender_law,
-                                  target=target, target_law=target_law,
-                                  operation=operation, payload=payload,
-                                  from_outside=(head == "outsidesend"),
-                                  line=lineno))
+            last_send = SendStep(sender, sender_law, target, target_law,
+                                 operation, payload, head == "outsidesend",
+                                 lineno)
+            steps.append(last_send)
 
         elif head == "advance":
             if len(words) != 2 or not words[1].isdigit():
@@ -239,17 +238,11 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                 if words[2] != "matched" or not words[3]:
                     raise ScenarioError(lineno, "expected: matched TOKEN")
                 matched = words[3]
-            target_step = None
-            for step in reversed(steps):
-                if isinstance(step, SendStep):
-                    target_step = step
-                    break
-            if target_step is None:
+            if last_send is None:
                 raise ScenarioError(lineno, "expect with no send before it")
-            if target_step.expect is not None:
+            if last_send.expect is not None:
                 raise ScenarioError(lineno, "step already has an expectation")
-            target_step.expect = Expectation(outcome=outcome, matched=matched,
-                                             line=lineno)
+            last_send.expect = Expectation(outcome, matched, lineno)
 
         else:
             raise ScenarioError(lineno, f"unknown directive {head!r}")

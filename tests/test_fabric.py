@@ -150,6 +150,10 @@ class TestFrameErrors:
             b"\xff\xfe",
             b"[" * 100_000,  # nested past the recursion limit
             b"1" * 5000,  # more digits than int() converts
+            b"[]",  # JSON, but no record
+            b"5",
+            b"null",
+            b'"bare"',
         ]
         for body in bodies:
             with pytest.raises(FrameError):
@@ -308,6 +312,36 @@ class TestSimNetwork:
         assert run(42) == run(42)
         assert run(42) != run(43)
 
+    def test_step_returns_the_handlers_result(self):
+        net = SimNetwork()
+        net.register("x", lambda msg: msg.operation)
+        net.send("x", BareInbound("s", "x", "one", b""))
+        assert net.step() == "one"
+        net.send("nowhere", BareInbound("s", "nowhere", "op", b""))
+        assert net.step() is None
+
+
+@pytest.mark.parametrize("network", [SimNetwork, TcpNetwork])
+def test_run_until_idle_returns_the_last_result_and_raises_errors(network):
+    def fail(msg):
+        raise RuntimeError(f"handler fails on {msg.operation}")
+
+    net = network()
+    try:
+        net.register("x", lambda msg: msg.operation)
+        net.register("bad", fail)
+        assert net.run_until_idle() is None  # nothing was sent
+        for op in ("first", "last"):
+            net.send("x", BareInbound("s", "x", op, b""), latency=1)
+        assert net.run_until_idle() == "last"
+        net.send("bad", BareInbound("s", "bad", "op", b""))
+        with pytest.raises(RuntimeError, match="handler fails on op"):
+            net.run_until_idle()
+        net.send("x", BareInbound("s", "x", "after", b""))
+        assert net.run_until_idle() == "after"
+    finally:
+        net.close()
+
 
 class TestLawServer:
     def test_serves_canonical_text_and_lineage(self, shipped):
@@ -464,7 +498,8 @@ class TestTcpNetwork:
         try:
             net.register("a", handler)
             net.send("a", LawFetch("first"))
-            net.run_until_idle()
+            with pytest.raises(RuntimeError, match="first frame fails"):
+                net.run_until_idle()
             start = time.monotonic()
             net.send("a", LawFetch("second"))
             net.run_until_idle()
@@ -522,6 +557,38 @@ class TestTcpNetwork:
         loop_threads = {t for name, t in handled if name == "outside"}
         assert len(loop_threads) == 1 and main not in loop_threads
         assert not overlapped
+
+    def test_outside_frames_get_no_reply_and_the_loop_keeps_serving(
+            self, caplog):
+        handled = []
+
+        def handler(msg):
+            if msg.name == "fail":
+                raise RuntimeError("outside frame fails")
+            handled.append(msg)
+            return msg  # a value the service could encode as a reply
+
+        net = TcpNetwork()
+        try:
+            host, port = net.register("a", handler).rsplit(":", 1)
+            for i in range(2):
+                with socket.create_connection((host, int(port))) as outside:
+                    # a failing frame is logged, and the next one handled
+                    outside.sendall(encode_frame(LawFetch("fail"))
+                                    + encode_frame(LawFetch(f"outside{i}")))
+                    outside.shutdown(socket.SHUT_WR)
+                    # the service closes the connection once the frame is
+                    # handled, and sends nothing before it
+                    outside.settimeout(2.0)
+                    assert outside.recv(4096) == b""
+            net.send("a", LawFetch("own"))
+            assert net.run_until_idle() == LawFetch("own")
+        finally:
+            net.close()
+        assert handled == [LawFetch("outside0"), LawFetch("outside1"),
+                           LawFetch("own")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "frame handler failed"] * 2
 
     def test_one_thread_serves_every_address(self):
         before = threading.active_count()
@@ -625,6 +692,41 @@ class TestServiceLimits:
                 assert time.monotonic() - start < fabric.FRAME_DEADLINE / 2
         finally:
             service.close()
+
+    def test_replies_to_a_slow_reader_wait_while_others_are_served(
+            self, shipped, monkeypatch):
+        real_send = socket.socket.send
+        partial = []
+
+        def send(sock, data, *args):  # at most 1 KiB leaves per call
+            if len(data) > 1024:
+                partial.append(len(data))
+            return real_send(sock, data[:1024], *args)
+
+        monkeypatch.setattr(socket.socket, "send", send)
+        names = sorted(shipped.laws) * 6
+        server = LawServer(shipped)
+        service = serve_law_server(shipped)
+        try:
+            with socket.socket() as slow:
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                slow.connect(service.address)
+                slow.sendall(b"".join(encode_frame(LawFetch(name))
+                                      for name in names))
+                reply = fetch_law(service.address, "SB")
+                assert reply == server.respond(LawFetch("SB"))
+                slow.settimeout(5.0)
+
+                class SlowReader:
+                    def recv(self, n):
+                        time.sleep(0.001)
+                        return slow.recv(min(n, 512))
+
+                got = [read_frame(SlowReader()) for _ in names]
+        finally:
+            service.close()
+        assert got == [server.respond(LawFetch(name)) for name in names]
+        assert partial  # some reply took more than one send
 
     def test_law_responses_fit_in_a_frame(self, shipped, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))

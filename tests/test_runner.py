@@ -8,6 +8,7 @@ import time
 import pytest
 
 from mds import conformance, fabric, law_lang
+from mds.controller import BareInbound
 from mds.runner import (ENV_LAW_SERVER, ENV_REGISTRY, RunnerError,
                         ScenarioRunner, check_law_dir, run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -152,6 +153,56 @@ class TestRunnerMechanics:
         failed = report.failures()
         assert len(failed) == 1
         assert "[FAIL expected blocked-at-receiver]" in failed[0].text
+
+    def test_refused_adoption_is_audited_and_cannot_send(self, tmp_path,
+                                                         law_dir):
+        script = tmp_path / "refused.mds"
+        script.write_text(
+            f"scenario refused\nlaw {law_dir}\n"
+            "component X modules P cert modules=MS\n"
+            "component b modules MS\n"
+            "send X -> b op retrieve\n")
+        runner = ScenarioRunner(load_scenario(str(script)), tmp_path)
+        assert runner.audit[0] == "0 | X@P | adopted | - | refused | S:init"
+        assert runner.reports[0].text == (
+            "adopt X@P: refused (certificate attribute 'modules' does not "
+            "list 'P')")
+        with pytest.raises(RunnerError) as err:
+            runner.run()
+        assert str(err.value) == "X@P refused adoption; cannot take part"
+
+    def test_step_reports_its_own_arrival_not_a_later_one(self, tmp_path,
+                                                          law_dir,
+                                                          monkeypatch):
+        """An outside peer's frame may reach another persona on another
+        thread between a step's own delivery and its report."""
+        handlers = {}
+
+        class Interleaved(fabric.SimNetwork):
+            def register(self, address, handler):
+                handlers[address] = handler
+                return super().register(address, handler)
+
+            def run_until_idle(self):
+                result = super().run_until_idle()
+                stray = threading.Thread(target=handlers["c@MS"], args=(
+                    BareInbound("wild", "c", "retrieve", b""),))
+                stray.start()
+                stray.join()
+                return result
+
+        monkeypatch.setattr(fabric, "SimNetwork", Interleaved)
+        script = tmp_path / "interleaved.mds"
+        script.write_text(
+            f"scenario interleaved\nlaw {law_dir}\n"
+            "component a modules MS\ncomponent b modules MS\n"
+            "component c modules MS\n"
+            "send a -> b op retrieve\nexpect delivered\n")
+        report = run_scenario(script)
+        assert report.steps[-1].text == (
+            "send a -> b op retrieve: delivered matched=S:inner-permit [ok]")
+        assert report.audit_lines[-1].endswith(
+            " | c@MS | arrived | import | block-silent | S:boundary-block")
 
 
 class TestLawDistribution:
