@@ -1,9 +1,13 @@
 """Message fabric: wire frames, two transports, and services.
 
-A frame is a 4-byte big-endian length prefix and a JSON body laid out as
-``WIRE_FORMAT`` lists; ``_body_size`` checks every prefix read, whether by
-``read_frame`` or from a service's buffer.  The frames back the TCP
-transport and services; the in-process simulator carries the decoded
+A frame is a 4-byte big-endian length prefix and a binary body: the
+message kind's index in ``WIRE_FORMAT`` as one byte, then the fields of
+that kind in table order (text and bytes as a u32 length and the bytes,
+lists as a u16 count and the items, a bool as one byte, an int as an
+i64).  At import, ``WIRE_FORMAT`` is compiled into one straight-line
+encoder and one decoder per kind; ``_body_size`` checks every prefix read,
+whether by ``read_frame`` or from a service's buffer.  The frames back the
+TCP transport and services; the in-process simulator carries the decoded
 message objects themselves, so it never runs the codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
@@ -22,12 +26,11 @@ registry is best-effort bookkeeping: rulings never depend on it.
 
 from __future__ import annotations
 
-import base64
 import itertools
-import json
 import logging
 import selectors
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -98,54 +101,19 @@ class FrameError(ValueError):
     pass
 
 
-# A wire type is (JSON type, encode, decode): a field's value travels as
-# encode(value), a JSON value of exactly that type (so JSON true is no
-# integer), and decode turns it back; None for both means "as it is".
+# A wire type is a pair of source lines: one appends the value {v} to the
+# bytearray o, one reads it into {v} from the body b at offset p, moving p
+# past it.  A list is a 1-tuple: a u16 count, then its items.
+TEXT = ("s = {v}.encode(); o += U32(len(s)); o += s",
+        "n, = U32_AT(b, p); p += 4; {v} = b[p:p + n].decode(); p += n")
+BYTES = ("o += U32(len({v})); o += {v}",
+         "n, = U32_AT(b, p); p += 4; {v} = b[p:p + n]; p += n")
+BOOL = ("o.append({v})", "{v} = (False, True)[b[p]]; p += 1")
+INT = ("o += I64({v})", "{v}, = I64_AT(b, p); p += 8")
+TEXTS = (TEXT,)
 
-def _texts(items: list) -> tuple[str, ...]:
-    if not all(type(item) is str for item in items):
-        raise TypeError("a list holds a non-string")
-    return tuple(items)
-
-
-def _b64(payload: bytes) -> str:
-    return base64.b64encode(payload).decode("ascii")
-
-
-def _to_json(obj, fields, body: dict) -> dict:
-    for name, (_, encode, _) in fields:
-        value = getattr(obj, name)
-        body[name] = value if encode is None else encode(value)
-    return body
-
-
-def _from_json(cls, fields, data):
-    if type(data) is not dict:
-        raise TypeError("a record is not a JSON object")
-    values = []
-    for name, (json_type, _, decode) in fields:
-        value = data[name]
-        if type(value) is not json_type:
-            raise TypeError(f"{name!r} is not a JSON {json_type.__name__}")
-        values.append(value if decode is None else decode(value))
-    return cls(*values)
-
-
-def _records(cls: type, fields) -> tuple:
-    """A list of ``cls`` records, each a JSON object of ``fields``."""
-    return (list, lambda records: [_to_json(r, fields, {}) for r in records],
-            lambda items: tuple(_from_json(cls, fields, i) for i in items))
-
-
-TEXT = (str, None, None)
-TEXTS = (list, list, _texts)
-BYTES = (str, _b64, partial(base64.b64decode, validate=True))  # base64 text
-BOOL = (bool, None, None)
-INT = (int, None, None)
-
-# The wire format.  A frame body is a JSON object: "kind" first, then the
-# fields of that kind's message class in the order listed here, which is
-# also the order the class declares them in.
+# The wire format.  A frame body is the kind's index here as one byte, then
+# the fields of its class, a record, in the order the class declares them.
 WIRE_FORMAT = {
     "enveloped": (Envelope, (
         ("sender_module", TEXT), ("sender_profile", TEXTS),
@@ -162,39 +130,74 @@ WIRE_FORMAT = {
         ("algo", TEXT))),
     "registry_query": (RegistryQuery, (("field", TEXT), ("value", TEXT))),
     "registry_records": (RegistryRecords, (
-        ("records", _records(RegistryRecord, (
+        ("records", ((RegistryRecord, (
             ("component", TEXT), ("address", TEXT), ("module", TEXT),
-            ("registered_at", INT)))),)),
+            ("registered_at", INT))),)),)),
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in WIRE_FORMAT.items()}
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _lines(wire, src: str, dst: str, names: dict) -> tuple[list, list]:
+    """The lines that encode ``src`` and decode ``dst``, values of ``wire``."""
+    if isinstance(wire[0], str):
+        return [wire[0].format(v=src)], [wire[1].format(v=dst)]
+    if len(wire) == 1:
+        item = dst + "_item"
+        enc, dec = (["    " + line for line in lines]
+                    for lines in _lines(wire[0], item, item, names))
+        return ([f"o += U16(len({src}))", f"for {item} in {src}:", *enc],
+                ["n, = U16_AT(b, p); p += 2", f"{dst} = []",
+                 "for _ in range(n):", *dec, f"    {dst}.append({item})",
+                 f"{dst} = tuple({dst})"])
+    cls, fields = wire
+    names[cls.__name__] = cls
+    enc, dec, args = [], [], []
+    for name, field_wire in fields:
+        args.append(f"{dst}_{name}")
+        more = _lines(field_wire, f"{src}.{name}", args[-1], names)
+        enc, dec = enc + more[0], dec + more[1]
+    return enc, dec + [f"{dst} = {cls.__name__}({', '.join(args)})"]
+
+
+def _compile() -> tuple[dict, tuple]:
+    """Straight-line encoders by message class, decoders by kind byte."""
+    names = {"FrameError": FrameError}
+    for name, code in (("U16", ">H"), ("U32", ">I"), ("I64", ">q")):
+        names[name] = struct.Struct(code).pack
+        names[name + "_AT"] = struct.Struct(code).unpack_from
+    encoders, decoders = {}, []
+    for kind, record in enumerate(WIRE_FORMAT.values()):
+        enc, dec = _lines(record, "m", "r", names)
+        exec("\n    ".join([
+            "def encode(m):", f"o = bytearray({bytes(4) + bytes([kind])!r})",
+            *enc, "return o\ndef decode(b):", "p = 1", *dec, "if p != len(b):",
+            "    raise FrameError(f'fields end at byte {p} of {len(b)}')",
+            "return r"]), names)
+        encoders[record[0]] = names["encode"]
+        decoders.append(names["decode"])
+    return encoders, tuple(decoders)
+
+
+_ENCODERS, _DECODERS = _compile()
 
 
 def encode_frame(msg: WireMessage) -> bytes:
-    kind = _KIND_OF[type(msg)]
-    body = _to_json(msg, WIRE_FORMAT[kind][1], {"kind": kind})
-    data = _compact_json(body).encode("utf-8")
-    if len(data) > MAX_FRAME:
+    try:
+        frame = _ENCODERS[type(msg)](msg)
+    except (struct.error, ValueError) as exc:  # out of range, or a surrogate
+        raise FrameError(f"unencodable {type(msg).__name__}: {exc}") from None
+    if len(frame) - 4 > MAX_FRAME:
         raise FrameError("frame body too large")
-    return len(data).to_bytes(4, "big") + data
+    frame[:4] = (len(frame) - 4).to_bytes(4, "big")
+    return bytes(frame)
 
 
 def decode_body(body: bytes) -> WireMessage:
+    if not body or body[0] >= len(_DECODERS):
+        raise FrameError(f"unknown frame kind {body[:1]!r}")
     try:
-        data = json.loads(body.decode("utf-8"))
-    # ValueError: bad UTF-8, bad JSON, or an integer too long to convert;
-    # RecursionError: arrays or objects nested too deep
-    except (ValueError, RecursionError) as exc:
-        raise FrameError(f"undecodable frame body: {exc}") from None
-    if not isinstance(data, dict):
-        raise FrameError("frame body is not a record")
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in WIRE_FORMAT:
-        raise FrameError(f"unknown frame kind {kind!r}")
-    try:
-        return _from_json(*WIRE_FORMAT[kind], data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrameError(f"malformed {kind!r} frame: {exc}") from None
+        return _DECODERS[body[0]](body)
+    except (struct.error, IndexError, ValueError) as exc:
+        raise FrameError(f"malformed frame body: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +362,15 @@ def read_frame(sock: socket.socket) -> Optional[WireMessage]:
 
 def _read_upto(sock: socket.socket, n: int) -> bytes:
     """``n`` bytes, or fewer if the peer closes the stream first."""
-    buf = bytearray()
+    chunk = sock.recv(n) if n else b""
+    if len(chunk) == n or not chunk:  # most frames arrive in one piece
+        return chunk
+    buf = bytearray(chunk)
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
             break
-        buf.extend(chunk)
+        buf += chunk
     return bytes(buf)
 
 
@@ -379,7 +385,8 @@ class _Peer:
     """An accepted connection: the bytes of frames not yet whole, and the
     bytes of replies not yet sent."""
 
-    __slots__ = ("sock", "handler", "inbox", "outbox", "since", "events")
+    __slots__ = ("sock", "handler", "inbox", "outbox", "since", "active",
+                 "events")
 
     def __init__(self, sock: socket.socket, handler: Handler):
         self.sock = sock
@@ -387,6 +394,7 @@ class _Peer:
         self.inbox = bytearray()
         self.outbox = bytearray()
         self.since: Optional[float] = None  # when the unfinished frame began
+        self.active = time.monotonic()  # when the peer was last served
         self.events = selectors.EVENT_READ
 
 
@@ -402,8 +410,10 @@ class TcpService:
     reply is out.  A handler that raises is logged, and the next frame is
     read.  A connection is dropped when its peer closes it or sends a bad
     frame, or when a frame it began (or a reply to it) is still unfinished
-    after ``FRAME_DEADLINE`` seconds.  Beyond ``MAX_CONNECTIONS`` open
-    connections, each new one is closed as soon as it is accepted.
+    after ``FRAME_DEADLINE`` seconds.  At ``MAX_CONNECTIONS`` open
+    connections, a new one takes the place of the one idle longest (with
+    no unfinished frame or reply); if every one is mid-frame, the new one
+    is closed as soon as it is accepted.
     ``close`` stops the thread and closes every socket.
     """
 
@@ -502,8 +512,12 @@ class TcpService:
         except OSError:  # the peer gave up before it was accepted
             return
         if len(self._peers) >= MAX_CONNECTIONS:
-            sock.close()
-            return
+            idle = [peer for peer in self._peers.values()
+                    if peer.since is None]
+            if not idle:
+                sock.close()
+                return
+            self._drop(min(idle, key=lambda peer: peer.active))
         sock.setblocking(False)
         peer = _Peer(sock, handler)
         self._peers[sock] = peer
@@ -511,6 +525,9 @@ class TcpService:
                                 partial(self._on_peer, peer))
 
     def _on_peer(self, peer: _Peer, events: int):
+        if self._peers.get(peer.sock) is not peer:  # dropped this round
+            return
+        peer.active = time.monotonic()
         try:
             if events & selectors.EVENT_READ:
                 data = peer.sock.recv(65536)

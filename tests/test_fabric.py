@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import importlib
-import json
 import random
 import select
 import socket
@@ -20,8 +19,8 @@ from mds.conformance import build_hierarchy
 from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
-                        TcpNetwork, TcpService, call_remote, encode_frame,
-                        fetch_law, read_frame, serve_law_server,
+                        TcpNetwork, TcpService, call_remote, decode_body,
+                        encode_frame, fetch_law, read_frame, serve_law_server,
                         serve_registry)
 from mds.controller import BareInbound, Envelope
 
@@ -49,33 +48,95 @@ def _read(stream: bytes, seed: int = 0):
     return read_frame(ChunkedSocket(stream, seed))
 
 
+# The kind bytes of the README's wire format table.
+KIND_BYTES = {"enveloped": 0, "bare": 1, "registration": 2, "law_fetch": 3,
+              "law_response": 4, "registry_query": 5, "registry_records": 6}
+
+
+def _wire(value) -> bytes:
+    """``value`` laid out as the README lays out a field of its Python type:
+    text and bytes as a u32 length and the bytes, a bool as one byte, an int
+    as an i64, a list as a u16 count and its items, a record (a dict) as its
+    values in order; None lays out nothing."""
+    if value is None:
+        return b""
+    if isinstance(value, bool):
+        return bytes([value])
+    if isinstance(value, int):
+        return value.to_bytes(8, "big", signed=True)
+    if isinstance(value, str):
+        value = value.encode()
+    if isinstance(value, bytes):
+        return len(value).to_bytes(4, "big") + value
+    if isinstance(value, dict):
+        return b"".join(_wire(item) for item in value.values())
+    return len(value).to_bytes(2, "big") + b"".join(_wire(v) for v in value)
+
+
 def _frame(data: dict) -> bytes:
-    body = json.dumps(data).encode()
+    """A frame of ``data``: its "kind" as the kind's byte (or as the byte
+    given), then its other values as ``_wire`` lays them out, in order."""
+    kind = data["kind"]
+    body = bytes([KIND_BYTES.get(kind, kind)]) + b"".join(
+        _wire(value) for key, value in data.items() if key != "kind")
     return len(body).to_bytes(4, "big") + body
 
 
 class TestGoldenFrame:
+    def test_kind_bytes(self):
+        assert list(WIRE_FORMAT) == list(KIND_BYTES)
+
     def test_bare_frame_bytes(self):
         # Expected bytes written out by hand from the documented layout:
-        # 4-byte big-endian length, then compact JSON with fixed key order.
-        body = (b'{"kind":"bare","sender_address":"wild","target":"m1",'
-                b'"operation":"ping","payload":"AQID"}')
-        expected = len(body).to_bytes(4, "big") + body
+        # 4-byte big-endian length, the kind byte, then each field in order.
+        body = (b"\x01"                               # kind: bare
+                b"\x00\x00\x00\x04wild"               # sender_address
+                b"\x00\x00\x00\x02m1"                 # target
+                b"\x00\x00\x00\x04ping"               # operation
+                b"\x00\x00\x00\x03\x01\x02\x03")      # payload, raw
+        expected = b"\x00\x00\x00\x1e" + body
         msg = BareInbound(sender_address="wild", target="m1", operation="ping",
                           payload=b"\x01\x02\x03")
         assert encode_frame(msg) == expected
         assert _read(expected) == msg
 
     def test_enveloped_frame_bytes(self):
-        body = (b'{"kind":"enveloped","sender_module":"MS",'
-                b'"sender_profile":["log"],"sender_lineage":["aa","bb"],'
-                b'"operation":"log","payload":"","sender":"m1",'
-                b'"target":"m2"}')
-        expected = len(body).to_bytes(4, "big") + body
+        body = (b"\x00"                               # kind: enveloped
+                b"\x00\x00\x00\x02MS"                 # sender_module
+                b"\x00\x01"                           # sender_profile: 1
+                b"\x00\x00\x00\x03log"
+                b"\x00\x02"                           # sender_lineage: 2
+                b"\x00\x00\x00\x02aa"
+                b"\x00\x00\x00\x02bb"
+                b"\x00\x00\x00\x03log"                # operation
+                b"\x00\x00\x00\x00"                   # payload, empty
+                b"\x00\x00\x00\x02m1"                 # sender
+                b"\x00\x00\x00\x02m2")                # target
+        expected = b"\x00\x00\x00\x35" + body
         env = Envelope(sender_module="MS", sender_profile=("log",),
                        sender_lineage=("aa", "bb"), operation="log",
                        payload=b"", sender="m1", target="m2")
         assert encode_frame(env) == expected
+        assert _read(expected) == env
+
+    def test_bool_int_and_record_bytes(self):
+        response = (b"\x04"                           # kind: law_response
+                    b"\x00\x00\x00\x01L"              # name
+                    b"\x01"                           # found: true
+                    b"\x00\x00\x00\x00"               # text, empty
+                    b"\x00\x00"                       # lineage: none
+                    b"\x00\x00\x00\x03abc")           # algo
+        records = (b"\x06"                            # kind: registry_records
+                   b"\x00\x01"                        # records: 1
+                   b"\x00\x00\x00\x01c"               # component
+                   b"\x00\x00\x00\x01a"               # address
+                   b"\x00\x00\x00\x01M"               # module
+                   b"\xff\xff\xff\xff\xff\xff\xff\xfe")  # registered_at: -2
+        for body, msg in (
+                (response, LawResponse("L", True, "", (), "abc")),
+                (records, RegistryRecords((RegistryRecord("c", "a", "M", -2),)))):
+            assert encode_frame(msg) == len(body).to_bytes(4, "big") + body
+            assert _read(encode_frame(msg)) == msg
 
 
 def _random_message(rng: random.Random):
@@ -118,6 +179,16 @@ class TestRoundTrip:
             msg = _random_message(rng)
             assert _read(encode_frame(msg), seed=i) == msg, i
 
+    def test_twenty_thousand_random_messages_of_all_seven_kinds(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for i in range(20_000):
+            msg = _random_message(rng)
+            frame = encode_frame(msg)
+            assert decode_body(frame[4:]) == msg, i
+            kinds.add(frame[4])
+        assert kinds == set(range(len(WIRE_FORMAT)))
+
     def test_reader_handles_arbitrary_chunking(self):
         rng = random.Random(5)
         messages = [_random_message(rng) for _ in range(60)]
@@ -138,22 +209,26 @@ class TestFrameErrors:
             _read(b"\x00\x00\x00\x05{}")
 
     def test_unknown_kind(self):
-        with pytest.raises(FrameError):
-            _read(_frame({"kind": "gossip"}))
+        for kind in (len(WIRE_FORMAT), 0x7b, 0xff):
+            with pytest.raises(FrameError):
+                _read(_frame({"kind": kind, "name": "L"}))
 
     def test_missing_field(self):
         with pytest.raises(FrameError):
             _read(_frame({"kind": "bare", "target": "t"}))
 
-    def test_not_json(self):
+    def test_undecodable_bodies(self):
         bodies = [
+            b"",  # no kind byte
+            b"\x03",  # law_fetch, no name
+            b"\x03\x00\x00\x00",  # half a length
+            b"\x03\x00\x00\x00\x05ab",  # a length past the body
+            b"\x03\x00\x00\x00\x02\xff\xfe",  # bad UTF-8
+            b"\x03\x00\x00\x00\x02\xed\xa0",  # half a surrogate
+            b"\x03\x00\x00\x00\x01ab",  # a trailing byte
+            b"\x04\x00\x00\x00\x01L\x02" + bytes(10),  # found is 2
+            b'{"kind":"bare"}',  # JSON is no longer the wire
             b"\xff\xfe",
-            b"[" * 100_000,  # nested past the recursion limit
-            b"1" * 5000,  # more digits than int() converts
-            b"[]",  # JSON, but no record
-            b"5",
-            b"null",
-            b'"bare"',
         ]
         for body in bodies:
             with pytest.raises(FrameError):
@@ -162,12 +237,12 @@ class TestFrameErrors:
     @pytest.mark.parametrize("field, value", [
         ("sender_profile", [{}]),
         ("operation", 5),
-        ("payload", "!!"),
+        ("payload", True),
     ])
     def test_ill_typed_enveloped_field(self, field, value):
         data = {"kind": "enveloped", "sender_module": "MS",
                 "sender_profile": ["log"], "sender_lineage": ["aa"],
-                "operation": "log", "payload": "", "sender": "m1",
+                "operation": "log", "payload": b"", "sender": "m1",
                 "target": "m2"}
         data[field] = value
         with pytest.raises(FrameError):
@@ -185,7 +260,7 @@ class TestFrameErrors:
          "lineage": [], "algo": "sha256"},
         {"kind": "registry_records", "records": [
             {"component": "c", "address": "a", "module": "M",
-             "registered_at": 1.9}]},
+             "registered_at": "1"}]},
         {"kind": "registry_records", "records": [
             {"component": "c", "address": "a", "module": "M",
              "registered_at": True}]},
@@ -204,6 +279,15 @@ class TestFrameErrors:
         with pytest.raises(FrameError):
             encode_frame(huge)
 
+    @pytest.mark.parametrize("msg", [
+        LawResponse("L", True, "", ("aa",) * 65536, "sha256"),
+        RegistryRecords((RegistryRecord("c", "a", "M", 2 ** 63),)),
+        RegistryRecords((RegistryRecord("c", "a", "M", -2 ** 63 - 1),)),
+    ])
+    def test_encode_rejects_what_the_layout_cannot_hold(self, msg):
+        with pytest.raises(FrameError):
+            encode_frame(msg)
+
 
 _SAMPLES = {
     "enveloped": Envelope("MS", ("log",), ("aa", "bb"), "log", b"\x01", "m1",
@@ -216,46 +300,60 @@ _SAMPLES = {
     "registry_records": RegistryRecords((RegistryRecord("c", "a", "M", 3),)),
 }
 
-# One or more values of each JSON type, some of them valid in some field.
-_JSON_VALUES = [None, True, False, 0, -7, 2 ** 70, 1.5, float("nan"), "",
-                "text", "AQID", "!!", [], ["a", "b"], [1], [None], [{}],
-                {}, {"k": "v"}]
+# Values of each type the layout knows, some of them valid in some field,
+# as _wire lays them out; None leaves the field out.
+_WIRE_VALUES = [None, True, False, 0, -7, 2 ** 63 - 1, -2 ** 63, "", "text",
+                "é", b"", b"\x01\x02\x03", b"\xff", [], ["a", "b"], [1],
+                [b"\xff"], [None], [{}], {}, {"k": "v"}]
+
+
+def _as_data(msg) -> dict:
+    """A message as ``_frame`` data: its fields by name, lists for tuples."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(item) for item in value]
+        if dataclasses.is_dataclass(value):
+            return {f.name: plain(getattr(value, f.name))
+                    for f in dataclasses.fields(value)}
+        return value
+    kind = next(kind for kind, (cls, _) in WIRE_FORMAT.items()
+                if cls is type(msg))
+    return {"kind": kind, **plain(msg)}
 
 
 class TestEveryField:
-    def test_any_json_value_in_any_field(self):
-        """Each JSON value put in each field of each kind (and of each
-        registry record) either fails as a FrameError or reads as a message
-        that survives another encode and read unchanged."""
+    def test_any_wire_value_in_any_field(self):
+        """Each value put in each field of each kind (and of each registry
+        record) either fails as a FrameError or reads as a message that
+        encodes back to the very same bytes."""
         assert set(_SAMPLES) == set(WIRE_FORMAT)
         accepted = 0
         for kind, (cls, fields) in WIRE_FORMAT.items():
-            base = json.loads(encode_frame(_SAMPLES[kind])[4:])
+            base = _as_data(_SAMPLES[kind])
+            assert _frame(base) == encode_frame(_SAMPLES[kind])
             # wire order is the order the class declares its fields in
             declared = [f.name for f in dataclasses.fields(cls)]
             assert [name for name, _ in fields] == declared
-            assert list(base) == ["kind"] + declared
-            paths = [(key,) for key in base]
-            for key, value in base.items():
-                if value and isinstance(value, list) and type(value[0]) is dict:
-                    record = getattr(_SAMPLES[kind], key)[0]
-                    assert list(value[0]) == [
-                        f.name for f in dataclasses.fields(record)]
-                    paths += [(key, 0, inner) for inner in value[0]]
+            paths = [(key,) for key in declared]
+            for key in declared:
+                if isinstance(base[key], list) and base[key] and type(
+                        base[key][0]) is dict:
+                    paths += [(key, 0, inner) for inner in base[key][0]]
             for path in paths:
-                for value in _JSON_VALUES:
+                for value in _WIRE_VALUES:
                     data = copy.deepcopy(base)
                     record = data
                     for step in path[:-1]:
                         record = record[step]
                     record[path[-1]] = value
+                    frame = _frame(data)
                     try:
-                        msg = _read(_frame(data))
+                        msg = _read(frame)
                     except FrameError:
                         continue
                     accepted += 1
                     assert type(msg) is cls, (kind, path, value)
-                    assert _read(encode_frame(msg)) == msg, (kind, path, value)
+                    assert encode_frame(msg) == frame, (kind, path, value)
         assert accepted > 0
 
 
@@ -605,7 +703,7 @@ class TestTcpNetwork:
         # send() writes the whole frame before run_until_idle reads it on
         # the same thread, so a frame must fit the loopback buffers
         got = []
-        payload = b"x" * (fabric.MAX_FRAME * 3 // 4 - 200)  # base64 grows 4/3
+        payload = b"x" * (fabric.MAX_FRAME - 100)
 
         def deliver():
             net = TcpNetwork()
@@ -676,6 +774,46 @@ class TestServiceLimits:
                 sock.close()
             service.close()
 
+    def test_a_full_service_makes_room_by_closing_the_longest_idle_peer(
+            self, shipped, monkeypatch):
+        monkeypatch.setattr(fabric, "MAX_CONNECTIONS", 4)
+        service = serve_law_server(shipped)
+        peers = []
+        try:
+            for _ in range(4):  # each is served once, then idles
+                sock = socket.create_connection(service.address, timeout=5.0)
+                peers.append(sock)
+                sock.sendall(encode_frame(LawFetch("SB")))
+                assert read_frame(sock).found
+            assert fetch_law(service.address, "SB").found  # a fifth peer
+            assert _ended(peers[0])
+            for sock in peers[1:]:  # the rest are served still
+                sock.sendall(encode_frame(LawFetch("S")))
+                assert read_frame(sock).found
+        finally:
+            for sock in peers:
+                sock.close()
+            service.close()
+
+    def test_a_service_full_of_unfinished_frames_refuses_a_new_peer(
+            self, shipped, monkeypatch):
+        monkeypatch.setattr(fabric, "MAX_CONNECTIONS", 4)
+        service = serve_law_server(shipped)
+        peers = []
+        try:
+            for _ in range(4):
+                sock = socket.create_connection(service.address)
+                peers.append(sock)
+                sock.sendall(b"\x00")  # a frame begun, not finished
+            time.sleep(0.2)
+            with pytest.raises((FrameError, OSError)):
+                fetch_law(service.address, "SB")
+            assert not select.select(peers, [], [], 0)[0]  # all still open
+        finally:
+            for sock in peers:
+                sock.close()
+            service.close()
+
     def test_oversized_declaration_is_refused_before_the_body(self):
         stream = (fabric.MAX_FRAME + 1).to_bytes(4, "big") + b"{}" * 64
         sock = ChunkedSocket(stream)
@@ -698,10 +836,10 @@ class TestServiceLimits:
         real_send = socket.socket.send
         partial = []
 
-        def send(sock, data, *args):  # at most 1 KiB leaves per call
-            if len(data) > 1024:
+        def send(sock, data, *args):  # at most 256 bytes leave per call
+            if len(data) > 256:
                 partial.append(len(data))
-            return real_send(sock, data[:1024], *args)
+            return real_send(sock, data[:256], *args)
 
         monkeypatch.setattr(socket.socket, "send", send)
         names = sorted(shipped.laws) * 6
