@@ -53,7 +53,7 @@ def _cmd_law_print(args) -> int:
         for diag in exc.diagnostics:
             print(f"{path}:{diag}", file=sys.stderr)
         return 1
-    sys.stdout.write(law_lang.print_law(law))
+    sys.stdout.write(law.text)
     print(f"# {law_lang.HASH_ALGORITHM}: {law.hash}", file=sys.stderr)
     return 0
 

@@ -273,11 +273,10 @@ class SimNetwork:
 
 
 class LawServer:
-    """Serves canonical law text plus the hash lineage for each law."""
+    """Serves each law's canonical text, kept from hashing, plus its lineage."""
 
     def __init__(self, h: LawHierarchy):
-        self._texts = {name: law_lang.print_law(law)
-                       for name, law in h.laws.items()}
+        self._texts = {name: law.text for name, law in h.laws.items()}
         self._lineage = dict(h.lineage)
 
     def get(self, name: str) -> tuple[str, tuple[str, ...]]:

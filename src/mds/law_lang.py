@@ -44,7 +44,9 @@ characters from 1, tabs included.
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
 overrides, two-space indent, comments stripped.  ``print_law`` is idempotent
-across a parse round trip.
+across a parse round trip.  :func:`finalize` prints a law once and keeps the
+text on ``Law.text`` beside its hash; that kept text is what a law server
+serves.
 """
 
 from __future__ import annotations
@@ -767,5 +769,6 @@ def law_hash(law: Law) -> str:
 
 
 def finalize(law: Law) -> Law:
-    """Return the law with its hash field set from the canonical text."""
-    return replace(law, hash=law_hash(law))
+    """Return the law with its canonical text and that text's hash set."""
+    text = print_law(law)
+    return replace(law, hash=text_hash(text), text=text)

@@ -295,6 +295,9 @@ class Law:
     meta: tuple[MetaPermission, ...]
     overrides: tuple[Override, ...]
     hash: str = ""                 # digest of the canonical serialized text
+    # The canonical text itself, kept from hashing so the law server serves
+    # it without printing the law again; derived, so never compared.
+    text: str = field(default="", compare=False, repr=False)
 
     def rule(self, rule_id: str) -> Optional[Rule]:
         for r in self.rules:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import NAME, valid_name
 
@@ -45,8 +45,7 @@ class ComponentDecl:
     cert_attrs: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Expectation:
+class Expectation(NamedTuple):
     outcome: str
     matched: Optional[str]
     line: int
@@ -83,13 +82,26 @@ class Scenario:
     steps: list[Step] = field(default_factory=list)
 
 
-# A string with its opening '"', a '"' that nothing closes, or a word.  Only
-# \" and \\ are escapes; any other backslash stays.  A word runs up to
-# whitespace, quotes included; ``\s`` and ``str.isspace`` agree on every
-# code point.
-_WORD = re.compile(r'("(?:[^"\\]|\\["\\]|\\(?!["\\]))*)"|(")|(\S+)')
+# A string's body: only \" and \\ are escapes; any other backslash stays.
+_STRING_BODY = r'(?:[^"\\]|\\["\\]|\\(?!["\\]))*'
+# A string with its opening '"', a '"' that nothing closes, or a word.  A
+# word runs up to whitespace, quotes included; ``\s`` and ``str.isspace``
+# agree on every code point.
+_WORD = re.compile(rf'("{_STRING_BODY})"|(")|(\S+)')
 _QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 _ENDPOINT = re.compile(f"({NAME})(?:@({NAME}))?")
+
+# The two lines a script repeats, matched whole on a stripped line so a
+# well-formed one becomes its step without being split into words.  An
+# outside sender takes no @MODULE, an operation holds no '"', and a payload
+# is one string.  A line they miss is read word by word, and only there are
+# diagnostics made.
+_SEND_LINE = re.compile(
+    rf"(outside)?send\s+({NAME})(?(1)|(?:@({NAME}))?)\s+->\s+"
+    rf'({NAME})(?:@({NAME}))?\s+op\s+([^\s"]+)'
+    rf'(?:\s+payload\s+"({_STRING_BODY})")?')
+_EXPECT_LINE = re.compile(
+    rf'expect\s+({"|".join(OUTCOMES)})(?:\s+matched\s+([^\s"]+))?')
 
 
 def _split(line: str, lineno: int) -> list[str]:
@@ -103,10 +115,12 @@ def _split(line: str, lineno: int) -> list[str]:
     for quoted, lone, word in _WORD.findall(line):
         if lone:
             raise ScenarioError(lineno, "unterminated string")
-        if "\\" in quoted:
-            quoted = _QUOTED_ESCAPE.sub(r"\1", quoted)
-        out.append(quoted or word)
+        out.append(_unescape(quoted) or word)
     return out
+
+
+def _unescape(body: str) -> str:
+    return _QUOTED_ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 def _endpoint(token: str, lineno: int) -> tuple[str, Optional[str]]:
@@ -118,7 +132,7 @@ def _endpoint(token: str, lineno: int) -> tuple[str, Optional[str]]:
 
 
 def _parse_cert(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
-    attrs: list[tuple[str, str]] = []
+    attrs: dict[str, str] = {}
     for pair in " ".join(tokens).split(","):
         pair = pair.strip()
         if not pair:
@@ -126,8 +140,14 @@ def _parse_cert(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
         if "=" not in pair:
             raise ScenarioError(lineno, f"cert attribute {pair!r} needs k=v")
         key, value = pair.split("=", 1)
-        attrs.append((key.strip(), value.strip()))
-    return tuple(attrs)
+        key = key.strip()
+        if not key:
+            raise ScenarioError(lineno, f"cert attribute {pair!r} has an "
+                                        "empty key")
+        if key in attrs:
+            raise ScenarioError(lineno, f"repeated cert key {key!r}")
+        attrs[key] = value.strip()
+    return tuple(attrs.items())
 
 
 def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
@@ -143,6 +163,20 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            continue
+        m = _SEND_LINE.fullmatch(line)
+        if m is not None:
+            (outside, sender, sender_law, target, target_law, operation,
+             payload) = m.groups()
+            last_send = SendStep(
+                sender, sender_law, target, target_law, operation,
+                b"" if payload is None else _unescape(payload).encode("utf-8"),
+                outside is not None, lineno)
+            steps.append(last_send)
+            continue
+        m = _EXPECT_LINE.fullmatch(line)
+        if m is not None and last_send is not None and last_send.expect is None:
+            last_send.expect = Expectation(m[1], m[2], lineno)
             continue
         words = _split(line, lineno)
         head = words[0]
@@ -221,9 +255,14 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             steps.append(last_send)
 
         elif head == "advance":
-            if len(words) != 2 or not words[1].isdigit():
+            count = words[1] if len(words) == 2 else ""
+            if not (count.isascii() and count.isdigit()):
                 raise ScenarioError(lineno, "expected: advance N")
-            steps.append(AdvanceStep(ticks=int(words[1]), line=lineno))
+            try:
+                ticks = int(count)
+            except ValueError:  # more digits than int() converts
+                raise ScenarioError(lineno, "expected: advance N") from None
+            steps.append(AdvanceStep(ticks=ticks, line=lineno))
 
         elif head == "expect":
             if len(words) not in (2, 4):

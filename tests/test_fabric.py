@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import importlib
 import random
 import select
@@ -23,6 +24,7 @@ from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         encode_frame, fetch_law, read_frame, serve_law_server,
                         serve_registry)
 from mds.controller import BareInbound, Envelope
+from mds.law_lang import print_law
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -447,6 +449,13 @@ class TestLawServer:
         text, lineage = server.get("MS")
         assert text.startswith("law MS extends S {")
         assert lineage == shipped.lineage["MS"]
+
+    def test_serves_the_text_hashed_at_parse(self, shipped):
+        server = LawServer(shipped)
+        for name, law in shipped.laws.items():
+            text = server.get(name)[0].encode("utf-8")
+            assert text == print_law(law).encode("utf-8"), name
+            assert hashlib.sha256(text).hexdigest() == law.hash, name
 
     def test_missing_law_reported_not_found(self, shipped):
         server = LawServer(shipped)

@@ -219,6 +219,22 @@ class TestLawDistribution:
         assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
         assert len(parsed) == len(list(law_dir.glob("*.law")))
 
+    @pytest.mark.parametrize("mode", ["sim", "tcp"])
+    def test_set_up_prints_each_law_once(self, scenario_dir, monkeypatch,
+                                         mode):
+        printed = []
+        real = law_lang.print_law
+
+        def print_law(law):
+            printed.append(law.name)
+            return real(law)
+
+        monkeypatch.setattr(law_lang, "print_law", print_law)
+        scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode=mode, seed=1)
+        runner.net.close()
+        assert sorted(printed) == sorted(runner.h.laws)
+
     def test_sim_run_builds_the_hierarchy_once(self, scenario_dir,
                                                monkeypatch):
         calls = []

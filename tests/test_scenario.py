@@ -2,11 +2,18 @@
 
 import re
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mds.scenario import (AdvanceStep, ScenarioError, SendStep, _split,
-                          parse_scenario)
+from mds import scenario
+from mds.scenario import (OUTCOMES, AdvanceStep, ScenarioError, SendStep,
+                          _split, parse_scenario)
+
+SCENARIO_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.mds"))
 
 GOOD = """
 # exercise every directive
@@ -139,6 +146,33 @@ class TestErrors:
         _expect_error("scenario t\nlaw d\ncomponent a modules M,M\n",
                       "repeated module", line=3)
 
+    @pytest.mark.parametrize("count", [
+        pytest.param("\u00b2", id="superscript-two"),
+        pytest.param("\u0663", id="arabic-indic-three"),
+        pytest.param("9" * 5000, id="more-digits-than-int-reads"),
+        pytest.param("-1", id="negative"),
+        pytest.param("3x", id="trailing-letter"),
+    ])
+    def test_advance_takes_ascii_digits_only(self, count):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINI + f"advance {count}\n")
+        assert (err.value.line, err.value.message) == (
+            5, "expected: advance N")
+
+    def test_cert_key_must_not_be_empty(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("scenario t\nlaw d\ncomponent a modules M "
+                           "cert =1\n")
+        assert (err.value.line, err.value.message) == (
+            3, "cert attribute '=1' has an empty key")
+
+    def test_cert_key_must_not_repeat(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("scenario t\nlaw d\ncomponent a modules M "
+                           "cert team=a,team=b\n")
+        assert (err.value.line, err.value.message) == (
+            3, "repeated cert key 'team'")
+
 
 class TestSplit:
     """How a script line breaks into words; a string keeps its '"' marker."""
@@ -204,3 +238,135 @@ class TestEmptyScript:
         scn = parse_scenario("scenario quiet\nlaw ../laws\n")
         assert scn.steps == []
         assert scn.components == []
+
+
+# -- the fast line patterns against the word-by-word path --------------------
+
+_NEVER = re.compile("(?!)")
+
+
+def _parsed(text):
+    """The scenario, or the (line, message) of the error it raises."""
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        return exc.line, exc.message
+
+
+def _assert_paths_agree(text):
+    fast = _parsed(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_SEND_LINE", _NEVER)
+        mp.setattr(scenario, "_EXPECT_LINE", _NEVER)
+        slow = _parsed(text)
+    assert fast == slow, text
+
+
+# Whitespace that str.strip, str.split and \s all treat as a separator.
+_SPACE = st.text(" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2003", min_size=1,
+                 max_size=3)
+def _mostly(common, odd):
+    """Draw from ``common`` four times in five, else from ``odd``; each is a
+    strategy or a list to sample."""
+    common, odd = (st.sampled_from(x) if isinstance(x, list) else x
+                   for x in (common, odd))
+    return st.integers(0, 4).flatmap(lambda i: common if i else odd)
+
+
+# Endpoints the header below declares, mostly, and some it does not.
+_ODD_ENDPOINTS = st.one_of(
+    st.sampled_from(["c", "ghost", "a-1", "_q", "9z", 'a"b', "->"]),
+    st.builds("{}@{}".format, st.sampled_from(["a", "w", "9z", 'a"b']),
+              st.sampled_from(["M", "N", "Z", "", '"M"', "M@N"])))
+_SENDERS = {
+    "send": _mostly(["a", "a@M", "c@M", "c@N"], _ODD_ENDPOINTS),
+    "outsidesend": _mostly(["w", "w", "w@M"], _ODD_ENDPOINTS),
+}
+_TARGETS = _mostly(["a", "c@M", "c@N", "w"], _ODD_ENDPOINTS)
+_WORDS = _mostly(["x", "ping", "S:inner-permit"],
+                 ['a"b', '"x"', '"', "->", "op", "payload", "matched", "\\",
+                  "a\\"])
+# A payload body: quotes and backslashes in any order, so some strings
+# close early, some never close, and some end on an escaped quote.
+_BODIES = st.text('ab \\"\x85\xa0\u00e9', max_size=6)
+_PAYLOADS = st.one_of(
+    st.builds('"{}"'.format, _BODIES),
+    st.builds('"{}"'.format, _BODIES.map(
+        lambda b: b.replace("\\", "\\\\").replace('"', '\\"'))))
+
+
+@st.composite
+def _send_line(draw):
+    verb = draw(st.sampled_from(["send", "outsidesend"]))
+    words = [verb, draw(_SENDERS[verb]), "->", draw(_TARGETS), "op",
+             draw(_WORDS)]
+    if draw(st.booleans()):
+        words += ["payload", draw(_PAYLOADS)]
+    elif draw(st.integers(0, 3)) == 0:
+        words += ["payload", draw(_WORDS)]
+    return draw(_damaged(words))
+
+
+@st.composite
+def _expect_line(draw):
+    words = ["expect", draw(st.sampled_from(OUTCOMES + ("maybe",)))]
+    if draw(st.booleans()):
+        words += ["matched", draw(_WORDS)]
+    return draw(_damaged(words))
+
+
+@st.composite
+def _damaged(draw, words):
+    """``words`` joined by drawn whitespace, perhaps with one word dropped,
+    replaced or added, and perhaps with no space at one join."""
+    words = list(words)
+    damage = draw(st.sampled_from(["none"] * 9 + ["drop", "swap", "add"]))
+    at = draw(st.integers(0, len(words) - 1))
+    if damage == "drop":
+        del words[at]
+    elif damage == "swap":
+        words[at] = draw(_WORDS)
+    elif damage == "add":
+        words.insert(at + draw(st.integers(0, 1)), draw(_WORDS))
+    gaps = [draw(_SPACE) for _ in words]
+    if draw(st.integers(0, 11)) == 0:
+        gaps[draw(st.integers(0, len(gaps) - 1))] = ""
+    return "".join(g + w for g, w in zip(gaps, words)) + draw(
+        st.sampled_from(["", " ", "\x85", "\xa0\t"]))
+
+
+# A send, mostly with its expect after it, and now and then a lone expect.
+_BLOCKS = st.one_of(
+    st.tuples(_send_line(), _expect_line()).map("\n".join),
+    _send_line(), _expect_line())
+
+_HEADER = ("scenario t\nlaw d\ncomponent a modules M\n"
+           "component c modules M,N\noutside w\n")
+
+
+class TestFastLinesAgreeWithWords:
+    """The send and expect patterns build exactly what the word-by-word
+    path builds, and miss every line that path would refuse."""
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_shipped_scenarios(self, path):
+        _assert_paths_agree(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("text", [GOOD, MINI], ids=["GOOD", "MINI"])
+    def test_sample_scripts(self, text):
+        _assert_paths_agree(text)
+
+    def test_shipped_send_and_expect_lines_take_the_patterns(self):
+        for path in SCENARIO_FILES:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                line = line.strip()
+                if line.startswith(("send ", "outsidesend ")):
+                    assert scenario._SEND_LINE.fullmatch(line), line
+                elif line.startswith("expect "):
+                    assert scenario._EXPECT_LINE.fullmatch(line), line
+
+    @settings(derandomize=True, max_examples=600, deadline=None,
+              database=None)
+    @given(st.lists(_BLOCKS, min_size=1, max_size=3))
+    def test_generated_lines(self, lines):
+        _assert_paths_agree(_HEADER + "\n".join(lines) + "\n")
