@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from . import fabric, law_lang
+from .model import not_utf8
 from .oracle import run_differential
 from .runner import RunnerError, check_law_dir, run_scenario
 from .scenario import ScenarioError
@@ -46,6 +47,10 @@ def _cmd_law_print(args) -> int:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        line, col, what = not_utf8(exc)
+        print(f"{path}: {what} at line {line}, column {col}", file=sys.stderr)
         return 1
     try:
         law = law_lang.parse_law(law_lang.LawSource(text, str(path)))

@@ -23,14 +23,22 @@ permit for outflow, innerflow, and adoption.
 the rules on the path root-first: each with its guard and body compiled to
 closures, values that name the module resolved against the leaf, and its
 matched pair; a default rule also carries the overrides that may replace
-it, compiled the same way.  A rule or override is compiled once for every
+it, compiled the same way.  A guard costs as few calls as its shape allows
+(``compile_predicate``).  A rule or override is compiled once for every
 leaf below it, unless its body names the module; the same pass records
 which operations the ``op ==`` atoms of its guard let match, and whether
-the guard reads anything but the operation.  ``Program.scan`` builds from
-the entries the scan of one event and operation, the first time that pair
-is seen; a guard the operation settles is dropped or never run.
-``evaluate`` looks that scan up, then runs guards and bodies and nothing
-else.
+the guard reads anything but the operation.
+
+Scans are built on demand, never at compile time.  The first scan of an
+event kind lists the entries that kind can reach (``Program.candidates``);
+``Program.scan`` builds from that list the scan of one event and
+operation, the first time that pair is seen, and a guard the operation
+settles is dropped or never run.  An entry without overrides puts the
+same ready-made row into every scan that keeps it, one with its guard as
+written and one with the guard settled, each made when first needed; the
+row of an entry with overrides is built per scan, since its overrides
+depend on the event and operation.  ``evaluate`` looks the scan up, then
+runs guards and bodies and nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .model import (
     Action,
@@ -292,10 +300,7 @@ class Ruling:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EventContext:
-    __slots__ = ("event", "operation", "flow", "peer_name", "peer_profile",
-                 "peer_outside")
+class EventContext(NamedTuple):
     event: EventKind
     operation: str
     flow: Optional[FlowKind]
@@ -304,13 +309,20 @@ class EventContext:
     peer_outside: bool
 
 
+# Calling tuple.__new__ skips NamedTuple's Python-level __new__.
+_tuple_new = tuple.__new__
 _NO_PROFILE: frozenset = frozenset()
 
 _CompiledPred = Callable[[EventContext, dict, dict], bool]
 
 
 def compile_predicate(p: Predicate) -> _CompiledPred:
-    """Close a predicate over into a fast callable(ctx, state, cert_attrs)."""
+    """Close a predicate over into a fast callable(ctx, state, cert_attrs).
+
+    An ``or`` made only of ``flow ==`` atoms, or only of ``op ==`` atoms,
+    is one membership test; a two-part ``and``/``or`` calls its parts
+    directly, and only a longer one loops over them.
+    """
     if isinstance(p, TruePred):
         return lambda ctx, st, ce: True
     if isinstance(p, OpEquals):
@@ -348,16 +360,28 @@ def compile_predicate(p: Predicate) -> _CompiledPred:
     if isinstance(p, Not):
         inner = compile_predicate(p.inner)
         return lambda ctx, st, ce: not inner(ctx, st, ce)
-    if isinstance(p, And):
+    if isinstance(p, Or) and all(isinstance(x, FlowIs) for x in p.parts):
+        # a tuple, not a set: an Enum member hashes in Python
+        kinds = tuple(x.kind for x in p.parts)
+        return lambda ctx, st, ce: ctx.flow in kinds
+    if isinstance(p, Or) and all(isinstance(x, OpEquals) for x in p.parts):
+        ops = frozenset(x.value for x in p.parts)
+        return lambda ctx, st, ce: ctx.operation in ops
+    if isinstance(p, (And, Or)):
         parts = tuple(compile_predicate(x) for x in p.parts)
-        def conj(ctx, st, ce, _parts=parts):
-            for f in _parts:
-                if not f(ctx, st, ce):
-                    return False
-            return True
-        return conj
-    if isinstance(p, Or):
-        parts = tuple(compile_predicate(x) for x in p.parts)
+        if len(parts) == 2:
+            a, b = parts
+            if isinstance(p, And):
+                return lambda ctx, st, ce: a(ctx, st, ce) and b(ctx, st, ce)
+            return lambda ctx, st, ce: a(ctx, st, ce) or b(ctx, st, ce)
+        if isinstance(p, And):
+            def conj(ctx, st, ce, _parts=parts):
+                for f in _parts:
+                    if not f(ctx, st, ce):
+                        return False
+                return True
+            return conj
+
         def disj(ctx, st, ce, _parts=parts):
             for f in _parts:
                 if f(ctx, st, ce):
@@ -550,7 +574,7 @@ class _OvEntry:
 
 class _RuleEntry:
     __slots__ = ("law_name", "rule_id", "events", "pred", "body", "matched",
-                 "overrides", "ops", "op_only")
+                 "overrides", "ops", "op_only", "row", "settled_row")
 
     def __init__(self, law_name: str, rule: Rule, pred: _CompiledPred,
                  body: _CompiledBody, ops: Optional[frozenset], op_only: bool,
@@ -564,6 +588,9 @@ class _RuleEntry:
         self.overrides = overrides  # deepest law first; empty unless DEFAULT
         self.ops = ops
         self.op_only = op_only
+        # ready-made scan rows, for an entry without overrides (see Program)
+        self.row: Optional[tuple] = None
+        self.settled_row: Optional[tuple] = None
 
 
 _OTHER = object()  # table key of the scan for operations no ``op ==`` names
@@ -572,14 +599,19 @@ _OTHER = object()  # table key of the scan for operations no ``op ==`` names
 class Program:
     """Pre-resolved scan order for one leaf law of one hierarchy.
 
-    ``entries`` lists every rule on the path root-first.  ``tables`` holds,
-    per event kind, the scan each operation reaches, keyed by operation
-    (``_OTHER`` for every operation no ``op ==`` names) and filled by
-    ``scan``.  A scan row is (guard, body, matched, overrides as (guard,
-    body, matched)); a None guard always holds.
+    ``entries`` lists every rule on the path root-first.  ``candidates``
+    holds, per event kind, the entries that event can reach, and ``tables``
+    the scan each operation reaches, keyed by operation (``_OTHER`` for
+    every operation no ``op ==`` names); ``scan`` fills both on first use.
+    A scan row is (guard, body, matched, overrides as (guard, body,
+    matched)); a None guard always holds.  An entry without overrides
+    lends every scan that keeps it one of two ready-made rows, ``row``
+    (guard as written) or ``settled_row`` (guard settled to None), each
+    made by the first scan that needs it; the row of an entry with
+    overrides is built for its scan.
     """
 
-    __slots__ = ("leaf", "entries", "named", "tables", "_rows")
+    __slots__ = ("leaf", "entries", "named", "candidates", "tables")
 
     def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...]):
         self.leaf = leaf
@@ -588,8 +620,8 @@ class Program:
         self.named = frozenset().union(*(
             c.ops for e in entries for c in (e, *e.overrides)
             if c.ops is not None))
+        self.candidates: dict[EventKind, tuple[_RuleEntry, ...]] = {}
         self.tables: dict[EventKind, dict] = {event: {} for event in EventKind}
-        self._rows: dict[tuple, tuple] = {}  # each distinct row, once
 
     def scan(self, event: EventKind, operation: str) -> tuple:
         """The rows of ``entries`` that the event and operation can reach,
@@ -608,20 +640,34 @@ class Program:
         rows = table.get(key)
         if rows is not None:
             return rows
+        candidates = self.candidates.get(event)
+        if candidates is None:
+            candidates = self.candidates[event] = tuple(
+                e for e in self.entries if event in e.events)
         # op-only guards are settled by a named operation alone
         ctx = (None if key is _OTHER else
                EventContext(event, operation, None, None, _NO_PROFILE, False))
         kept = []
-        for entry in self.entries:
+        for entry in candidates:
             # ops lie within named, so an unnamed operation is in none
-            if event not in entry.events or (
-                    entry.ops is not None and operation not in entry.ops):
+            if entry.ops is not None and operation not in entry.ops:
                 continue
-            guard = entry.pred
-            if ctx is not None and entry.op_only:
-                if not guard(ctx, None, None):
-                    continue
-                guard = None
+            settled = ctx is not None and entry.op_only
+            if settled and not entry.pred(ctx, None, None):
+                continue
+            if not entry.overrides:
+                if settled:
+                    row = entry.settled_row
+                    if row is None:
+                        row = entry.settled_row = (None, entry.body,
+                                                   entry.matched, ())
+                else:
+                    row = entry.row
+                    if row is None:
+                        row = entry.row = (entry.pred, entry.body,
+                                           entry.matched, ())
+                kept.append(row)
+                continue
             body, matched, overrides = entry.body, entry.matched, []
             for ov in entry.overrides:
                 if event not in ov.events or (
@@ -633,8 +679,8 @@ class Program:
                         break
                     continue
                 overrides.append((ov.pred, ov.body, ov.matched))
-            row = (guard, body, matched, tuple(overrides))
-            kept.append(self._rows.setdefault(row, row))
+            kept.append((None if settled else entry.pred, body, matched,
+                         tuple(overrides)))
         rows = table[key] = tuple(kept)
         return rows
 
@@ -740,9 +786,9 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
     payload (None envelope) when the target is outside the system."""
     flow = classify_flow(agent.law, agent.law, target_locus)
     outside = target_locus is OUTSIDE
-    ctx = EventContext(EventKind.SENT, operation, flow,
-                       target if outside else target_locus, _NO_PROFILE,
-                       outside)
+    ctx = _tuple_new(EventContext, (
+        EventKind.SENT, operation, flow,
+        target if outside else target_locus, _NO_PROFILE, outside))
     program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
         program, agent.state, agent.cert_attrs, ctx)
@@ -796,8 +842,9 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
         peer_profile = _NO_PROFILE
         peer_outside = True
         identity = None
-    ctx = EventContext(EventKind.ARRIVED, inbound.operation, flow, peer_name,
-                       peer_profile, peer_outside)
+    ctx = _tuple_new(EventContext, (
+        EventKind.ARRIVED, inbound.operation, flow, peer_name, peer_profile,
+        peer_outside))
     program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
         program, agent.state, agent.cert_attrs, ctx)

@@ -32,6 +32,19 @@ def valid_name(token: str) -> bool:
     return _NAME_RE.fullmatch(token) is not None
 
 
+def not_utf8(exc: UnicodeDecodeError) -> tuple[int, int, str]:
+    """(line, column, "not UTF-8 (byte 0x..)") of the first byte of a file,
+    read whole through ``open``, that does not decode.
+
+    Lines end where ``open``'s universal newlines end them, at CR LF, CR
+    or LF, so the line is the one a parser of the text counts; the column
+    counts characters from 1.
+    """
+    lines = re.split(r"\r\n?|\n", exc.object[:exc.start].decode("utf-8"))
+    return (len(lines), len(lines[-1]) + 1,
+            f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})")
+
+
 class FlowKind(Enum):
     """How a message relates to the module whose law is doing the judging."""
 

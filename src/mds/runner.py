@@ -33,7 +33,7 @@ from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          ComponentId, Decision, DemoIssuer, Envelope,
                          adopt, handle_arrive, handle_send, matched_token)
-from .model import FlowKind, Law, LawHierarchy
+from .model import FlowKind, Law, LawHierarchy, not_utf8
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
                        AdvanceStep, Scenario, SendStep, load_scenario)
 
@@ -58,6 +58,11 @@ def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
             text = file.read_text(encoding="utf-8")
         except OSError as exc:
             problems.append(f"{file.name}: unreadable ({exc})")
+            continue
+        except UnicodeDecodeError as exc:
+            line, col, what = not_utf8(exc)
+            problems.append(f"{file.name}: {what} at line {line}, "
+                            f"column {col}")
             continue
         try:
             law = law_lang.parse_law(law_lang.LawSource(text, str(file)))
@@ -142,6 +147,8 @@ class ScenarioRunner:
         self.issuer = DemoIssuer("demo-ca")
         self.decls = {d.name: d for d in scn.components}
         self.agents: dict[str, Agent] = {}
+        # (name, @MODULE or None) -> persona label, once it has taken part
+        self._labels: dict[tuple[str, Optional[str]], str] = {}
         self.net = fabric.SimNetwork() if mode == "sim" else fabric.TcpNetwork()
         self._adopt_all()
 
@@ -253,15 +260,15 @@ class ScenarioRunner:
             return None  # a frame kind no controller rules on
         ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
         token = matched_token(ruling.matched)
-        self._audit_line(label, "arrived", ruling.flow, str(ruling.decision),
-                         token)
+        self._audit_line(label, "arrived", ruling.flow,
+                         ruling.decision._value_, token)
         return ruling.decision, token
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
         with self._audit_lock:
             ts = self.net.now()
-            flow_tok = flow.value if flow is not None else "-"
+            flow_tok = flow._value_ if flow is not None else "-"
             self.audit.append(
                 f"{ts} | {agent_label} | {event} | {flow_tok} | {decision}"
                 f" | {matched}")
@@ -296,21 +303,17 @@ class ScenarioRunner:
                          audit_lines=list(self.audit))
 
     def _persona(self, name: str, explicit: Optional[str]) -> str:
-        decl = self.decls[name]
-        module = explicit if explicit is not None else decl.modules[0]
-        label = f"{name}@{module}"
-        if label not in self.agents:
-            raise RunnerError(f"{label} refused adoption; cannot take part")
+        label = self._labels.get((name, explicit))
+        if label is None:
+            decl = self.decls[name]
+            module = explicit if explicit is not None else decl.modules[0]
+            label = f"{name}@{module}"
+            if label not in self.agents:
+                raise RunnerError(f"{label} refused adoption; cannot take part")
+            self._labels[name, explicit] = label
         return label
 
     def _send_step(self, step: SendStep):
-        sender_part = step.sender + (f"@{step.sender_law}"
-                                     if step.sender_law else "")
-        target_part = step.target + (f"@{step.target_law}"
-                                     if step.target_law else "")
-        verb = "outsidesend" if step.from_outside else "send"
-        desc = f"{verb} {sender_part} -> {target_part} op {step.operation}"
-
         if step.from_outside:
             tlabel = self._persona(step.target, step.target_law)
             outcome, matched = self._transmit(tlabel, BareInbound(
@@ -329,7 +332,7 @@ class ScenarioRunner:
                                       step.payload, step.target, locus)
             matched = matched_token(ruling.matched)
             self._audit_line(slabel, "sent", ruling.flow,
-                             str(ruling.decision), matched)
+                             ruling.decision._value_, matched)
             if ruling.decision is Decision.BLOCK_NOTICE:
                 outcome = BLOCKED_AT_SENDER
             elif tlabel is None:
@@ -340,21 +343,23 @@ class ScenarioRunner:
                 assert env is not None
                 outcome, matched = self._transmit(tlabel, env)
 
-        text = f"{desc}: {outcome}"
-        if matched != "-":
-            text += f" matched={matched}"
-        ok = True
-        if step.expect is not None:
-            ok = (step.expect.outcome == outcome
-                  and (step.expect.matched is None
-                       or step.expect.matched == matched))
-            if ok:
-                text += " [ok]"
-            else:
-                want = step.expect.outcome
-                if step.expect.matched:
-                    want += f" matched {step.expect.matched}"
-                text += f" [FAIL expected {want}]"
+        expect = step.expect
+        if expect is None:
+            ok, verdict = True, ""
+        elif expect.outcome == outcome and (expect.matched is None
+                                            or expect.matched == matched):
+            ok, verdict = True, " [ok]"
+        else:
+            ok = False
+            want = f" matched {expect.matched}" if expect.matched else ""
+            verdict = f" [FAIL expected {expect.outcome}{want}]"
+        text = (
+            f"{'outsidesend' if step.from_outside else 'send'} "
+            f"{step.sender}{'@' if step.sender_law else ''}"
+            f"{step.sender_law or ''} -> "
+            f"{step.target}{'@' if step.target_law else ''}"
+            f"{step.target_law or ''} op {step.operation}: {outcome}"
+            f"{'' if matched == '-' else ' matched=' + matched}{verdict}")
         self.reports.append(StepReport(step.line, text, ok))
 
 

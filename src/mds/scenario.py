@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .model import NAME, valid_name
+from .model import NAME, not_utf8, valid_name
 
 OUTCOMES = DELIVERED, BLOCKED_AT_SENDER, BLOCKED_AT_RECEIVER = (
     "delivered", "blocked-at-sender", "blocked-at-receiver")
@@ -238,6 +238,8 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             sender, sender_law = _endpoint(words[1], lineno)
             target, target_law = _endpoint(words[3], lineno)
             operation = words[5]
+            if operation.startswith('"'):
+                raise ScenarioError(lineno, "operation must not be quoted")
             payload = b""
             rest = words[6:]
             if rest:
@@ -277,6 +279,9 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                 if words[2] != "matched" or not words[3]:
                     raise ScenarioError(lineno, "expected: matched TOKEN")
                 matched = words[3]
+                if matched.startswith('"'):
+                    raise ScenarioError(lineno,
+                                        "matched token must not be quoted")
             if last_send is None:
                 raise ScenarioError(lineno, "expect with no send before it")
             if last_send.expect is not None:
@@ -333,4 +338,9 @@ def _check_endpoints(scn: Scenario):
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), origin=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            line, col, what = not_utf8(exc)
+            raise ScenarioError(line, f"{what} at column {col}") from None
+    return parse_scenario(text, origin=path)

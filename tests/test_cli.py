@@ -105,6 +105,50 @@ class TestRunCommand:
         assert err.startswith("run failed: law server sent text for 'MS'")
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 ends each command in one line, exit 1."""
+
+    LATIN1 = "# caf\xe9\n".encode("latin-1")
+
+    @pytest.fixture
+    def bad_law_dir(self, law_dir, tmp_path):
+        for law in law_dir.glob("*.law"):
+            (tmp_path / law.name).write_bytes(law.read_bytes())
+        (tmp_path / "X.law").write_bytes(b"law X extends S {\n  "
+                                         + self.LATIN1 + b"}\n")
+        return tmp_path
+
+    def test_run_scenario(self, law_dir, tmp_path, capsys):
+        script = tmp_path / "bad.mds"
+        script.write_bytes(f"scenario bad\r\nlaw {law_dir}\r\n\r".encode()
+                           + self.LATIN1)
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: line 4: not UTF-8 (byte 0xe9) at column 6\n")
+
+    def test_run_law_dir(self, bad_law_dir, capsys):
+        script = bad_law_dir / "ok.mds"
+        script.write_text(f"scenario ok\nlaw {bad_law_dir}\n")
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: law directory rejected:\n"
+            "  X.law: not UTF-8 (byte 0xe9) at line 2, column 8\n")
+
+    def test_law_check(self, bad_law_dir, capsys):
+        assert main(["law", "check", str(bad_law_dir)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "X.law: not UTF-8 (byte 0xe9) at line 2, column 8",
+            f"rejected: {bad_law_dir}"]
+
+    def test_law_print(self, bad_law_dir, capsys):
+        law = bad_law_dir / "X.law"
+        assert main(["law", "print", str(law)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{law}: not UTF-8 (byte 0xe9) at line 2, column 8\n")
+
+
 class TestOtherCommands:
     def test_fuzz_small_batch(self, capsys):
         assert main(["fuzz", "--trials", "10", "--seed", "1"]) == 0

@@ -4,8 +4,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mds import controller
+from mds import controller, oracle
 from mds.conformance import build_hierarchy
 from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             Certificate, ComponentId, Decision, DemoIssuer,
@@ -13,7 +15,9 @@ from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             classify_flow, demo_verify, disclose_identity,
                             handle_arrive, handle_send, matched_token)
 from mds.law_lang import parse_law
-from mds.model import And, EventKind, FlowKind, Not, OpEquals, OpGlob, Or
+from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
+                       OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
+                       PeerProfileHas, StateEquals, StateLess, TruePred)
 from mds.oracle import OracleEvent, generate_system, oracle_evaluate
 
 ISSUER = DemoIssuer("demo-ca")
@@ -746,6 +750,107 @@ class TestOperationIndex:
                         indexed_state), (seed, leaf, ev)
         assert covered >= {"named", "glob", "made-up", "not op ==",
                            "op-only override", "adopted", *FlowKind}
+
+
+class TestScanRows:
+    """Where scan rows come from: an entry without overrides lends its own
+    rows, and nothing is built before a scan asks for it."""
+
+    def test_entry_without_overrides_lends_one_row(self, shipped):
+        idx = _hier(TestOperationIndex.INDEXED, TestOperationIndex.KID)
+        for h in (shipped, idx):
+            for leaf in h.laws:
+                program = controller.program_for(h, leaf)
+                ops = sorted(program.named) + ["made-up", ""]
+                lent = {}  # (matched, guard settled?) -> ids of rows seen
+                for event in EventKind:
+                    for op in ops:
+                        for row in program.scan(event, op):
+                            lent.setdefault((row[2], row[0] is None),
+                                            set()).add(id(row))
+                for entry in program.entries:
+                    if entry.overrides:
+                        continue
+                    for settled in (False, True):
+                        assert len(lent.get((entry.matched, settled),
+                                            ())) <= 1, (leaf, entry.matched)
+        # c reads state, so it keeps its guard for both of its operations
+        program = controller.program_for(idx, "IdxKid")
+        x_rows = program.scan(EventKind.SENT, "x")
+        y_rows = program.scan(EventKind.SENT, "y")
+        assert x_rows[1][2] == ("Idx", "c") and x_rows[1] is y_rows[0]
+
+    def test_building_a_program_makes_no_rows(self):
+        h = _hier(TestOperationIndex.INDEXED, TestOperationIndex.KID)
+        program = controller.program_for(h, "IdxKid")
+        assert program.candidates == {}
+        assert not any(program.tables.values())
+        assert all(e.row is e.settled_row is None for e in program.entries)
+        program.scan(EventKind.SENT, "x")
+        assert list(program.candidates) == [EventKind.SENT]
+        assert [e.row is not None or e.settled_row is not None
+                for e in program.entries] == [True, False, True, False]
+
+
+# Guard shapes ``compile_predicate`` compiles in a way of its own: an
+# ``or`` of ``flow ==`` or of ``op ==`` atoms, a two-part ``and``/``or``,
+# a longer one, and ``not`` around any of them.
+_GUARD_ATOMS = st.sampled_from([
+    TruePred(), OpEquals("ping"), OpEquals("zz"), OpGlob("p*"),
+    FlowIs(FlowKind.INNER), FlowIs(FlowKind.EXPORT), PeerModuleIs("M"),
+    PeerProfileHas("audited"), PeerOutside(), StateEquals("mode", "on"),
+    StateEquals("count", 1), StateLess("count", 2),
+    CertEquals("dept", "eng")])
+_FLOW_ORS = st.lists(st.sampled_from(list(FlowKind)).map(FlowIs),
+                     min_size=1, max_size=4).map(lambda ps: Or(tuple(ps)))
+_OP_ORS = st.lists(st.sampled_from(oracle._OPS + ("zz",)).map(OpEquals),
+                   min_size=1, max_size=4).map(lambda ps: Or(tuple(ps)))
+_GUARDS = st.recursive(
+    st.one_of(_GUARD_ATOMS, _FLOW_ORS, _OP_ORS),
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.sampled_from([And, Or]).flatmap(lambda join: st.one_of(
+            st.tuples(inner, inner),
+            st.lists(inner, min_size=3, max_size=4).map(tuple)).map(join))),
+    max_leaves=8)
+_EVENTS = st.builds(
+    OracleEvent, st.sampled_from(list(EventKind)),
+    st.sampled_from(oracle._OPS + ("zz", "")),
+    st.sampled_from([None, *FlowKind]), st.sampled_from([None, "M", "wild"]),
+    st.frozensets(st.sampled_from(oracle._LABELS)), st.booleans())
+_STATES = st.dictionaries(st.sampled_from(oracle._STATE_KEYS),
+                          st.sampled_from(["on", "off", 0, 1, 2, 3, True]))
+_CERTS = st.dictionaries(st.sampled_from(["dept", "clearance"]),
+                         st.sampled_from(["finance", "eng", "high", "low"]))
+
+
+class TestCompiledGuards:
+    """A compiled guard holds exactly where the oracle's reading of the
+    predicate does.  Examples are derived from the test source, and no
+    example database is kept."""
+
+    SETTINGS = settings(derandomize=True, max_examples=300, deadline=None,
+                        database=None)
+
+    @staticmethod
+    def _assert_agrees(p, ev, state, cert):
+        ctx = controller.EventContext(ev.event, ev.operation, ev.flow,
+                                      ev.peer_name, ev.peer_profile,
+                                      ev.peer_outside)
+        assert controller.compile_predicate(p)(ctx, state, cert) == \
+            oracle._eval_pred(p, ev, state, cert), p
+
+    @SETTINGS
+    @given(st.integers(0, 2**32), st.integers(0, 4), _EVENTS, _STATES,
+           _CERTS)
+    def test_drawn_predicates(self, seed, depth, ev, state, cert):
+        p = oracle._gen_predicate(random.Random(seed), ["M", "N"], depth)
+        self._assert_agrees(p, ev, state, cert)
+
+    @SETTINGS
+    @given(_GUARDS, _EVENTS, _STATES, _CERTS)
+    def test_flat_shapes(self, p, ev, state, cert):
+        self._assert_agrees(p, ev, state, cert)
 
 
 class TestTracedSeams:

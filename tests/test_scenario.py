@@ -142,6 +142,17 @@ class TestErrors:
     def test_unquoted_payload(self):
         _expect_error(MINI + "send a -> c op x payload bare\n", "quoted")
 
+    @pytest.mark.parametrize("text,line,message", [
+        pytest.param('send a -> c op "ping"\n', 5,
+                     "operation must not be quoted", id="operation"),
+        pytest.param('send a -> c op x\nexpect delivered matched "M:x"\n',
+                     6, "matched token must not be quoted", id="matched"),
+    ])
+    def test_quoted_word_is_refused(self, text, line, message):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINI + text)
+        assert (err.value.line, err.value.message) == (line, message)
+
     def test_repeated_module_in_declaration(self):
         _expect_error("scenario t\nlaw d\ncomponent a modules M,M\n",
                       "repeated module", line=3)
