@@ -11,6 +11,15 @@ Per-event samples use the thread CPU clock, not wall time.  The budgets
 bound what evaluation costs; on a shared host any wall-clocked sample can
 swallow a multi-millisecond scheduler preemption that says nothing about
 the evaluator.  Total elapsed time stays wall-clock.
+
+Even the thread CPU clock charges a running thread now and then with
+milliseconds of work that is not its own (seen on a 2-CPU virtual
+machine: 1-10 ms samples with no page fault and mostly no context switch
+inside them), so a single sample's maximum measures the host.  The sequence therefore runs in
+several rounds, each with freshly adopted agents, and the worst case is
+taken over each event's best round: a cost the evaluator pays on an event
+shows in every round, a stall on the host in one.  Median and p99 pool
+every sample of every round.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .runner import check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
 WORST_BUDGET_US = 1000.0
+ROUNDS = 3
 
 
 @dataclass
@@ -42,38 +52,25 @@ class BenchReport:
 
     def lines(self) -> list[str]:
         return [
-            f"events           {self.events}",
+            f"events           {self.events} x {ROUNDS} rounds",
             f"elapsed          {self.elapsed_s:.2f} s",
             f"median per event {self.median_us:.1f} us"
             f" (budget {MEDIAN_BUDGET_US:.0f} us)",
             f"p99 per event    {self.p99_us:.1f} us",
-            f"worst per event  {self.max_us:.1f} us"
+            f"worst per event  {self.max_us:.1f} us, best round"
             f" (budget {WORST_BUDGET_US:.0f} us)",
             f"verdict          {'within budget' if self.within_budget else 'OVER BUDGET'}",
         ]
 
 
-def _build_agents(law_dir: str):
-    h, problems = check_law_dir(law_dir)
-    if h is None:
-        raise RuntimeError("law directory rejected: " + "; ".join(problems))
-    for needed in ("MS", "OPS"):
-        if needed not in h.laws:
-            raise RuntimeError(f"law directory has no law named {needed}")
+def _timed_round(h, events: int, warmup: int) -> tuple[list[int], int]:
+    """Per-event thread CPU nanoseconds of one round over fresh agents,
+    and the round's wall-clock nanoseconds."""
     issuer = DemoIssuer("demo-ca")
-    agents = {}
-    for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")):
-        cert = issuer.issue(name, {"modules": module})
-        agent, _ = adopt(ComponentId(name=name, address=name), h, module,
-                         cert=cert)
-        agents[name] = agent
-    return h, agents
-
-
-def run_bench(events: int = 100_000, warmup: int = 1_000,
-              law_dir: str = "laws") -> BenchReport:
-    h, agents = _build_agents(law_dir)
-    m1, m2, app = agents["m1"], agents["m2"], agents["app"]
+    m1, m2, app = (
+        adopt(ComponentId(name=name, address=name), h, module,
+              cert=issuer.issue(name, {"modules": module}))[0]
+        for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")))
     payload = b"x" * 32
     # (sender, target agent, target module, operation)
     mix = (
@@ -104,16 +101,28 @@ def run_bench(events: int = 100_000, warmup: int = 1_000,
             t0 = cpu(cid)
             one(i)
             samples[i] = cpu(cid) - t0
-        elapsed = (time.perf_counter_ns() - started) / 1e9
+        elapsed = time.perf_counter_ns() - started
     finally:
         if gc_was_enabled:
             gc.enable()
+    return samples, elapsed
 
-    samples.sort()
+
+def run_bench(events: int = 100_000, warmup: int = 1_000,
+              law_dir: str = "laws") -> BenchReport:
+    h, problems = check_law_dir(law_dir)
+    if h is None:
+        raise RuntimeError("law directory rejected: " + "; ".join(problems))
+    for needed in ("MS", "OPS"):
+        if needed not in h.laws:
+            raise RuntimeError(f"law directory has no law named {needed}")
+    runs = [_timed_round(h, events, warmup) for _ in range(ROUNDS)]
+    pooled = sorted(s for samples, _ in runs for s in samples)
+    worst = max(map(min, zip(*(samples for samples, _ in runs))))
     return BenchReport(
         events=events,
-        elapsed_s=elapsed,
-        median_us=statistics.median(samples) / 1e3,
-        p99_us=samples[int(events * 0.99) - 1] / 1e3,
-        max_us=samples[-1] / 1e3,
+        elapsed_s=sum(elapsed for _, elapsed in runs) / 1e9,
+        median_us=statistics.median(pooled) / 1e3,
+        p99_us=pooled[int(len(pooled) * 0.99) - 1] / 1e3,
+        max_us=worst / 1e3,
     )

@@ -264,7 +264,10 @@ class SimNetwork:
         return self.clock
 
     def close(self):
-        """Nothing to release: the simulator holds no sockets or threads."""
+        """Drop the handlers.  A handler is usually a bound method of the
+        network's owner, which holds the network, so until then the two
+        form a cycle that only a full collection frees."""
+        self._handlers.clear()
 
 
 # ---------------------------------------------------------------------------

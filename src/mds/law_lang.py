@@ -33,13 +33,22 @@ A rule body carries at most one terminal action (permit/block), and only in
 last position; a body without a terminal applies its actions and lets the
 scan continue.  Identifiers must not start with a digit or ``-``.
 
-The lexer reads the text one ``\n``-separated row at a time with a single
-regular expression.  Space, tab and carriage return separate tokens, and a
-comment runs to the end of its row.  A STRING closes on its own row, holds
-no control character and knows only the escapes ``\\ \" \n \t``.  A run of
+The lexer is one regular expression, ``_LEXEME``: it skips blanks and
+comments, then matches a lexeme, the end of the text, or a bad lexeme.
+Space, tab, carriage return and newline separate lexemes, and a comment
+runs to the end of its row.  A STRING closes on its own row, holds no
+control character and knows only the escapes ``\\ \" \n \t``.  A run of
 ``[A-Za-z0-9_-]`` is an INT when it reads ``-?[0-9]+`` and a name when it
-starts with a letter or ``_``; any other run is an error.  Columns count
-characters from 1, tabs included.
+starts with a letter or ``_``; any other run is an error.  One ``findall``
+over the whole text gives the lexeme strings, with ``""`` for the end of
+input, and the parser reads each lexeme's kind from its first character.
+A text that starts with a byte order mark or holds a bad lexeme is
+refused with one diagnostic, at the mark or the first bad lexeme.
+Positions cost nothing until a diagnostic needs one: then a ``finditer``
+walk over the same expression finds the lexeme's offset, and the line and
+column follow from it.  Columns count characters from 1, tabs included.
+A predicate nests at most ``MAX_NESTING`` (64) levels of ``(`` and
+``not``, so no text can exhaust the interpreter's stack.
 
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
@@ -54,7 +63,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Union
+from itertools import islice
+from operator import itemgetter
+from string import ascii_letters
+from typing import Callable, Iterator, Optional, Union
 
 from .model import (
     Action,
@@ -131,41 +143,38 @@ class LawParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer
 # ---------------------------------------------------------------------------
 
-# One alternative per lexeme; ``Match.lastindex`` tells which matched.
-# Every character of a row matches some alternative, so ``finditer`` walks
-# a row without gaps.  A '"' that opens no well-formed string on its row
-# falls through to the last alternative and ``_bad_string`` says why.
 # What a string may hold: no control character, and only the escapes
 # \\ \" \n \t.
 _STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\[\\"nt])*'
 
-_LAW_LEXEME = re.compile(
-    r"([ \t\r]+)"                               # 1 blank
-    r"|(#.*)"                                   # 2 comment, to the row's end
-    r"|(" + NAME + ")"                          # 3 NAME
-    r"|(==|[{}\[\](),;.=<])"                    # 4 PUNCT
-    r'|("' + _STRING_BODY + '")'                # 5 STRING
-    r"|(-?[0-9]+(?!" + NAME_CHAR + "))"         # 6 NUMBER
-    r"|(" + NAME_CHAR + "+)"                    # 7 word that is neither
-    r"|(.)")                                    # 8 anything else
-_COMMENT, _STRING, _BAD_WORD = 2, 5, 7
-_KINDS = (None, None, None, "NAME", "PUNCT", "STRING", "NUMBER")
+# Skip blanks and comments one character or comment at a time, then take a
+# lexeme (group 1), the end of the text (group 1, empty) or a bad lexeme
+# (group 2).  The last alternative cannot fail, so the skip never backtracks
+# and lexing stays linear.  A '"' that opens no well-formed string on its
+# row is a bad lexeme, and ``_lex_error`` says why.
+_LEXEME = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"(?:(" + NAME                              # 1 NAME
+    + r"|==|[{}\[\](),;.=<]"                    #   PUNCT
+    + r'|"' + _STRING_BODY + '"'                #   STRING
+    + r"|-?[0-9]+(?!" + NAME_CHAR + ")"         #   NUMBER
+    + r"|\Z)"                                   #   end of text: ""
+    + r"|(" + NAME_CHAR + r"+|[^ \t\r\n]))")    # 2 bad word or character
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_lexeme = itemgetter(0)
+_bad_lexeme = itemgetter(1)
 
+# A lexeme's first character gives its kind; "" is the end of input.
+_NAME_FIRST = frozenset(ascii_letters + "_")
+_NUMBER_FIRST = frozenset("-0123456789")
 
-class _Token(NamedTuple):
-    kind: str  # NAME NUMBER STRING PUNCT EOF
-    value: str
-    line: int
-    col: int
-
-
-_tuple_new = tuple.__new__
+# Levels of ``(`` and ``not`` a predicate may nest.
+MAX_NESTING = 64
 
 
 class _Abort(Exception):
@@ -176,55 +185,49 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
 
-def _bad_string(row: str, start: int, line: int,
-                diags: list[ParseDiagnostic]):
-    """Report why the '"' at ``row[start]`` opens no well-formed string."""
-    end = _STRING_PREFIX.match(row, start + 1).end()
-    ahead = row[end:end + 2]
-    if ahead in ("", "\\"):
-        # The row ends, or ends after a backslash.
-        diags.append(ParseDiagnostic(
-            "error", line, start + 1, "unterminated string"))
-    elif ahead[0] == "\\":
-        diags.append(ParseDiagnostic(
-            "error", line, end + 1, f"unknown escape \\{ahead[1]}"))
-    else:
-        diags.append(ParseDiagnostic(
-            "error", line, end + 1, "control character in string"))
-    raise _Abort
+def _unquote(lexeme: str) -> str:
+    body = lexeme[1:-1]
+    return _ESCAPE.sub(_unescape, body) if "\\" in body else body
 
 
-def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
+def _found(lexeme: str) -> str:
+    """A lexeme as a diagnostic names it: a string in its quotes (the
+    lexeme itself), the end of input as 'EOF'."""
+    return repr(lexeme or "EOF")
+
+
+def _error(text: str, offset: int, message: str) -> ParseDiagnostic:
+    line = text.count("\n", 0, offset) + 1
+    return ParseDiagnostic("error", line, offset - text.rfind("\n", 0, offset),
+                           message)
+
+
+def _offsets(text: str) -> Iterator[int]:
+    """The text offset of each lexeme that ``findall`` gives, in order."""
+    for m in _LEXEME.finditer(text):
+        yield m.start(m.lastindex)
+
+
+def _lex_error(text: str) -> ParseDiagnostic:
+    """The diagnostic for a text that starts with a byte order mark or
+    holds a bad lexeme, at the mark or the first bad lexeme."""
     if text.startswith("\ufeff"):
-        diags.append(ParseDiagnostic("error", 1, 1, "byte order mark not allowed"))
-        raise _Abort
-    toks: list[_Token] = []
-    append = toks.append
-    rows = text.split("\n")
-    for line, row in enumerate(rows, start=1):
-        for m in _LAW_LEXEME.finditer(row):
-            group = m.lastindex
-            if group <= _COMMENT:
-                continue
-            value = m.group()
-            if group == _STRING:
-                value = value[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE.sub(_unescape, value)
-            elif group >= _BAD_WORD:
-                if value == '"':
-                    _bad_string(row, m.start(), line, diags)
-                message = (f"bad identifier {value!r} (must not start with a "
-                           f"digit or '-')" if group == _BAD_WORD
-                           else f"unexpected character {value!r}")
-                diags.append(ParseDiagnostic(
-                    "error", line, m.start() + 1, message))
-                raise _Abort
-            # Calling tuple.__new__ skips NamedTuple's Python-level __new__.
-            append(_tuple_new(_Token, (_KINDS[group], value, line,
-                                       m.start() + 1)))
-    append(_Token("EOF", "", len(rows), len(rows[-1]) + 1))
-    return toks
+        return ParseDiagnostic("error", 1, 1, "byte order mark not allowed")
+    m = next(m for m in _LEXEME.finditer(text) if m.lastindex == 2)
+    start, value = m.start(2), m.group(2)
+    if value == '"':
+        end = _STRING_PREFIX.match(text, start + 1).end()
+        ahead = text[end:end + 2]
+        if ahead[:1] in ("", "\n") or ahead in ("\\", "\\\n"):
+            # The row ends, or ends after a backslash.
+            return _error(text, start, "unterminated string")
+        if ahead[0] == "\\":
+            return _error(text, end, f"unknown escape \\{ahead[1]}")
+        return _error(text, end, "control character in string")
+    if value[0] in _NAME_FIRST or value[0] in _NUMBER_FIRST:
+        return _error(text, start, f"bad identifier {value!r} (must not start "
+                                   f"with a digit or '-')")
+    return _error(text, start, f"unexpected character {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,72 +236,65 @@ def _tokenize(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token], diags: list[ParseDiagnostic]):
-        self.toks = toks
+    """Recursive descent over lexeme strings.  A failure records the index
+    of the lexeme it is about; ``parse_law`` turns that into a line and
+    column only once a diagnostic is made."""
+
+    def __init__(self, lexemes: list[str]):
+        self.lex = lexemes
         self.pos = 0
-        self.diags = diags
+        self.depth = 0
+        self.errors: list[tuple[int, str]] = []
 
-    def peek(self) -> _Token:
-        # ``advance`` never steps past the EOF token.
-        return self.toks[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, tok: _Token, message: str):
-        self.diags.append(ParseDiagnostic("error", tok.line, tok.col, message))
+    def fail(self, message: str, at: Optional[int] = None):
+        """Record an error at lexeme ``at``, by default the next one."""
+        self.errors.append((self.pos if at is None else at, message))
         raise _Abort
 
-    def accept(self, kind: str, value: str) -> bool:
-        """Step over the next token if it is ``kind`` ``value``."""
-        tok = self.toks[self.pos]
-        if tok.kind == kind and tok.value == value:
+    def accept(self, lexeme: str) -> bool:
+        """Step over the next lexeme if it is ``lexeme``."""
+        if self.lex[self.pos] == lexeme:
             self.pos += 1
             return True
         return False
 
-    @staticmethod
-    def found(tok: _Token) -> str:
-        """The token as a diagnostic names it: a string in its quotes, the
-        end of input as 'EOF'."""
-        if tok.kind == "STRING":
-            return repr(_quote(tok.value))
-        return repr(tok.value or tok.kind)
+    def expect_punct(self, value: str):
+        if self.lex[self.pos] != value:
+            self.fail(f"expected {value!r}, found {_found(self.lex[self.pos])}")
+        self.pos += 1
 
-    def expect_kind(self, kind: str, message: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, message)
-        return self.advance()
-
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.value != value:
-            self.fail(tok, f"expected {value!r}, found {self.found(tok)}")
-        return self.advance()
-
-    def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            self.fail(tok, f"expected {what}, found {self.found(tok)}")
-        return self.advance()
-
-    def expect_keyword(self, word: str):
-        tok = self.expect_name(f"keyword {word!r}")
-        if tok.value != word:
-            self.fail(tok, f"expected keyword {word!r}, found {tok.value!r}")
+    def expect_name(self, what: str) -> str:
+        tok = self.lex[self.pos]
+        if tok[:1] not in _NAME_FIRST:
+            self.fail(f"expected {what}, found {_found(tok)}")
+        self.pos += 1
         return tok
 
-    def at_name(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.value == word
+    def expect_keyword(self, word: str):
+        if self.expect_name(f"keyword {word!r}") != word:
+            self.fail(f"expected keyword {word!r}, found "
+                      f"{self.lex[self.pos - 1]!r}", self.pos - 1)
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
+    def expect_string(self, message: str) -> str:
+        tok = self.lex[self.pos]
+        if tok[:1] != '"':
+            self.fail(message)
+        self.pos += 1
+        return _unquote(tok)
+
+    def expect_int(self, message: str) -> int:
+        if self.lex[self.pos][:1] not in _NUMBER_FIRST:
+            self.fail(message)
+        return self.integer()
+
+    def integer(self) -> int:
+        """Step over the next lexeme, a NUMBER, and give its value."""
+        try:
+            value = int(self.lex[self.pos])
+        except ValueError:  # more digits than int() converts
+            self.fail("integer literal too long")
+        self.pos += 1
+        return value
 
     def comma_list(self, item: Callable[[list], object]) -> list:
         """One or more ``item(done)`` separated by commas, where ``done``
@@ -306,74 +302,74 @@ class _Parser:
         done: list = []
         while True:
             done.append(item(done))
-            if not self.accept("PUNCT", ","):
+            if not self.accept(","):
                 return done
 
     def label(self, done: list[str], kind: str = "profile") -> str:
         tok = self.expect_name("profile label")
-        if tok.value in done:
-            self.fail(tok, f"duplicate {kind} label {tok.value!r}")
-        return tok.value
+        if tok in done:
+            self.fail(f"duplicate {kind} label {tok!r}", self.pos - 1)
+        return tok
 
     # -- top level ----------------------------------------------------------
 
     def parse(self) -> Law:
         self.expect_keyword("law")
-        name_tok = self.expect_name("law name")
+        name_at = self.pos
+        name = self.expect_name("law name")
         parent: Optional[str] = None
-        if self.accept("NAME", "extends"):
-            parent = self.expect_name("parent law name").value
+        if self.accept("extends"):
+            parent = self.expect_name("parent law name")
         self.expect_punct("{")
         profile: Optional[tuple[str, ...]] = None
         rules: list[Rule] = []
         meta: list[MetaPermission] = []
         overrides: list[Override] = []
-        while not self.accept("PUNCT", "}"):
-            tok = self.peek()
-            if tok.kind == "EOF":
-                self.fail(tok, "unexpected end of input inside law body")
-            if self.at_name("profile"):
+        while not self.accept("}"):
+            tok = self.lex[self.pos]
+            if tok == "profile":
                 if profile is not None:
-                    self.fail(tok, "duplicate profile declaration")
+                    self.fail("duplicate profile declaration")
                 profile = self.parse_profile()
-            elif self.at_name("categorical") or self.at_name("default"):
+            elif tok == "categorical" or tok == "default":
                 rules.append(self.parse_rule())
-            elif self.at_name("allow-override"):
+            elif tok == "allow-override":
                 meta.append(self.parse_meta())
-            elif self.at_name("override"):
+            elif tok == "override":
                 overrides.append(self.parse_override())
+            elif not tok:
+                self.fail("unexpected end of input inside law body")
             else:
-                self.fail(tok, f"expected rule, allow-override, override, or profile; "
-                               f"found {self.found(tok)}")
-        tail = self.peek()
-        if tail.kind != "EOF":
-            self.fail(tail, "trailing input after law")
+                self.fail(f"expected rule, allow-override, override, or "
+                          f"profile; found {_found(tok)}")
+        if self.lex[self.pos]:
+            self.fail("trailing input after law")
         law = Law(
-            name=name_tok.value,
+            name=name,
             parent=parent,
             profile=profile or (),
             rules=tuple(rules),
             meta=tuple(meta),
             overrides=tuple(overrides),
         )
-        self.validate(law, name_tok)
+        self.validate(law, name_at)
         return law
 
     def parse_profile(self) -> tuple[str, ...]:
-        self.expect_keyword("profile")
+        self.pos += 1  # "profile"
         self.expect_punct("[")
-        labels = [] if self.at_punct("]") else self.comma_list(self.label)
+        labels = [] if self.lex[self.pos] == "]" else self.comma_list(self.label)
         self.expect_punct("]")
         self.expect_punct(";")
         return tuple(labels)
 
     def event(self, done: list[EventKind]) -> EventKind:
         tok = self.expect_name("event kind (adopted, sent, arrived)")
-        kind = _EVENT_TOKENS.get(tok.value)
+        kind = _EVENT_TOKENS.get(tok)
         if kind is None:
-            self.fail(tok, f"unknown event kind {tok.value!r}")
+            self.fail(f"unknown event kind {tok!r}", self.pos - 1)
         if kind in done:
-            self.fail(tok, f"duplicate event kind {tok.value!r}")
+            self.fail(f"duplicate event kind {tok!r}", self.pos - 1)
         return kind
 
     def guarded(self) -> tuple[tuple[EventKind, ...], Predicate,
@@ -382,45 +378,48 @@ class _Parser:
         self.expect_keyword("on")
         seen = self.comma_list(self.event)
         events = tuple(e for e in _EVENT_ORDER if e in seen)
-        predicate = self.parse_or() if self.accept("NAME", "if") else TruePred()
+        predicate = self.parse_or() if self.accept("if") else TruePred()
         return events, predicate, self.parse_body()
 
     def parse_rule(self) -> Rule:
-        mode_tok = self.advance()
-        mode = RuleMode.CATEGORICAL if mode_tok.value == "categorical" else RuleMode.DEFAULT
+        mode = (RuleMode.CATEGORICAL if self.lex[self.pos] == "categorical"
+                else RuleMode.DEFAULT)
+        self.pos += 1
         self.expect_keyword("rule")
-        id_tok = self.expect_name("rule id")
+        rule_id = self.expect_name("rule id")
         events, predicate, actions = self.guarded()
-        return Rule(id=id_tok.value, mode=mode, events=events,
+        return Rule(id=rule_id, mode=mode, events=events,
                     predicate=predicate, actions=actions)
 
     def parse_meta(self) -> MetaPermission:
-        self.expect_keyword("allow-override")
-        id_tok = self.expect_name("rule id")
-        dir_tok = self.expect_name("override direction")
-        direction = _DIRECTION_TOKENS.get(dir_tok.value)
+        self.pos += 1  # "allow-override"
+        rule_id = self.expect_name("rule id")
+        tok = self.expect_name("override direction")
+        direction = _DIRECTION_TOKENS.get(tok)
         if direction is None:
-            self.fail(dir_tok, f"unknown override direction {dir_tok.value!r}")
+            self.fail(f"unknown override direction {tok!r}", self.pos - 1)
         self.expect_punct(";")
-        return MetaPermission(rule_id=id_tok.value, direction=direction)
+        return MetaPermission(rule_id=rule_id, direction=direction)
 
     def parse_override(self) -> Override:
-        self.expect_keyword("override")
-        target_tok = self.expect_name("target rule id")
-        kind_tok = self.expect_name("override kind (permit, block, replace)")
-        kind = _OVERRIDE_TOKENS.get(kind_tok.value)
+        self.pos += 1  # "override"
+        target = self.expect_name("target rule id")
+        kind_at = self.pos
+        tok = self.expect_name("override kind (permit, block, replace)")
+        kind = _OVERRIDE_TOKENS.get(tok)
         if kind is None:
-            self.fail(kind_tok, f"unknown override kind {kind_tok.value!r}")
+            self.fail(f"unknown override kind {tok!r}", kind_at)
         events, predicate, actions = self.guarded()
         term = terminal_of(actions)
         if kind is OverrideKind.REPLACE:
             if term is None:
-                self.fail(kind_tok, "replace override body needs a terminal action")
+                self.fail("replace override body needs a terminal action",
+                          kind_at)
         elif term is None:
             actions += (Permit() if kind is OverrideKind.PERMIT else Block(),)
         elif term != kind.value:
-            self.fail(kind_tok, f"{kind.value} override body ends in {term}")
-        return Override(target=target_tok.value, kind=kind, events=events,
+            self.fail(f"{kind.value} override body ends in {term}", kind_at)
+        return Override(target=target, kind=kind, events=events,
                         predicate=predicate, actions=actions)
 
     # -- bodies / actions ---------------------------------------------------
@@ -428,21 +427,17 @@ class _Parser:
     def parse_body(self) -> tuple[Action, ...]:
         self.expect_punct("{")
         actions: list[Action] = []
-        while not self.accept("PUNCT", "}"):
-            tok = self.peek()
-            if tok.kind == "EOF":
-                self.fail(tok, "unexpected end of input inside rule body")
+        while not self.accept("}"):
+            if not self.lex[self.pos]:
+                self.fail("unexpected end of input inside rule body")
             if actions and isinstance(actions[-1], (Permit, Block)):
-                self.fail(tok, "terminal action must be last in the body")
+                self.fail("terminal action must be last in the body")
             actions.append(self.parse_action())
             self.expect_punct(";")
         return tuple(actions)
 
     def parse_action(self) -> Action:
-        tok = self.advance()
-        if tok.kind != "NAME":
-            self.fail(tok, f"expected action, found {self.found(tok)}")
-        word = tok.value
+        word = self.expect_name("action")
         if word == "permit":
             return Permit()
         if word == "block":
@@ -454,8 +449,8 @@ class _Parser:
         if word == "increment":
             key = self.parse_state_key()
             self.expect_keyword("by")
-            num = self.expect_kind("NUMBER", "expected integer delta")
-            return IncrementState(key=key, delta=int(num.value))
+            return IncrementState(
+                key=key, delta=self.expect_int("expected integer delta"))
         if word == "notify-registry":
             return NotifyRegistry()
         if word == "require-cert":
@@ -466,46 +461,58 @@ class _Parser:
             labels = self.comma_list(
                 lambda done: self.label(done, "append-profile"))
             return AppendProfile(labels=tuple(labels))
-        self.fail(tok, f"unknown action {word!r}")
+        self.fail(f"unknown action {word!r}", self.pos - 1)
 
     def parse_state_key(self) -> str:
         self.expect_keyword("state")
         self.expect_punct(".")
-        return self.expect_name("state key").value
+        return self.expect_name("state key")
 
     def parse_value(self) -> Union[str, int, SpecialValue]:
-        tok = self.advance()
-        if tok.kind == "STRING":
-            return tok.value
-        if tok.kind == "NUMBER":
-            return int(tok.value)
-        if tok.kind == "NAME" and tok.value in _SPECIAL_TOKENS:
-            return _SPECIAL_TOKENS[tok.value]
-        self.fail(tok, "expected string, integer, module-name, or module-profile")
+        tok = self.lex[self.pos]
+        first = tok[:1]
+        if first == '"':
+            self.pos += 1
+            return _unquote(tok)
+        if first in _NUMBER_FIRST:
+            return self.integer()
+        if tok in _SPECIAL_TOKENS:
+            self.pos += 1
+            return _SPECIAL_TOKENS[tok]
+        self.fail("expected string, integer, module-name, or module-profile")
 
     def parse_cert_constraint(self) -> CertConstraint:
-        attr = self.expect_name("certificate attribute").value
-        if self.accept("PUNCT", "=="):
-            val = self.expect_kind("STRING", "expected string after '=='")
-            return CertConstraint(attr=attr, op="equals", value=val.value)
-        if self.accept("NAME", "contains"):
-            val = self.advance()
-            if val.kind == "STRING":
-                return CertConstraint(attr=attr, op="contains", value=val.value)
-            if val.kind == "NAME" and val.value == SpecialValue.MODULE_NAME.value:
+        attr = self.expect_name("certificate attribute")
+        if self.accept("=="):
+            value = self.expect_string("expected string after '=='")
+            return CertConstraint(attr=attr, op="equals", value=value)
+        if self.accept("contains"):
+            tok = self.lex[self.pos]
+            if tok[:1] == '"':
+                self.pos += 1
+                return CertConstraint(attr=attr, op="contains",
+                                      value=_unquote(tok))
+            if tok == SpecialValue.MODULE_NAME.value:
+                self.pos += 1
                 return CertConstraint(attr=attr, op="contains",
                                       value=SpecialValue.MODULE_NAME)
-            self.fail(val, "expected string or module-name after 'contains'")
-        self.fail(self.peek(),
-                  "expected '==' or 'contains' in certificate constraint")
+            self.fail("expected string or module-name after 'contains'")
+        self.fail("expected '==' or 'contains' in certificate constraint")
 
     # -- predicates ---------------------------------------------------------
+
+    def nest(self):
+        """Enter the level of ``(`` or ``not`` that the next lexeme opens."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"predicate nested deeper than {MAX_NESTING} levels")
+        self.pos += 1
 
     def parse_or(self) -> Predicate:
         parts: list[Predicate] = []
         first = self.parse_and()
         parts.extend(first.parts if isinstance(first, Or) else (first,))
-        while self.accept("NAME", "or"):
+        while self.accept("or"):
             nxt = self.parse_and()
             parts.extend(nxt.parts if isinstance(nxt, Or) else (nxt,))
         return parts[0] if len(parts) == 1 else Or(parts=tuple(parts))
@@ -514,101 +521,99 @@ class _Parser:
         parts: list[Predicate] = []
         first = self.parse_not()
         parts.extend(first.parts if isinstance(first, And) else (first,))
-        while self.accept("NAME", "and"):
+        while self.accept("and"):
             nxt = self.parse_not()
             parts.extend(nxt.parts if isinstance(nxt, And) else (nxt,))
         return parts[0] if len(parts) == 1 else And(parts=tuple(parts))
 
     def parse_not(self) -> Predicate:
-        if self.accept("NAME", "not"):
-            return Not(inner=self.parse_not())
-        return self.parse_primary()
+        if self.lex[self.pos] != "not":
+            return self.parse_primary()
+        self.nest()
+        inner = self.parse_not()
+        self.depth -= 1
+        return Not(inner=inner)
 
     def parse_primary(self) -> Predicate:
-        if self.accept("PUNCT", "("):
+        if self.lex[self.pos] == "(":
+            self.nest()
             inner = self.parse_or()
             self.expect_punct(")")
+            self.depth -= 1
             return inner
-        tok = self.advance()
-        if tok.kind != "NAME":
-            self.fail(tok, f"expected predicate atom, found {self.found(tok)}")
-        word = tok.value
+        word = self.expect_name("predicate atom")
         if word == "op":
-            if self.accept("PUNCT", "=="):
-                val = self.expect_kind("STRING", "expected string operation name")
-                return OpEquals(value=val.value)
-            if self.accept("NAME", "matches"):
-                val = self.expect_kind("STRING", "expected string glob pattern")
-                return OpGlob(pattern=val.value)
-            self.fail(self.peek(), "expected '==' or 'matches' after op")
+            if self.accept("=="):
+                return OpEquals(value=self.expect_string(
+                    "expected string operation name"))
+            if self.accept("matches"):
+                return OpGlob(pattern=self.expect_string(
+                    "expected string glob pattern"))
+            self.fail("expected '==' or 'matches' after op")
         if word == "flow":
             self.expect_punct("==")
-            val = self.expect_name("flow kind")
-            kind = _FLOW_TOKENS.get(val.value)
+            tok = self.expect_name("flow kind")
+            kind = _FLOW_TOKENS.get(tok)
             if kind is None:
-                self.fail(val, f"unknown flow kind {val.value!r}")
+                self.fail(f"unknown flow kind {tok!r}", self.pos - 1)
             return FlowIs(kind=kind)
         if word == "peer":
             self.expect_punct(".")
             what = self.expect_name("peer attribute")
-            if what.value == "module":
+            if what == "module":
                 self.expect_punct("==")
-                return PeerModuleIs(name=self.expect_name("module name").value)
-            if what.value == "profile":
+                return PeerModuleIs(name=self.expect_name("module name"))
+            if what == "profile":
                 self.expect_keyword("has")
-                val = self.expect_kind("STRING", "expected string label")
-                return PeerProfileHas(label=val.value)
-            if what.value == "outside":
+                return PeerProfileHas(
+                    label=self.expect_string("expected string label"))
+            if what == "outside":
                 return PeerOutside()
-            self.fail(what, f"unknown peer attribute {what.value!r}")
+            self.fail(f"unknown peer attribute {what!r}", self.pos - 1)
         if word == "state":
             self.expect_punct(".")
-            key = self.expect_name("state key").value
-            if self.accept("PUNCT", "=="):
-                val = self.advance()
-                if val.kind == "STRING":
-                    return StateEquals(key=key, value=val.value)
-                if val.kind == "NUMBER":
-                    return StateEquals(key=key, value=int(val.value))
-                self.fail(val, "expected string or integer")
-            if self.accept("PUNCT", "<"):
-                val = self.expect_kind("NUMBER", "expected integer bound")
-                return StateLess(key=key, bound=int(val.value))
-            self.fail(self.peek(), "expected '==' or '<' after state key")
+            key = self.expect_name("state key")
+            if self.accept("=="):
+                tok = self.lex[self.pos]
+                if tok[:1] == '"':
+                    self.pos += 1
+                    return StateEquals(key=key, value=_unquote(tok))
+                return StateEquals(key=key, value=self.expect_int(
+                    "expected string or integer"))
+            if self.accept("<"):
+                return StateLess(key=key, bound=self.expect_int(
+                    "expected integer bound"))
+            self.fail("expected '==' or '<' after state key")
         if word == "cert":
             self.expect_punct(".")
-            attr = self.expect_name("certificate attribute").value
+            attr = self.expect_name("certificate attribute")
             self.expect_punct("==")
-            val = self.expect_kind("STRING", "expected string value")
-            return CertEquals(attr=attr, value=val.value)
-        self.fail(tok, f"expected predicate atom, found {word!r}")
+            return CertEquals(attr=attr, value=self.expect_string(
+                "expected string value"))
+        self.fail(f"expected predicate atom, found {word!r}", self.pos - 1)
 
     # -- law-level validation ----------------------------------------------
 
-    def validate(self, law: Law, anchor: _Token):
+    def validate(self, law: Law, anchor: int):
+        errors = self.errors
         seen_ids: set[str] = set()
         for rule in law.rules:
             if rule.id in seen_ids:
-                self.diags.append(ParseDiagnostic(
-                    "error", anchor.line, anchor.col,
-                    f"duplicate rule id {rule.id!r}"))
+                errors.append((anchor, f"duplicate rule id {rule.id!r}"))
             seen_ids.add(rule.id)
         seen_meta: set[tuple[str, MetaDirection]] = set()
         for grant in law.meta:
             rule = law.rule(grant.rule_id)
             if rule is None:
-                self.diags.append(ParseDiagnostic(
-                    "error", anchor.line, anchor.col,
-                    f"allow-override names unknown rule {grant.rule_id!r}"))
+                errors.append((anchor, f"allow-override names unknown rule "
+                                       f"{grant.rule_id!r}"))
             elif rule.mode is not RuleMode.DEFAULT:
-                self.diags.append(ParseDiagnostic(
-                    "error", anchor.line, anchor.col,
-                    f"allow-override names categorical rule {grant.rule_id!r}"))
+                errors.append((anchor, f"allow-override names categorical "
+                                       f"rule {grant.rule_id!r}"))
             pair = (grant.rule_id, grant.direction)
             if pair in seen_meta:
-                self.diags.append(ParseDiagnostic(
-                    "error", anchor.line, anchor.col,
-                    f"duplicate allow-override for {grant.rule_id!r}"))
+                errors.append((anchor, f"duplicate allow-override for "
+                                       f"{grant.rule_id!r}"))
             seen_meta.add(pair)
 
 
@@ -618,18 +623,19 @@ def parse_law(source: Union[str, LawSource]) -> Law:
     Raises :class:`LawParseError` carrying 1-based positioned diagnostics.
     """
     src = source if isinstance(source, LawSource) else LawSource(text=source)
-    diags: list[ParseDiagnostic] = []
-    law: Optional[Law] = None
+    text = src.text
+    found = _LEXEME.findall(text)
+    if text.startswith("\ufeff") or any(map(_bad_lexeme, found)):
+        raise LawParseError(src.origin, [_lex_error(text)])
+    parser = _Parser(list(map(_lexeme, found)))
     try:
-        toks = _tokenize(src.text, diags)
-        law = _Parser(toks, diags).parse()
+        law = parser.parse()
     except _Abort:
         pass
-    errors = [d for d in diags if d.severity == "error"]
-    if errors or law is None:
-        if not errors:
-            errors = [ParseDiagnostic("error", 1, 1, "parse failed")]
-        raise LawParseError(src.origin, errors)
+    if parser.errors:
+        raise LawParseError(src.origin, [
+            _error(text, next(islice(_offsets(text), at, None)), message)
+            for at, message in parser.errors])
     return finalize(law)
 
 

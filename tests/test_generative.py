@@ -12,6 +12,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,15 @@ class TestLawParser:
             parse_law(text)
         except LawParseError:
             pass
+
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("not ", "")])
+    def test_deep_nesting_raises_law_parse_error(self, opener, closer):
+        # 10,000 levels overflowed the interpreter's stack before the
+        # parser had a nesting limit.
+        text = ("law T { default rule r on sent if " + opener * 10_000
+                + "peer.outside" + closer * 10_000 + " { permit; } }")
+        with pytest.raises(LawParseError, match="nested deeper than 64"):
+            parse_law(text)
 
 
 class TestScenarioParser:

@@ -1,11 +1,19 @@
 """Law text: parsing, canonical printing, and content hashing."""
 
-import pytest
+import hashlib
+import json
+import random
+import re
+import time
 
-from mds.law_lang import (LawParseError, LawSource, law_hash, parse_law,
-                          print_law, print_predicate)
-from mds.model import (And, EventKind, FlowKind, MetaDirection, Not,
-                       OpEquals, OpGlob, Or, OverrideKind, RuleMode,
+import pytest
+from hypothesis import given
+from test_generative import LAW_PIECES, SETTINGS, _joined
+
+from mds.law_lang import (_LEXEME, LawParseError, LawSource, _offsets,
+                          law_hash, parse_law, print_law, print_predicate)
+from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
+                       MetaDirection, Not, OpEquals, OpGlob, Or, RuleMode,
                        StateEquals, StateLess)
 from mds.oracle import generate_system
 
@@ -459,6 +467,16 @@ class TestParserDiagnostics:
                      "may-permit; allow-override r may-permit; }",
                      1, 5, "duplicate allow-override for 'r'",
                      id="duplicate-allow-override"),
+        pytest.param(RULE + "(" * 65 + "peer.outside" + ")" * 65
+                     + " { permit; } }",
+                     1, 99, "predicate nested deeper than 64 levels",
+                     id="nested-parentheses"),
+        pytest.param(RULE + "not " * 65 + "peer.outside { permit; } }",
+                     1, 291, "predicate nested deeper than 64 levels",
+                     id="nested-not"),
+        pytest.param(BODY + "increment state.k by " + "1" * 5000 + "; } }",
+                     1, 55, "integer literal too long",
+                     id="integer-too-long"),
 
     ])
     def test_diagnostic(self, text, line, col, message):
@@ -466,6 +484,144 @@ class TestParserDiagnostics:
             parse_law(text)
         assert [(d.line, d.col, d.message)
                 for d in err.value.diagnostics] == [(line, col, message)]
+
+
+class TestNesting:
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("not (", ")")])
+    def test_sixty_four_levels_parse(self, opener, closer):
+        depth = 64 // len(opener.split())
+        law = parse_law(RULE + opener * depth + "peer.outside"
+                        + closer * depth + " { permit; } }")
+        assert print_law(parse_law(law.text)) == law.text
+
+
+# The row-by-row lexer that the single-pattern lexer replaced, kept as a
+# reference: each row walked with one pattern, blanks and comments dropped.
+_ROW_LEXEME = re.compile(
+    r"[ \t\r]+|#.*"
+    r"|(" + NAME + r'|==|[{}\[\](),;.=<]|"(?:[^"\\\x00-\x1f]|\\[\\"nt])*"'
+    r"|-?[0-9]+(?!" + NAME_CHAR + "))"
+    r"|(.)")
+
+
+def _row_lexemes(text):
+    """The lexemes a row-by-row walk finds, or None for a text that starts
+    with a byte order mark or holds a bad lexeme."""
+    if text.startswith("\ufeff"):
+        return None
+    lexemes = []
+    for row in text.split("\n"):
+        for m in _ROW_LEXEME.finditer(row):
+            if m.group(2) is not None:
+                return None
+            if m.group(1) is not None:
+                lexemes.append(m.group(1))
+    return lexemes
+
+
+def _check_lexemes(text):
+    found = _LEXEME.findall(text)
+    lexemes = [lexeme for lexeme, _ in found]
+    reference = _row_lexemes(text)
+    if reference is None:
+        assert text.startswith("\ufeff") or any(bad for _, bad in found)
+        return
+    assert not any(bad for _, bad in found)
+    # The end of input reads as one or two "" (after trailing blanks).
+    assert lexemes[:len(reference)] == reference
+    assert 1 <= len(lexemes) - len(reference) <= 2
+    assert not any(lexemes[len(reference):])
+    # The walk that positions diagnostics sees the same lexemes.
+    offsets = list(_offsets(text))
+    assert len(offsets) == len(lexemes)
+    assert [text[at:at + len(lexeme)]
+            for at, lexeme in zip(offsets, lexemes)] == lexemes
+    assert offsets == sorted(offsets) and offsets[-1] == len(text)
+
+
+def _mutations(texts, count, seed):
+    """Texts with up to three random cuts, insertions of LAW_PIECES, or
+    truncations each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            what = rng.randrange(3)
+            if what == 0:
+                text = text[:at] + text[at + rng.randint(1, 8):]
+            elif what == 1:
+                text = text[:at] + rng.choice(LAW_PIECES) + text[at:]
+            else:
+                text = text[:at]
+        yield text
+
+
+def _outcome(text):
+    try:
+        return parse_law(text).hash
+    except LawParseError as err:
+        return [str(d) for d in err.diagnostics]
+
+
+class TestLexer:
+    """The lexemes parsing reads, against the walk that positions
+    diagnostics and against the row-by-row reference lexer."""
+
+    def test_shipped_laws(self, law_dir):
+        for file in sorted(law_dir.glob("*.law")):
+            _check_lexemes(file.read_text())
+
+    def test_generated_laws(self):
+        for seed in range(40):
+            for law in generate_system(seed).laws.values():
+                _check_lexemes(print_law(law))
+
+    @SETTINGS
+    @given(_joined(LAW_PIECES))
+    def test_law_pieces(self, text):
+        _check_lexemes(text)
+
+    def test_shipped_hashes(self, law_dir):
+        # Regression pin of every shipped law's digest, as the row-by-row
+        # lexer and its parser gave them.
+        assert {file.stem: parse_law(file.read_text()).hash
+                for file in sorted(law_dir.glob("*.law"))} == {
+            "MGMT": "35c1b35574afa4cdd80b66ba5661844dcf3dbf3833bf6431f9fd6ca77a68d743",
+            "MS": "fd06955b2f74e49580fee64f01c78ad6a4f2e6192908087ed28b9d38dff4a265",
+            "OPS": "81cb44abc16eac722a42941c86d4d66518837eba8c45c92863a0603f1df7eb11",
+            "P": "ae0e3c3f225bf5a658fc60c6055f281ac3464c6b7a5a9d90f76fccdc5ff9110c",
+            "S": ROOT_HASH,
+            "SB": "0f2889b519c0acad84f3466fc80223d33f7fc515aab7a195651b3635e67319c3",
+        }
+
+    def test_mutated_laws_keep_their_outcomes(self, law_dir):
+        # Regression pin: the digest of each of 2,000 damaged shipped laws'
+        # hash or full diagnostic list, as the row-by-row lexer and its
+        # parser gave them (353 parse; the rest fail with 36 kinds of message).
+        texts = [file.read_text() for file in sorted(law_dir.glob("*.law"))]
+        outcomes = [_outcome(text) for text in _mutations(texts, 2000, 15)]
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == ("cfd826c75d02a3cb925f60e98fcbc73c91e11d6a9c904161"
+                          "909b40d0cd818cde")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(BODY + "permit; } }" + " " * 100_000,
+                     id="trailing-blanks"),
+        pytest.param("# row\n" * 100_000 + BODY + "permit; } }",
+                     id="comment-rows"),
+        pytest.param(RULE + 'op == "' + "a" * 100_000, id="open-string"),
+        pytest.param("law T { " + "1a " * 50_000 + "}", id="bad-words"),
+    ])
+    def test_pathological_text_is_linear(self, text):
+        # Each takes tens of milliseconds; a lexer that backtracks over
+        # the blanks it skips takes seconds to hours.
+        started = time.perf_counter()
+        try:
+            parse_law(text)
+        except LawParseError:
+            pass
+        assert time.perf_counter() - started < 1.0
 
 
 class TestCanonicalPrint:

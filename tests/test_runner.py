@@ -1,5 +1,6 @@
 """End-to-end scenario execution over both transports."""
 
+import gc
 import re
 import socket
 import threading
@@ -100,6 +101,19 @@ class TestDeterminism:
 
 
 class TestRunnerMechanics:
+    def test_finished_runner_leaves_no_cyclic_garbage(self, scenario_dir):
+        # Its laws and compiled programs go with its last reference, not at
+        # whichever later full collection reaches them.
+        gc.collect()
+        gc.disable()
+        try:
+            scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
+            ScenarioRunner(scn, scenario_dir, mode="sim", seed=0).run()
+            del scn
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_one_registration_per_adoption(self, scenario_dir):
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
         runner = ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
@@ -342,6 +356,17 @@ class TestLawDirChecking:
         h, problems = check_law_dir(tmp_path)
         assert h is None
         assert any(p.startswith("broken.law:2:") for p in problems)
+
+    def test_deep_nesting_is_a_positioned_problem(self, law_dir, tmp_path):
+        for file in law_dir.glob("*.law"):
+            (tmp_path / file.name).write_text(file.read_text())
+        (tmp_path / "X.law").write_text(
+            "law X extends S {\n  default rule r on sent if "
+            + "(" * 5000 + "peer.outside" + ")" * 5000 + " { permit; }\n}\n")
+        h, problems = check_law_dir(tmp_path)
+        assert h is None
+        assert problems == [
+            "X.law:2:93: predicate nested deeper than 64 levels"]
 
 
 class TestGoldenAudits:
