@@ -4,11 +4,17 @@ A frame is a 4-byte big-endian length prefix and a binary body: the
 message kind's index in ``WIRE_FORMAT`` as one byte, then the fields of
 that kind in table order (text and bytes as a u32 length and the bytes,
 lists as a u16 count and the items, a bool as one byte, an int as an
-i64).  At import, ``WIRE_FORMAT`` is compiled into one straight-line
-encoder and one decoder per kind; ``_body_size`` checks every prefix read,
-whether by ``read_frame`` or from a service's buffer.  The frames back the
-TCP transport and services; the in-process simulator carries the decoded
-message objects themselves, so it never runs the codec.
+i64, a block of fields as a u32 length and the fields).  At import,
+``WIRE_FORMAT`` is compiled into one straight-line encoder and one decoder
+per kind.  An envelope's sender identity (module, profile, lineage), the
+same on every message a sender sends, is one block, and the codec keeps
+each distinct one's bytes and fields in two memos.  A memo is cleared at
+``MEMO_SIZE`` keys, keeps no block over ``MEMO_BYTES`` nor one that does
+not decode, and is touched only by get, set and clear, so threads share
+it without a lock.  ``_frame_end`` checks every length prefix read.  The
+frames back the TCP transport and services; the in-process simulator
+carries the decoded message objects themselves, so it never runs the
+codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
 ``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
@@ -51,6 +57,8 @@ DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits per read
 FRAME_DEADLINE = 5.0  # seconds a served peer has to finish a frame it began
 MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
+MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
+MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,36 @@ BOOL = ("o.append({v})", "{v} = (False, True)[b[p]]; p += 1")
 INT = ("o += I64({v})", "{v}, = I64_AT(b, p); p += 8")
 TEXTS = (TEXT,)
 
+
+class Block(tuple):
+    """Fields sent as one unit, a u32 length and then the fields; it stands
+    in a record's field list for the (name, wire type) pairs it holds."""
+
+
+class _Memo(dict):
+    """``make(key)`` by key, within the bounds the module docstring gives."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if max(len(key), len(value)) <= MEMO_BYTES:
+            if len(self) >= MEMO_SIZE:
+                self.clear()
+            self[key] = value
+        return value
+
+
 # The wire format.  A frame body is the kind's index here as one byte, then
 # the fields of its class, a record, in the order the class declares them.
 WIRE_FORMAT = {
     "enveloped": (Envelope, (
-        ("sender_module", TEXT), ("sender_profile", TEXTS),
-        ("sender_lineage", TEXTS), ("operation", TEXT), ("payload", BYTES),
-        ("sender", TEXT), ("target", TEXT))),
+        Block((("sender_module", TEXT), ("sender_profile", TEXTS),
+               ("sender_lineage", TEXTS))),
+        ("operation", TEXT), ("payload", BYTES), ("sender", TEXT),
+        ("target", TEXT))),
     "bare": (BareInbound, (
         ("sender_address", TEXT), ("target", TEXT), ("operation", TEXT),
         ("payload", BYTES))),
@@ -136,14 +167,16 @@ WIRE_FORMAT = {
 }
 
 
-def _lines(wire, src: str, dst: str, names: dict) -> tuple[list, list]:
-    """The lines that encode ``src`` and decode ``dst``, values of ``wire``."""
+def _lines(wire, src: str, dst: str, names: dict,
+           memos: list) -> tuple[list, list]:
+    """The lines that encode ``src`` and decode ``dst``, values of ``wire``;
+    a block's memos are appended to ``memos``."""
     if isinstance(wire[0], str):
         return [wire[0].format(v=src)], [wire[1].format(v=dst)]
     if len(wire) == 1:
         item = dst + "_item"
         enc, dec = (["    " + line for line in lines]
-                    for lines in _lines(wire[0], item, item, names))
+                    for lines in _lines(wire[0], item, item, names, memos))
         return ([f"o += U16(len({src}))", f"for {item} in {src}:", *enc],
                 ["n, = U16_AT(b, p); p += 2", f"{dst} = []",
                  "for _ in range(n):", *dec, f"    {dst}.append({item})",
@@ -151,39 +184,77 @@ def _lines(wire, src: str, dst: str, names: dict) -> tuple[list, list]:
     cls, fields = wire
     names[cls.__name__] = cls
     enc, dec, args = [], [], []
-    for name, field_wire in fields:
-        args.append(f"{dst}_{name}")
-        more = _lines(field_wire, f"{src}.{name}", args[-1], names)
+    for field in fields:
+        if isinstance(field, Block):
+            args += [f"{dst}_{name}" for name, _ in field]
+            more = _block(field, src, dst, names, memos)
+        else:
+            name, field_wire = field
+            args.append(f"{dst}_{name}")
+            more = _lines(field_wire, f"{src}.{name}", args[-1], names,
+                          memos)
         enc, dec = enc + more[0], dec + more[1]
     return enc, dec + [f"{dst} = {cls.__name__}({', '.join(args)})"]
 
 
-def _compile() -> tuple[dict, tuple]:
-    """Straight-line encoders by message class, decoders by kind byte."""
+def _block(fields: Block, src: str, dst: str, names: dict,
+           memos: list) -> tuple[list, list]:
+    """The lines that encode and decode ``fields`` as one block."""
+    enc, dec = [], []
+    for i, (name, wire) in enumerate(fields):
+        more = _lines(wire, f"m[{i}]", f"r_{name}", names, memos)
+        enc, dec = enc + more[0], dec + more[1]
+    got = "".join(f"r_{name}, " for name, _ in fields)
+    encode, decode = _codec(enc + ["o[:4] = U32(len(o) - 4); o = bytes(o)"],
+                            dec + [f"r = ({got})"], bytes(4), names)
+    n = len(memos)
+    memos += [_Memo(encode), _Memo(decode)]
+    names[f"MEMO{n}"], names[f"MEMO{n + 1}"] = memos[n:]
+    keys = "".join(f"{src}.{name}, " for name, _ in fields)
+    values = "".join(f"{dst}_{name}, " for name, _ in fields)
+    return ([f"k = ({keys})", "try:", f"    o += MEMO{n}[k]",
+             "except TypeError:  # unhashable, a list profile say",
+             f"    o += MEMO{n}.make(k)"],
+            ["n, = U32_AT(b, p); p += 4",
+             f"{values}= MEMO{n + 1}[b[p:p + n]]; p += n"])
+
+
+def _codec(enc: list, dec: list, head: bytes, names: dict) -> tuple:
+    """An encoder that appends to ``head``, and a decoder that starts after
+    its length prefix and refuses bytes left over after the fields."""
+    exec("\n    ".join([
+        "def encode(m):", f"o = bytearray({head!r})", *enc,
+        "return o\ndef decode(b):", f"p = {len(head) - 4}", *dec,
+        "if p != len(b):",
+        "    raise FrameError(f'fields end at byte {p} of {len(b)}')",
+        "return r"]), names)
+    return names["encode"], names["decode"]
+
+
+def _compile() -> tuple[dict, tuple, list]:
+    """Straight-line encoders by message class, decoders by kind byte, and
+    the blocks' memos."""
     names = {"FrameError": FrameError}
     for name, code in (("U16", ">H"), ("U32", ">I"), ("I64", ">q")):
         names[name] = struct.Struct(code).pack
         names[name + "_AT"] = struct.Struct(code).unpack_from
-    encoders, decoders = {}, []
+    encoders, decoders, memos = {}, [], []
     for kind, record in enumerate(WIRE_FORMAT.values()):
-        enc, dec = _lines(record, "m", "r", names)
-        exec("\n    ".join([
-            "def encode(m):", f"o = bytearray({bytes(4) + bytes([kind])!r})",
-            *enc, "return o\ndef decode(b):", "p = 1", *dec, "if p != len(b):",
-            "    raise FrameError(f'fields end at byte {p} of {len(b)}')",
-            "return r"]), names)
-        encoders[record[0]] = names["encode"]
-        decoders.append(names["decode"])
-    return encoders, tuple(decoders)
+        enc, dec = _lines(record, "m", "r", names, memos)
+        encoders[record[0]], decode = _codec(
+            enc, dec, bytes(4) + bytes([kind]), names)
+        decoders.append(decode)
+    return encoders, tuple(decoders), memos
 
 
-_ENCODERS, _DECODERS = _compile()
+_ENCODERS, _DECODERS, _MEMOS = _compile()
 
 
 def encode_frame(msg: WireMessage) -> bytes:
-    try:
+    try:  # KeyError: not a wire message; ValueError: a surrogate
         frame = _ENCODERS[type(msg)](msg)
-    except (struct.error, ValueError) as exc:  # out of range, or a surrogate
+    except (AttributeError, KeyError, TypeError, struct.error,
+            ValueError) as exc:
         raise FrameError(f"unencodable {type(msg).__name__}: {exc}") from None
     if len(frame) - 4 > MAX_FRAME:
         raise FrameError("frame body too large")
@@ -340,40 +411,40 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 
-def _body_size(header: bytes) -> int:
-    """The body size a 4-byte length prefix declares, refused past MAX_FRAME."""
-    size = int.from_bytes(header, "big")
+def _frame_end(buf: bytearray) -> int:
+    """Where the first frame in ``buf`` ends, 4 until its length prefix is
+    in; a size over MAX_FRAME is refused at the prefix."""
+    if len(buf) < 4:
+        return 4
+    size = int.from_bytes(buf[:4], "big")
     if size > MAX_FRAME:
         raise FrameError("frame too large")
-    return size
+    return 4 + size
+
+
+def _cut(buf: bytearray) -> Optional[bytes]:
+    """Take the body of the first frame out of ``buf``; None while the
+    frame is unfinished."""
+    end = _frame_end(buf)
+    if len(buf) < end:
+        return None
+    body = bytes(buf[4:end])
+    del buf[:end]
+    return body
 
 
 def read_frame(sock: socket.socket) -> Optional[WireMessage]:
-    """Read one frame; None when the peer closed the stream between frames."""
-    header = _read_upto(sock, 4)
-    if not header:
-        return None
-    if len(header) < 4:
-        raise FrameError("truncated length prefix")
-    size = _body_size(header)
-    body = _read_upto(sock, size)
-    if len(body) < size:
-        raise FrameError("connection closed mid-frame")
-    return decode_body(body)
-
-
-def _read_upto(sock: socket.socket, n: int) -> bytes:
-    """``n`` bytes, or fewer if the peer closes the stream first."""
-    chunk = sock.recv(n) if n else b""
-    if len(chunk) == n or not chunk:  # most frames arrive in one piece
-        return chunk
-    buf = bytearray(chunk)
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+    """Read one frame and not a byte past it; None when the peer closed the
+    stream between frames."""
+    buf = bytearray()
+    while len(buf) < (end := _frame_end(buf)):
+        chunk = sock.recv(end - len(buf))
         if not chunk:
-            break
+            if buf:
+                raise FrameError("connection closed mid-frame")
+            return None
         buf += chunk
-    return bytes(buf)
+    return decode_body(bytes(buf[4:]))
 
 
 def send_frame(sock: socket.socket, msg: WireMessage):
@@ -556,13 +627,10 @@ class TcpService:
                     break
                 if outbox:
                     break
-            if len(inbox) < 4:
+            body = _cut(inbox)
+            if body is None:
                 break
-            end = 4 + _body_size(inbox[:4])
-            if len(inbox) < end:
-                break
-            msg = decode_body(bytes(inbox[4:end]))
-            del inbox[:end]
+            msg = decode_body(body)
             handled = True
             try:
                 reply = peer.handler(msg)
@@ -570,7 +638,12 @@ class TcpService:
                 log.exception("frame handler failed")
                 continue
             if reply is not None:
-                outbox += encode_frame(reply)
+                try:
+                    outbox += encode_frame(reply)
+                except FrameError as exc:
+                    log.warning("dropping a peer whose %s reply cannot be "
+                                "sent: %s", type(reply).__name__, exc)
+                    raise
         if not inbox and not outbox:
             peer.since = None
         elif handled or peer.since is None:
@@ -653,6 +726,27 @@ class _Link(NamedTuple):
     client: socket.socket  # send() writes here
     server: socket.socket  # the accepted end run_until_idle reads
     handle: Callable[[WireMessage], object]
+    inbox: bytearray  # bytes read from server, not yet a whole frame
+
+
+def _receive(link: _Link) -> WireMessage:
+    """The next frame on ``link``'s own connection."""
+    sock, inbox = link.server, link.inbox
+    while (body := _cut(inbox)) is None:
+        try:
+            data = sock.recv(65536)
+        except BlockingIOError:  # wait for it: socket timeouts poll, so
+            sock.settimeout(DELIVERY_TIMEOUT)  # any fd number will do
+            try:
+                data = sock.recv(65536)
+            finally:
+                sock.setblocking(False)
+        if not data:
+            if inbox:
+                raise FrameError("connection closed mid-frame")
+            raise ConnectionError("own connection closed")
+        inbox += data
+    return decode_body(body)
 
 
 class TcpNetwork:
@@ -665,12 +759,16 @@ class TcpNetwork:
     ``run_until_idle`` reads one frame per send from the server end and
     runs the handler, again on the calling thread: no other thread takes
     part in a delivery, and the handler's result or exception reaches the
-    caller.  Peers outside the run reach the address at the host:port
-    ``register`` returns; one ``TcpService`` loop thread serves every
-    such connection, sends no reply and logs a handler's failure.  Each
-    address's handler runs under a lock of its own, so an outside frame
-    is never handled while the caller handles one for the same address,
-    and since it arrives on another connection it cannot end a wait.
+    caller.  The server end is non-blocking, and only a read that would
+    block waits, up to DELIVERY_TIMEOUT s.  The stream's end is a
+    ConnectionError between frames and a FrameError within one; a wait
+    that runs out is a TimeoutError.  Peers outside the run reach the
+    address at the host:port ``register`` returns; one ``TcpService`` loop
+    thread serves every such connection, sends no reply and logs a
+    handler's failure.  Each address's handler runs under a lock of its
+    own, so an outside frame is never handled while the caller handles one
+    for the same address, and since it arrives on another connection it
+    cannot end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -707,10 +805,10 @@ class TcpNetwork:
             if peer != client.getsockname():
                 raise ConnectionError(f"{address!r}: accepted {peer}, not "
                                       f"this network's own connection")
-            server.settimeout(DELIVERY_TIMEOUT)
+            server.setblocking(False)
             host, port = self._service.serve(listener, serve)
             undo.pop_all()
-        self._links[address] = _Link(client, server, handle)
+        self._links[address] = _Link(client, server, handle, bytearray())
         return f"{host}:{port}"
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
@@ -723,10 +821,7 @@ class TcpNetwork:
         result = None
         while self._sent:
             link = self._links[self._sent.popleft()]
-            msg = read_frame(link.server)
-            if msg is None:
-                raise ConnectionError("own connection closed")
-            result = link.handle(msg)
+            result = link.handle(_receive(link))
         return result
 
     def advance(self, ticks: int) -> str:

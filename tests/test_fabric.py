@@ -14,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mds import fabric
 from mds.conformance import build_hierarchy
@@ -75,12 +77,24 @@ def _wire(value) -> bytes:
     return len(value).to_bytes(2, "big") + b"".join(_wire(v) for v in value)
 
 
+# The fields each kind sends as one block, as the README lists them.
+BLOCKS = {"enveloped": ("sender_module", "sender_profile", "sender_lineage")}
+
+
 def _frame(data: dict) -> bytes:
     """A frame of ``data``: its "kind" as the kind's byte (or as the byte
-    given), then its other values as ``_wire`` lays them out, in order."""
+    given), then its other values as ``_wire`` lays them out, in order; the
+    values of a block's fields are laid out as one bytes value where the
+    block's first field stands."""
     kind = data["kind"]
-    body = bytes([KIND_BYTES.get(kind, kind)]) + b"".join(
-        _wire(value) for key, value in data.items() if key != "kind")
+    block = BLOCKS.get(kind, ())
+    body = bytes([KIND_BYTES.get(kind, kind)])
+    for key, value in data.items():
+        if key == "kind" or key in block[1:]:
+            continue
+        if key in block:
+            value = b"".join(_wire(data[name]) for name in block)
+        body += _wire(value)
     return len(body).to_bytes(4, "big") + body
 
 
@@ -104,17 +118,18 @@ class TestGoldenFrame:
 
     def test_enveloped_frame_bytes(self):
         body = (b"\x00"                               # kind: enveloped
-                b"\x00\x00\x00\x02MS"                 # sender_module
-                b"\x00\x01"                           # sender_profile: 1
+                b"\x00\x00\x00\x1d"                   # sender identity block
+                b"\x00\x00\x00\x02MS"                 #   sender_module
+                b"\x00\x01"                           #   sender_profile: 1
                 b"\x00\x00\x00\x03log"
-                b"\x00\x02"                           # sender_lineage: 2
+                b"\x00\x02"                           #   sender_lineage: 2
                 b"\x00\x00\x00\x02aa"
                 b"\x00\x00\x00\x02bb"
                 b"\x00\x00\x00\x03log"                # operation
                 b"\x00\x00\x00\x00"                   # payload, empty
                 b"\x00\x00\x00\x02m1"                 # sender
                 b"\x00\x00\x00\x02m2")                # target
-        expected = b"\x00\x00\x00\x35" + body
+        expected = b"\x00\x00\x00\x39" + body
         env = Envelope(sender_module="MS", sender_profile=("log",),
                        sender_lineage=("aa", "bb"), operation="log",
                        payload=b"", sender="m1", target="m2")
@@ -335,7 +350,9 @@ class TestEveryField:
             assert _frame(base) == encode_frame(_SAMPLES[kind])
             # wire order is the order the class declares its fields in
             declared = [f.name for f in dataclasses.fields(cls)]
-            assert [name for name, _ in fields] == declared
+            assert [name for field in fields for name, _ in (
+                field if isinstance(field, fabric.Block) else (field,))
+            ] == declared
             paths = [(key,) for key in declared]
             for key in declared:
                 if isinstance(base[key], list) and base[key] and type(
@@ -357,6 +374,112 @@ class TestEveryField:
                     assert type(msg) is cls, (kind, path, value)
                     assert encode_frame(msg) == frame, (kind, path, value)
         assert accepted > 0
+
+
+def _cold():
+    for memo in fabric._MEMOS:
+        memo.clear()
+
+
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_envelopes = st.builds(
+    Envelope, _texts, st.lists(_texts, max_size=4).map(tuple),
+    st.lists(st.text("0123456789abcdef", min_size=64, max_size=64),
+             max_size=7).map(tuple),
+    _texts, st.binary(max_size=16), _texts, _texts)
+
+
+class TestIdentityMemos:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_envelopes, min_size=1, max_size=4))
+    def test_memos_cold_and_warm_give_the_same_bytes_and_messages(
+            self, envelopes):
+        _cold()
+        cold = [encode_frame(env) for env in envelopes]
+        assert [decode_body(frame[4:]) for frame in cold] == envelopes
+        warm = [encode_frame(env) for env in envelopes]
+        assert warm == cold
+        assert [decode_body(frame[4:]) for frame in warm] == envelopes
+        # the independent layout agrees, and so does a list profile
+        for env, frame in zip(envelopes, cold):
+            assert _frame(_as_data(env)) == frame
+            listed = dataclasses.replace(env, sender_profile=list(
+                env.sender_profile), sender_lineage=list(env.sender_lineage))
+            assert encode_frame(listed) == frame
+
+    @pytest.mark.parametrize("damage", [
+        lambda block: block[:5] + b"\xff" + block[6:],   # bad UTF-8
+        lambda block: block[:-1],                         # cut short
+        lambda block: block + b"\x00",                    # a byte over
+        lambda block: b"\x00\x00\x00\x09" + block[4:],  # too long a text
+    ])
+    def test_a_damaged_identity_block_is_refused_and_never_kept(self, damage):
+        env = _SAMPLES["enveloped"]
+        body = encode_frame(env)[4:]
+        size = int.from_bytes(body[1:5], "big")
+        block = damage(body[5:5 + size])
+        _cold()
+        for declared in (len(block), size):
+            with pytest.raises(FrameError):
+                decode_body(body[:1] + declared.to_bytes(4, "big") + block
+                            + body[5 + size:])
+            if declared == len(block):  # the block as its prefix cuts it
+                assert all(not memo for memo in fabric._MEMOS)
+        # at the old length the cut may hold a well-formed block, and the
+        # memo may keep it: only ever as its own fields
+        for memo in fabric._MEMOS:
+            for key, value in memo.items():
+                assert memo.make(key) == value
+        assert decode_body(body) == env
+
+    def test_memos_stay_within_their_bounds(self):
+        _cold()
+        largest = 0
+        for i in range(10_000):
+            env = Envelope(f"M{i}", ("log",), (f"{i:064x}",), "op", b"",
+                           "m1", "m2")
+            assert decode_body(encode_frame(env)[4:]) == env
+            largest = max(largest, *map(len, fabric._MEMOS))
+        assert largest == fabric.MEMO_SIZE
+        # a block over MEMO_BYTES is coded afresh each time, never kept
+        _cold()
+        big = Envelope("M", (), ("a" * fabric.MEMO_BYTES,), "op", b"", "m1",
+                       "m2")
+        for _ in range(2):
+            assert decode_body(encode_frame(big)[4:]) == big
+        assert all(not memo for memo in fabric._MEMOS)
+
+
+    def test_threads_share_the_memos(self):
+        """Threads that code distinct and shared identities at once, with a
+        memo cleared under them, each get their own messages back."""
+        _cold()
+        failures = []
+
+        def work(tag):
+            for i in range(3000):
+                env = Envelope(f"M{i % 1500 if tag % 2 else i}", (),
+                               (f"{tag}",), "op", b"", "m1", "m2")
+                if decode_body(encode_frame(env)[4:]) != env:
+                    failures.append((tag, i))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(tag,))
+                       for tag in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not failures
+        for memo in fabric._MEMOS:  # a racing miss may add one key more
+            assert len(memo) <= fabric.MEMO_SIZE + len(workers)
+            for key, value in list(memo.items()):
+                assert memo.make(key) == value
 
 
 class TestSimNetwork:
@@ -730,6 +853,80 @@ class TestTcpNetwork:
         assert [msg.payload for msg in got] == [payload]
 
 
+class TestOwnConnectionReader:
+    @pytest.fixture
+    def net(self):
+        net = TcpNetwork()
+        yield net
+        net.close()
+
+    def test_frames_that_arrived_together_take_one_recv(self, net,
+                                                       monkeypatch):
+        handled = []
+        net.register("a", lambda msg: handled.append(msg) or msg.name)
+        server = net._links["a"].server
+        frames = [LawFetch("one"), LawFetch("two")]
+        for msg in frames:
+            net.send("a", msg)
+        size = sum(len(encode_frame(msg)) for msg in frames)
+        while True:  # until both frames are in the receive buffer
+            try:
+                if len(server.recv(size, socket.MSG_PEEK)) == size:
+                    break
+            except BlockingIOError:
+                time.sleep(0.001)
+        calls = []
+        real_recv = socket.socket.recv
+
+        def recv(sock, *args):
+            if sock is server:
+                calls.append(args)
+            return real_recv(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "recv", recv)
+        assert net.run_until_idle() == "two"
+        assert handled == frames
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("at", [2, 9])  # in the prefix, in the body
+    def test_a_frame_split_across_reads_is_put_back_together(
+            self, net, monkeypatch, at):
+        def send_in_two(sock, msg):
+            frame = encode_frame(msg)
+            sock.sendall(frame[:at])
+            threading.Timer(0.05, sock.sendall, (frame[at:],)).start()
+
+        monkeypatch.setattr(fabric, "send_frame", send_in_two)
+        net.register("a", lambda msg: msg)
+        net.send("a", LawFetch("split"))
+        assert net.run_until_idle() == LawFetch("split")
+
+    @pytest.mark.parametrize("sent, error", [
+        (b"", ConnectionError),                                 # between
+        (encode_frame(LawFetch("cut"))[:-2], FrameError),       # mid-frame
+    ])
+    def test_the_end_of_the_stream(self, net, monkeypatch, sent, error):
+        monkeypatch.setattr(fabric, "send_frame",
+                            lambda sock, msg: sock.sendall(sent))
+        net.register("a", lambda msg: msg)
+        net.send("a", LawFetch("cut"))
+        net._links["a"].client.shutdown(socket.SHUT_WR)
+        with pytest.raises(error):
+            net.run_until_idle()
+
+    def test_a_frame_that_never_comes_times_out(self, net, monkeypatch):
+        monkeypatch.setattr(fabric, "DELIVERY_TIMEOUT", 0.2)
+        monkeypatch.setattr(fabric, "send_frame", lambda sock, msg: None)
+        net.register("a", lambda msg: msg)
+        threads = threading.active_count()
+        net.send("a", LawFetch("lost"))
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            net.run_until_idle()
+        assert 0.2 <= time.monotonic() - start < 2.0
+        assert threading.active_count() <= threads
+
+
 def _ended(sock: socket.socket, within: float = 2.0) -> bool:
     """Whether the other side ends the stream (by FIN or reset) in time."""
     sock.settimeout(within)
@@ -874,6 +1071,39 @@ class TestServiceLimits:
             service.close()
         assert got == [server.respond(LawFetch(name)) for name in names]
         assert partial  # some reply took more than one send
+
+    def test_a_refused_reply_is_logged_and_others_are_served(
+            self, monkeypatch, caplog):
+        monkeypatch.setattr(fabric, "MAX_FRAME", 512)
+        registry = Registry()
+        for i in range(40):
+            registry.register(f"component{i}", "M", f"address{i}")
+
+        def handle(msg):
+            if msg.field == "odd":
+                return object()  # not a wire message
+            if msg.field == "ill":  # a field of the wrong type
+                return LawResponse("L", True, None, (), "sha256")
+            return registry.respond(msg)
+
+        service = TcpService(handle)
+        try:
+            for query, refused in (
+                    (RegistryQuery("", ""), "RegistryRecords reply cannot "
+                     "be sent: frame body too large"),
+                    (RegistryQuery("odd", ""), "object reply cannot be "
+                     "sent: unencodable object"),
+                    (RegistryQuery("ill", ""), "LawResponse reply cannot "
+                     "be sent: unencodable LawResponse")):
+                with socket.create_connection(service.address) as asking:
+                    asking.sendall(encode_frame(query))
+                    assert _ended(asking)
+                assert refused in caplog.records[-1].getMessage()
+                reply = call_remote(service.address,
+                                    RegistryQuery("name", "component7"))
+                assert [r.address for r in reply.records] == ["address7"]
+        finally:
+            service.close()
 
     def test_law_responses_fit_in_a_frame(self, shipped, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))

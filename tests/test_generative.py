@@ -26,8 +26,8 @@ from mds.model import EventKind
 from mds.oracle import OracleEvent, oracle_evaluate, oracle_flow
 from mds.runner import check_law_dir
 from mds.scenario import ScenarioError, parse_scenario
-from test_fabric import (_SAMPLES, _WIRE_VALUES, KIND_BYTES, ChunkedSocket,
-                         _as_data, _frame, _wire)
+from test_fabric import (_SAMPLES, _WIRE_VALUES, BLOCKS, KIND_BYTES,
+                         ChunkedSocket, _as_data, _frame, _wire)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,6 +63,8 @@ FRAME_PIECES = [
     b"\x00\x00\x00\x05", b"\x80", b"\xed\xa0\x80", "é".encode(), b"x",
 ]
 MESSAGE_TYPES = tuple(cls for cls, _ in WIRE_FORMAT.values())
+# The fields each message class sends as one block.
+BLOCK_FIELDS = {WIRE_FORMAT[kind][0]: names for kind, names in BLOCKS.items()}
 
 
 def _joined(pieces):
@@ -116,21 +118,35 @@ class TestScenarioParser:
 
 def _pieces(value) -> list[tuple[str, bytes]]:
     """``value`` as the wire lays it out, cut into (type, bytes) pieces, one
-    per text, bytes, bool or int; a list is a count piece, then its items."""
+    per text, bytes, bool or int; a list is a count piece, then its items,
+    and a block is a u32 length piece, then its fields' pieces."""
     if isinstance(value, tuple):
         return [("count", len(value).to_bytes(2, "big")),
                 *(piece for item in value for piece in _pieces(item))]
     if dataclasses.is_dataclass(value):
-        return [piece for f in dataclasses.fields(value)
-                for piece in _pieces(getattr(value, f.name))]
+        block = BLOCK_FIELDS.get(type(value), ())
+        pieces = []
+        for f in dataclasses.fields(value):
+            if f.name in block[1:]:
+                continue
+            if f.name not in block:
+                pieces += _pieces(getattr(value, f.name))
+                continue
+            inner = [piece for name in block
+                     for piece in _pieces(getattr(value, name))]
+            size = sum(len(piece) for _, piece in inner)
+            pieces += [("block", size.to_bytes(4, "big")), *inner]
+        return pieces
     return [("bool" if type(value) is bool else type(value).__name__,
              _wire(value))]
 
 
 # Each damage _near_valid_frame makes, and the pieces it applies to (None:
-# any piece).  Every text of the samples is non-empty.
+# any piece).  Every text of the samples is non-empty.  A damage inside a
+# block leaves the block's length as it was.
 DAMAGES = {"short": None, "missing": None, "trailing": None, "kind": None,
-           "over-long": ("str", "bytes", "count"), "bad UTF-8": ("str",),
+           "over-long": ("str", "bytes", "count", "block"),
+           "bad UTF-8": ("str",),
            "bool byte": ("bool",)}
 
 
@@ -196,6 +212,14 @@ def _edited_frame(draw):
 
 
 class TestFrameReader:
+    @pytest.mark.parametrize("kind", sorted(WIRE_FORMAT))
+    def test_pieces_lay_out_the_samples(self, kind):
+        # _near_valid_frame damages these pieces, so they must be the
+        # layout the decoder reads.
+        body = bytes([KIND_BYTES[kind]]) + b"".join(
+            piece for _, piece in _pieces(_SAMPLES[kind]))
+        assert decode_body(body) == _SAMPLES[kind]
+
     @staticmethod
     def _read_all(stream, seed):
         """Read frames until the stream ends or one raises FrameError."""
