@@ -11,10 +11,10 @@ from .conformance import (ConformanceViolation, ViolationKind,
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Certificate, ComponentId, Decision, Delivery,
                          DemoIssuer, Envelope, Ruling, adopt,
-                         classify_flow, disclose_identity, handle_arrive,
-                         handle_send, matched_token)
-from .law_lang import (HASH_ALGORITHM, LawParseError, LawSource, law_hash,
-                       parse_law, print_law)
+                         disclose_identity, handle_arrive, handle_send,
+                         matched_token)
+from .law_lang import (HASH_ALGORITHM, LawParseError, law_hash, parse_law,
+                       print_law)
 from .model import (EventKind, FlowKind, Law, LawHierarchy, MetaDirection,
                     OverrideKind, Rule, RuleMode, UnknownLawError)
 from .runner import RunReport, RunnerError, check_law_dir, run_scenario
@@ -40,7 +40,6 @@ __all__ = [
     "Law",
     "LawHierarchy",
     "LawParseError",
-    "LawSource",
     "MetaDirection",
     "OverrideKind",
     "Rule",
@@ -56,7 +55,6 @@ __all__ = [
     "build_hierarchy",
     "check_law_dir",
     "check_strengthening",
-    "classify_flow",
     "derive_law",
     "disclose_identity",
     "handle_arrive",

@@ -35,6 +35,7 @@ from .runner import check_law_dir
 MEDIAN_BUDGET_US = 100.0
 WORST_BUDGET_US = 1000.0
 ROUNDS = 3
+WARM_EVENTS = 1_000  # untimed events before each round
 
 
 @dataclass
@@ -63,7 +64,7 @@ class BenchReport:
         ]
 
 
-def _timed_round(h, events: int, warmup: int) -> tuple[list[int], int]:
+def _timed_round(h, events: int) -> tuple[list[int], int]:
     """Per-event thread CPU nanoseconds of one round over fresh agents,
     and the round's wall-clock nanoseconds."""
     issuer = DemoIssuer("demo-ca")
@@ -87,7 +88,7 @@ def _timed_round(h, events: int, warmup: int) -> tuple[list[int], int]:
         if env is not None:
             handle_arrive(receiver, h, env)
 
-    for i in range(warmup):
+    for i in range(WARM_EVENTS):
         one(i)
 
     samples = [0] * events
@@ -108,15 +109,14 @@ def _timed_round(h, events: int, warmup: int) -> tuple[list[int], int]:
     return samples, elapsed
 
 
-def run_bench(events: int = 100_000, warmup: int = 1_000,
-              law_dir: str = "laws") -> BenchReport:
+def run_bench(events: int = 100_000, law_dir: str = "laws") -> BenchReport:
     h, problems = check_law_dir(law_dir)
     if h is None:
         raise RuntimeError("law directory rejected: " + "; ".join(problems))
     for needed in ("MS", "OPS"):
         if needed not in h.laws:
             raise RuntimeError(f"law directory has no law named {needed}")
-    runs = [_timed_round(h, events, warmup) for _ in range(ROUNDS)]
+    runs = [_timed_round(h, events) for _ in range(ROUNDS)]
     pooled = sorted(s for samples, _ in runs for s in samples)
     worst = max(map(min, zip(*(samples for samples, _ in runs))))
     return BenchReport(

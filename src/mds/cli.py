@@ -53,7 +53,7 @@ def _cmd_law_print(args) -> int:
         print(f"{path}: {what} at line {line}, column {col}", file=sys.stderr)
         return 1
     try:
-        law = law_lang.parse_law(law_lang.LawSource(text, str(path)))
+        law = law_lang.parse_law(text, str(path))
     except law_lang.LawParseError as exc:
         for diag in exc.diagnostics:
             print(f"{path}:{diag}", file=sys.stderr)
@@ -88,10 +88,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    report = run_differential(trials=args.trials, seed=args.seed,
-                              max_modules=args.max_modules,
-                              max_components=args.max_components,
-                              max_messages=args.max_messages)
+    report = run_differential(trials=args.trials, seed=args.seed)
     print(f"trials {report.trials}, events compared {report.events_compared}, "
           f"elapsed {report.elapsed:.1f}s")
     if report.disagreements:
@@ -165,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="differential-test the two evaluators")
     fuzz.add_argument("--trials", type=int, default=100)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--max-modules", type=int, default=4)
-    fuzz.add_argument("--max-components", type=int, default=8)
-    fuzz.add_argument("--max-messages", type=int, default=60)
     fuzz.set_defaults(func=_cmd_fuzz)
 
     bench = sub.add_parser("bench", help="time the enforcement hot path")

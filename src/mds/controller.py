@@ -86,13 +86,6 @@ from .model import (
 class _Outside:
     """Locus of parties that run no controller."""
 
-    _instance: Optional["_Outside"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "Outside"
 
@@ -101,35 +94,11 @@ OUTSIDE = _Outside()
 Locus = Union[str, _Outside]
 
 
-class FlowClassificationError(ValueError):
-    pass
-
-
 class AdoptionRefused(RuntimeError):
     def __init__(self, reason: str, outcome: "Ruling"):
         super().__init__(reason)
         self.reason = reason
         self.outcome = outcome
-
-
-def classify_flow(perspective: str, sender: Locus, receiver: Locus) -> FlowKind:
-    """Judge a message's flow kind from one module's point of view.
-
-    At least one locus must be the perspective module; outside-to-outside
-    traffic is not classifiable.
-    """
-    sender_out = isinstance(sender, _Outside)
-    receiver_out = isinstance(receiver, _Outside)
-    if sender_out and receiver_out:
-        raise FlowClassificationError("both endpoints are outside the system")
-    if sender == perspective and receiver == perspective:
-        return FlowKind.INNER
-    if sender == perspective:
-        return FlowKind.EXPORT if receiver_out else FlowKind.OUTFLOW
-    if receiver == perspective:
-        return FlowKind.IMPORT if sender_out else FlowKind.INFLOW
-    raise FlowClassificationError(
-        f"neither endpoint is in module {perspective!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +127,6 @@ class Certificate:
     issuer: str
     attributes: tuple[tuple[str, str], ...]  # sorted (key, value) pairs
     signature: str
-
-    def attr_dict(self) -> dict[str, str]:
-        return dict(self.attributes)
 
 
 def _cert_digest(subject: str, issuer: str,
@@ -765,7 +731,7 @@ def adopt(component: ComponentId, h: LawHierarchy, law: str,
     h.law(law)  # raises UnknownLawError early
     attrs: dict[str, str] = {}
     if cert is not None and demo_verify(cert):
-        attrs = cert.attr_dict()
+        attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
                   cert=cert, cert_attrs=attrs)
     ctx = EventContext(EventKind.ADOPTED, "", None, None, _NO_PROFILE, False)
@@ -784,8 +750,13 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
                 target: str, target_locus: Locus) -> tuple[Ruling, Optional[Envelope]]:
     """Sender-side ruling.  Forward yields the enveloped message, or a bare
     payload (None envelope) when the target is outside the system."""
-    flow = classify_flow(agent.law, agent.law, target_locus)
     outside = target_locus is OUTSIDE
+    if outside:
+        flow = FlowKind.EXPORT
+    elif target_locus == agent.law:
+        flow = FlowKind.INNER
+    else:
+        flow = FlowKind.OUTFLOW
     ctx = _tuple_new(EventContext, (
         EventKind.SENT, operation, flow,
         target if outside else target_locus, _NO_PROFILE, outside))

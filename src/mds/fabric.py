@@ -59,6 +59,7 @@ MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
+CALL_TIMEOUT = 5.0  # seconds call_remote waits to connect, send or read
 
 
 @dataclass(frozen=True)
@@ -704,10 +705,9 @@ def serve_registry(registry: Registry, host: str = "127.0.0.1",
 
 
 def call_remote(address: tuple[str, int], msg: WireMessage,
-                expect_reply: bool = True,
-                timeout: float = 5.0) -> Optional[WireMessage]:
+                expect_reply: bool = True) -> Optional[WireMessage]:
     """One request (and optionally one reply) over a fresh connection."""
-    with socket.create_connection(address, timeout=timeout) as sock:
+    with socket.create_connection(address, timeout=CALL_TIMEOUT) as sock:
         send_frame(sock, msg)
         if not expect_reply:
             return None
@@ -723,7 +723,7 @@ def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
 
 class _Link(NamedTuple):
     """The network's own connection to one registered address."""
-    client: socket.socket  # send() writes here
+    client: socket.socket  # send() writes here, without blocking
     server: socket.socket  # the accepted end run_until_idle reads
     handle: Callable[[WireMessage], object]
     inbox: bytearray  # bytes read from server, not yet a whole frame
@@ -749,6 +749,21 @@ def _receive(link: _Link) -> WireMessage:
     return decode_body(body)
 
 
+def _write(link: _Link, frame: bytes):
+    """Write ``frame`` on ``link``'s own connection.  While the loopback
+    buffers are full, what the server end holds moves into the inbox, so
+    the write never waits for a read that only this thread would make."""
+    sent = 0
+    while sent < len(frame):
+        try:  # frame[0:] is frame itself: a whole write copies nothing
+            sent += link.client.send(frame[sent:])
+        except BlockingIOError:
+            try:
+                link.inbox.extend(link.server.recv(65536))
+            except BlockingIOError:
+                pass
+
+
 class TcpNetwork:
     """The ``SimNetwork`` interface over loopback sockets.
 
@@ -759,16 +774,16 @@ class TcpNetwork:
     ``run_until_idle`` reads one frame per send from the server end and
     runs the handler, again on the calling thread: no other thread takes
     part in a delivery, and the handler's result or exception reaches the
-    caller.  The server end is non-blocking, and only a read that would
-    block waits, up to DELIVERY_TIMEOUT s.  The stream's end is a
-    ConnectionError between frames and a FrameError within one; a wait
-    that runs out is a TimeoutError.  Peers outside the run reach the
-    address at the host:port ``register`` returns; one ``TcpService`` loop
-    thread serves every such connection, sends no reply and logs a
-    handler's failure.  Each address's handler runs under a lock of its
-    own, so an outside frame is never handled while the caller handles one
-    for the same address, and since it arrives on another connection it
-    cannot end a wait.
+    caller.  Both ends are non-blocking: a write never waits (``_write``),
+    and only a read that would block waits, up to DELIVERY_TIMEOUT s.  The
+    stream's end is a ConnectionError between frames and a FrameError
+    within one; a wait that runs out is a TimeoutError.  Peers outside the
+    run reach the address at the host:port ``register`` returns; one
+    ``TcpService`` loop thread serves every such connection, sends no
+    reply and logs a handler's failure.  Each address's handler runs under
+    a lock of its own, so an outside frame is never handled while the
+    caller handles one for the same address, and since it arrives on
+    another connection it cannot end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -805,6 +820,7 @@ class TcpNetwork:
             if peer != client.getsockname():
                 raise ConnectionError(f"{address!r}: accepted {peer}, not "
                                       f"this network's own connection")
+            client.setblocking(False)
             server.setblocking(False)
             host, port = self._service.serve(listener, serve)
             undo.pop_all()
@@ -812,9 +828,7 @@ class TcpNetwork:
         return f"{host}:{port}"
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
-        # one frame fits the loopback buffers, so the write cannot wait for
-        # the read that run_until_idle makes later on this thread
-        send_frame(self._links[address].client, msg)
+        _write(self._links[address], encode_frame(msg))
         self._sent.append(address)
 
     def run_until_idle(self) -> object:

@@ -118,20 +118,13 @@ _SPECIAL_TOKENS = {v.value: v for v in SpecialValue}
 
 
 @dataclass(frozen=True)
-class LawSource:
-    text: str
-    origin: str = "<law>"
-
-
-@dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
     line: int      # 1-based
     col: int       # 1-based
     message: str
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class LawParseError(ValueError):
@@ -198,8 +191,7 @@ def _found(lexeme: str) -> str:
 
 def _error(text: str, offset: int, message: str) -> ParseDiagnostic:
     line = text.count("\n", 0, offset) + 1
-    return ParseDiagnostic("error", line, offset - text.rfind("\n", 0, offset),
-                           message)
+    return ParseDiagnostic(line, offset - text.rfind("\n", 0, offset), message)
 
 
 def _offsets(text: str) -> Iterator[int]:
@@ -212,7 +204,7 @@ def _lex_error(text: str) -> ParseDiagnostic:
     """The diagnostic for a text that starts with a byte order mark or
     holds a bad lexeme, at the mark or the first bad lexeme."""
     if text.startswith("\ufeff"):
-        return ParseDiagnostic("error", 1, 1, "byte order mark not allowed")
+        return ParseDiagnostic(1, 1, "byte order mark not allowed")
     m = next(m for m in _LEXEME.finditer(text) if m.lastindex == 2)
     start, value = m.start(2), m.group(2)
     if value == '"':
@@ -617,23 +609,22 @@ class _Parser:
             seen_meta.add(pair)
 
 
-def parse_law(source: Union[str, LawSource]) -> Law:
+def parse_law(text: str, origin: str = "<law>") -> Law:
     """Parse one law and return it with its canonical-text hash filled in.
 
-    Raises :class:`LawParseError` carrying 1-based positioned diagnostics.
+    Raises :class:`LawParseError` naming ``origin`` and carrying 1-based
+    positioned diagnostics.
     """
-    src = source if isinstance(source, LawSource) else LawSource(text=source)
-    text = src.text
     found = _LEXEME.findall(text)
     if text.startswith("\ufeff") or any(map(_bad_lexeme, found)):
-        raise LawParseError(src.origin, [_lex_error(text)])
+        raise LawParseError(origin, [_lex_error(text)])
     parser = _Parser(list(map(_lexeme, found)))
     try:
         law = parser.parse()
     except _Abort:
         pass
     if parser.errors:
-        raise LawParseError(src.origin, [
+        raise LawParseError(origin, [
             _error(text, next(islice(_offsets(text), at, None)), message)
             for at, message in parser.errors])
     return finalize(law)

@@ -230,6 +230,8 @@ _LABELS = ("audited", "probation", "trusted")
 _CERT_ATTRS = (("dept", ("finance", "eng")), ("clearance", ("high", "low")))
 _OUTSIDERS = ("wild", "visitor")
 _PAYLOADS = (b"", b"x", b"hello", b"42")
+MAX_COMPONENTS = 8  # components one generated system has at most
+MAX_MESSAGES = 60  # messages in one generated script at most
 
 
 @dataclass(frozen=True)
@@ -407,10 +409,9 @@ def _gen_law(rng: random.Random, name: str, parent: Optional[str],
                overrides=tuple(overrides))
 
 
-def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
-                    max_messages: int = 60) -> GeneratedSystem:
+def generate_system(seed: int) -> GeneratedSystem:
     rng = random.Random(seed)
-    count = rng.randint(1, max_modules)
+    count = rng.randint(1, len(_MODULES))
     names = list(_MODULES[:count])
     laws: dict[str, Law] = {}
     order: list[str] = []
@@ -426,7 +427,7 @@ def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
         order.append(name)
 
     components: list[GenComponent] = []
-    for i in range(rng.randint(1, max_components)):
+    for i in range(rng.randint(1, MAX_COMPONENTS)):
         adopted = tuple(rng.sample(names, rng.randint(1, min(2, count))))
         attrs = []
         for attr, values in _CERT_ATTRS:
@@ -437,7 +438,7 @@ def generate_system(seed: int, max_modules: int = 4, max_components: int = 8,
 
     personas = [(c.name, m) for c in components for m in c.modules]
     script: list[GenMessage] = []
-    for _ in range(rng.randint(1, max_messages)):
+    for _ in range(rng.randint(1, MAX_MESSAGES)):
         op = rng.choice(_OPS)
         payload = rng.choice(_PAYLOADS)
         if rng.random() < 0.15:
@@ -611,18 +612,14 @@ def _compare_bare(system, h, prod_agents, oracle_state, idx, msg):
     return problems
 
 
-def run_differential(trials: int, seed: int = 0, max_modules: int = 4,
-                     max_components: int = 8,
-                     max_messages: int = 60) -> DiffReport:
+def run_differential(trials: int, seed: int = 0) -> DiffReport:
     rng = random.Random(seed)
     started = time.perf_counter()
     disagreements: list[str] = []
     events = 0
     for _ in range(trials):
         system_seed = rng.getrandbits(48)
-        system = generate_system(system_seed, max_modules=max_modules,
-                                 max_components=max_components,
-                                 max_messages=max_messages)
+        system = generate_system(system_seed)
         events += len(system.script)
         disagreements.extend(run_trial(system))
     return DiffReport(trials=trials, events_compared=events,

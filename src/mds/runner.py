@@ -65,7 +65,7 @@ def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
                             f"column {col}")
             continue
         try:
-            law = law_lang.parse_law(law_lang.LawSource(text, str(file)))
+            law = law_lang.parse_law(text, str(file))
         except law_lang.LawParseError as exc:
             problems.extend(
                 f"{file.name}:{d.line}:{d.col}: {d.message}"
@@ -170,7 +170,13 @@ class ScenarioRunner:
             else:
                 service = fabric.serve_law_server(h0)
                 addr = service.address
-            fetch = functools.partial(fabric.fetch_law, addr)
+
+            def fetch(name: str) -> fabric.LawResponse:
+                try:
+                    return fabric.fetch_law(addr, name)
+                except fabric.FrameError as exc:
+                    raise RunnerError(f"cannot fetch {name!r} from "
+                                      f"{addr[0]}:{addr[1]}: {exc}") from exc
         try:
             for name in sorted(h0.laws):
                 resp = fetch(name)
@@ -198,8 +204,7 @@ class ScenarioRunner:
             return
         name = known.name
         try:
-            law = law_lang.parse_law(
-                law_lang.LawSource(text, f"lawserver:{name}"))
+            law = law_lang.parse_law(text, f"lawserver:{name}")
         except law_lang.LawParseError as exc:
             raise RunnerError(f"law server sent text for {name!r} that does "
                               f"not parse: {exc}") from exc

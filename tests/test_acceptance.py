@@ -100,8 +100,7 @@ class TestDifferentialAgreement:
         # 1,000 random systems (up to 4 modules, 8 components, 60
         # messages): the compiled path and the interpretive evaluator must
         # agree on every ruling and every state. 100% in under 60s.
-        report = run_differential(trials=1000, seed=0, max_modules=4,
-                                  max_components=8, max_messages=60)
+        report = run_differential(trials=1000, seed=0)
         ok = (report.agreement == 1.0 and report.elapsed < 60.0
               and report.trials == 1000)
         acceptance("differential-agreement", ok,

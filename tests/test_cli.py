@@ -1,5 +1,8 @@
 """Command-line entry points and exit codes."""
 
+import socket
+import threading
+
 import pytest
 
 from mds import fabric
@@ -103,6 +106,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
         assert err.startswith("run failed: law server sent text for 'MS'")
+
+    @pytest.mark.parametrize("reply", [None, fabric.RegistryRecords(())],
+                             ids=["closes", "wrong-kind"])
+    def test_a_bad_law_server_reply_fails_in_one_line(
+            self, scenario_dir, monkeypatch, capsys, reply):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+
+            def serve():  # read the first fetch, then answer it badly
+                conn, _ = listener.accept()
+                with conn:
+                    fabric.read_frame(conn)
+                    if reply is not None:
+                        fabric.send_frame(conn, reply)
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            address = "{}:{}".format(*listener.getsockname())
+            monkeypatch.setenv("MDS_LAW_SERVER", address)
+            status = main(["run", str(scenario_dir / "sandbox.mds"),
+                           "--mode", "tcp"])
+            server.join(timeout=10.0)
+        assert not server.is_alive()
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
+                       f"law server sent no law_response\n")
 
 
 class TestNotUtf8:

@@ -833,7 +833,7 @@ class TestTcpNetwork:
 
     def test_a_frame_of_the_largest_size_needs_no_reader_to_be_sent(self):
         # send() writes the whole frame before run_until_idle reads it on
-        # the same thread, so a frame must fit the loopback buffers
+        # the same thread
         got = []
         payload = b"x" * (fabric.MAX_FRAME - 100)
 
@@ -851,6 +851,29 @@ class TestTcpNetwork:
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert [msg.payload for msg in got] == [payload]
+
+    def test_frames_past_the_loopback_buffers_are_sent_before_any_read(
+            self):
+        # 16 MiB queued to one address overflows the loopback buffers:
+        # send() must not wait for the read run_until_idle makes later
+        got = []
+        payload = b"x" * (fabric.MAX_FRAME - 100)
+
+        def deliver():
+            net = TcpNetwork()
+            try:
+                net.register("a", lambda msg: got.append(msg.operation))
+                for i in range(16):
+                    net.send("a", BareInbound("s", "a", f"op{i}", payload))
+                net.run_until_idle()
+            finally:
+                net.close()
+
+        worker = threading.Thread(target=deliver, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "send() is blocked"
+        assert got == [f"op{i}" for i in range(16)]
 
 
 class TestOwnConnectionReader:
@@ -891,12 +914,11 @@ class TestOwnConnectionReader:
     @pytest.mark.parametrize("at", [2, 9])  # in the prefix, in the body
     def test_a_frame_split_across_reads_is_put_back_together(
             self, net, monkeypatch, at):
-        def send_in_two(sock, msg):
-            frame = encode_frame(msg)
-            sock.sendall(frame[:at])
-            threading.Timer(0.05, sock.sendall, (frame[at:],)).start()
+        def send_in_two(link, frame):
+            link.client.sendall(frame[:at])
+            threading.Timer(0.05, link.client.sendall, (frame[at:],)).start()
 
-        monkeypatch.setattr(fabric, "send_frame", send_in_two)
+        monkeypatch.setattr(fabric, "_write", send_in_two)
         net.register("a", lambda msg: msg)
         net.send("a", LawFetch("split"))
         assert net.run_until_idle() == LawFetch("split")
@@ -906,8 +928,8 @@ class TestOwnConnectionReader:
         (encode_frame(LawFetch("cut"))[:-2], FrameError),       # mid-frame
     ])
     def test_the_end_of_the_stream(self, net, monkeypatch, sent, error):
-        monkeypatch.setattr(fabric, "send_frame",
-                            lambda sock, msg: sock.sendall(sent))
+        monkeypatch.setattr(fabric, "_write",
+                            lambda link, frame: link.client.sendall(sent))
         net.register("a", lambda msg: msg)
         net.send("a", LawFetch("cut"))
         net._links["a"].client.shutdown(socket.SHUT_WR)
@@ -916,7 +938,7 @@ class TestOwnConnectionReader:
 
     def test_a_frame_that_never_comes_times_out(self, net, monkeypatch):
         monkeypatch.setattr(fabric, "DELIVERY_TIMEOUT", 0.2)
-        monkeypatch.setattr(fabric, "send_frame", lambda sock, msg: None)
+        monkeypatch.setattr(fabric, "_write", lambda link, frame: None)
         net.register("a", lambda msg: msg)
         threads = threading.active_count()
         net.send("a", LawFetch("lost"))

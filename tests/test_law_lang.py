@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from test_generative import LAW_PIECES, SETTINGS, _joined
 
-from mds.law_lang import (_LEXEME, LawParseError, LawSource, _offsets,
-                          law_hash, parse_law, print_law, print_predicate)
+from mds.law_lang import (_LEXEME, LawParseError, _offsets, law_hash,
+                          parse_law, print_law, print_predicate)
 from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
                        MetaDirection, Not, OpEquals, OpGlob, Or, RuleMode,
                        StateEquals, StateLess)
@@ -121,7 +121,7 @@ class TestParseErrors:
     def test_positions_point_at_offence(self):
         text = 'law T {\n  default rule r on sent {\n    permit\n  }\n}\n'
         with pytest.raises(LawParseError) as err:
-            parse_law(LawSource(text, "t.law"))
+            parse_law(text, "t.law")
         diag = err.value.diagnostics[0]
         assert diag.line >= 3
 

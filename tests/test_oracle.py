@@ -91,8 +91,7 @@ class TestOracleEvaluate:
 class TestGenerator:
     def test_respects_size_caps(self):
         for seed in range(60):
-            system = generate_system(seed, max_modules=4, max_components=8,
-                                     max_messages=60)
+            system = generate_system(seed)
             assert 1 <= len(system.laws) <= 4
             assert len(system.components) <= 8
             assert len(system.script) <= 60

@@ -225,9 +225,9 @@ class TestLawDistribution:
         parsed = []
         real = law_lang.parse_law
 
-        def parse_law(source):
-            parsed.append(source)
-            return real(source)
+        def parse_law(text, origin):
+            parsed.append(origin)
+            return real(text, origin)
 
         monkeypatch.setattr(law_lang, "parse_law", parse_law)
         assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
