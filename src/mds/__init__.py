@@ -7,11 +7,10 @@ and the sender identification enveloped onto in-system traffic.
 """
 
 from .conformance import (ConformanceViolation, ViolationKind,
-                          build_hierarchy, check_strengthening, derive_law)
+                          build_hierarchy, derive_law)
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Certificate, ComponentId, Decision, Delivery,
-                         DemoIssuer, Envelope, Ruling, adopt,
-                         disclose_identity, handle_arrive, handle_send,
+                         Certificate, Decision, Delivery, DemoIssuer, Envelope,
+                         Ruling, adopt, handle_arrive, handle_send,
                          matched_token)
 from .law_lang import (HASH_ALGORITHM, LawParseError, law_hash, parse_law,
                        print_law)
@@ -28,7 +27,6 @@ __all__ = [
     "Agent",
     "BareInbound",
     "Certificate",
-    "ComponentId",
     "ConformanceViolation",
     "Decision",
     "Delivery",
@@ -54,9 +52,7 @@ __all__ = [
     "adopt",
     "build_hierarchy",
     "check_law_dir",
-    "check_strengthening",
     "derive_law",
-    "disclose_identity",
     "handle_arrive",
     "handle_send",
     "law_hash",

@@ -29,7 +29,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .controller import ComponentId, DemoIssuer, adopt, handle_arrive, handle_send
+from .controller import DemoIssuer, adopt, handle_arrive, handle_send
 from .runner import check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
@@ -69,8 +69,7 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
     and the round's wall-clock nanoseconds."""
     issuer = DemoIssuer("demo-ca")
     m1, m2, app = (
-        adopt(ComponentId(name=name, address=name), h, module,
-              cert=issuer.issue(name, {"modules": module}))[0]
+        adopt(name, h, module, cert=issuer.issue(name, {"modules": module}))[0]
         for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")))
     payload = b"x" * 32
     # (sender, target agent, target module, operation)
@@ -84,7 +83,7 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
     def one(i: int) -> None:
         sender, receiver, tmodule, op = mix[i % 4]
         ruling, env = handle_send(sender, h, op, payload,
-                                  receiver.component.name, tmodule)
+                                  receiver.component, tmodule)
         if env is not None:
             handle_arrive(receiver, h, env)
 

@@ -109,23 +109,6 @@ def derive_law(parent: Law, child: Law,
     return replace(child, overrides=tuple(annotated)), []
 
 
-def check_strengthening(parent: Law, child: Law) -> bool:
-    """True iff the child only tightens the parent.
-
-    Every override must be a Block carved out of a permitting default; a
-    child with no overrides strengthens vacuously.
-    """
-    for ov in child.overrides:
-        if ov.kind is not OverrideKind.BLOCK:
-            return False
-        rule = parent.rule(ov.target)
-        if rule is None or rule.mode is not RuleMode.DEFAULT:
-            return False
-        if rule.terminal != "permit":
-            return False
-    return True
-
-
 def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[ConformanceViolation]]:
     """Assemble and validate a full law tree.
 

@@ -107,12 +107,6 @@ class AdoptionRefused(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ComponentId:
-    name: str
-    address: str = ""
-
-
-@dataclass(frozen=True)
 class Certificate:
     """A signed attribute record presented at adoption.
 
@@ -198,13 +192,11 @@ class Delivery:
 class Agent:
     """A component paired with its controller state for one adopted law."""
 
-    component: ComponentId
+    component: str  # the component's name
     law: str
     lineage: tuple[str, ...]
     state: dict[str, Union[str, int]] = field(default_factory=dict)
-    cert: Optional[Certificate] = None
     cert_attrs: dict[str, str] = field(default_factory=dict)
-    last_delivery: Optional[tuple[str, tuple[str, ...]]] = None
     # state["profile"] as last split, and its labels
     _profile: tuple = field(default=("", ()), init=False, repr=False,
                             compare=False)
@@ -719,9 +711,9 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
 # ---------------------------------------------------------------------------
 
 
-def adopt(component: ComponentId, h: LawHierarchy, law: str,
+def adopt(component: str, h: LawHierarchy, law: str,
           cert: Optional[Certificate] = None) -> tuple[Agent, Ruling]:
-    """Create an agent of ``law`` for the component, or refuse.
+    """Create an agent of ``law`` for the named component, or refuse.
 
     The adoption event runs every matching adopted-event rule root-first;
     a failed certificate requirement or a block terminal refuses adoption.
@@ -733,7 +725,7 @@ def adopt(component: ComponentId, h: LawHierarchy, law: str,
     if cert is not None and demo_verify(cert):
         attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
-                  cert=cert, cert_attrs=attrs)
+                  cert_attrs=attrs)
     ctx = EventContext(EventKind.ADOPTED, "", None, None, _NO_PROFILE, False)
     program = program_for(h, law)
     verdict, matched, updates, effects, reason = evaluate(
@@ -771,15 +763,16 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
     if outside:
         return ruling, None
     env = Envelope(agent.law, agent.profile_labels(), agent.lineage,
-                   operation, payload, agent.component.name, target)
+                   operation, payload, agent.component, target)
     return ruling, env
 
 
 def handle_arrive(agent: Agent, h: LawHierarchy,
                   inbound: Union[Envelope, BareInbound]) -> tuple[Ruling, Optional[Delivery]]:
     """Receiver-side ruling.  Deliver strips the envelope and hands the
-    component only the operation and payload (plus the sender identity when
-    the agent's law disclosed it)."""
+    component only the operation and payload, plus the sender's module and
+    profile when the sender is in-system and the agent's law has set state
+    key ``disclose`` to ``"yes"``."""
     if isinstance(inbound, Envelope):
         if (not inbound.sender_module or not inbound.sender
                 or not inbound.sender_lineage):
@@ -800,19 +793,15 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
             peer_name: Optional[str] = inbound.sender_module
             peer_profile = frozenset(inbound.sender_profile)
             peer_outside = False
-            identity: Optional[tuple[str, tuple[str, ...]]] = (
-                inbound.sender_module, inbound.sender_profile)
         else:
             peer_name = inbound.sender
             peer_profile = _NO_PROFILE
             peer_outside = True
-            identity = None
     else:
         flow = FlowKind.IMPORT
         peer_name = inbound.sender_address
         peer_profile = _NO_PROFILE
         peer_outside = True
-        identity = None
     ctx = _tuple_new(EventContext, (
         EventKind.ARRIVED, inbound.operation, flow, peer_name, peer_profile,
         peer_outside))
@@ -823,29 +812,10 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
         # Arrival-side blocks stay silent: a notice would leak topology.
         return Ruling(Decision.BLOCK_SILENT, matched, None, updates, effects,
                       flow), None
-    agent.last_delivery = identity
-    disclose = agent.state.get("disclose") == "yes"
-    delivery = Delivery(inbound.operation, inbound.payload,
-                        identity if disclose else None)
+    identity = None
+    if not peer_outside and agent.state.get("disclose") == "yes":
+        identity = (peer_name, inbound.sender_profile)
+    delivery = Delivery(inbound.operation, inbound.payload, identity)
     return Ruling(Decision.DELIVER, matched, None, updates, effects,
                   flow), delivery
 
-
-@dataclass(frozen=True)
-class DisclosureResult:
-    kind: str  # "disclosed" | "refused" | "none"
-    identity: Optional[tuple[str, tuple[str, ...]]]
-
-
-def disclose_identity(agent: Agent) -> DisclosureResult:
-    """Reveal the stripped identification of the last delivery, law willing.
-
-    A law grants disclosure by setting state key ``disclose`` to ``"yes"``
-    (typically at adoption).  With no prior enveloped delivery there is
-    nothing to disclose.
-    """
-    if agent.last_delivery is None:
-        return DisclosureResult("none", None)
-    if agent.state.get("disclose") == "yes":
-        return DisclosureResult("disclosed", agent.last_delivery)
-    return DisclosureResult("refused", None)

@@ -168,6 +168,12 @@ WIRE_FORMAT = {
 }
 
 
+def record_size(r: RegistryRecord) -> int:
+    """Bytes ``r`` adds to a registry_records body: three texts and an int."""
+    return 20 + sum(len(s.encode()) for s in (r.component, r.address,
+                                               r.module))
+
+
 def _lines(wire, src: str, dst: str, names: dict,
            memos: list) -> tuple[list, list]:
     """The lines that encode ``src`` and decode ``dst``, values of ``wire``;
@@ -370,19 +376,35 @@ class LawServer:
 
 
 class Registry:
-    """Best-effort component directory: last writer wins per (component, module)."""
+    """Best-effort component directory: last writer wins per (component,
+    module).  It holds no more than one registry_records reply can carry,
+    and drops a registration that would not fit."""
 
     def __init__(self):
         self._records: dict[tuple[str, str], RegistryRecord] = {}
         self._lock = threading.Lock()
         self._stamp = 0
+        self._size = 3  # the full listing's body: kind byte and u16 count
+        self._full = False
 
     def register(self, component: str, module: str,
-                 address: str) -> RegistryRecord:
+                 address: str) -> Optional[RegistryRecord]:
+        """The record kept, or None when the listing has no room for it."""
         with self._lock:
-            self._stamp += 1
-            record = RegistryRecord(component=component, address=address,
-                                    module=module, registered_at=self._stamp)
+            record = RegistryRecord(component, address, module,
+                                    self._stamp + 1)
+            old = self._records.get((component, module))
+            size = (self._size + record_size(record)
+                    - (record_size(old) if old else 0))
+            # a body holds MAX_FRAME bytes, a list a u16 count of items
+            if size > MAX_FRAME or (not old and len(self._records) >= 0xFFFF):
+                if not self._full:
+                    self._full = True
+                    log.warning("registry full at %d records: dropping "
+                                "registrations one reply could not carry",
+                                len(self._records))
+                return None
+            self._stamp, self._size = record.registered_at, size
             self._records[(component, module)] = record
             return record
 

@@ -272,10 +272,6 @@ class Rule:
     predicate: Predicate
     actions: tuple[Action, ...]    # terminal, if any, is last
 
-    @property
-    def terminal(self) -> Optional[str]:
-        return terminal_of(self.actions)
-
 
 @dataclass(frozen=True)
 class MetaPermission:

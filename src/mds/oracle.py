@@ -18,7 +18,7 @@ from fnmatch import fnmatchcase
 from typing import Optional
 
 from .conformance import build_hierarchy
-from .controller import (OUTSIDE, BareInbound, ComponentId, DemoIssuer, adopt,
+from .controller import (OUTSIDE, BareInbound, DemoIssuer, adopt,
                          handle_arrive, handle_send, matched_token)
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
@@ -498,8 +498,7 @@ def run_trial(system: GeneratedSystem) -> list[str]:
         attrs.setdefault("modules", ",".join(comp.modules))
         cert = issuer.issue(comp.name, attrs)
         for module in comp.modules:
-            agent, _ = adopt(ComponentId(name=comp.name, address=comp.name),
-                             h, module, cert=cert)
+            agent, _ = adopt(comp.name, h, module, cert=cert)
             prod_agents[(comp.name, module)] = agent
             verdict, token, st = oracle_evaluate(
                 system.laws, module, {}, agent.cert_attrs,

@@ -31,8 +31,8 @@ from typing import Optional, Union
 from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         ComponentId, Decision, DemoIssuer, Envelope,
-                         adopt, handle_arrive, handle_send, matched_token)
+                         Decision, DemoIssuer, Envelope, adopt,
+                         handle_arrive, handle_send, matched_token)
 from .model import FlowKind, Law, LawHierarchy, not_utf8
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
                        AdvanceStep, Scenario, SendStep, load_scenario)
@@ -187,31 +187,12 @@ class ScenarioRunner:
                 if resp.lineage != h0.lineage[name]:
                     raise RunnerError(f"lineage mismatch for fetched law "
                                       f"{name!r}")
-                self._verify_text(h0.law(name), resp.text)
+                if law_lang.text_hash(resp.text) != h0.law(name).hash:
+                    raise RunnerError(f"hash mismatch for fetched law "
+                                      f"{name!r}")
         finally:
             if service is not None:
                 service.close()
-
-    @staticmethod
-    def _verify_text(known: Law, text: str):
-        """Check that the text the server sent for ``known`` is ``known``.
-
-        Text that hashes to ``known``'s hash is its canonical text, so it
-        needs no parse; any other text must parse to a law of the same name
-        and hash.
-        """
-        if law_lang.text_hash(text) == known.hash:
-            return
-        name = known.name
-        try:
-            law = law_lang.parse_law(text, f"lawserver:{name}")
-        except law_lang.LawParseError as exc:
-            raise RunnerError(f"law server sent text for {name!r} that does "
-                              f"not parse: {exc}") from exc
-        if law.name != name:
-            raise RunnerError(f"law server sent {law.name!r} for {name!r}")
-        if law.hash != known.hash:
-            raise RunnerError(f"hash mismatch for fetched law {name!r}")
 
     # -- assembly -----------------------------------------------------------
 
@@ -226,9 +207,7 @@ class ScenarioRunner:
             for module in decl.modules:
                 label = f"{decl.name}@{module}"
                 try:
-                    agent, ruling = adopt(
-                        ComponentId(name=decl.name, address=label),
-                        self.h, module, cert=cert)
+                    agent, ruling = adopt(decl.name, self.h, module, cert=cert)
                 except AdoptionRefused as exc:
                     self._audit_line(label, "adopted", None, "refused",
                                      matched_token(exc.outcome.matched))

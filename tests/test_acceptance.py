@@ -12,9 +12,8 @@ from dataclasses import replace
 
 from mds.bench import run_bench
 from mds.conformance import build_hierarchy
-from mds.controller import (OUTSIDE, BareInbound, ComponentId, Decision,
-                            DemoIssuer, adopt, handle_arrive, handle_send,
-                            matched_token)
+from mds.controller import (OUTSIDE, BareInbound, Decision, DemoIssuer,
+                            adopt, handle_arrive, handle_send, matched_token)
 from mds.law_lang import parse_law
 from mds.oracle import generate_system, run_differential
 from mds.runner import check_law_dir, run_scenario
@@ -129,8 +128,7 @@ class TestDefaultsRegularity:
         for name, module in (("p1", "D1"), ("p2", "D1"),
                              ("p3", "D2"), ("p4", "D2")):
             cert = ISSUER.issue(name, {"modules": module})
-            agents[name], _ = adopt(ComponentId(name, name), h, module,
-                                    cert=cert)
+            agents[name], _ = adopt(name, h, module, cert=cert)
 
         failures = []
         events = 0
@@ -224,14 +222,14 @@ class TestRulingLocality:
                              ("boxed", "SB"), ("boss", "MGMT"),
                              ("buyer", "P")):
             cert = ISSUER.issue(name, {"modules": module})
-            agent, _ = adopt(ComponentId(name, name), h, module, cert=cert)
+            agent, _ = adopt(name, h, module, cert=cert)
             agents.append(agent)
         return h, agents
 
     @staticmethod
     def _evaluate(h, sender, receiver, op, sstate, rstate):
         s = replace(sender, state=dict(sstate))
-        ruling, env = handle_send(s, h, op, b"x", receiver.component.name,
+        ruling, env = handle_send(s, h, op, b"x", receiver.component,
                                   receiver.law)
         sent = (ruling.decision, ruling.matched, ruling.state_updates,
                 ruling.effects, ruling.flow, s.state)
@@ -261,8 +259,7 @@ class TestRulingLocality:
                 attrs.setdefault("modules", ",".join(comp.modules))
                 cert = ISSUER.issue(comp.name, attrs)
                 for module in comp.modules:
-                    agent, _ = adopt(ComponentId(comp.name, comp.name), h,
-                                     module, cert=cert)
+                    agent, _ = adopt(comp.name, h, module, cert=cert)
                     agents.append(agent)
             if len(agents) >= 2:
                 systems.append((h, agents))

@@ -105,7 +105,7 @@ class TestRunCommand:
         assert main(["run", str(scenario_dir / "crosscutting.mds")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
-        assert err.startswith("run failed: law server sent text for 'MS'")
+        assert err.startswith("run failed: hash mismatch for fetched law 'MS'")
 
     @pytest.mark.parametrize("reply", [None, fabric.RegistryRecords(())],
                              ids=["closes", "wrong-kind"])

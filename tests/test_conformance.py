@@ -2,8 +2,7 @@
 
 import pytest
 
-from mds.conformance import (ViolationKind, build_hierarchy,
-                             check_strengthening, derive_law)
+from mds.conformance import ViolationKind, build_hierarchy, derive_law
 from mds.law_lang import parse_law
 from mds.runner import check_law_dir
 
@@ -171,12 +170,3 @@ class TestDeriveLaw:
         derived, violations = derive_law(parent, child)
         assert not violations
         assert derived.overrides[0].owner == "Root"
-
-    def test_strengthening_check(self):
-        parent = parse_law(ROOT)
-        tighter = parse_law(
-            'law A extends Root { override d-open block on sent { } }')
-        looser = parse_law(
-            'law B extends Root { override d-shut permit on arrived { } }')
-        assert check_strengthening(parent, tighter)
-        assert not check_strengthening(parent, looser)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from mds import controller, oracle
 from mds.conformance import build_hierarchy
 from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
-                            Certificate, ComponentId, Decision, DemoIssuer,
-                            Envelope, adopt, demo_verify, disclose_identity,
-                            handle_arrive, handle_send, matched_token)
+                            Certificate, Decision, DemoIssuer, Envelope,
+                            adopt, demo_verify, handle_arrive, handle_send,
+                            matched_token)
 from mds.law_lang import parse_law
 from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
@@ -29,9 +29,7 @@ def _adopt(h, name, module, attrs=None, cert=True):
         full = {"modules": module}
         full.update(attrs or {})
         c = ISSUER.issue(name, full)
-    agent, ruling = adopt(ComponentId(name=name, address=name), h, module,
-                          cert=c)
-    return agent, ruling
+    return adopt(name, h, module, cert=c)
 
 
 def _hier(*texts):
@@ -121,22 +119,19 @@ class TestAdoption:
     def test_certificate_without_module_refused(self, shipped):
         cert = ISSUER.issue("m", {"modules": "OPS,SB"})
         with pytest.raises(AdoptionRefused):
-            adopt(ComponentId(name="m", address="m"), shipped, "MS",
-                  cert=cert)
+            adopt("m", shipped, "MS", cert=cert)
 
     def test_tampered_certificate_refused(self, shipped):
         cert = ISSUER.issue("m", {"modules": "OPS"})
         forged = Certificate(cert.subject, cert.issuer,
                              (("modules", "MS"),), cert.signature)
         with pytest.raises(AdoptionRefused):
-            adopt(ComponentId(name="m", address="m"), shipped, "MS",
-                  cert=forged)
+            adopt("m", shipped, "MS", cert=forged)
 
     def test_multi_module_component_gets_separate_agents(self, shipped):
         cert = ISSUER.issue("b", {"modules": "OPS,P"})
-        cid = ComponentId(name="b", address="b")
-        ops_agent, _ = adopt(cid, shipped, "OPS", cert=cert)
-        p_agent, _ = adopt(cid, shipped, "P", cert=cert)
+        ops_agent, _ = adopt("b", shipped, "OPS", cert=cert)
+        p_agent, _ = adopt("b", shipped, "P", cert=cert)
         assert ops_agent.state["module"] == "OPS"
         assert p_agent.state["module"] == "P"
         ops_agent.state["scratch"] = 1
@@ -200,7 +195,7 @@ class TestArriveRulings:
                         sender_profile=sender_agent.profile_labels(),
                         sender_lineage=sender_agent.lineage,
                         operation=operation, payload=payload,
-                        sender=sender_agent.component.name, target=target)
+                        sender=sender_agent.component, target=target)
 
     def test_inner_deliver_strips_envelope(self, shipped):
         a, _ = _adopt(shipped, "m1", "MS")
@@ -317,33 +312,44 @@ class TestWorkflowState:
             assert worker.state["directives"] == expected
 
 
+OPEN = """
+law Open {
+  default rule any on arrived {
+    permit;
+  }
+}
+"""
+
+
 class TestDisclosure:
-    def test_nothing_delivered_yet(self, shipped):
-        a, _ = _adopt(shipped, "m1", "MS")
-        assert disclose_identity(a).kind == "none"
+    """``Delivery.sender_identity`` is where a receiver learns who sent."""
 
-    def test_refused_unless_law_granted(self, shipped):
-        a, _ = _adopt(shipped, "m1", "MS")
-        b, _ = _adopt(shipped, "m2", "MS")
-        env = Envelope(sender_module="MS", sender_profile=("log",),
-                       sender_lineage=a.lineage, operation="retrieve",
-                       payload=b"", sender="m1", target="m2")
-        handle_arrive(b, shipped, env)
-        result = disclose_identity(b)
-        assert result.kind == "refused"
-        assert result.identity is None
-
-    def test_disclosed_when_state_says_yes(self, shipped):
-        a, _ = _adopt(shipped, "m1", "MS")
-        b, _ = _adopt(shipped, "m2", "MS")
-        env = Envelope(sender_module="MS", sender_profile=("log",),
-                       sender_lineage=a.lineage, operation="retrieve",
-                       payload=b"", sender="m1", target="m2")
-        handle_arrive(b, shipped, env)
-        b.state["disclose"] = "yes"
-        result = disclose_identity(b)
-        assert result.kind == "disclosed"
-        assert result.identity == ("MS", ("log",))
+    @pytest.mark.parametrize("receiver, inbound, disclose, flow, identity", [
+        ("MS", "genuine", False, FlowKind.INNER, None),
+        ("MS", "genuine", True, FlowKind.INNER, ("MS", ("log",))),
+        ("Peer", "genuine", True, FlowKind.INFLOW, ("MS", ("log",))),
+        ("MS", "bare", True, FlowKind.IMPORT, None),
+        ("MS", "forged", True, FlowKind.IMPORT, None),
+    ], ids=["default", "inner", "inflow", "bare-import", "forged-lineage"])
+    def test_identity_on_delivery(self, receiver, inbound, disclose, flow,
+                                  identity):
+        h = _hier(OPEN, "law MS extends Open { }",
+                  "law Peer extends Open { }")
+        agent, _ = adopt("r", h, receiver)
+        if disclose:
+            agent.state["disclose"] = "yes"
+        if inbound == "bare":
+            msg = BareInbound(sender_address="10.0.0.9:1", target="r",
+                              operation="retrieve", payload=b"q")
+        else:
+            lineage = h.lineage["MS"] if inbound == "genuine" else (
+                "0" * 64,)
+            msg = Envelope(sender_module="MS", sender_profile=("log",),
+                           sender_lineage=lineage, operation="retrieve",
+                           payload=b"q", sender="m1", target="r")
+        ruling, delivery = handle_arrive(agent, h, msg)
+        assert (ruling.decision, ruling.flow) == (Decision.DELIVER, flow)
+        assert delivery.sender_identity == identity
 
 
 BASE = """
@@ -383,21 +389,21 @@ class TestMatchDiscipline:
 
     def test_deepest_matching_override_decides(self):
         h = _hier(BASE, MID, LEAF)
-        r, _ = adopt(ComponentId("r", "r"), h, "Leaf")
+        r, _ = adopt("r", h, "Leaf")
         ruling, _ = self._arrive(h, r, "only-leaf")
         assert ruling.decision is Decision.DELIVER
         assert matched_token(ruling.matched) == "Leaf:gate"
 
     def test_shallower_override_used_when_deeper_declines(self):
         h = _hier(BASE, MID, LEAF)
-        r, _ = adopt(ComponentId("r", "r"), h, "Leaf")
+        r, _ = adopt("r", h, "Leaf")
         ruling, _ = self._arrive(h, r, "open-sesame")
         assert ruling.decision is Decision.DELIVER
         assert matched_token(ruling.matched) == "Mid:gate"
 
     def test_default_body_runs_when_no_override_matches(self):
         h = _hier(BASE, MID, LEAF)
-        r, _ = adopt(ComponentId("r", "r"), h, "Leaf")
+        r, _ = adopt("r", h, "Leaf")
         ruling, _ = self._arrive(h, r, "shut")
         assert ruling.decision is Decision.BLOCK_SILENT
         assert matched_token(ruling.matched) == "Base:gate"
@@ -414,7 +420,7 @@ class TestMatchDiscipline:
         }
         """
         h = _hier(BASE, kid)
-        r, _ = adopt(ComponentId("r", "r"), h, "Kid")
+        r, _ = adopt("r", h, "Kid")
         ruling, _ = self._arrive(h, r, "abc", sender_law="Base")
         assert ruling.decision is Decision.DELIVER
         assert r.state["tag"] == "first"
@@ -431,7 +437,7 @@ class TestMatchDiscipline:
         }
         """
         h = _hier(root, "law Kid extends Root2 { }")
-        a, _ = adopt(ComponentId("a", "a"), h, "Kid")
+        a, _ = adopt("a", h, "Kid")
         ruling, _ = handle_send(a, h, "stamp", b"", "peer", "Root2")
         assert ruling.decision is Decision.FORWARD
         assert matched_token(ruling.matched) == "Root2:out"
@@ -442,7 +448,7 @@ class TestMatchDiscipline:
         thin = 'law Thin {\n  categorical rule only on sent if op == "x" '\
                '{\n    block;\n  }\n}\n'
         h = _hier(thin)
-        a, _ = adopt(ComponentId("a", "a"), h, "Thin")
+        a, _ = adopt("a", h, "Thin")
         inner, _ = handle_send(a, h, "y", b"", "peer", "Thin")
         assert inner.decision is Decision.FORWARD
         assert matched_token(inner.matched) == "default:inner"
@@ -535,7 +541,7 @@ class TestCompiledBodiesMatchOracle:
         reasons = {}  # (component, op) -> reason of an inner-flow block
         for name, leaf, attrs in self.CAST:
             cert = ISSUER.issue(name, {"modules": leaf, **attrs})
-            agent, ruling = adopt(ComponentId(name, name), h, leaf, cert=cert)
+            agent, ruling = adopt(name, h, leaf, cert=cert)
             expected = oracle_evaluate(h.laws, leaf, {}, agent.cert_attrs,
                                        OracleEvent(EventKind.ADOPTED))
             assert expected == ("permit", matched_token(ruling.matched),

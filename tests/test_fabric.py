@@ -23,8 +23,8 @@ from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
                         TcpNetwork, TcpService, call_remote, decode_body,
-                        encode_frame, fetch_law, read_frame, serve_law_server,
-                        serve_registry)
+                        encode_frame, fetch_law, read_frame, record_size,
+                        serve_law_server, serve_registry)
 from mds.controller import BareInbound, Envelope
 from mds.law_lang import print_law
 
@@ -631,6 +631,49 @@ class TestRegistry:
             t.join()
         assert len(reg.query()) == 8 * 50
 
+    @given(st.builds(RegistryRecord, *[st.text(st.characters(
+        blacklist_categories=("Cs",)))] * 3,
+        st.integers(-2 ** 63, 2 ** 63 - 1)))
+    def test_record_size_is_what_a_record_adds_to_a_listing(self, record):
+        empty = len(encode_frame(RegistryRecords(())))
+        assert (len(encode_frame(RegistryRecords((record,)))) - empty
+                == record_size(record))
+
+    def test_listing_stays_within_one_reply(self, caplog):
+        reg = Registry()
+
+        def body() -> int:  # bytes of the unfiltered reply's body
+            return len(encode_frame(reg.respond(RegistryQuery("", "")))) - 4
+
+        kept = [reg.register(f"{i:04}".ljust(1000, "c"), "M", "a" * 100)
+                for i in range(1000)]
+        first_dropped = kept.index(None)
+        assert 0 < first_dropped
+        assert kept[first_dropped:] == [None] * (1000 - first_dropped)
+        assert len(reg.query()) == first_dropped
+        full = [r for r in caplog.records if "registry full" in r.message]
+        assert len(full) == 1  # once, not once per dropped registration
+        # a replacement is sized by what it adds beyond the record it
+        # replaces, to the byte
+        room = fabric.MAX_FRAME - body()
+        last = reg.query()[-1].component
+        assert reg.register(last, "M", "a" * (100 + room + 1)) is None
+        assert reg.query(name=last)[0].address == "a" * 100
+        assert reg.register(last, "M", "a" * (100 + room)) is not None
+        assert body() == fabric.MAX_FRAME
+        assert reg.register("x", "M", "") is None
+        assert reg.register(last, "M", "") is not None
+        assert reg.register("x", "M", "a" * (100 + room - 22)) is not None
+        assert body() == fabric.MAX_FRAME
+
+    def test_listing_stays_within_a_list_count(self, monkeypatch):
+        monkeypatch.setattr(fabric, "MAX_FRAME", 1 << 22)
+        reg = Registry()
+        kept = [reg.register(str(i), "M", "") for i in range(1 << 16)]
+        assert kept.count(None) == 1 and kept[-1] is None
+        assert reg.register("0", "M", "a") is not None  # a replacement
+        assert len(reg.respond(RegistryQuery("", "")).records) == 0xFFFF
+
 
 def _settle(condition, within: float = 1.0) -> bool:
     """Poll ``condition`` until it holds or ``within`` seconds pass."""
@@ -657,6 +700,29 @@ class TestTcpServices:
             assert reply.records[0].address == "addr"
         finally:
             service.close()
+
+    def test_one_peer_cannot_fill_the_registry_past_one_reply(self,
+                                                               caplog):
+        reg = Registry()
+        service = serve_registry(reg)
+        try:
+            with socket.create_connection(service.address) as filling:
+                filling.sendall(b"".join(
+                    encode_frame(Registration(f"{i:04}".ljust(1000, "c"),
+                                              "M", "a" * 100))
+                    for i in range(2000)))
+                # replies come in order, so this one follows every
+                # registration above
+                filling.sendall(encode_frame(RegistryQuery("name",
+                                                           "nobody")))
+                assert read_frame(filling) == RegistryRecords(())
+            reply = call_remote(service.address, RegistryQuery("", ""))
+        finally:
+            service.close()
+        assert isinstance(reply, RegistryRecords)
+        assert 0 < len(reply.records) < 2000
+        assert reply.records == tuple(reg.query())
+        assert sum("registry full" in r.message for r in caplog.records) == 1
 
     def test_close_ends_accepted_connections(self):
         before = threading.active_count()
@@ -1096,10 +1162,12 @@ class TestServiceLimits:
 
     def test_a_refused_reply_is_logged_and_others_are_served(
             self, monkeypatch, caplog):
-        monkeypatch.setattr(fabric, "MAX_FRAME", 512)
         registry = Registry()
         for i in range(40):
             registry.register(f"component{i}", "M", f"address{i}")
+        # lowered only now, so that the registry holds a listing too large
+        # for one reply
+        monkeypatch.setattr(fabric, "MAX_FRAME", 512)
 
         def handle(msg):
             if msg.field == "odd":

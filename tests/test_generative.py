@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mds.conformance import build_hierarchy
-from mds.controller import (BareInbound, ComponentId, DemoIssuer, Envelope,
-                            adopt, handle_arrive, matched_token)
+from mds.controller import (BareInbound, DemoIssuer, Envelope, adopt,
+                            handle_arrive, matched_token)
 from mds.fabric import (WIRE_FORMAT, FrameError, decode_body, encode_frame,
                         read_frame)
 from mds.law_lang import LawParseError, parse_law
@@ -288,8 +288,7 @@ def _agents() -> tuple:
     for h, law in [(shipped, name) for name in sorted(shipped.laws)] + [
             (deep, leaf)]:
         cert = ISSUER.issue(f"{law.lower()}0", {"modules": law})
-        agent, _ = adopt(ComponentId(f"{law.lower()}0", "addr"), h, law,
-                         cert=cert)
+        agent, _ = adopt(f"{law.lower()}0", h, law, cert=cert)
         agents.append((h, agent))
     return tuple(agents)
 
