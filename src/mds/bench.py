@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .controller import DemoIssuer, adopt, handle_arrive, handle_send
-from .runner import check_law_dir
+from .runner import RunnerError, check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
 WORST_BUDGET_US = 1000.0
@@ -82,8 +82,8 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
 
     def one(i: int) -> None:
         sender, receiver, tmodule, op = mix[i % 4]
-        ruling, env = handle_send(sender, h, op, payload,
-                                  receiver.component, tmodule)
+        ruling, env = handle_send(sender, op, payload, receiver.component,
+                                  tmodule)
         if env is not None:
             handle_arrive(receiver, h, env)
 
@@ -111,10 +111,10 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
 def run_bench(events: int = 100_000, law_dir: str = "laws") -> BenchReport:
     h, problems = check_law_dir(law_dir)
     if h is None:
-        raise RuntimeError("law directory rejected: " + "; ".join(problems))
+        raise RunnerError("law directory rejected: " + "; ".join(problems))
     for needed in ("MS", "OPS"):
         if needed not in h.laws:
-            raise RuntimeError(f"law directory has no law named {needed}")
+            raise RunnerError(f"law directory has no law named {needed}")
     runs = [_timed_round(h, events) for _ in range(ROUNDS)]
     pooled = sorted(s for samples, _ in runs for s in samples)
     worst = max(map(min, zip(*(samples for samples, _ in runs))))

@@ -74,9 +74,14 @@ def _cmd_run(args) -> int:
         print(step.text)
     if args.audit:
         audit_path = Path(args.audit)
-        audit_path.write_text("".join(line + "\n"
-                                      for line in report.audit_lines),
-                              encoding="utf-8")
+        try:
+            audit_path.write_text("".join(line + "\n"
+                                          for line in report.audit_lines),
+                                  encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write audit {audit_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
         print(f"audit written to {audit_path} "
               f"({len(report.audit_lines)} lines)")
     failures = report.failures()
@@ -101,7 +106,11 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = bench_mod.run_bench(events=args.events, law_dir=args.laws)
+    try:
+        report = bench_mod.run_bench(events=args.events, law_dir=args.laws)
+    except RunnerError as exc:
+        print(f"bench failed: {exc}", file=sys.stderr)
+        return 1
     for line in report.lines():
         print(line)
     return 0 if report.within_budget else 1
@@ -135,6 +144,14 @@ def _cmd_lawserver_serve(args) -> int:
     return _serve_forever(service, "law server")
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mds",
@@ -160,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz",
                           help="differential-test the two evaluators")
-    fuzz.add_argument("--trials", type=int, default=100)
+    fuzz.add_argument("--trials", type=positive_int, default=100)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.set_defaults(func=_cmd_fuzz)
 
     bench = sub.add_parser("bench", help="time the enforcement hot path")
-    bench.add_argument("--events", type=int, default=100_000)
+    bench.add_argument("--events", type=positive_int, default=100_000)
     bench.add_argument("--laws", default="laws",
                        help="law directory to load (default: laws)")
     bench.set_defaults(func=_cmd_bench)

@@ -27,7 +27,9 @@ it, compiled the same way.  A guard costs as few calls as its shape allows
 (``compile_predicate``).  A rule or override is compiled once for every
 leaf below it, unless its body names the module; the same pass records
 which operations the ``op ==`` atoms of its guard let match, and whether
-the guard reads anything but the operation.
+the guard reads anything but the operation.  Adoption binds the leaf's
+program to the agent (``Agent.program``), so a send or an arrival goes
+straight to ``evaluate``.
 
 Scans are built on demand, never at compile time.  The first scan of an
 event kind lists the entries that kind can reach (``Program.candidates``);
@@ -195,6 +197,7 @@ class Agent:
     component: str  # the component's name
     law: str
     lineage: tuple[str, ...]
+    program: Program = field(repr=False)  # the law's, bound at adoption
     state: dict[str, Union[str, int]] = field(default_factory=dict)
     cert_attrs: dict[str, str] = field(default_factory=dict)
     # state["profile"] as last split, and its labels
@@ -236,11 +239,11 @@ Matched = Union[tuple[str, str], DefaultOfRoot, None]
 
 
 def matched_token(matched: Matched) -> str:
+    if type(matched) is tuple:  # a rule decided: the common case
+        return f"{matched[0]}:{matched[1]}"
     if matched is None:
         return "-"
-    if isinstance(matched, DefaultOfRoot):
-        return f"default:{matched.flow.value if matched.flow else 'adopted'}"
-    return f"{matched[0]}:{matched[1]}"
+    return f"default:{matched.flow.value if matched.flow else 'adopted'}"
 
 
 @dataclass(slots=True)
@@ -689,10 +692,11 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
     for pred, body, matched, overrides in rows:
         if pred is not None and not pred(ctx, state, cert_attrs):
             continue
-        for ov_pred, ov_body, ov_matched in overrides:
-            if ov_pred(ctx, state, cert_attrs):
-                body, matched = ov_body, ov_matched
-                break
+        if overrides:
+            for ov_pred, ov_body, ov_matched in overrides:
+                if ov_pred(ctx, state, cert_attrs):
+                    body, matched = ov_body, ov_matched
+                    break
         decided = body(state, cert_attrs, updates, effects)
         if decided is not None:
             return (decided[0], matched, tuple(updates), tuple(effects),
@@ -725,11 +729,10 @@ def adopt(component: str, h: LawHierarchy, law: str,
     if cert is not None and demo_verify(cert):
         attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
-                  cert_attrs=attrs)
+                  program=program_for(h, law), cert_attrs=attrs)
     ctx = EventContext(EventKind.ADOPTED, "", None, None, _NO_PROFILE, False)
-    program = program_for(h, law)
     verdict, matched, updates, effects, reason = evaluate(
-        program, agent.state, agent.cert_attrs, ctx)
+        agent.program, agent.state, agent.cert_attrs, ctx)
     if verdict == "block":
         ruling = Ruling(Decision.BLOCK_NOTICE, matched,
                         reason or "adoption blocked", updates, effects)
@@ -738,8 +741,8 @@ def adopt(component: str, h: LawHierarchy, law: str,
     return agent, ruling
 
 
-def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
-                target: str, target_locus: Locus) -> tuple[Ruling, Optional[Envelope]]:
+def handle_send(agent: Agent, operation: str, payload: bytes, target: str,
+                target_locus: Locus) -> tuple[Ruling, Optional[Envelope]]:
     """Sender-side ruling.  Forward yields the enveloped message, or a bare
     payload (None envelope) when the target is outside the system."""
     outside = target_locus is OUTSIDE
@@ -752,9 +755,8 @@ def handle_send(agent: Agent, h: LawHierarchy, operation: str, payload: bytes,
     ctx = _tuple_new(EventContext, (
         EventKind.SENT, operation, flow,
         target if outside else target_locus, _NO_PROFILE, outside))
-    program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
-        program, agent.state, agent.cert_attrs, ctx)
+        agent.program, agent.state, agent.cert_attrs, ctx)
     if verdict == "block":
         note = reason or f"blocked by {matched_token(matched)}"
         return Ruling(Decision.BLOCK_NOTICE, matched, note, updates, effects,
@@ -805,9 +807,8 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
     ctx = _tuple_new(EventContext, (
         EventKind.ARRIVED, inbound.operation, flow, peer_name, peer_profile,
         peer_outside))
-    program = program_for(h, agent.law)
     verdict, matched, updates, effects, reason = evaluate(
-        program, agent.state, agent.cert_attrs, ctx)
+        agent.program, agent.state, agent.cert_attrs, ctx)
     if verdict == "block":
         # Arrival-side blocks stay silent: a notice would leak topology.
         return Ruling(Decision.BLOCK_SILENT, matched, None, updates, effects,

@@ -537,8 +537,8 @@ def _compare_send(system, h, prod_agents, oracle_state, idx, msg):
     agent = prod_agents[key]
     outside = msg.target_module is None
     locus = OUTSIDE if outside else msg.target_module
-    ruling, env = handle_send(agent, h, msg.operation, msg.payload,
-                              msg.target, locus)
+    ruling, env = handle_send(agent, msg.operation, msg.payload, msg.target,
+                              locus)
     prod = ("permit" if ruling.decision.permits else "block",
             matched_token(ruling.matched))
 

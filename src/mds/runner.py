@@ -126,6 +126,7 @@ class ScenarioRunner:
         self.mode = mode
         self.seed = seed
         self.rng = random.Random(seed)
+        self._bits = self.rng.getrandbits  # latency draws, see _transmit
         self.audit: list[str] = []
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
@@ -260,7 +261,11 @@ class ScenarioRunner:
     def _transmit(self, label: str, msg: fabric.WireMessage) -> tuple[str, str]:
         """Send msg to a persona, wait for its arrival ruling, and return
         (outcome, matched token)."""
-        self.net.send(label, msg, latency=self.rng.randint(1, 3))
+        # rng.randint(1, 3) inlined: the same draws of two bits, 3 redrawn
+        latency = self._bits(2)
+        while latency == 3:
+            latency = self._bits(2)
+        self.net.send(label, msg, latency=latency + 1)
         arrival = self.net.run_until_idle()
         if arrival is None:
             raise RunnerError("message was sent but never handled")
@@ -312,8 +317,8 @@ class ScenarioRunner:
             else:
                 tlabel = None
                 locus = OUTSIDE
-            ruling, env = handle_send(agent, self.h, step.operation,
-                                      step.payload, step.target, locus)
+            ruling, env = handle_send(agent, step.operation, step.payload,
+                                      step.target, locus)
             matched = matched_token(ruling.matched)
             self._audit_line(slabel, "sent", ruling.flow,
                              ruling.decision._value_, matched)

@@ -148,7 +148,7 @@ class TestDefaultsRegularity:
                 receiver = agents[tname]
                 inner = sender.law == receiver.law
                 for op in self.OPS:
-                    ruling, env = handle_send(sender, h, op, b"", tname,
+                    ruling, env = handle_send(sender, op, b"", tname,
                                               receiver.law)
                     check(f"send {sname}->{tname} {op}",
                           (ruling.decision, matched_token(ruling.matched)),
@@ -163,7 +163,7 @@ class TestDefaultsRegularity:
                           (ruling.decision, matched_token(ruling.matched)),
                           want)
             for op in self.OPS:
-                ruling, env = handle_send(sender, h, op, b"", "ext", OUTSIDE)
+                ruling, env = handle_send(sender, op, b"", "ext", OUTSIDE)
                 check(f"export {sname} {op}",
                       (ruling.decision, matched_token(ruling.matched), env),
                       (Decision.BLOCK_NOTICE, "S:boundary-block", None))
@@ -229,8 +229,7 @@ class TestRulingLocality:
     @staticmethod
     def _evaluate(h, sender, receiver, op, sstate, rstate):
         s = replace(sender, state=dict(sstate))
-        ruling, env = handle_send(s, h, op, b"x", receiver.component,
-                                  receiver.law)
+        ruling, env = handle_send(s, op, b"x", receiver.component, receiver.law)
         sent = (ruling.decision, ruling.matched, ruling.state_updates,
                 ruling.effects, ruling.flow, s.state)
         arrived = None

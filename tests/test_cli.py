@@ -193,3 +193,25 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["law", "frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["bench", "--events", "0"],
+                                      ["fuzz", "--trials", "-3"]],
+                             ids=["bench", "fuzz"])
+    def test_a_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_bench_without_laws_fails_in_one_line(self, tmp_path, capsys):
+        assert main(["bench", "--events", "10", "--laws", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "bench failed: law directory rejected: no .law files found\n")
+
+    def test_unwritable_audit_fails_in_one_line(self, scenario_dir,
+                                                tmp_path, capsys):
+        audit = tmp_path / "missing" / "trail.audit"
+        assert main(["run", str(scenario_dir / "sandbox.mds"),
+                     "--audit", str(audit)]) == 1
+        assert capsys.readouterr().err == (
+            f"cannot write audit {audit}: No such file or directory\n")

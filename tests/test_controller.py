@@ -52,9 +52,9 @@ class TestRulingFlow:
         (None, FlowKind.EXPORT),
     ], ids=["inner", "outflow", "export"])
     def test_send(self, cast, target_module, kind):
-        h, m, _ = cast
+        _, m, _ = cast
         locus = OUTSIDE if target_module is None else target_module
-        ruling, _ = handle_send(m, h, "op", b"", "peer", locus)
+        ruling, _ = handle_send(m, "op", b"", "peer", locus)
         assert ruling.flow is kind
         assert kind is oracle_flow("M", "M", target_module)
 
@@ -66,8 +66,8 @@ class TestRulingFlow:
     ], ids=["inner", "inflow", "import-bare", "import-forged"])
     def test_arrive(self, cast, arrival, sender_module, kind):
         h, m, n = cast
-        _, inner = handle_send(m, h, "op", b"", "m", "M")
-        _, inflow = handle_send(n, h, "op", b"", "m", "M")
+        _, inner = handle_send(m, "op", b"", "m", "M")
+        _, inflow = handle_send(n, "op", b"", "m", "M")
         inbound = {
             "inner": inner,
             "inflow": inflow,
@@ -142,11 +142,16 @@ class TestAdoption:
         assert agent.state["approved"] == "no"
         assert agent.state["logged"] == "no"
 
+    def test_agent_carries_its_law_program(self, shipped):
+        agent, _ = _adopt(shipped, "m", "MS")
+        assert agent.program is controller.program_for(shipped, "MS")
+        assert replace(agent, state={}).program is agent.program
+
 
 class TestSendRulings:
     def test_inner_forward(self, shipped):
         a, _ = _adopt(shipped, "m1", "MS")
-        ruling, env = handle_send(a, shipped, "retrieve", b"", "m2", "MS")
+        ruling, env = handle_send(a, "retrieve", b"", "m2", "MS")
         assert ruling.decision is Decision.FORWARD
         assert matched_token(ruling.matched) == "S:inner-permit"
         assert env is not None and env.sender_module == "MS"
@@ -154,14 +159,14 @@ class TestSendRulings:
 
     def test_outflow_forward(self, shipped):
         a, _ = _adopt(shipped, "app", "OPS")
-        ruling, env = handle_send(a, shipped, "log", b"", "m1", "MS")
+        ruling, env = handle_send(a, "log", b"", "m1", "MS")
         assert ruling.decision is Decision.FORWARD
         assert ruling.flow is FlowKind.OUTFLOW
         assert matched_token(ruling.matched) == "S:outflow-permit"
 
     def test_export_blocked_with_notice(self, shipped):
         a, _ = _adopt(shipped, "app", "OPS")
-        ruling, env = handle_send(a, shipped, "report", b"", "ext", OUTSIDE)
+        ruling, env = handle_send(a, "report", b"", "ext", OUTSIDE)
         assert ruling.decision is Decision.BLOCK_NOTICE
         assert matched_token(ruling.matched) == "S:boundary-block"
         assert env is None
@@ -169,22 +174,22 @@ class TestSendRulings:
 
     def test_ident_export_always_permitted(self, shipped):
         a, _ = _adopt(shipped, "app", "OPS")
-        ruling, env = handle_send(a, shipped, "ident", b"", "ext", OUTSIDE)
+        ruling, env = handle_send(a, "ident", b"", "ext", OUTSIDE)
         assert ruling.decision is Decision.FORWARD
         assert matched_token(ruling.matched) == "S:ident"
         assert env is None  # leaves the system bare
 
     def test_purchase_order_pinned_to_purchasing(self, shipped):
         a, _ = _adopt(shipped, "app", "OPS")
-        ruling, _ = handle_send(a, shipped, "purchaseOrder", b"", "v", OUTSIDE)
+        ruling, _ = handle_send(a, "purchaseOrder", b"", "v", OUTSIDE)
         assert ruling.decision is Decision.BLOCK_NOTICE
         assert matched_token(ruling.matched) == "S:po-guard"
 
     def test_sandbox_outflow_allow_list(self, shipped):
         a, _ = _adopt(shipped, "boxed", "SB")
-        allowed, _ = handle_send(a, shipped, "result", b"", "helper", "OPS")
+        allowed, _ = handle_send(a, "result", b"", "helper", "OPS")
         assert allowed.decision is Decision.FORWARD
-        denied, _ = handle_send(a, shipped, "report", b"", "helper", "OPS")
+        denied, _ = handle_send(a, "report", b"", "helper", "OPS")
         assert denied.decision is Decision.BLOCK_NOTICE
         assert matched_token(denied.matched) == "SB:outflow-permit"
 
@@ -270,8 +275,7 @@ class TestWorkflowState:
         assert buyer.state["approved"] == "yes"
         assert buyer.state["logged"] == "no"
 
-        blocked, _ = handle_send(buyer, shipped, "purchaseOrder", b"", "v",
-                                 OUTSIDE)
+        blocked, _ = handle_send(buyer, "purchaseOrder", b"", "v", OUTSIDE)
         assert blocked.decision is Decision.BLOCK_NOTICE
 
         ack = Envelope(sender_module="MS",
@@ -281,8 +285,7 @@ class TestWorkflowState:
         handle_arrive(buyer, shipped, ack)
         assert buyer.state["logged"] == "yes"
 
-        sent, env = handle_send(buyer, shipped, "purchaseOrder", b"", "v",
-                                OUTSIDE)
+        sent, env = handle_send(buyer, "purchaseOrder", b"", "v", OUTSIDE)
         assert sent.decision is Decision.FORWARD
         assert matched_token(sent.matched) == "P:boundary-block"
         assert buyer.state["approved"] == "no"
@@ -438,7 +441,7 @@ class TestMatchDiscipline:
         """
         h = _hier(root, "law Kid extends Root2 { }")
         a, _ = adopt("a", h, "Kid")
-        ruling, _ = handle_send(a, h, "stamp", b"", "peer", "Root2")
+        ruling, _ = handle_send(a, "stamp", b"", "peer", "Root2")
         assert ruling.decision is Decision.FORWARD
         assert matched_token(ruling.matched) == "Root2:out"
         assert a.state["seen"] == "yes"
@@ -449,10 +452,10 @@ class TestMatchDiscipline:
                '{\n    block;\n  }\n}\n'
         h = _hier(thin)
         a, _ = adopt("a", h, "Thin")
-        inner, _ = handle_send(a, h, "y", b"", "peer", "Thin")
+        inner, _ = handle_send(a, "y", b"", "peer", "Thin")
         assert inner.decision is Decision.FORWARD
         assert matched_token(inner.matched) == "default:inner"
-        export, _ = handle_send(a, h, "y", b"", "ext", OUTSIDE)
+        export, _ = handle_send(a, "y", b"", "ext", OUTSIDE)
         assert export.decision is Decision.BLOCK_NOTICE
         assert matched_token(export.matched) == "default:export"
         imported, _ = handle_arrive(
@@ -477,16 +480,14 @@ class TestLocalityQuick:
             op = rng.choice(ops)
             sender0 = replace(agents[sname],
                               state=dict(agents[sname].state))
-            first = handle_send(sender0, shipped, op, b"", tname,
-                                agents[tname].law)
+            first = handle_send(sender0, op, b"", tname, agents[tname].law)
             for other in names:
                 if other not in (sname, tname):
                     agents[other].state[rng.choice(("module", "zz", "n"))] = \
                         rng.choice(("poked", 7, "yes"))
             sender1 = replace(agents[sname],
                               state=dict(agents[sname].state))
-            second = handle_send(sender1, shipped, op, b"", tname,
-                                 agents[tname].law)
+            second = handle_send(sender1, op, b"", tname, agents[tname].law)
             assert first[0] == second[0]
 
 
@@ -559,7 +560,7 @@ class TestCompiledBodiesMatchOracle:
                         OracleEvent(EventKind.SENT, op, flow,
                                     target if outside else locus,
                                     frozenset(), outside))
-                    ruling, _ = handle_send(agent, h, op, b"", target, locus)
+                    ruling, _ = handle_send(agent, op, b"", target, locus)
                     verdict = "permit" if ruling.decision.permits else "block"
                     assert (verdict, matched_token(ruling.matched),
                             agent.state) == expected, (name, op, locus)
@@ -882,9 +883,10 @@ class TestCompiledGuards:
 
 
 class TestTracedSeams:
-    """The calls a tracer wraps: ``program_for`` and ``evaluate`` are looked
-    up on ``mds.controller`` at call time by every controller operation, and
-    every rule-decided ``matched`` names an entry of the program scanned."""
+    """The calls a tracer wraps, looked up on ``mds.controller`` at call
+    time: adoption reaches ``program_for`` and then ``evaluate``, a send or
+    arrival ``evaluate`` alone, on the program bound to the agent; and every
+    rule-decided ``matched`` names an entry of the program scanned."""
 
     def _spy(self, monkeypatch):
         calls = []   # (name, program or leaf, matched)
@@ -910,11 +912,11 @@ class TestTracedSeams:
         b, _ = _adopt(shipped, "b", "MS")
         assert [c[0] for c in calls] == ["program_for", "evaluate"] * 2
         del calls[:]
-        _, env = handle_send(a, shipped, "retrieve", b"", "b", "MS")
-        assert [c[0] for c in calls] == ["program_for", "evaluate"]
+        _, env = handle_send(a, "retrieve", b"", "b", "MS")
+        assert [c[:2] for c in calls] == [("evaluate", a.program)]
         del calls[:]
         handle_arrive(b, shipped, env)
-        assert [c[0] for c in calls] == ["program_for", "evaluate"]
+        assert [c[:2] for c in calls] == [("evaluate", b.program)]
 
     def test_every_rule_match_names_a_program_entry(self, scenario_dir,
                                                     monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end scenario execution over both transports."""
 
 import gc
+import random
 import re
 import socket
 import threading
@@ -98,6 +99,25 @@ class TestDeterminism:
         outcomes_a = [s.text.split(": ", 1)[1] for s in a.steps]
         outcomes_b = [s.text.split(": ", 1)[1] for s in b.steps]
         assert outcomes_a == outcomes_b
+
+    def test_latencies_are_the_seeds_randint_draws(self, scenario_dir,
+                                                   monkeypatch):
+        # The runner draws latencies by hand; they must stay the draws of
+        # random.Random(seed).randint(1, 3), which fix the sim audits.
+        seen: list[int] = []
+        real_send = fabric.SimNetwork.send
+
+        def send(net, address, msg, latency=0):
+            seen.append(latency)
+            return real_send(net, address, msg, latency)
+
+        monkeypatch.setattr(fabric.SimNetwork, "send", send)
+        scn = load_scenario(str(scenario_dir / "monitoring.mds"))
+        for seed in range(200):
+            del seen[:]
+            assert ScenarioRunner(scn, scenario_dir, seed=seed).run().ok
+            rng = random.Random(seed)
+            assert seen and seen == [rng.randint(1, 3) for _ in seen], seed
 
 
 class TestRunnerMechanics:
