@@ -8,8 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bench as bench_mod
 from . import fabric, law_lang
@@ -116,7 +117,14 @@ def _cmd_bench(args) -> int:
     return 0 if report.within_budget else 1
 
 
-def _serve_forever(service: fabric.TcpService, what: str) -> int:
+def _serve_forever(args, what: str,
+                   serve: Callable[..., fabric.TcpService]) -> int:
+    try:
+        service = serve(host=args.host, port=args.port)
+    except OSError as exc:
+        print(f"cannot listen on {args.host}:{args.port}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
     host, port = service.address
     print(f"{what} listening on {host}:{port}", flush=True)
     try:
@@ -129,9 +137,8 @@ def _serve_forever(service: fabric.TcpService, what: str) -> int:
 
 
 def _cmd_registry_serve(args) -> int:
-    registry = fabric.Registry()
-    service = fabric.serve_registry(registry, host=args.host, port=args.port)
-    return _serve_forever(service, "registry")
+    return _serve_forever(args, "registry",
+                          partial(fabric.serve_registry, fabric.Registry()))
 
 
 def _cmd_lawserver_serve(args) -> int:
@@ -140,8 +147,8 @@ def _cmd_lawserver_serve(args) -> int:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    service = fabric.serve_law_server(h, host=args.host, port=args.port)
-    return _serve_forever(service, "law server")
+    return _serve_forever(args, "law server",
+                          partial(fabric.serve_law_server, h))
 
 
 def positive_int(text: str) -> int:
@@ -149,6 +156,14 @@ def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
+def port_number(text: str) -> int:
+    """argparse type of a TCP port: 0 (any free port) to 65535."""
+    n = int(text)
+    if not 0 <= n <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, not {n}")
     return n
 
 
@@ -192,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            required=True)
     rserve = registry_sub.add_parser("serve")
     rserve.add_argument("--host", default="127.0.0.1")
-    rserve.add_argument("--port", type=int, default=0)
+    rserve.add_argument("--port", type=port_number, default=0)
     rserve.set_defaults(func=_cmd_registry_serve)
 
     lawserver = sub.add_parser("lawserver", help="law distribution service")
@@ -201,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     lserve = lawserver_sub.add_parser("serve")
     lserve.add_argument("directory")
     lserve.add_argument("--host", default="127.0.0.1")
-    lserve.add_argument("--port", type=int, default=0)
+    lserve.add_argument("--port", type=port_number, default=0)
     lserve.set_defaults(func=_cmd_lawserver_serve)
 
     return parser

@@ -21,7 +21,10 @@ codec.
 ``run_until_idle`` returns the last handler's result (None if it delivered
 nothing), and a handler's exception propagates from it.  ``TcpNetwork``
 opens its own connection to each address as it registers it, and reads
-and rules on the frames it sent there on the caller's thread.
+and rules on the frames it sent there on the caller's thread: a hop is
+one ``send`` and, when the read returns exactly one whole frame, one
+``recv`` decoded where it lies.  The reading end acks late where the
+platform allows it, about one ACK segment per two frames.
 ``TcpService`` serves peers from outside a run (and the law server and
 registry) from one selector thread; ``call_remote`` opens one connection
 per request, for law fetches and registry calls.  The simulator
@@ -255,6 +258,7 @@ def _compile() -> tuple[dict, tuple, list]:
 
 
 _ENCODERS, _DECODERS, _MEMOS = _compile()
+_PREFIX = struct.Struct(">I")  # a frame's length prefix
 
 
 def encode_frame(msg: WireMessage) -> bytes:
@@ -263,9 +267,10 @@ def encode_frame(msg: WireMessage) -> bytes:
     except (AttributeError, KeyError, TypeError, struct.error,
             ValueError) as exc:
         raise FrameError(f"unencodable {type(msg).__name__}: {exc}") from None
-    if len(frame) - 4 > MAX_FRAME:
+    size = len(frame) - 4
+    if size > MAX_FRAME:
         raise FrameError("frame body too large")
-    frame[:4] = (len(frame) - 4).to_bytes(4, "big")
+    frame[:4] = _PREFIX.pack(size)
     return bytes(frame)
 
 
@@ -751,33 +756,51 @@ class _Link(NamedTuple):
     inbox: bytearray  # bytes read from server, not yet a whole frame
 
 
-def _receive(link: _Link) -> WireMessage:
-    """The next frame on ``link``'s own connection."""
-    sock, inbox = link.server, link.inbox
-    while (body := _cut(inbox)) is None:
+def _recv(link: _Link) -> bytes:
+    """One read from ``link``'s server end, waiting up to DELIVERY_TIMEOUT
+    s only when nothing has arrived; the end of the stream is an error."""
+    sock = link.server
+    try:
+        data = sock.recv(65536)
+    except BlockingIOError:  # wait for it: socket timeouts poll, so
+        sock.settimeout(DELIVERY_TIMEOUT)  # any fd number will do
         try:
             data = sock.recv(65536)
-        except BlockingIOError:  # wait for it: socket timeouts poll, so
-            sock.settimeout(DELIVERY_TIMEOUT)  # any fd number will do
-            try:
-                data = sock.recv(65536)
-            finally:
-                sock.setblocking(False)
-        if not data:
-            if inbox:
-                raise FrameError("connection closed mid-frame")
-            raise ConnectionError("own connection closed")
+        finally:
+            sock.setblocking(False)
+    if not data:
+        if link.inbox:
+            raise FrameError("connection closed mid-frame")
+        raise ConnectionError("own connection closed")
+    return data
+
+
+def _receive(link: _Link) -> WireMessage:
+    """The next frame on ``link``'s own connection."""
+    inbox = link.inbox
+    if not inbox:
+        data = _recv(link)
+        # one whole frame, the common case: decode it from the read itself
+        if (4 < len(data) <= MAX_FRAME + 4
+                and _PREFIX.unpack_from(data)[0] == len(data) - 4):
+            return decode_body(data[4:])
         inbox += data
+    while (body := _cut(inbox)) is None:
+        inbox += _recv(link)
     return decode_body(body)
 
 
 def _write(link: _Link, frame: bytes):
-    """Write ``frame`` on ``link``'s own connection.  While the loopback
-    buffers are full, what the server end holds moves into the inbox, so
-    the write never waits for a read that only this thread would make."""
-    sent = 0
+    """Write ``frame`` on ``link``'s own connection.  After a short write,
+    while the loopback buffers are full, what the server end holds moves
+    into the inbox, so the write never waits for a read that only this
+    thread would make."""
+    try:
+        sent = link.client.send(frame)
+    except BlockingIOError:
+        sent = 0
     while sent < len(frame):
-        try:  # frame[0:] is frame itself: a whole write copies nothing
+        try:
             sent += link.client.send(frame[sent:])
         except BlockingIOError:
             try:
@@ -797,15 +820,22 @@ class TcpNetwork:
     runs the handler, again on the calling thread: no other thread takes
     part in a delivery, and the handler's result or exception reaches the
     caller.  Both ends are non-blocking: a write never waits (``_write``),
-    and only a read that would block waits, up to DELIVERY_TIMEOUT s.  The
-    stream's end is a ConnectionError between frames and a FrameError
-    within one; a wait that runs out is a TimeoutError.  Peers outside the
-    run reach the address at the host:port ``register`` returns; one
-    ``TcpService`` loop thread serves every such connection, sends no
-    reply and logs a handler's failure.  Each address's handler runs under
-    a lock of its own, so an outside frame is never handled while the
-    caller handles one for the same address, and since it arrives on
-    another connection it cannot end a wait.
+    and only a read that would block waits, up to DELIVERY_TIMEOUT s.  A
+    read into an empty inbox that returns exactly one whole frame (its
+    prefix is the bytes read less 4, at most MAX_FRAME) is decoded as it
+    is; any other read goes through the inbox and ``_cut``.  The stream's
+    end is a ConnectionError between frames and a FrameError within one;
+    a wait that runs out is a TimeoutError.  Frames flow one way, so the
+    client sends each at once (``TCP_NODELAY``) and the server end clears
+    ``TCP_QUICKACK`` once, where the platform has it: the kernel then acks
+    about every second frame, not each one.  It is a hint, and the kernel
+    turns quick ACKs back on after an idle gap; only speed depends on it.
+    Peers outside the run reach the address at the host:port ``register``
+    returns; one ``TcpService`` loop thread serves every such connection,
+    sends no reply and logs a handler's failure.  Each address's handler
+    runs under a lock of its own, so an outside frame is never handled
+    while the caller handles one for the same address, and since it
+    arrives on another connection it cannot end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -842,6 +872,11 @@ class TcpNetwork:
             if peer != client.getsockname():
                 raise ConnectionError(f"{address!r}: accepted {peer}, not "
                                       f"this network's own connection")
+            # for the same reason the reader acks late, about one ACK per
+            # two frames (Linux only; quick ACKs come back after idling)
+            quickack = getattr(socket, "TCP_QUICKACK", None)
+            if quickack is not None:
+                server.setsockopt(socket.IPPROTO_TCP, quickack, 0)
             client.setblocking(False)
             server.setblocking(False)
             host, port = self._service.serve(listener, serve)
@@ -854,9 +889,10 @@ class TcpNetwork:
         self._sent.append(address)
 
     def run_until_idle(self) -> object:
+        sent, links = self._sent, self._links
         result = None
-        while self._sent:
-            link = self._links[self._sent.popleft()]
+        while sent:
+            link = links[sent.popleft()]
             result = link.handle(_receive(link))
         return result
 

@@ -215,3 +215,29 @@ class TestOtherCommands:
                      "--audit", str(audit)]) == 1
         assert capsys.readouterr().err == (
             f"cannot write audit {audit}: No such file or directory\n")
+
+
+class TestServeCommands:
+    """A port the service cannot listen on ends in one line, never in a
+    traceback."""
+
+    @pytest.fixture(params=["registry", "lawserver"])
+    def serve(self, request, law_dir):
+        if request.param == "registry":
+            return ["registry", "serve"]
+        return ["lawserver", "serve", str(law_dir)]
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_a_port_out_of_range_is_a_usage_error(self, serve, port, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(serve + ["--port", port])
+        assert err.value.code == 2
+        assert f"must be 0-65535, not {port}" in capsys.readouterr().err
+
+    def test_a_port_in_use_fails_in_one_line(self, serve, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            assert main(serve + ["--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1, err

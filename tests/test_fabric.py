@@ -1014,6 +1014,86 @@ class TestOwnConnectionReader:
         assert 0.2 <= time.monotonic() - start < 2.0
         assert threading.active_count() <= threads
 
+    def test_a_frame_that_arrives_whole_skips_the_inbox(self, net):
+        class Untouchable(bytearray):
+            def __iadd__(self, data):
+                raise AssertionError("the inbox was written")
+
+            extend = __iadd__
+
+        net.register("a", lambda msg: msg)
+        link = net._links["a"] = net._links["a"]._replace(inbox=Untouchable())
+        net.send("a", LawFetch("whole"))
+        _wait_for(link.server, len(encode_frame(LawFetch("whole"))))
+        assert net.run_until_idle() == LawFetch("whole")
+
+    @pytest.mark.parametrize("at", [2, 9])  # in the prefix, in the body
+    def test_a_frame_and_the_start_of_the_next(self, net, monkeypatch, at):
+        first, second = (encode_frame(LawFetch(name))
+                         for name in ("first", "second"))
+        writes = iter([first + second[:at], second[at:]])
+        monkeypatch.setattr(fabric, "_write",
+                            lambda link, frame: link.client.sendall(
+                                next(writes)))
+        net.register("a", lambda msg: msg)
+        link = net._links["a"]
+        net.send("a", LawFetch("first"))
+        _wait_for(link.server, len(first) + at)
+        assert net.run_until_idle() == LawFetch("first")
+        assert link.inbox == second[:at]
+        net.send("a", LawFetch("second"))
+        assert net.run_until_idle() == LawFetch("second")
+        assert not link.inbox
+
+    @pytest.mark.parametrize("prefix, max_frame", [
+        (0xFFFFFFFF, None),  # over MAX_FRAME
+        (8, 7),              # right, but over a lowered MAX_FRAME
+        (7, None),           # one byte short of the body
+        (9, None),           # one byte past it, then the end of the stream
+    ], ids=["over-max", "over-lowered-max", "short", "long"])
+    def test_a_prefix_that_is_not_the_body_read_is_refused(
+            self, net, monkeypatch, prefix, max_frame):
+        body = encode_frame(LawFetch("cut"))[4:]
+        assert len(body) == 8
+        monkeypatch.setattr(fabric, "_write",
+                            lambda link, frame: link.client.sendall(
+                                prefix.to_bytes(4, "big") + body))
+        monkeypatch.setattr(fabric, "DELIVERY_TIMEOUT", 2.0)
+        net.register("a", lambda msg: msg)
+        net.send("a", LawFetch("cut"))
+        net._links["a"].client.shutdown(socket.SHUT_WR)
+        if max_frame is not None:  # after the encoder's own check
+            monkeypatch.setattr(fabric, "MAX_FRAME", max_frame)
+        with pytest.raises(FrameError):
+            net.run_until_idle()
+
+    @pytest.mark.parametrize("quickack", ["present", "removed"])
+    def test_the_reader_acks_late_where_it_can(self, net, monkeypatch,
+                                               quickack):
+        if quickack == "removed":
+            monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        net.register("a", lambda msg: msg)
+        if hasattr(socket, "TCP_QUICKACK"):
+            server = net._links["a"].server
+            assert server.getsockopt(socket.IPPROTO_TCP,
+                                     socket.TCP_QUICKACK) == 0
+        for name in ("one", "two"):
+            net.send("a", LawFetch(name))
+            assert net.run_until_idle() == LawFetch(name)
+
+
+def _wait_for(sock: socket.socket, size: int):
+    """Wait until ``size`` bytes are in ``sock``'s receive buffer."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            if len(sock.recv(size, socket.MSG_PEEK)) >= size:
+                return
+        except BlockingIOError:
+            pass
+        assert time.monotonic() < deadline, "the bytes never arrived"
+        time.sleep(0.001)
+
 
 def _ended(sock: socket.socket, within: float = 2.0) -> bool:
     """Whether the other side ends the stream (by FIN or reset) in time."""
