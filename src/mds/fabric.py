@@ -24,7 +24,8 @@ opens its own connection to each address as it registers it, and reads
 and rules on the frames it sent there on the caller's thread: a hop is
 one ``send`` and, when the read returns exactly one whole frame, one
 ``recv`` decoded where it lies.  The reading end acks late where the
-platform allows it, about one ACK segment per two frames.
+platform allows it, about one ACK segment per two frames until the
+link first idles.
 ``TcpService`` serves peers from outside a run (and the law server and
 registry) from one selector thread; ``call_remote`` opens one connection
 per request, for law fetches and registry calls.  The simulator
@@ -439,12 +440,12 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 
-def _frame_end(buf: bytearray) -> int:
+def _frame_end(buf: bytes) -> int:
     """Where the first frame in ``buf`` ends, 4 until its length prefix is
     in; a size over MAX_FRAME is refused at the prefix."""
     if len(buf) < 4:
         return 4
-    size = int.from_bytes(buf[:4], "big")
+    size = _PREFIX.unpack_from(buf)[0]
     if size > MAX_FRAME:
         raise FrameError("frame too large")
     return 4 + size
@@ -781,8 +782,7 @@ def _receive(link: _Link) -> WireMessage:
     if not inbox:
         data = _recv(link)
         # one whole frame, the common case: decode it from the read itself
-        if (4 < len(data) <= MAX_FRAME + 4
-                and _PREFIX.unpack_from(data)[0] == len(data) - 4):
+        if _frame_end(data) == len(data):
             return decode_body(data[4:])
         inbox += data
     while (body := _cut(inbox)) is None:
@@ -791,16 +791,12 @@ def _receive(link: _Link) -> WireMessage:
 
 
 def _write(link: _Link, frame: bytes):
-    """Write ``frame`` on ``link``'s own connection.  After a short write,
-    while the loopback buffers are full, what the server end holds moves
-    into the inbox, so the write never waits for a read that only this
-    thread would make."""
-    try:
-        sent = link.client.send(frame)
-    except BlockingIOError:
-        sent = 0
+    """Write ``frame`` on ``link``'s own connection.  While the loopback
+    buffers are full, what the server end holds moves into the inbox, so
+    the write never waits for a read that only this thread would make."""
+    sent = 0
     while sent < len(frame):
-        try:
+        try:  # frame[0:] is frame itself: a whole write copies nothing
             sent += link.client.send(frame[sent:])
         except BlockingIOError:
             try:
@@ -821,15 +817,18 @@ class TcpNetwork:
     part in a delivery, and the handler's result or exception reaches the
     caller.  Both ends are non-blocking: a write never waits (``_write``),
     and only a read that would block waits, up to DELIVERY_TIMEOUT s.  A
-    read into an empty inbox that returns exactly one whole frame (its
-    prefix is the bytes read less 4, at most MAX_FRAME) is decoded as it
-    is; any other read goes through the inbox and ``_cut``.  The stream's
+    read into an empty inbox that returns exactly one whole frame (where
+    ``_frame_end`` puts its end at the bytes read) is decoded as it is;
+    any other read goes through the inbox and ``_cut``.  The stream's
     end is a ConnectionError between frames and a FrameError within one;
     a wait that runs out is a TimeoutError.  Frames flow one way, so the
     client sends each at once (``TCP_NODELAY``) and the server end clears
     ``TCP_QUICKACK`` once, where the platform has it: the kernel then acks
-    about every second frame, not each one.  It is a hint, and the kernel
-    turns quick ACKs back on after an idle gap; only speed depends on it.
+    about every second frame, not each one.  It holds only until the
+    link's first idle gap: once the delayed-ACK timer fires on a frame
+    left unacked (about 40 ms), the kernel acks every frame for the rest
+    of the link's life, since the server end never sends data to turn
+    late ACKs back on.  Only speed depends on it.
     Peers outside the run reach the address at the host:port ``register``
     returns; one ``TcpService`` loop thread serves every such connection,
     sends no reply and logs a handler's failure.  Each address's handler
@@ -873,7 +872,7 @@ class TcpNetwork:
                 raise ConnectionError(f"{address!r}: accepted {peer}, not "
                                       f"this network's own connection")
             # for the same reason the reader acks late, about one ACK per
-            # two frames (Linux only; quick ACKs come back after idling)
+            # two frames (Linux only; until the link's first idle gap)
             quickack = getattr(socket, "TCP_QUICKACK", None)
             if quickack is not None:
                 server.setsockopt(socket.IPPROTO_TCP, quickack, 0)
