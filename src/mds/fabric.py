@@ -19,13 +19,13 @@ codec.
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
 ``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
 ``run_until_idle`` returns the last handler's result (None if it delivered
-nothing), and a handler's exception propagates from it.  ``TcpNetwork``
-opens its own connection to each address as it registers it, and reads
-and rules on the frames it sent there on the caller's thread: a hop is
-one ``send`` and, when the read returns exactly one whole frame, one
-``recv`` decoded where it lies.  The reading end acks late where the
-platform allows it, about one ACK segment per two frames until the
-link first idles.
+nothing), and a handler's exception propagates from it; ``send`` to an
+unregistered address raises KeyError.  ``TcpNetwork`` sends every frame
+on one own connection and reads them back in send order, ruling on the
+caller's thread: a hop is one ``send`` and, when the read returns
+exactly one whole frame, one ``recv`` decoded where it lies.  The
+reading end acks late where the platform allows it, about one ACK
+segment per two frames until the link first idles.
 ``TcpService`` serves peers from outside a run (and the law server and
 registry) from one selector thread; ``call_remote`` opens one connection
 per request, for law fetches and registry calls.  The simulator
@@ -295,9 +295,8 @@ class SimNetwork:
     def __init__(self):
         self.clock = 0
         self._seq = 0
-        self._pending: list[tuple[int, int, str, WireMessage]] = []
+        self._pending: list[tuple[int, int, Callable, WireMessage]] = []
         self._handlers: dict[str, Callable[[WireMessage], object]] = {}
-        self.dropped: list[tuple[str, WireMessage]] = []
 
     def register(self, address: str,
                  handler: Callable[[WireMessage], object]) -> str:
@@ -308,20 +307,16 @@ class SimNetwork:
     def send(self, address: str, msg: WireMessage, latency: int = 0):
         if latency < 0:
             raise ValueError("latency must be >= 0")
-        heappush(self._pending, (self.clock + latency, self._seq, address, msg))
+        handler = self._handlers[address]
+        heappush(self._pending, (self.clock + latency, self._seq, handler, msg))
         self._seq += 1
 
     def step(self) -> object:
         """Deliver the next message due, of which there must be one; returns
-        what its handler returned (None when its address is unknown)."""
-        deliver_at, _, address, msg = heappop(self._pending)
+        what its handler returned."""
+        deliver_at, _, handler, msg = heappop(self._pending)
         if deliver_at > self.clock:
             self.clock = deliver_at
-        handler = self._handlers.get(address)
-        if handler is None:
-            log.warning("dropping message for unknown address %r", address)
-            self.dropped.append((address, msg))
-            return None
         return handler(msg)
 
     def run_until_idle(self) -> object:
@@ -348,10 +343,11 @@ class SimNetwork:
         return self.clock
 
     def close(self):
-        """Drop the handlers.  A handler is usually a bound method of the
-        network's owner, which holds the network, so until then the two
-        form a cycle that only a full collection frees."""
+        """Drop the handlers and the messages queued for them.  A handler is
+        usually a bound method of the network's owner, which holds the
+        network, so the two form a cycle that only a full collection frees."""
         self._handlers.clear()
+        self._pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +746,37 @@ def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
 
 
 class _Link(NamedTuple):
-    """The network's own connection to one registered address."""
+    """The network's own connection, which carries every frame it sends."""
     client: socket.socket  # send() writes here, without blocking
     server: socket.socket  # the accepted end run_until_idle reads
-    handle: Callable[[WireMessage], object]
     inbox: bytearray  # bytes read from server, not yet a whole frame
+
+
+def _own_link() -> _Link:
+    """A connection to a listener closed once it has accepted it.  Frames
+    flow one way, so the client sends each at once (TCP_NODELAY) and the
+    server end clears TCP_QUICKACK once where it exists: the kernel then
+    acks every second frame until the link first idles, when the
+    delayed-ACK timer (about 40 ms) turns quick ACKs back on for good, as
+    the server end never sends data.  Only speed depends on it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            ExitStack() as undo:
+        client = undo.enter_context(
+            socket.create_connection(listener.getsockname()))
+        client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        listener.settimeout(DELIVERY_TIMEOUT)
+        server, peer = listener.accept()
+        undo.enter_context(server)
+        if peer != client.getsockname():
+            raise ConnectionError(f"accepted {peer}, not this network's own "
+                                  f"connection")
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        if quickack is not None:
+            server.setsockopt(socket.IPPROTO_TCP, quickack, 0)
+        client.setblocking(False)
+        server.setblocking(False)
+        undo.pop_all()
+    return _Link(client, server, bytearray())
 
 
 def _recv(link: _Link) -> bytes:
@@ -808,47 +830,42 @@ def _write(link: _Link, frame: bytes):
 class TcpNetwork:
     """The ``SimNetwork`` interface over loopback sockets.
 
-    ``register`` binds a listening socket for the address, connects the
-    network's own client socket to it and accepts the server end, all on
-    the calling thread.  ``send`` writes the frame on that connection
-    (``latency`` is the real network's, so the argument is ignored), and
-    ``run_until_idle`` reads one frame per send from the server end and
-    runs the handler, again on the calling thread: no other thread takes
-    part in a delivery, and the handler's result or exception reaches the
-    caller.  Both ends are non-blocking: a write never waits (``_write``),
-    and only a read that would block waits, up to DELIVERY_TIMEOUT s.  A
-    read into an empty inbox that returns exactly one whole frame (where
-    ``_frame_end`` puts its end at the bytes read) is decoded as it is;
-    any other read goes through the inbox and ``_cut``.  The stream's
-    end is a ConnectionError between frames and a FrameError within one;
-    a wait that runs out is a TimeoutError.  Frames flow one way, so the
-    client sends each at once (``TCP_NODELAY``) and the server end clears
-    ``TCP_QUICKACK`` once, where the platform has it: the kernel then acks
-    about every second frame, not each one.  It holds only until the
-    link's first idle gap: once the delayed-ACK timer fires on a frame
-    left unacked (about 40 ms), the kernel acks every frame for the rest
-    of the link's life, since the server end never sends data to turn
-    late ACKs back on.  Only speed depends on it.
-    Peers outside the run reach the address at the host:port ``register``
-    returns; one ``TcpService`` loop thread serves every such connection,
-    sends no reply and logs a handler's failure.  Each address's handler
-    runs under a lock of its own, so an outside frame is never handled
-    while the caller handles one for the same address, and since it
-    arrives on another connection it cannot end a wait.
+    One own connection (``_own_link``), opened when the network is made,
+    carries every frame ``send`` writes (``latency`` is the real
+    network's, so the argument is ignored).  ``run_until_idle`` reads them
+    back in send order and runs each one's handler on the calling thread,
+    so the handler's result or exception reaches the caller.  A write
+    never waits (``_write``); only a read that would block waits, up to
+    DELIVERY_TIMEOUT s (``_receive``).  The stream's end is a
+    ConnectionError between frames and a FrameError within one; a wait
+    that runs out is a TimeoutError.
+    Outside peers reach an address at the host:port ``register`` returns;
+    one ``TcpService`` loop thread serves them all, sends no reply and logs
+    a handler's failure.  Only a controller puts an envelope on the own
+    connection, so one from outside is handled as the bare message it
+    carries.  Each address's handler runs under a lock of its own, so an
+    outside frame is never handled while the caller handles one for the
+    same address, and since it arrives on another connection it cannot
+    end a wait.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
 
     def __init__(self):
         self._service = TcpService()
-        self._links: dict[str, _Link] = {}
-        self._sent: deque[str] = deque()  # an address per frame not yet read
+        try:
+            self._link = _own_link()
+        except OSError:
+            self._service.close()
+            raise
+        self._handlers: dict[str, Callable[[WireMessage], object]] = {}
+        self._sent: deque[Callable] = deque()  # a handler per frame not read
         self._ticks = itertools.count()
 
     def register(self, address: str,
                  handler: Callable[[WireMessage], object]) -> str:
-        """Connect to a fresh listening socket for ``handler``; returns its
-        host:port."""
+        """Serve outside peers of ``handler`` at a fresh listening socket;
+        returns its host:port."""
         lock = threading.Lock()
 
         def handle(msg: WireMessage) -> object:
@@ -856,43 +873,26 @@ class TcpNetwork:
                 return handler(msg)
 
         def serve(msg: WireMessage) -> None:  # an outside peer gets no reply
+            if isinstance(msg, Envelope):  # no controller put it there
+                msg = BareInbound(msg.sender, msg.target, msg.operation,
+                                  msg.payload)
             handle(msg)
 
-        with ExitStack() as undo:
-            listener = undo.enter_context(
-                socket.create_server(("127.0.0.1", 0)))
-            client = undo.enter_context(
-                socket.create_connection(listener.getsockname()))
-            # frames flow one way: never hold one back for an ACK
-            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            listener.settimeout(DELIVERY_TIMEOUT)
-            server, peer = listener.accept()
-            undo.enter_context(server)
-            if peer != client.getsockname():
-                raise ConnectionError(f"{address!r}: accepted {peer}, not "
-                                      f"this network's own connection")
-            # for the same reason the reader acks late, about one ACK per
-            # two frames (Linux only; until the link's first idle gap)
-            quickack = getattr(socket, "TCP_QUICKACK", None)
-            if quickack is not None:
-                server.setsockopt(socket.IPPROTO_TCP, quickack, 0)
-            client.setblocking(False)
-            server.setblocking(False)
-            host, port = self._service.serve(listener, serve)
-            undo.pop_all()
-        self._links[address] = _Link(client, server, handle, bytearray())
+        host, port = self._service.serve(
+            socket.create_server(("127.0.0.1", 0)), serve)
+        self._handlers[address] = handle
         return f"{host}:{port}"
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
-        _write(self._links[address], encode_frame(msg))
-        self._sent.append(address)
+        handle = self._handlers[address]
+        _write(self._link, encode_frame(msg))
+        self._sent.append(handle)
 
     def run_until_idle(self) -> object:
-        sent, links = self._sent, self._links
+        sent, link = self._sent, self._link
         result = None
         while sent:
-            link = links[sent.popleft()]
-            result = link.handle(_receive(link))
+            result = sent.popleft()(_receive(link))
         return result
 
     def advance(self, ticks: int) -> str:
@@ -904,9 +904,9 @@ class TcpNetwork:
         return next(self._ticks)
 
     def close(self):
-        """Stop serving outside peers, then close the own connections."""
+        """Stop serving outside peers, then close the own connection."""
         self._service.close()
-        for link in self._links.values():
-            link.client.close()
-            link.server.close()
-        self._links.clear()
+        self._link.client.close()
+        self._link.server.close()
+        self._handlers.clear()
+        self._sent.clear()

@@ -7,8 +7,8 @@ delivery that made it, so a step reports the ruling on its own message,
 and a handler failure raises out of the step in both modes.  In ``sim``
 mode messages travel a deterministic in-process network on a logical
 clock, so a scenario plus a seed fixes the audit byte for byte.  In
-``tcp`` mode every adopted persona listens on its own loopback socket
-and frames cross real connections.
+``tcp`` mode every frame crosses the network's one own loopback
+connection, and every adopted persona listens for outside peers.
 
 Either way the run leaves an audit trail, one line per controller event:
 

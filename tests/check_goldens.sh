@@ -9,7 +9,8 @@
 #                                column is cut off before the comparison
 #
 # Run from the repository root with `mds` on PATH.  Trails are written to
-# $RUNNER_TEMP, or to a fresh temporary directory when that is unset.
+# $RUNNER_TEMP, or to a fresh temporary directory when that is unset; the
+# script removes that directory on exit, and never $RUNNER_TEMP.
 set -euo pipefail
 
 mode=${1:-}
@@ -17,7 +18,12 @@ case "$mode" in
   sim|tcp) ;;
   *) echo "usage: tests/check_goldens.sh sim|tcp" >&2; exit 2 ;;
 esac
-out=${RUNNER_TEMP:-$(mktemp -d)}
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  out=$RUNNER_TEMP
+else
+  out=$(mktemp -d)
+  trap 'rm -rf "$out"' EXIT
+fi
 
 for hashseed in 0 1; do
   for scenario in scenarios/*.mds; do

@@ -514,12 +514,6 @@ class TestSimNetwork:
         net.advance(10)
         assert [m.operation for m in seen] == ["soon", "later"]
 
-    def test_unknown_address_is_dropped_not_fatal(self):
-        net = SimNetwork()
-        net.send("nowhere", BareInbound("s", "nowhere", "op", b""))
-        net.run_until_idle()
-        assert len(net.dropped) == 1
-
     def test_same_seed_same_order(self):
         def run(seed):
             rng = random.Random(seed)
@@ -540,8 +534,6 @@ class TestSimNetwork:
         net.register("x", lambda msg: msg.operation)
         net.send("x", BareInbound("s", "x", "one", b""))
         assert net.step() == "one"
-        net.send("nowhere", BareInbound("s", "nowhere", "op", b""))
-        assert net.step() is None
 
 
 @pytest.mark.parametrize("network", [SimNetwork, TcpNetwork])
@@ -564,6 +556,23 @@ def test_run_until_idle_returns_the_last_result_and_raises_errors(network):
         assert net.run_until_idle() == "after"
     finally:
         net.close()
+
+
+@pytest.mark.parametrize("network", [SimNetwork, TcpNetwork])
+def test_an_unknown_address_is_refused_before_anything_is_queued(network):
+    got = []
+    net = network()
+    try:
+        net.register("x", lambda msg: got.append(msg) or msg.operation)
+        with pytest.raises(KeyError):
+            net.send("nowhere", BareInbound("s", "nowhere", "lost", b""))
+        assert net.run_until_idle() is None
+        # a frame written but not queued would be read as this one's
+        net.send("x", BareInbound("s", "x", "after", b""))
+        assert net.run_until_idle() == "after"
+    finally:
+        net.close()
+    assert [msg.operation for msg in got] == ["after"]
 
 
 class TestLawServer:
@@ -763,16 +772,20 @@ class TestTcpNetwork:
         monkeypatch.setattr(fabric.socket, "create_connection", counting)
         before = threading.active_count()
         net = TcpNetwork()
+        assert len(opened) == 1
         got = []
         try:
-            net.register("a", got.append)
-            for i in range(5):
-                net.send("a", LawFetch(f"L{i}"))
-                net.run_until_idle()
+            for name in ("a", "b", "c"):
+                net.register(name, lambda msg, name=name: got.append(
+                    (name, msg)))
+            for i in range(6):
+                net.send("abc"[i % 3], LawFetch(f"L{i}"))
+                if i % 2:
+                    net.run_until_idle()
         finally:
             net.close()
-        assert got == [LawFetch(f"L{i}") for i in range(5)]
-        assert len(opened) == 1
+        assert got == [("abc"[i % 3], LawFetch(f"L{i}")) for i in range(6)]
+        assert len(opened) == 1  # one per network, none per register
         # close() ends the connection, so the service thread exits while
         # the network object is still alive
         deadline = time.monotonic() + 1.0
@@ -790,18 +803,24 @@ class TestTcpNetwork:
                 raise RuntimeError("first frame fails")
             got.append(msg)
 
+        queued = []
         net = TcpNetwork()
         try:
             net.register("a", handler)
+            net.register("b", queued.append)
             net.send("a", LawFetch("first"))
+            net.send("b", LawFetch("queued"))
             with pytest.raises(RuntimeError, match="first frame fails"):
                 net.run_until_idle()
+            assert not queued
             start = time.monotonic()
             net.send("a", LawFetch("second"))
             net.run_until_idle()
             assert time.monotonic() - start < fabric.DELIVERY_TIMEOUT / 10
         finally:
             net.close()
+        # read order is send order: b's frame reaches b, not a
+        assert queued == [LawFetch("queued")]
         assert got == [None, LawFetch("second")]
 
     def test_own_frames_are_handled_on_the_calling_thread(self):
@@ -953,7 +972,7 @@ class TestOwnConnectionReader:
                                                        monkeypatch):
         handled = []
         net.register("a", lambda msg: handled.append(msg) or msg.name)
-        server = net._links["a"].server
+        server = net._link.server
         frames = [LawFetch("one"), LawFetch("two")]
         for msg in frames:
             net.send("a", msg)
@@ -998,7 +1017,7 @@ class TestOwnConnectionReader:
                             lambda link, frame: link.client.sendall(sent))
         net.register("a", lambda msg: msg)
         net.send("a", LawFetch("cut"))
-        net._links["a"].client.shutdown(socket.SHUT_WR)
+        net._link.client.shutdown(socket.SHUT_WR)
         with pytest.raises(error):
             net.run_until_idle()
 
@@ -1022,7 +1041,7 @@ class TestOwnConnectionReader:
             extend = __iadd__
 
         net.register("a", lambda msg: msg)
-        link = net._links["a"] = net._links["a"]._replace(inbox=Untouchable())
+        link = net._link = net._link._replace(inbox=Untouchable())
         net.send("a", LawFetch("whole"))
         _wait_for(link.server, len(encode_frame(LawFetch("whole"))))
         assert net.run_until_idle() == LawFetch("whole")
@@ -1036,7 +1055,7 @@ class TestOwnConnectionReader:
                             lambda link, frame: link.client.sendall(
                                 next(writes)))
         net.register("a", lambda msg: msg)
-        link = net._links["a"]
+        link = net._link
         net.send("a", LawFetch("first"))
         _wait_for(link.server, len(first) + at)
         assert net.run_until_idle() == LawFetch("first")
@@ -1061,25 +1080,28 @@ class TestOwnConnectionReader:
         monkeypatch.setattr(fabric, "DELIVERY_TIMEOUT", 2.0)
         net.register("a", lambda msg: msg)
         net.send("a", LawFetch("cut"))
-        net._links["a"].client.shutdown(socket.SHUT_WR)
+        net._link.client.shutdown(socket.SHUT_WR)
         if max_frame is not None:  # after the encoder's own check
             monkeypatch.setattr(fabric, "MAX_FRAME", max_frame)
         with pytest.raises(FrameError):
             net.run_until_idle()
 
     @pytest.mark.parametrize("quickack", ["present", "removed"])
-    def test_the_reader_acks_late_where_it_can(self, net, monkeypatch,
-                                               quickack):
+    def test_the_reader_acks_late_where_it_can(self, monkeypatch, quickack):
         if quickack == "removed":
             monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
-        net.register("a", lambda msg: msg)
-        if hasattr(socket, "TCP_QUICKACK"):
-            server = net._links["a"].server
-            assert server.getsockopt(socket.IPPROTO_TCP,
-                                     socket.TCP_QUICKACK) == 0
-        for name in ("one", "two"):
-            net.send("a", LawFetch(name))
-            assert net.run_until_idle() == LawFetch(name)
+        net = TcpNetwork()  # the link is made with the network
+        try:
+            net.register("a", lambda msg: msg)
+            if hasattr(socket, "TCP_QUICKACK"):
+                server = net._link.server
+                assert server.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_QUICKACK) == 0
+            for name in ("one", "two"):
+                net.send("a", LawFetch(name))
+                assert net.run_until_idle() == LawFetch(name)
+        finally:
+            net.close()
 
 
 def _wait_for(sock: socket.socket, size: int):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from mds import conformance, fabric, law_lang
-from mds.controller import BareInbound
+from mds.controller import BareInbound, Envelope
 from mds.runner import (ENV_LAW_SERVER, ENV_REGISTRY, RunnerError,
                         ScenarioRunner, check_law_dir, run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -70,6 +70,27 @@ class TestShippedScenarios:
                 assert conn.recv(1) == b""
         report = runner.run()
         assert report.ok, [s.text for s in report.failures()]
+
+    def test_an_outside_envelope_is_ruled_as_import(self, scenario_dir):
+        """An outside peer that sends an envelope naming OPS, with the
+        lineage the law server gives anyone, is not let in as OPS."""
+        scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode="tcp", seed=7)
+        try:
+            record, = runner.registry.query(name="boxed1", module="SB")
+            host, port = record.address.rsplit(":", 1)
+            forged = Envelope("OPS", ("operator",), runner.h.lineage["OPS"],
+                              "task", b"", "helper", "boxed1")
+            with socket.create_connection((host, int(port)),
+                                          timeout=5.0) as conn:
+                fabric.send_frame(conn, forged)
+                conn.shutdown(socket.SHUT_WR)
+                assert conn.recv(1) == b""  # closed once it is handled
+        finally:
+            runner.net.close()
+        assert [line.split(" | ", 1)[1] for line in runner.audit
+                if "| arrived |" in line] == [
+            "boxed1@SB | arrived | import | block-silent | S:boundary-block"]
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_tcp_run_leaves_no_threads(self, scenario_dir, name):
