@@ -752,13 +752,21 @@ class _Link(NamedTuple):
     inbox: bytearray  # bytes read from server, not yet a whole frame
 
 
+def _ack_late(sock: socket.socket):
+    """Clear TCP_QUICKACK on ``sock`` where the platform has it, so the
+    kernel acks every second frame.  An idle gap long enough for the
+    delayed-ACK timer (about 40 ms) turns quick ACKs back on, and as the
+    reading end never sends data, only clearing the option again turns
+    them off.  Only speed depends on it."""
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is not None:
+        sock.setsockopt(socket.IPPROTO_TCP, quickack, 0)
+
+
 def _own_link() -> _Link:
     """A connection to a listener closed once it has accepted it.  Frames
     flow one way, so the client sends each at once (TCP_NODELAY) and the
-    server end clears TCP_QUICKACK once where it exists: the kernel then
-    acks every second frame until the link first idles, when the
-    delayed-ACK timer (about 40 ms) turns quick ACKs back on for good, as
-    the server end never sends data.  Only speed depends on it."""
+    server end acks late (``_ack_late``)."""
     with socket.create_server(("127.0.0.1", 0)) as listener, \
             ExitStack() as undo:
         client = undo.enter_context(
@@ -770,9 +778,7 @@ def _own_link() -> _Link:
         if peer != client.getsockname():
             raise ConnectionError(f"accepted {peer}, not this network's own "
                                   f"connection")
-        quickack = getattr(socket, "TCP_QUICKACK", None)
-        if quickack is not None:
-            server.setsockopt(socket.IPPROTO_TCP, quickack, 0)
+        _ack_late(server)
         client.setblocking(False)
         server.setblocking(False)
         undo.pop_all()
@@ -896,8 +902,10 @@ class TcpNetwork:
         return result
 
     def advance(self, ticks: int) -> str:
-        """Sleep 10 ms per tick; returns the step text."""
+        """Sleep 10 ms per tick, then ack late again, as the idle gap may
+        have ended it; returns the step text."""
         time.sleep(ticks * 0.01)
+        _ack_late(self._link.server)
         return f"advance {ticks}"
 
     def now(self) -> int:

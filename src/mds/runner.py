@@ -33,7 +33,7 @@ from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Decision, DemoIssuer, Envelope, adopt,
                          handle_arrive, handle_send, matched_token)
-from .model import FlowKind, Law, LawHierarchy, not_utf8
+from .model import FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
                        AdvanceStep, Scenario, SendStep, load_scenario)
 
@@ -43,6 +43,19 @@ ENV_REGISTRY = "MDS_REGISTRY"
 
 class RunnerError(RuntimeError):
     pass
+
+
+# bound once, as in ``controller``: a read through the class is slow on 3.10-11
+_DELIVER, _BLOCK_NOTICE = Decision.DELIVER, Decision.BLOCK_NOTICE
+
+
+class _Tokens(dict):
+    """``matched`` value -> its audit token, rendered on first use.  The
+    values come from the hierarchy's rules, so peers cannot grow it."""
+
+    def __missing__(self, matched):
+        token = self[matched] = matched_token(matched)
+        return token
 
 
 def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
@@ -131,6 +144,7 @@ class ScenarioRunner:
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
         self._audit_lock = threading.Lock()  # outside peers audit too
+        self._tokens = _Tokens()
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
         h0, problems = check_law_dir(law_dir)
@@ -151,7 +165,11 @@ class ScenarioRunner:
         # (name, @MODULE or None) -> persona label, once it has taken part
         self._labels: dict[tuple[str, Optional[str]], str] = {}
         self.net = fabric.SimNetwork() if mode == "sim" else fabric.TcpNetwork()
-        self._adopt_all()
+        try:
+            self._adopt_all()
+        except BaseException:
+            self.net.close()
+            raise
 
     # -- law distribution ---------------------------------------------------
 
@@ -209,9 +227,13 @@ class ScenarioRunner:
                 label = f"{decl.name}@{module}"
                 try:
                     agent, ruling = adopt(decl.name, self.h, module, cert=cert)
+                except UnknownLawError:
+                    raise RunnerError(f"component {decl.name}: no module "
+                                      f"{module!r} in {self.scn.law_dir}"
+                                      ) from None
                 except AdoptionRefused as exc:
                     self._audit_line(label, "adopted", None, "refused",
-                                     matched_token(exc.outcome.matched))
+                                     self._tokens[exc.outcome.matched])
                     self.reports.append(StepReport(
                         0, f"adopt {label}: refused ({exc.reason})", True))
                     continue
@@ -221,7 +243,7 @@ class ScenarioRunner:
                 if ("notify-registry",) in ruling.effects:
                     self._register(decl.name, module, address)
                 self._audit_line(label, "adopted", None, "adopted",
-                                 matched_token(ruling.matched))
+                                 self._tokens[ruling.matched])
                 self.reports.append(StepReport(0, f"adopt {label}: adopted",
                                                True))
 
@@ -244,7 +266,7 @@ class ScenarioRunner:
         if not isinstance(msg, (Envelope, BareInbound)):
             return None  # a frame kind no controller rules on
         ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
-        token = matched_token(ruling.matched)
+        token = self._tokens[ruling.matched]
         self._audit_line(label, "arrived", ruling.flow,
                          ruling.decision._value_, token)
         return ruling.decision, token
@@ -270,7 +292,7 @@ class ScenarioRunner:
         if arrival is None:
             raise RunnerError("message was sent but never handled")
         decision, token = arrival
-        if decision is Decision.DELIVER:
+        if decision is _DELIVER:
             return DELIVERED, token
         return BLOCKED_AT_RECEIVER, token
 
@@ -319,10 +341,10 @@ class ScenarioRunner:
                 locus = OUTSIDE
             ruling, env = handle_send(agent, step.operation, step.payload,
                                       step.target, locus)
-            matched = matched_token(ruling.matched)
+            matched = self._tokens[ruling.matched]
             self._audit_line(slabel, "sent", ruling.flow,
                              ruling.decision._value_, matched)
-            if ruling.decision is Decision.BLOCK_NOTICE:
+            if ruling.decision is _BLOCK_NOTICE:
                 outcome = BLOCKED_AT_SENDER
             elif tlabel is None:
                 self.outbound.append((step.target, step.operation,

@@ -1100,6 +1100,13 @@ class TestOwnConnectionReader:
             for name in ("one", "two"):
                 net.send("a", LawFetch(name))
                 assert net.run_until_idle() == LawFetch(name)
+            if hasattr(socket, "TCP_QUICKACK"):
+                # what the delayed-ACK timer does after an idle gap
+                server.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            assert net.advance(1) == "advance 1"
+            if hasattr(socket, "TCP_QUICKACK"):
+                assert server.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_QUICKACK) == 0
         finally:
             net.close()
 

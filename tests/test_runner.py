@@ -1,16 +1,19 @@
 """End-to-end scenario execution over both transports."""
 
+import dis
 import gc
 import random
 import re
 import socket
 import threading
 import time
+import types
 
 import pytest
 
-from mds import conformance, fabric, law_lang
-from mds.controller import BareInbound, Envelope
+from mds import conformance, controller, fabric, law_lang
+from mds.controller import BareInbound, DefaultOfRoot, Envelope, matched_token
+from mds.model import FlowKind
 from mds.runner import (ENV_LAW_SERVER, ENV_REGISTRY, RunnerError,
                         ScenarioRunner, check_law_dir, run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -226,6 +229,25 @@ class TestRunnerMechanics:
             runner.run()
         assert str(err.value) == "X@P refused adoption; cannot take part"
 
+    @pytest.mark.parametrize("mode", ["sim", "tcp"])
+    def test_unknown_module_is_a_runner_error(self, tmp_path, law_dir, mode):
+        script = tmp_path / "nope.mds"
+        script.write_text(f"scenario nope\nlaw {law_dir}\n"
+                          "component a modules NOPE\n")
+        with pytest.raises(RunnerError,
+                           match="^component a: no module 'NOPE' in "):
+            run_scenario(script, mode=mode)
+
+    def test_failed_tcp_set_up_closes_its_network(self, tmp_path, law_dir):
+        script = tmp_path / "nope.mds"
+        script.write_text(f"scenario nope\nlaw {law_dir}\n"
+                          "component a modules MS\ncomponent b modules NOPE\n")
+        before = threading.active_count()
+        for _ in range(3):
+            with pytest.raises(RunnerError):
+                run_scenario(script, mode="tcp")
+        assert threading.active_count() <= before
+
     def test_step_reports_its_own_arrival_not_a_later_one(self, tmp_path,
                                                           law_dir,
                                                           monkeypatch):
@@ -258,6 +280,34 @@ class TestRunnerMechanics:
             "send a -> b op retrieve: delivered matched=S:inner-permit [ok]")
         assert report.audit_lines[-1].endswith(
             " | c@MS | arrived | import | block-silent | S:boundary-block")
+
+
+class TestPerMessagePath:
+    def test_no_enum_member_is_read_through_its_class(self):
+        # On Python 3.10 and 3.11 such a read calls EnumType.__getattr__.
+        def globals_loaded(code):
+            for ins in dis.get_instructions(code):
+                if ins.opname == "LOAD_GLOBAL":
+                    yield ins.argval
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from globals_loaded(const)
+
+        for fn in (controller.evaluate, controller.handle_send,
+                   controller.handle_arrive, ScenarioRunner._send_step,
+                   ScenarioRunner._transmit, ScenarioRunner._deliver):
+            loaded = set(globals_loaded(fn.__code__))
+            assert not loaded & {"EventKind", "FlowKind", "Decision"}, \
+                fn.__qualname__
+
+    def test_the_token_cache_renders_as_matched_token(self, scenario_dir):
+        scn = parse_scenario("scenario t\nlaw ../laws\n")
+        tokens = ScenarioRunner(scn, scenario_dir)._tokens
+        for matched in (("S", "inner-permit"), None,
+                        *(DefaultOfRoot(flow) for flow in (None, *FlowKind))):
+            token = tokens[matched]
+            assert token == matched_token(matched)
+            assert tokens[matched] is token  # rendered once
 
 
 class TestLawDistribution:
