@@ -8,9 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import bench as bench_mod
 from . import fabric, law_lang
@@ -117,10 +116,9 @@ def _cmd_bench(args) -> int:
     return 0 if report.within_budget else 1
 
 
-def _serve_forever(args, what: str,
-                   serve: Callable[..., fabric.TcpService]) -> int:
+def _serve_forever(args, what: str, handler: fabric.Handler) -> int:
     try:
-        service = serve(host=args.host, port=args.port)
+        service = fabric.TcpService(handler, args.host, args.port)
     except OSError as exc:
         print(f"cannot listen on {args.host}:{args.port}: "
               f"{exc.strerror or exc}", file=sys.stderr)
@@ -137,8 +135,7 @@ def _serve_forever(args, what: str,
 
 
 def _cmd_registry_serve(args) -> int:
-    return _serve_forever(args, "registry",
-                          partial(fabric.serve_registry, fabric.Registry()))
+    return _serve_forever(args, "registry", fabric.Registry().respond)
 
 
 def _cmd_lawserver_serve(args) -> int:
@@ -147,8 +144,7 @@ def _cmd_lawserver_serve(args) -> int:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    return _serve_forever(args, "law server",
-                          partial(fabric.serve_law_server, h))
+    return _serve_forever(args, "law server", fabric.LawServer(h).respond)
 
 
 def positive_int(text: str) -> int:

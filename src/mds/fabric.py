@@ -26,9 +26,12 @@ caller's thread: a hop is one ``send`` and, when the read returns
 exactly one whole frame, one ``recv`` decoded where it lies.  The
 reading end acks late where the platform allows it, about one ACK
 segment per two frames until the link first idles.
-``TcpService`` serves peers from outside a run (and the law server and
-registry) from one selector thread; ``call_remote`` opens one connection
-per request, for law fetches and registry calls.  The simulator
+``TcpService`` serves a run's outside peers from one selector thread, so
+a ``TcpNetwork`` handler may run there while the caller's thread runs
+one too: the handlers' owner serializes them.  ``LawServer.respond`` and
+``Registry.respond`` are ``TcpService`` handlers as they stand.
+``call_remote`` opens one connection per request, for law fetches and
+registry calls.  The simulator
 delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
 schedule of sends yields one possible execution, always the same.  The
 registry is best-effort bookkeeping: rulings never depend on it.
@@ -367,7 +370,10 @@ class LawServer:
             raise UnknownLawError(f"law server does not hold {name!r}")
         return self._texts[name], self._lineage[name]
 
-    def respond(self, msg: LawFetch) -> LawResponse:
+    def respond(self, msg: WireMessage) -> Optional[LawResponse]:
+        """The reply to a law_fetch; None to any other message."""
+        if not isinstance(msg, LawFetch):
+            return None
         try:
             text, lineage = self.get(msg.name)
         except UnknownLawError:
@@ -421,7 +427,14 @@ class Registry:
         records.sort(key=lambda r: (r.component, r.module))
         return records
 
-    def respond(self, msg: RegistryQuery) -> RegistryRecords:
+    def respond(self, msg: WireMessage) -> Optional[RegistryRecords]:
+        """Keep a registration (with no reply) and answer a
+        registry_query; None to any other message."""
+        if isinstance(msg, Registration):
+            self.register(msg.component, msg.module, msg.address)
+            return None
+        if not isinstance(msg, RegistryQuery):
+            return None
         if msg.field == "module":
             found = self.query(module=msg.value)
         elif msg.field == "name":
@@ -703,31 +716,6 @@ class TcpService:
         self._wake.close()
 
 
-def serve_law_server(h: LawHierarchy, host: str = "127.0.0.1",
-                     port: int = 0) -> TcpService:
-    server = LawServer(h)
-
-    def handle(msg: WireMessage) -> Optional[WireMessage]:
-        if isinstance(msg, LawFetch):
-            return server.respond(msg)
-        return None
-
-    return TcpService(handle, host, port)
-
-
-def serve_registry(registry: Registry, host: str = "127.0.0.1",
-                   port: int = 0) -> TcpService:
-    def handle(msg: WireMessage) -> Optional[WireMessage]:
-        if isinstance(msg, Registration):
-            registry.register(msg.component, msg.module, msg.address)
-            return None
-        if isinstance(msg, RegistryQuery):
-            return registry.respond(msg)
-        return None
-
-    return TcpService(handle, host, port)
-
-
 def call_remote(address: tuple[str, int], msg: WireMessage,
                 expect_reply: bool = True) -> Optional[WireMessage]:
     """One request (and optionally one reply) over a fresh connection."""
@@ -849,10 +837,10 @@ class TcpNetwork:
     one ``TcpService`` loop thread serves them all, sends no reply and logs
     a handler's failure.  Only a controller puts an envelope on the own
     connection, so one from outside is handled as the bare message it
-    carries.  Each address's handler runs under a lock of its own, so an
-    outside frame is never handled while the caller handles one for the
-    same address, and since it arrives on another connection it cannot
-    end a wait.
+    carries.  An outside frame arrives on another connection, so it cannot
+    end a wait, but its handler runs on the loop thread while the caller's
+    thread runs on: the network takes no lock, and the handlers' owner
+    serializes them.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -871,28 +859,25 @@ class TcpNetwork:
     def register(self, address: str,
                  handler: Callable[[WireMessage], object]) -> str:
         """Serve outside peers of ``handler`` at a fresh listening socket;
-        returns its host:port."""
-        lock = threading.Lock()
-
-        def handle(msg: WireMessage) -> object:
-            with lock:
-                return handler(msg)
+        returns its host:port.  The handler runs on the loop thread for an
+        outside frame, perhaps while the caller's thread runs it for an
+        own one, so the handler's owner must serialize what they share."""
 
         def serve(msg: WireMessage) -> None:  # an outside peer gets no reply
             if isinstance(msg, Envelope):  # no controller put it there
                 msg = BareInbound(msg.sender, msg.target, msg.operation,
                                   msg.payload)
-            handle(msg)
+            handler(msg)
 
         host, port = self._service.serve(
             socket.create_server(("127.0.0.1", 0)), serve)
-        self._handlers[address] = handle
+        self._handlers[address] = handler
         return f"{host}:{port}"
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
-        handle = self._handlers[address]
+        handler = self._handlers[address]
         _write(self._link, encode_frame(msg))
-        self._sent.append(handle)
+        self._sent.append(handler)
 
     def run_until_idle(self) -> object:
         sent, link = self._sent, self._link

@@ -8,7 +8,11 @@ and a handler failure raises out of the step in both modes.  In ``sim``
 mode messages travel a deterministic in-process network on a logical
 clock, so a scenario plus a seed fixes the audit byte for byte.  In
 ``tcp`` mode every frame crosses the network's one own loopback
-connection, and every adopted persona listens for outside peers.
+connection, and every adopted persona listens for outside peers, whose
+frames are ruled on the network's service thread.  So each ruling and
+its audit line run under the runner's one lock, which no socket I/O is
+ever done under: a ruling is a function of the agent's state only while
+no other ruling writes that state.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -103,8 +107,11 @@ def check_law_dir(path: Union[str, Path]) -> tuple[Optional[LawHierarchy], list[
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise RunnerError(f"bad address {text!r}, expected host:port")
+    # isdigit alone takes "²", and the resolver wraps a port past 65535
+    if not (sep and port.isascii() and port.isdigit()
+            and 1 <= int(port) <= 65535):
+        raise RunnerError(f"bad address {text!r}, expected host:port "
+                          f"with a port of 1-65535")
     return host, int(port)
 
 
@@ -143,7 +150,7 @@ class ScenarioRunner:
         self.audit: list[str] = []
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
-        self._audit_lock = threading.Lock()  # outside peers audit too
+        self._lock = threading.Lock()  # one ruling at a time, see above
         self._tokens = _Tokens()
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
@@ -187,7 +194,7 @@ class ScenarioRunner:
             if env:
                 addr = _parse_addr(env)
             else:
-                service = fabric.serve_law_server(h0)
+                service = fabric.TcpService(fabric.LawServer(h0).respond)
                 addr = service.address
 
             def fetch(name: str) -> fabric.LawResponse:
@@ -232,8 +239,9 @@ class ScenarioRunner:
                                       f"{module!r} in {self.scn.law_dir}"
                                       ) from None
                 except AdoptionRefused as exc:
-                    self._audit_line(label, "adopted", None, "refused",
-                                     self._tokens[exc.outcome.matched])
+                    with self._lock:
+                        self._audit_line(label, "adopted", None, "refused",
+                                         self._tokens[exc.outcome.matched])
                     self.reports.append(StepReport(
                         0, f"adopt {label}: refused ({exc.reason})", True))
                     continue
@@ -242,8 +250,9 @@ class ScenarioRunner:
                     label, functools.partial(self._deliver, label))
                 if ("notify-registry",) in ruling.effects:
                     self._register(decl.name, module, address)
-                self._audit_line(label, "adopted", None, "adopted",
-                                 self._tokens[ruling.matched])
+                with self._lock:
+                    self._audit_line(label, "adopted", None, "adopted",
+                                     self._tokens[ruling.matched])
                 self.reports.append(StepReport(0, f"adopt {label}: adopted",
                                                True))
 
@@ -265,20 +274,22 @@ class ScenarioRunner:
                  ) -> Optional[tuple[Decision, str]]:
         if not isinstance(msg, (Envelope, BareInbound)):
             return None  # a frame kind no controller rules on
-        ruling, _delivery = handle_arrive(self.agents[label], self.h, msg)
-        token = self._tokens[ruling.matched]
-        self._audit_line(label, "arrived", ruling.flow,
-                         ruling.decision._value_, token)
+        with self._lock:
+            ruling, _delivery = handle_arrive(self.agents[label], self.h,
+                                              msg)
+            token = self._tokens[ruling.matched]
+            self._audit_line(label, "arrived", ruling.flow,
+                             ruling.decision._value_, token)
         return ruling.decision, token
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
-        with self._audit_lock:
-            ts = self.net.now()
-            flow_tok = flow._value_ if flow is not None else "-"
-            self.audit.append(
-                f"{ts} | {agent_label} | {event} | {flow_tok} | {decision}"
-                f" | {matched}")
+        """Append one audit line; the caller holds the lock."""
+        ts = self.net.now()
+        flow_tok = flow._value_ if flow is not None else "-"
+        self.audit.append(
+            f"{ts} | {agent_label} | {event} | {flow_tok} | {decision}"
+            f" | {matched}")
 
     def _transmit(self, label: str, msg: fabric.WireMessage) -> tuple[str, str]:
         """Send msg to a persona, wait for its arrival ruling, and return
@@ -339,11 +350,12 @@ class ScenarioRunner:
             else:
                 tlabel = None
                 locus = OUTSIDE
-            ruling, env = handle_send(agent, step.operation, step.payload,
-                                      step.target, locus)
-            matched = self._tokens[ruling.matched]
-            self._audit_line(slabel, "sent", ruling.flow,
-                             ruling.decision._value_, matched)
+            with self._lock:
+                ruling, env = handle_send(agent, step.operation,
+                                          step.payload, step.target, locus)
+                matched = self._tokens[ruling.matched]
+                self._audit_line(slabel, "sent", ruling.flow,
+                                 ruling.decision._value_, matched)
             if ruling.decision is _BLOCK_NOTICE:
                 outcome = BLOCKED_AT_SENDER
             elif tlabel is None:

@@ -134,6 +134,19 @@ class TestRunCommand:
         assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
                        f"law server sent no law_response\n")
 
+    @pytest.mark.parametrize("port", ["²", "0", "70000"])
+    @pytest.mark.parametrize("env", ["MDS_LAW_SERVER", "MDS_REGISTRY"])
+    def test_a_bad_service_port_fails_in_one_line(self, scenario_dir,
+                                                  monkeypatch, capsys, env,
+                                                  port):
+        # "²" passes str.isdigit, and the resolver wraps 70000 to 4464
+        monkeypatch.setenv(env, f"127.0.0.1:{port}")
+        assert main(["run", str(scenario_dir / "sandbox.mds"),
+                     "--mode", "tcp"]) == 1
+        assert capsys.readouterr().err == (
+            f"run failed: bad address '127.0.0.1:{port}', expected "
+            f"host:port with a port of 1-65535\n")
+
 
 class TestNotUtf8:
     """A file that is not UTF-8 ends each command in one line, exit 1."""

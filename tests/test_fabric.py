@@ -23,8 +23,7 @@ from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
                         TcpNetwork, TcpService, call_remote, decode_body,
-                        encode_frame, fetch_law, read_frame, record_size,
-                        serve_law_server, serve_registry)
+                        encode_frame, fetch_law, read_frame, record_size)
 from mds.controller import BareInbound, Envelope
 from mds.law_lang import print_law
 
@@ -692,10 +691,48 @@ def _settle(condition, within: float = 1.0) -> bool:
     return condition()
 
 
+def _one_of_each_kind() -> dict:
+    """A message of every ``WIRE_FORMAT`` class, by class."""
+    rng = random.Random(23)
+    found = {}
+    while len(found) < len(WIRE_FORMAT):
+        msg = _random_message(rng)
+        found.setdefault(type(msg), msg)
+    assert set(found) == {cls for cls, _ in WIRE_FORMAT.values()}
+    return found
+
+
+class TestServiceHandlers:
+    """``respond`` takes any wire message, so it is a ``TcpService``
+    handler as it stands."""
+
+    def test_the_law_server_answers_only_a_law_fetch(self, shipped):
+        server = LawServer(shipped)
+        for cls, msg in _one_of_each_kind().items():
+            reply = server.respond(msg)
+            if cls is LawFetch:
+                assert isinstance(reply, LawResponse)
+            else:
+                assert reply is None, cls.__name__
+
+    def test_the_registry_keeps_a_registration_and_answers_a_query(self):
+        reg = Registry()
+        messages = _one_of_each_kind()
+        for cls, msg in messages.items():
+            reply = reg.respond(msg)
+            if cls is RegistryQuery:
+                assert isinstance(reply, RegistryRecords)
+            else:
+                assert reply is None, cls.__name__
+        kept = messages[Registration]
+        assert [(r.component, r.module, r.address) for r in reg.query()] == [
+            (kept.component, kept.module, kept.address)]
+
+
 class TestTcpServices:
     def test_registry_over_sockets(self):
         reg = Registry()
-        service = serve_registry(reg)
+        service = TcpService(reg.respond)
         try:
             address = service.address
             ack = call_remote(address, Registration("c", "M", "addr"),
@@ -713,7 +750,7 @@ class TestTcpServices:
     def test_one_peer_cannot_fill_the_registry_past_one_reply(self,
                                                                caplog):
         reg = Registry()
-        service = serve_registry(reg)
+        service = TcpService(reg.respond)
         try:
             with socket.create_connection(service.address) as filling:
                 filling.sendall(b"".join(
@@ -749,7 +786,7 @@ class TestTcpServices:
             peer.close()
 
     def test_law_fetch_over_sockets(self, shipped):
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         try:
             reply = fetch_law(service.address, "SB")
             assert reply.found
@@ -836,25 +873,13 @@ class TestTcpNetwork:
             net.close()
         assert threads == [threading.get_ident()] * 3
 
-    def test_outside_frames_never_overlap_the_callers_handling(self):
-        guard = threading.Lock()
-        inside = 0
-        overlapped = False
+    def test_outside_frames_are_handled_on_one_loop_thread(self):
         handled = []  # (name, thread)
 
         def handler(msg):
-            nonlocal inside, overlapped
-            with guard:
-                inside += 1
-                overlapped = overlapped or inside > 1
-            time.sleep(0.001)  # widen the window an overlap would need
-            with guard:
-                inside -= 1
             handled.append((msg.name, threading.get_ident()))
 
         net = TcpNetwork()
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often: overlaps show
         try:
             host, port = net.register("a", handler).rsplit(":", 1)
             with socket.create_connection((host, int(port))) as outside:
@@ -865,13 +890,11 @@ class TestTcpNetwork:
                     net.run_until_idle()
                 assert _settle(lambda: len(handled) == 60, within=5.0)
         finally:
-            sys.setswitchinterval(switch)
             net.close()
         main = threading.get_ident()
         assert {t for name, t in handled if name == "own"} == {main}
         loop_threads = {t for name, t in handled if name == "outside"}
         assert len(loop_threads) == 1 and main not in loop_threads
-        assert not overlapped
 
     def test_outside_frames_get_no_reply_and_the_loop_keeps_serving(
             self, caplog):
@@ -1141,7 +1164,7 @@ class TestServiceLimits:
     def test_slow_peer_is_dropped_while_others_are_served(
             self, shipped, monkeypatch):
         monkeypatch.setattr(fabric, "FRAME_DEADLINE", 0.3)
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         try:
             with socket.create_connection(service.address) as loris:
                 loris.sendall(b"\x00\x00")  # half a length prefix, then idle
@@ -1155,7 +1178,7 @@ class TestServiceLimits:
 
     def test_connection_flood_starts_no_thread(self, shipped, monkeypatch):
         monkeypatch.setattr(fabric, "FRAME_DEADLINE", 1.0)
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         threads = threading.active_count()
         flood = []
         try:
@@ -1180,7 +1203,7 @@ class TestServiceLimits:
     def test_a_full_service_makes_room_by_closing_the_longest_idle_peer(
             self, shipped, monkeypatch):
         monkeypatch.setattr(fabric, "MAX_CONNECTIONS", 4)
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         peers = []
         try:
             for _ in range(4):  # each is served once, then idles
@@ -1201,7 +1224,7 @@ class TestServiceLimits:
     def test_a_service_full_of_unfinished_frames_refuses_a_new_peer(
             self, shipped, monkeypatch):
         monkeypatch.setattr(fabric, "MAX_CONNECTIONS", 4)
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         peers = []
         try:
             for _ in range(4):
@@ -1247,7 +1270,7 @@ class TestServiceLimits:
         monkeypatch.setattr(socket.socket, "send", send)
         names = sorted(shipped.laws) * 6
         server = LawServer(shipped)
-        service = serve_law_server(shipped)
+        service = TcpService(LawServer(shipped).respond)
         try:
             with socket.socket() as slow:
                 slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)

@@ -5,6 +5,7 @@ import gc
 import random
 import re
 import socket
+import sys
 import threading
 import time
 import types
@@ -400,11 +401,11 @@ class TestLawDistribution:
 class TestExternalServices:
     def test_tcp_run_uses_the_law_server_and_registry_it_is_given(
             self, scenario_dir, shipped, monkeypatch):
-        law_service = fabric.serve_law_server(shipped)
+        law_service = fabric.TcpService(fabric.LawServer(shipped).respond)
         registry = fabric.Registry()
-        registry_service = fabric.serve_registry(registry)
+        registry_service = fabric.TcpService(registry.respond)
         own_law_servers = []
-        monkeypatch.setattr(fabric, "serve_law_server",
+        monkeypatch.setattr(fabric, "LawServer",
                             lambda *args: own_law_servers.append(args))
         try:
             for env, service in ((ENV_LAW_SERVER, law_service),
@@ -431,6 +432,109 @@ class TestExternalServices:
         finally:
             law_service.close()
             registry_service.close()
+
+
+class TestOneRulingAtATime:
+    """In tcp mode an outside peer's frame is ruled on the network's
+    service thread, and the runner's lock keeps that ruling from
+    interleaving with one the run's own thread is making."""
+
+    @staticmethod
+    def _sandbox(scenario_dir):
+        """A tcp runner of sandbox.mds, and boxed1@SB's outside address."""
+        scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode="tcp", seed=7)
+        [record] = runner.registry.query(name="boxed1")
+        host, port = record.address.rsplit(":", 1)
+        return runner, (host, int(port))
+
+    @pytest.mark.parametrize("held", ["send", "arrive"])
+    def test_an_outside_frame_waits_for_the_ruling_in_progress(
+            self, scenario_dir, monkeypatch, held):
+        real_send = controller.handle_send
+        real_arrive = controller.handle_arrive
+        stray = BareInbound(sender_address="stray", target="boxed1",
+                            operation="task", payload=b"")
+        events = []  # from either thread, in the order they happen
+        stray_ruled = threading.Event()
+        runner, boxed1 = self._sandbox(scenario_dir)
+
+        def hold(real, agent, *args):
+            """boxed1's first such ruling: the stray frame goes out, and
+            the ruling waits up to 0.5 s for it to be ruled first."""
+            events.append("held ruling starts")
+            outside.sendall(fabric.encode_frame(stray))
+            stray_ruled.wait(0.5)
+            try:
+                return real(agent, *args)
+            finally:
+                events.append("held ruling returns")
+
+        def send(agent, *args):
+            if held == "send" and agent.component == "boxed1" and not events:
+                return hold(real_send, agent, *args)
+            return real_send(agent, *args)
+
+        def arrive(agent, h, msg):
+            if msg == stray:
+                events.append("stray ruled")
+                stray_ruled.set()
+            elif held == "arrive" and agent.component == "boxed1" \
+                    and not events:
+                return hold(real_arrive, agent, h, msg)
+            return real_arrive(agent, h, msg)
+
+        monkeypatch.setattr("mds.runner.handle_send", send)
+        monkeypatch.setattr("mds.runner.handle_arrive", arrive)
+        with socket.create_connection(boxed1) as outside:
+            report = runner.run()  # its close waits for the loop thread
+        assert report.ok, [s.text for s in report.failures()]
+        assert events == ["held ruling starts", "held ruling returns",
+                          "stray ruled"]
+        assert sum(line.split(" | ")[1:4] == ["boxed1@SB", "arrived",
+                                               "import"]
+                   for line in report.audit_lines) == 2  # stray and wild
+
+    def test_no_two_rulings_overlap_while_outside_peers_send(
+            self, scenario_dir, monkeypatch):
+        guard = threading.Lock()
+        inside = 0
+        overlapped = False
+
+        def watched(real):
+            def ruling(*args):
+                nonlocal inside, overlapped
+                with guard:
+                    inside += 1
+                    overlapped = overlapped or inside > 1
+                time.sleep(0.0005)  # widen the window an overlap would need
+                try:
+                    return real(*args)
+                finally:
+                    with guard:
+                        inside -= 1
+            return ruling
+
+        for name in ("handle_send", "handle_arrive"):
+            monkeypatch.setattr(f"mds.runner.{name}",
+                                watched(getattr(controller, name)))
+        runner, boxed1 = self._sandbox(scenario_dir)
+        strays = b"".join(fabric.encode_frame(BareInbound(
+            f"stray{i}", "boxed1", "task", b"")) for i in range(30))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: overlaps show
+        peers = []
+        try:
+            for _ in range(3):  # three peers besides the run itself
+                peers.append(socket.create_connection(boxed1))
+                peers[-1].sendall(strays)
+            report = runner.run()
+        finally:
+            sys.setswitchinterval(switch)
+            for peer in peers:
+                peer.close()
+        assert report.ok, [s.text for s in report.failures()]
+        assert not overlapped
 
 
 class TestLawDirChecking:
