@@ -85,7 +85,7 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
         ruling, env = handle_send(sender, op, payload, receiver.component,
                                   tmodule)
         if env is not None:
-            handle_arrive(receiver, h, env)
+            handle_arrive(receiver, env)
 
     for i in range(WARM_EVENTS):
         one(i)

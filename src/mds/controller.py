@@ -28,8 +28,8 @@ it, compiled the same way.  A guard costs as few calls as its shape allows
 leaf below it, unless its body names the module; the same pass records
 which operations the ``op ==`` atoms of its guard let match, and whether
 the guard reads anything but the operation.  Adoption binds the leaf's
-program to the agent (``Agent.program``), so a send or an arrival goes
-straight to ``evaluate``.
+program, which also holds the hierarchy's lineage table, to the agent
+(``Agent.program``), so a send or an arrival goes straight to ``evaluate``.
 
 Scans are built on demand, never at compile time.  The first scan of an
 event kind lists the entries that kind can reach (``Program.candidates``);
@@ -165,7 +165,6 @@ class Envelope:
     operation: str
     payload: bytes
     sender: str   # component name
-    target: str   # component name
 
 
 @dataclass(slots=True)
@@ -173,7 +172,6 @@ class BareInbound:
     """A message that arrived without an envelope (from outside the system)."""
 
     sender_address: str
-    target: str
     operation: str
     payload: bytes
 
@@ -579,14 +577,18 @@ class Program:
     lends every scan that keeps it one of two ready-made rows, ``row``
     (guard as written) or ``settled_row`` (guard settled to None), each
     made by the first scan that needs it; the row of an entry with
-    overrides is built for its scan.
+    overrides is built for its scan.  ``lineages`` is the hierarchy's
+    lineage table, against which an arrival checks its sender's claim.
     """
 
-    __slots__ = ("leaf", "entries", "named", "candidates", "tables")
+    __slots__ = ("leaf", "entries", "lineages", "named", "candidates",
+                 "tables")
 
-    def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...]):
+    def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...],
+                 lineages: dict[str, tuple[str, ...]]):
         self.leaf = leaf
         self.entries = entries
+        self.lineages = lineages
         # operations some ``op ==`` of the program names
         self.named = frozenset().union(*(
             c.ops for e in entries for c in (e, *e.overrides)
@@ -677,7 +679,7 @@ def program_for(h: LawHierarchy, leaf: str) -> Program:
                 ovs = tuple(overrides.get((law.name, rule.id), ()))
             entries.append(_RuleEntry(
                 law.name, rule, *_compile_clause(h, rule, leaf, profile), ovs))
-    program = Program(leaf, tuple(entries))
+    program = Program(leaf, tuple(entries), h.lineage)
     h.cache[("program", leaf)] = program
     return program
 
@@ -775,12 +777,12 @@ def handle_send(agent: Agent, operation: str, payload: bytes, target: str,
     if outside:
         return ruling, None
     env = Envelope(agent.law, agent.profile_labels(), agent.lineage,
-                   operation, payload, agent.component, target)
+                   operation, payload, agent.component)
     return ruling, env
 
 
-def handle_arrive(agent: Agent, h: LawHierarchy,
-                  inbound: Union[Envelope, BareInbound]) -> tuple[Ruling, Optional[Delivery]]:
+def handle_arrive(agent: Agent, inbound: Union[Envelope, BareInbound]
+                  ) -> tuple[Ruling, Optional[Delivery]]:
     """Receiver-side ruling.  Deliver strips the envelope and hands the
     component only the operation and payload, plus the sender's module and
     profile when the sender is in-system and the agent's law has set state
@@ -793,7 +795,7 @@ def handle_arrive(agent: Agent, h: LawHierarchy,
             return ruling, None
         # in-system only if the lineage is the one this hierarchy holds for
         # the claimed module, root to leaf
-        genuine = (h.lineage.get(inbound.sender_module)
+        genuine = (agent.program.lineages.get(inbound.sender_module)
                    == inbound.sender_lineage)
         if genuine and inbound.sender_module == agent.law:
             flow = _INNER

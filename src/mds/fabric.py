@@ -25,7 +25,7 @@ on one own connection and reads them back in send order, ruling on the
 caller's thread: a hop is one ``send`` and, when the read returns
 exactly one whole frame, one ``recv`` decoded where it lies.  The
 reading end acks late where the platform allows it, about one ACK
-segment per two frames until the link first idles.
+segment per two frames, set again after each ``advance`` pause.
 ``TcpService`` serves a run's outside peers from one selector thread, so
 a ``TcpNetwork`` handler may run there while the caller's thread runs
 one too: the handlers' owner serializes them.  ``LawServer.respond`` and
@@ -156,11 +156,9 @@ WIRE_FORMAT = {
     "enveloped": (Envelope, (
         Block((("sender_module", TEXT), ("sender_profile", TEXTS),
                ("sender_lineage", TEXTS))),
-        ("operation", TEXT), ("payload", BYTES), ("sender", TEXT),
-        ("target", TEXT))),
+        ("operation", TEXT), ("payload", BYTES), ("sender", TEXT))),
     "bare": (BareInbound, (
-        ("sender_address", TEXT), ("target", TEXT), ("operation", TEXT),
-        ("payload", BYTES))),
+        ("sender_address", TEXT), ("operation", TEXT), ("payload", BYTES))),
     "registration": (Registration, (
         ("component", TEXT), ("module", TEXT), ("address", TEXT))),
     "law_fetch": (LawFetch, (("name", TEXT),)),
@@ -865,8 +863,7 @@ class TcpNetwork:
 
         def serve(msg: WireMessage) -> None:  # an outside peer gets no reply
             if isinstance(msg, Envelope):  # no controller put it there
-                msg = BareInbound(msg.sender, msg.target, msg.operation,
-                                  msg.payload)
+                msg = BareInbound(msg.sender, msg.operation, msg.payload)
             handler(msg)
 
         host, port = self._service.serve(

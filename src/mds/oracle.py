@@ -514,12 +514,8 @@ def run_trial(system: GeneratedSystem) -> list[str]:
                     f"{comp.name}@{module}: {agent.state!r} != {st!r}")
 
     for idx, msg in enumerate(system.script):
-        if msg.sender_module is None:
-            problems.extend(_compare_bare(system, h, prod_agents,
-                                          oracle_state, idx, msg))
-        else:
-            problems.extend(_compare_send(system, h, prod_agents,
-                                          oracle_state, idx, msg))
+        compare = _compare_bare if msg.sender_module is None else _compare_send
+        problems.extend(compare(system, prod_agents, oracle_state, idx, msg))
         if problems:
             return problems
 
@@ -531,7 +527,7 @@ def run_trial(system: GeneratedSystem) -> list[str]:
     return problems
 
 
-def _compare_send(system, h, prod_agents, oracle_state, idx, msg):
+def _compare_send(system, prod_agents, oracle_state, idx, msg):
     problems = []
     key = (msg.sender, msg.sender_module)
     agent = prod_agents[key]
@@ -565,7 +561,7 @@ def _compare_send(system, h, prod_agents, oracle_state, idx, msg):
     # Delivery side.
     tkey = (msg.target, msg.target_module)
     target_agent = prod_agents[tkey]
-    ruling2, _ = handle_arrive(target_agent, h, env)
+    ruling2, _ = handle_arrive(target_agent, env)
     prod2 = ("permit" if ruling2.decision.permits else "block",
              matched_token(ruling2.matched))
     sender_profile = frozenset(_profile_labels(new_st))
@@ -587,13 +583,13 @@ def _compare_send(system, h, prod_agents, oracle_state, idx, msg):
     return problems
 
 
-def _compare_bare(system, h, prod_agents, oracle_state, idx, msg):
+def _compare_bare(system, prod_agents, oracle_state, idx, msg):
     problems = []
     key = (msg.target, msg.target_module)
     agent = prod_agents[key]
-    inbound = BareInbound(sender_address=msg.sender, target=msg.target,
-                          operation=msg.operation, payload=msg.payload)
-    ruling, _ = handle_arrive(agent, h, inbound)
+    inbound = BareInbound(sender_address=msg.sender, operation=msg.operation,
+                          payload=msg.payload)
+    ruling, _ = handle_arrive(agent, inbound)
     prod = ("permit" if ruling.decision.permits else "block",
             matched_token(ruling.matched))
     overdict, otoken, new_st = oracle_evaluate(

@@ -200,7 +200,7 @@ class ScenarioRunner:
             def fetch(name: str) -> fabric.LawResponse:
                 try:
                     return fabric.fetch_law(addr, name)
-                except fabric.FrameError as exc:
+                except (fabric.FrameError, OSError) as exc:
                     raise RunnerError(f"cannot fetch {name!r} from "
                                       f"{addr[0]}:{addr[1]}: {exc}") from exc
         try:
@@ -247,7 +247,7 @@ class ScenarioRunner:
                     continue
                 self.agents[label] = agent
                 address = self.net.register(
-                    label, functools.partial(self._deliver, label))
+                    label, functools.partial(self._deliver, label, agent))
                 if ("notify-registry",) in ruling.effects:
                     self._register(decl.name, module, address)
                 with self._lock:
@@ -270,13 +270,12 @@ class ScenarioRunner:
 
     # -- delivery -----------------------------------------------------------
 
-    def _deliver(self, label: str, msg: fabric.WireMessage
+    def _deliver(self, label: str, agent: Agent, msg: fabric.WireMessage
                  ) -> Optional[tuple[Decision, str]]:
         if not isinstance(msg, (Envelope, BareInbound)):
             return None  # a frame kind no controller rules on
         with self._lock:
-            ruling, _delivery = handle_arrive(self.agents[label], self.h,
-                                              msg)
+            ruling, _delivery = handle_arrive(agent, msg)
             token = self._tokens[ruling.matched]
             self._audit_line(label, "arrived", ruling.flow,
                              ruling.decision._value_, token)
@@ -313,8 +312,12 @@ class ScenarioRunner:
         try:
             for step in self.scn.steps:
                 if isinstance(step, AdvanceStep):
-                    self.reports.append(StepReport(
-                        step.line, self.net.advance(step.ticks), True))
+                    try:
+                        text = self.net.advance(step.ticks)
+                    except OverflowError as exc:  # tcp sleeps; sim counts
+                        raise RunnerError(f"line {step.line}: advance "
+                                          f"{step.ticks}: {exc}") from None
+                    self.reports.append(StepReport(step.line, text, True))
                 else:
                     self._send_step(step)
         finally:
@@ -339,8 +342,8 @@ class ScenarioRunner:
         if step.from_outside:
             tlabel = self._persona(step.target, step.target_law)
             outcome, matched = self._transmit(tlabel, BareInbound(
-                sender_address=step.sender, target=step.target,
-                operation=step.operation, payload=step.payload))
+                sender_address=step.sender, operation=step.operation,
+                payload=step.payload))
         else:
             slabel = self._persona(step.sender, step.sender_law)
             agent = self.agents[slabel]

@@ -156,7 +156,7 @@ class TestDefaultsRegularity:
                            "S:inner-permit" if inner else "S:outflow-permit"))
                     if env is None:
                         continue
-                    ruling, _ = handle_arrive(receiver, h, env)
+                    ruling, _ = handle_arrive(receiver, env)
                     want = ((Decision.DELIVER, "S:inner-permit") if inner
                             else (Decision.BLOCK_SILENT, "S:inflow-block"))
                     check(f"arrive {sname}->{tname} {op}",
@@ -168,7 +168,7 @@ class TestDefaultsRegularity:
                       (ruling.decision, matched_token(ruling.matched), env),
                       (Decision.BLOCK_NOTICE, "S:boundary-block", None))
                 ruling, delivery = handle_arrive(
-                    sender, h, BareInbound("ext", sname, op, b""))
+                    sender, BareInbound("ext", op, b""))
                 check(f"import {sname} {op}",
                       (ruling.decision, matched_token(ruling.matched),
                        delivery),
@@ -235,7 +235,7 @@ class TestRulingLocality:
         arrived = None
         if env is not None:
             r = replace(receiver, state=dict(rstate))
-            ruling2, _ = handle_arrive(r, h, env)
+            ruling2, _ = handle_arrive(r, env)
             arrived = (ruling2.decision, ruling2.matched,
                        ruling2.state_updates, ruling2.effects, ruling2.flow,
                        r.state)

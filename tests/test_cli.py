@@ -134,6 +134,45 @@ class TestRunCommand:
         assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
                        f"law server sent no law_response\n")
 
+    @pytest.mark.parametrize("where", ["refused", "unresolvable"])
+    def test_an_unreachable_law_server_fails_in_one_line(
+            self, scenario_dir, monkeypatch, capsys, where):
+        if where == "refused":  # a port bound and closed again
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                address = "{}:{}".format(*listener.getsockname())
+        else:  # a stand-in resolver, so that no name server is asked
+            address = "lawserver.invalid:4000"
+            real = socket.getaddrinfo
+
+            def getaddrinfo(host, *args, **kwargs):
+                if host == "lawserver.invalid":
+                    raise socket.gaierror(socket.EAI_NONAME,
+                                          "Name or service not known")
+                return real(host, *args, **kwargs)
+
+            monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        monkeypatch.setenv("MDS_LAW_SERVER", address)
+        assert main(["run", str(scenario_dir / "sandbox.mds"),
+                     "--mode", "tcp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(
+            f"run failed: cannot fetch 'MGMT' from {address}: "), err
+
+    def test_an_advance_too_long_to_sleep_fails_in_one_line(
+            self, tmp_path, law_dir, capsys):
+        script = tmp_path / "long.mds"
+        script.write_text(f"scenario long\nlaw {law_dir}\n"
+                          "component a modules MS\n"
+                          "advance 99999999999999999999\n")
+        assert main(["run", str(script)]) == 0  # sim only moves its clock
+        assert "-> t=99999999999999999999" in capsys.readouterr().out
+        assert main(["run", str(script), "--mode", "tcp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(
+            "run failed: line 4: advance 99999999999999999999: "), err
+
     @pytest.mark.parametrize("port", ["²", "0", "70000"])
     @pytest.mark.parametrize("env", ["MDS_LAW_SERVER", "MDS_REGISTRY"])
     def test_a_bad_service_port_fails_in_one_line(self, scenario_dir,

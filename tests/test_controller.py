@@ -71,11 +71,11 @@ class TestRulingFlow:
         inbound = {
             "inner": inner,
             "inflow": inflow,
-            "bare": BareInbound("wild", "m", "op", b""),
+            "bare": BareInbound("wild", "op", b""),
             # a lineage this hierarchy does not hold for N
             "forged": replace(inflow, sender_lineage=("0" * 64,)),
         }[arrival]
-        ruling, _ = handle_arrive(m, h, inbound)
+        ruling, _ = handle_arrive(m, inbound)
         assert ruling.flow is kind
         assert kind is oracle_flow("M", sender_module, "M")
 
@@ -195,18 +195,18 @@ class TestSendRulings:
 
 
 class TestArriveRulings:
-    def _envelope(self, sender_agent, operation, target, payload=b""):
+    def _envelope(self, sender_agent, operation, payload=b""):
         return Envelope(sender_module=sender_agent.law,
                         sender_profile=sender_agent.profile_labels(),
                         sender_lineage=sender_agent.lineage,
                         operation=operation, payload=payload,
-                        sender=sender_agent.component, target=target)
+                        sender=sender_agent.component)
 
     def test_inner_deliver_strips_envelope(self, shipped):
         a, _ = _adopt(shipped, "m1", "MS")
         b, _ = _adopt(shipped, "m2", "MS")
         ruling, delivery = handle_arrive(
-            b, shipped, self._envelope(a, "retrieve", "m2", b"q"))
+            b, self._envelope(a, "retrieve", b"q"))
         assert ruling.decision is Decision.DELIVER
         assert delivery.operation == "retrieve" and delivery.payload == b"q"
         assert delivery.sender_identity is None  # not disclosed by default
@@ -215,7 +215,7 @@ class TestArriveRulings:
         a, _ = _adopt(shipped, "app", "OPS")
         b, _ = _adopt(shipped, "m1", "MS")
         ruling, delivery = handle_arrive(
-            b, shipped, self._envelope(a, "retrieve", "m1"))
+            b, self._envelope(a, "retrieve"))
         assert ruling.decision is Decision.BLOCK_SILENT
         assert delivery is None
         assert matched_token(ruling.matched) == "S:inflow-block"
@@ -223,9 +223,8 @@ class TestArriveRulings:
     def test_bare_inbound_is_import(self, shipped):
         b, _ = _adopt(shipped, "m1", "MS")
         ruling, delivery = handle_arrive(
-            b, shipped,
-            BareInbound(sender_address="ext", target="m1",
-                        operation="log", payload=b""))
+            b, BareInbound(sender_address="ext", operation="log",
+                           payload=b""))
         assert ruling.decision is Decision.BLOCK_SILENT
         assert ruling.flow is FlowKind.IMPORT
         assert matched_token(ruling.matched) == "S:boundary-block"
@@ -234,8 +233,8 @@ class TestArriveRulings:
         b, _ = _adopt(shipped, "m1", "MS")
         stranger = Envelope(sender_module="MS", sender_profile=("log",),
                             sender_lineage=("feedfeed",), operation="log",
-                            payload=b"", sender="impostor", target="m1")
-        ruling, _ = handle_arrive(b, shipped, stranger)
+                            payload=b"", sender="impostor")
+        ruling, _ = handle_arrive(b, stranger)
         assert ruling.flow is FlowKind.IMPORT
         assert ruling.decision is Decision.BLOCK_SILENT
 
@@ -245,17 +244,16 @@ class TestArriveRulings:
         b, _ = _adopt(shipped, "app", "OPS")
         claimant = Envelope(sender_module="MS", sender_profile=("log",),
                             sender_lineage=(shipped.lineage["MS"][0],),
-                            operation="log", payload=b"", sender="impostor",
-                            target="app")
-        ruling, _ = handle_arrive(b, shipped, claimant)
+                            operation="log", payload=b"", sender="impostor")
+        ruling, _ = handle_arrive(b, claimant)
         assert ruling.flow is FlowKind.IMPORT
 
     def test_malformed_envelope_rejected_with_notice(self, shipped):
         b, _ = _adopt(shipped, "m1", "MS")
         broken = Envelope(sender_module="", sender_profile=(),
                           sender_lineage=(), operation="log", payload=b"",
-                          sender="", target="m1")
-        ruling, delivery = handle_arrive(b, shipped, broken)
+                          sender="")
+        ruling, delivery = handle_arrive(b, broken)
         assert ruling.decision is Decision.BLOCK_NOTICE
         assert delivery is None
 
@@ -269,8 +267,8 @@ class TestWorkflowState:
         env = Envelope(sender_module="MGMT",
                        sender_profile=approver.profile_labels(),
                        sender_lineage=approver.lineage, operation="approve",
-                       payload=b"", sender="boss", target="buyer")
-        ruling, _ = handle_arrive(buyer, shipped, env)
+                       payload=b"", sender="boss")
+        ruling, _ = handle_arrive(buyer, env)
         assert ruling.decision is Decision.DELIVER
         assert buyer.state["approved"] == "yes"
         assert buyer.state["logged"] == "no"
@@ -281,8 +279,8 @@ class TestWorkflowState:
         ack = Envelope(sender_module="MS",
                        sender_profile=logger.profile_labels(),
                        sender_lineage=logger.lineage, operation="logged",
-                       payload=b"", sender="logkeeper", target="buyer")
-        handle_arrive(buyer, shipped, ack)
+                       payload=b"", sender="logkeeper")
+        handle_arrive(buyer, ack)
         assert buyer.state["logged"] == "yes"
 
         sent, env = handle_send(buyer, "purchaseOrder", b"", "v", OUTSIDE)
@@ -297,8 +295,8 @@ class TestWorkflowState:
         env = Envelope(sender_module="OPS",
                        sender_profile=worker.profile_labels(),
                        sender_lineage=worker.lineage, operation="approve",
-                       payload=b"", sender="w", target="buyer")
-        ruling, _ = handle_arrive(buyer, shipped, env)
+                       payload=b"", sender="w")
+        ruling, _ = handle_arrive(buyer, env)
         assert ruling.decision is Decision.BLOCK_SILENT
         assert buyer.state["approved"] == "no"
 
@@ -308,9 +306,9 @@ class TestWorkflowState:
         env = Envelope(sender_module="MGMT",
                        sender_profile=boss.profile_labels(),
                        sender_lineage=boss.lineage, operation="directive",
-                       payload=b"", sender="boss", target="w")
+                       payload=b"", sender="boss")
         for expected in (1, 2):
-            ruling, _ = handle_arrive(worker, shipped, env)
+            ruling, _ = handle_arrive(worker, env)
             assert ruling.decision is Decision.DELIVER
             assert worker.state["directives"] == expected
 
@@ -342,15 +340,15 @@ class TestDisclosure:
         if disclose:
             agent.state["disclose"] = "yes"
         if inbound == "bare":
-            msg = BareInbound(sender_address="10.0.0.9:1", target="r",
+            msg = BareInbound(sender_address="10.0.0.9:1",
                               operation="retrieve", payload=b"q")
         else:
             lineage = h.lineage["MS"] if inbound == "genuine" else (
                 "0" * 64,)
             msg = Envelope(sender_module="MS", sender_profile=("log",),
                            sender_lineage=lineage, operation="retrieve",
-                           payload=b"q", sender="m1", target="r")
-        ruling, delivery = handle_arrive(agent, h, msg)
+                           payload=b"q", sender="m1")
+        ruling, delivery = handle_arrive(agent, msg)
         assert (ruling.decision, ruling.flow) == (Decision.DELIVER, flow)
         assert delivery.sender_identity == identity
 
@@ -387,8 +385,8 @@ class TestMatchDiscipline:
         sender_lineage = h.lineage[sender_law]
         env = Envelope(sender_module=sender_law, sender_profile=(),
                        sender_lineage=sender_lineage, operation=op,
-                       payload=b"", sender="peer", target="r")
-        return handle_arrive(receiver, h, env)
+                       payload=b"", sender="peer")
+        return handle_arrive(receiver, env)
 
     def test_deepest_matching_override_decides(self):
         h = _hier(BASE, MID, LEAF)
@@ -459,7 +457,7 @@ class TestMatchDiscipline:
         assert export.decision is Decision.BLOCK_NOTICE
         assert matched_token(export.matched) == "default:export"
         imported, _ = handle_arrive(
-            a, h, BareInbound("ext", "a", "y", b""))
+            a, BareInbound("ext", "y", b""))
         assert imported.decision is Decision.BLOCK_SILENT
         assert matched_token(imported.matched) == "default:import"
 
@@ -915,7 +913,7 @@ class TestTracedSeams:
         _, env = handle_send(a, "retrieve", b"", "b", "MS")
         assert [c[:2] for c in calls] == [("evaluate", a.program)]
         del calls[:]
-        handle_arrive(b, shipped, env)
+        handle_arrive(b, env)
         assert [c[:2] for c in calls] == [("evaluate", b.program)]
 
     def test_every_rule_match_names_a_program_entry(self, scenario_dir,

@@ -106,11 +106,10 @@ class TestGoldenFrame:
         # 4-byte big-endian length, the kind byte, then each field in order.
         body = (b"\x01"                               # kind: bare
                 b"\x00\x00\x00\x04wild"               # sender_address
-                b"\x00\x00\x00\x02m1"                 # target
                 b"\x00\x00\x00\x04ping"               # operation
                 b"\x00\x00\x00\x03\x01\x02\x03")      # payload, raw
-        expected = b"\x00\x00\x00\x1e" + body
-        msg = BareInbound(sender_address="wild", target="m1", operation="ping",
+        expected = b"\x00\x00\x00\x18" + body
+        msg = BareInbound(sender_address="wild", operation="ping",
                           payload=b"\x01\x02\x03")
         assert encode_frame(msg) == expected
         assert _read(expected) == msg
@@ -126,12 +125,11 @@ class TestGoldenFrame:
                 b"\x00\x00\x00\x02bb"
                 b"\x00\x00\x00\x03log"                # operation
                 b"\x00\x00\x00\x00"                   # payload, empty
-                b"\x00\x00\x00\x02m1"                 # sender
-                b"\x00\x00\x00\x02m2")                # target
-        expected = b"\x00\x00\x00\x39" + body
+                b"\x00\x00\x00\x02m1")                # sender
+        expected = b"\x00\x00\x00\x33" + body
         env = Envelope(sender_module="MS", sender_profile=("log",),
                        sender_lineage=("aa", "bb"), operation="log",
-                       payload=b"", sender="m1", target="m2")
+                       payload=b"", sender="m1")
         assert encode_frame(env) == expected
         assert _read(expected) == env
 
@@ -165,13 +163,13 @@ def _random_message(rng: random.Random):
 
     kind = rng.randrange(7)
     if kind == 0:
-        return BareInbound(word(), word(), word(), blob())
+        return BareInbound(word(), word(), blob())
     if kind == 1:
         return Envelope(
             sender_module=word(), sender_profile=tuple(
                 word(5) for _ in range(rng.randint(0, 3))),
             sender_lineage=tuple(word(12) for _ in range(rng.randint(1, 4))),
-            operation=word(), payload=blob(), sender=word(), target=word())
+            operation=word(), payload=blob(), sender=word())
     if kind == 2:
         return Registration(word(), word(), word())
     if kind == 3:
@@ -231,7 +229,7 @@ class TestFrameErrors:
 
     def test_missing_field(self):
         with pytest.raises(FrameError):
-            _read(_frame({"kind": "bare", "target": "t"}))
+            _read(_frame({"kind": "bare", "sender_address": "t"}))
 
     def test_undecodable_bodies(self):
         bodies = [
@@ -258,8 +256,7 @@ class TestFrameErrors:
     def test_ill_typed_enveloped_field(self, field, value):
         data = {"kind": "enveloped", "sender_module": "MS",
                 "sender_profile": ["log"], "sender_lineage": ["aa"],
-                "operation": "log", "payload": b"", "sender": "m1",
-                "target": "m2"}
+                "operation": "log", "payload": b"", "sender": "m1"}
         data[field] = value
         with pytest.raises(FrameError):
             _read(_frame(data))
@@ -291,7 +288,7 @@ class TestFrameErrors:
             _read(header)
 
     def test_encode_rejects_oversized_body(self):
-        huge = BareInbound("a", "b", "c", b"x" * fabric.MAX_FRAME)
+        huge = BareInbound("a", "b", b"x" * fabric.MAX_FRAME)
         with pytest.raises(FrameError):
             encode_frame(huge)
 
@@ -306,9 +303,8 @@ class TestFrameErrors:
 
 
 _SAMPLES = {
-    "enveloped": Envelope("MS", ("log",), ("aa", "bb"), "log", b"\x01", "m1",
-                          "m2"),
-    "bare": BareInbound("wild", "m1", "ping", b"\x01\x02"),
+    "enveloped": Envelope("MS", ("log",), ("aa", "bb"), "log", b"\x01", "m1"),
+    "bare": BareInbound("wild", "ping", b"\x01\x02"),
     "registration": Registration("c", "M", "addr"),
     "law_fetch": LawFetch("L"),
     "law_response": LawResponse("L", True, "law L { }", ("aa",), "sha256"),
@@ -385,7 +381,7 @@ _envelopes = st.builds(
     Envelope, _texts, st.lists(_texts, max_size=4).map(tuple),
     st.lists(st.text("0123456789abcdef", min_size=64, max_size=64),
              max_size=7).map(tuple),
-    _texts, st.binary(max_size=16), _texts, _texts)
+    _texts, st.binary(max_size=16), _texts)
 
 
 class TestIdentityMemos:
@@ -436,14 +432,13 @@ class TestIdentityMemos:
         largest = 0
         for i in range(10_000):
             env = Envelope(f"M{i}", ("log",), (f"{i:064x}",), "op", b"",
-                           "m1", "m2")
+                           "m1")
             assert decode_body(encode_frame(env)[4:]) == env
             largest = max(largest, *map(len, fabric._MEMOS))
         assert largest == fabric.MEMO_SIZE
         # a block over MEMO_BYTES is coded afresh each time, never kept
         _cold()
-        big = Envelope("M", (), ("a" * fabric.MEMO_BYTES,), "op", b"", "m1",
-                       "m2")
+        big = Envelope("M", (), ("a" * fabric.MEMO_BYTES,), "op", b"", "m1")
         for _ in range(2):
             assert decode_body(encode_frame(big)[4:]) == big
         assert all(not memo for memo in fabric._MEMOS)
@@ -458,7 +453,7 @@ class TestIdentityMemos:
         def work(tag):
             for i in range(3000):
                 env = Envelope(f"M{i % 1500 if tag % 2 else i}", (),
-                               (f"{tag}",), "op", b"", "m1", "m2")
+                               (f"{tag}",), "op", b"", "m1")
                 if decode_body(encode_frame(env)[4:]) != env:
                     failures.append((tag, i))
 
@@ -487,7 +482,7 @@ class TestSimNetwork:
         seen = []
         net.register("x", seen.append)
         for i in range(5):
-            net.send("x", BareInbound("s", "x", f"op{i}", b""), latency=2)
+            net.send("x", BareInbound("s", f"op{i}", b""), latency=2)
         net.run_until_idle()
         assert [m.operation for m in seen] == [f"op{i}" for i in range(5)]
 
@@ -495,8 +490,8 @@ class TestSimNetwork:
         net = SimNetwork()
         seen = []
         net.register("x", seen.append)
-        net.send("x", BareInbound("s", "x", "slow", b""), latency=9)
-        net.send("x", BareInbound("s", "x", "fast", b""), latency=1)
+        net.send("x", BareInbound("s", "slow", b""), latency=9)
+        net.send("x", BareInbound("s", "fast", b""), latency=1)
         net.run_until_idle()
         assert [m.operation for m in seen] == ["fast", "slow"]
         assert net.clock == 9
@@ -505,8 +500,8 @@ class TestSimNetwork:
         net = SimNetwork()
         seen = []
         net.register("x", seen.append)
-        net.send("x", BareInbound("s", "x", "soon", b""), latency=2)
-        net.send("x", BareInbound("s", "x", "later", b""), latency=8)
+        net.send("x", BareInbound("s", "soon", b""), latency=2)
+        net.send("x", BareInbound("s", "later", b""), latency=8)
         net.advance(4)
         assert [m.operation for m in seen] == ["soon"]
         assert net.clock == 4
@@ -520,7 +515,7 @@ class TestSimNetwork:
             seen = []
             net.register("x", lambda m: seen.append(m.operation))
             for i in range(40):
-                net.send("x", BareInbound("s", "x", f"op{i}", b""),
+                net.send("x", BareInbound("s", f"op{i}", b""),
                          latency=rng.randint(1, 3))
             net.run_until_idle()
             return seen
@@ -531,7 +526,7 @@ class TestSimNetwork:
     def test_step_returns_the_handlers_result(self):
         net = SimNetwork()
         net.register("x", lambda msg: msg.operation)
-        net.send("x", BareInbound("s", "x", "one", b""))
+        net.send("x", BareInbound("s", "one", b""))
         assert net.step() == "one"
 
 
@@ -546,12 +541,12 @@ def test_run_until_idle_returns_the_last_result_and_raises_errors(network):
         net.register("bad", fail)
         assert net.run_until_idle() is None  # nothing was sent
         for op in ("first", "last"):
-            net.send("x", BareInbound("s", "x", op, b""), latency=1)
+            net.send("x", BareInbound("s", op, b""), latency=1)
         assert net.run_until_idle() == "last"
-        net.send("bad", BareInbound("s", "bad", "op", b""))
+        net.send("bad", BareInbound("s", "op", b""))
         with pytest.raises(RuntimeError, match="handler fails on op"):
             net.run_until_idle()
-        net.send("x", BareInbound("s", "x", "after", b""))
+        net.send("x", BareInbound("s", "after", b""))
         assert net.run_until_idle() == "after"
     finally:
         net.close()
@@ -564,10 +559,10 @@ def test_an_unknown_address_is_refused_before_anything_is_queued(network):
     try:
         net.register("x", lambda msg: got.append(msg) or msg.operation)
         with pytest.raises(KeyError):
-            net.send("nowhere", BareInbound("s", "nowhere", "lost", b""))
+            net.send("nowhere", BareInbound("s", "lost", b""))
         assert net.run_until_idle() is None
         # a frame written but not queued would be read as this one's
-        net.send("x", BareInbound("s", "x", "after", b""))
+        net.send("x", BareInbound("s", "after", b""))
         assert net.run_until_idle() == "after"
     finally:
         net.close()
@@ -949,7 +944,7 @@ class TestTcpNetwork:
             net = TcpNetwork()
             try:
                 net.register("a", got.append)
-                net.send("a", BareInbound("s", "a", "op", payload))
+                net.send("a", BareInbound("s", "op", payload))
                 net.run_until_idle()
             finally:
                 net.close()
@@ -972,7 +967,7 @@ class TestTcpNetwork:
             try:
                 net.register("a", lambda msg: got.append(msg.operation))
                 for i in range(16):
-                    net.send("a", BareInbound("s", "a", f"op{i}", payload))
+                    net.send("a", BareInbound("s", f"op{i}", payload))
                 net.run_until_idle()
             finally:
                 net.close()

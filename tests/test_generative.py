@@ -330,10 +330,10 @@ def _claims():
 def _envelope(claims, labels, op):
     """Envelopes whose (sender_module, sender_lineage) ``claims`` draws."""
     return st.builds(
-        lambda claim, profile, operation, payload, sender, target: Envelope(
-            claim[0], profile, claim[1], operation, payload, sender, target),
+        lambda claim, profile, operation, payload, sender: Envelope(
+            claim[0], profile, claim[1], operation, payload, sender),
         st.deferred(claims), st.lists(labels, max_size=4).map(tuple), op,
-        st.binary(max_size=16), _text, _text)
+        st.binary(max_size=16), _text)
 
 
 _inbound = st.one_of(
@@ -341,7 +341,7 @@ _inbound = st.one_of(
     # labels
     _envelope(_held, st.sampled_from(LABELS), st.sampled_from(OPERATIONS)),
     _envelope(_claims, st.sampled_from(LABELS) | _text, _op),
-    st.builds(BareInbound, _text, _text, _op, st.binary(max_size=16)))
+    st.builds(BareInbound, _text, _op, st.binary(max_size=16)))
 
 
 class TestDecodedInbound:
@@ -355,7 +355,7 @@ class TestDecodedInbound:
         for h, template in _agents():
             agent = dataclasses.replace(template, state=dict(template.state))
             before = dict(agent.state)
-            ruling, _ = handle_arrive(agent, h, msg)
+            ruling, _ = handle_arrive(agent, msg)
             if isinstance(msg, Envelope) and not (
                     msg.sender_module and msg.sender and msg.sender_lineage):
                 assert ruling.matched is None and not ruling.decision.permits

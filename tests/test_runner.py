@@ -84,7 +84,7 @@ class TestShippedScenarios:
             record, = runner.registry.query(name="boxed1", module="SB")
             host, port = record.address.rsplit(":", 1)
             forged = Envelope("OPS", ("operator",), runner.h.lineage["OPS"],
-                              "task", b"", "helper", "boxed1")
+                              "task", b"", "helper")
             with socket.create_connection((host, int(port)),
                                           timeout=5.0) as conn:
                 fabric.send_frame(conn, forged)
@@ -181,6 +181,44 @@ class TestRunnerMechanics:
         assert silenced.audit_lines == baseline.audit_lines
         assert silenced.ok
 
+    def test_an_outside_frame_is_ruled_by_the_persona_whose_port_it_reached(
+            self, tmp_path):
+        """No frame names its recipient: the same bare frame, sent to two
+        personas' listeners, is ruled and audited by each in turn."""
+        laws = tmp_path / "laws"
+        laws.mkdir()
+        (laws / "R.law").write_text(
+            "law R {\n  default rule join on adopted { notify-registry; }\n"
+            "  default rule gate on arrived if flow == import { block; }\n"
+            "  allow-override gate may-permit;\n}\n")
+        (laws / "A.law").write_text(
+            "law A extends R {\n  override gate permit on arrived if "
+            "op == \"ping\" {\n    increment state.pings by 1;\n  }\n}\n")
+        (laws / "B.law").write_text("law B extends R {\n}\n")
+        script = tmp_path / "two.mds"
+        script.write_text("scenario two\nlaw laws\n"
+                          "component a modules A\ncomponent b modules B\n")
+        runner = ScenarioRunner(load_scenario(str(script)), tmp_path,
+                                mode="tcp")
+        frame = fabric.encode_frame(BareInbound("wild", "ping", b""))
+        try:
+            for name in ("b", "a"):  # not in the order they registered
+                record, = runner.registry.query(name=name)
+                host, port = record.address.rsplit(":", 1)
+                with socket.create_connection((host, int(port)),
+                                              timeout=5.0) as conn:
+                    conn.sendall(frame)
+                    conn.shutdown(socket.SHUT_WR)
+                    assert conn.recv(1) == b""  # closed once it is handled
+        finally:
+            runner.net.close()
+        assert [line.split(" | ", 1)[1] for line in runner.audit
+                if "| arrived |" in line] == [
+            "b@B | arrived | import | block-silent | R:gate",
+            "a@A | arrived | import | deliver | A:gate"]
+        assert runner.agents["a@A"].state["pings"] == 1
+        assert "pings" not in runner.agents["b@B"].state
+
     def test_delivered_export_leaves_the_system(self, scenario_dir):
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
         runner = ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
@@ -264,7 +302,7 @@ class TestRunnerMechanics:
             def run_until_idle(self):
                 result = super().run_until_idle()
                 stray = threading.Thread(target=handlers["c@MS"], args=(
-                    BareInbound("wild", "c", "retrieve", b""),))
+                    BareInbound("wild", "retrieve", b""),))
                 stray.start()
                 stray.join()
                 return result
@@ -453,8 +491,8 @@ class TestOneRulingAtATime:
             self, scenario_dir, monkeypatch, held):
         real_send = controller.handle_send
         real_arrive = controller.handle_arrive
-        stray = BareInbound(sender_address="stray", target="boxed1",
-                            operation="task", payload=b"")
+        stray = BareInbound(sender_address="stray", operation="task",
+                            payload=b"")
         events = []  # from either thread, in the order they happen
         stray_ruled = threading.Event()
         runner, boxed1 = self._sandbox(scenario_dir)
@@ -475,14 +513,14 @@ class TestOneRulingAtATime:
                 return hold(real_send, agent, *args)
             return real_send(agent, *args)
 
-        def arrive(agent, h, msg):
+        def arrive(agent, msg):
             if msg == stray:
                 events.append("stray ruled")
                 stray_ruled.set()
             elif held == "arrive" and agent.component == "boxed1" \
                     and not events:
-                return hold(real_arrive, agent, h, msg)
-            return real_arrive(agent, h, msg)
+                return hold(real_arrive, agent, msg)
+            return real_arrive(agent, msg)
 
         monkeypatch.setattr("mds.runner.handle_send", send)
         monkeypatch.setattr("mds.runner.handle_arrive", arrive)
@@ -520,7 +558,7 @@ class TestOneRulingAtATime:
                                 watched(getattr(controller, name)))
         runner, boxed1 = self._sandbox(scenario_dir)
         strays = b"".join(fabric.encode_frame(BareInbound(
-            f"stray{i}", "boxed1", "task", b"")) for i in range(30))
+            f"stray{i}", "task", b"")) for i in range(30))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often: overlaps show
         peers = []
