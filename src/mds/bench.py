@@ -29,7 +29,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .controller import DemoIssuer, adopt, handle_arrive, handle_send
+from .controller import (AdoptionRefused, DemoIssuer, adopt, handle_arrive,
+                         handle_send)
 from .runner import RunnerError, check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
@@ -68,9 +69,15 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
     """Per-event thread CPU nanoseconds of one round over fresh agents,
     and the round's wall-clock nanoseconds."""
     issuer = DemoIssuer("demo-ca")
-    m1, m2, app = (
-        adopt(name, h, module, cert=issuer.issue(name, {"modules": module}))[0]
-        for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")))
+    members = []
+    for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")):
+        try:
+            members.append(adopt(name, h, module, cert=issuer.issue(
+                name, {"modules": module}))[0])
+        except AdoptionRefused as exc:
+            raise RunnerError(f"adopt {name}@{module}: refused "
+                              f"({exc.reason})") from None
+    m1, m2, app = members
     payload = b"x" * 32
     # (sender, target agent, target module, operation)
     mix = (

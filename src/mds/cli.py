@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from . import fabric, law_lang
-from .model import not_utf8
+from .model import not_utf8, unsigned_decimal
 from .oracle import run_differential
 from .runner import RunnerError, check_law_dir, run_scenario
 from .scenario import ScenarioError
@@ -149,17 +149,17 @@ def _cmd_lawserver_serve(args) -> int:
 
 def positive_int(text: str) -> int:
     """argparse type of a count: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    n = unsigned_decimal(text)
+    if n is None or n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
     return n
 
 
 def port_number(text: str) -> int:
     """argparse type of a TCP port: 0 (any free port) to 65535."""
-    n = int(text)
-    if not 0 <= n <= 65535:
-        raise argparse.ArgumentTypeError(f"must be 0-65535, not {n}")
+    n = unsigned_decimal(text)
+    if n is None or n > 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, not {text}")
     return n
 
 

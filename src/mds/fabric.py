@@ -28,10 +28,11 @@ reading end acks late where the platform allows it, about one ACK
 segment per two frames, set again after each ``advance`` pause.
 ``TcpService`` serves a run's outside peers from one selector thread, so
 a ``TcpNetwork`` handler may run there while the caller's thread runs
-one too: the handlers' owner serializes them.  ``LawServer.respond`` and
-``Registry.respond`` are ``TcpService`` handlers as they stand.
-``call_remote`` opens one connection per request, for law fetches and
-registry calls.  The simulator
+one too: the handlers' owner serializes them.  From outside, such a
+handler sees only controller messages, an envelope as the bare one it
+carries.  ``LawServer.respond`` and ``Registry.respond`` are
+``TcpService`` handlers as they stand.  ``call_remote`` opens one
+connection per request, for law fetches and registry calls.  The simulator
 delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
 schedule of sends yields one possible execution, always the same.  The
 registry is best-effort bookkeeping: rulings never depend on it.
@@ -835,10 +836,10 @@ class TcpNetwork:
     one ``TcpService`` loop thread serves them all, sends no reply and logs
     a handler's failure.  Only a controller puts an envelope on the own
     connection, so one from outside is handled as the bare message it
-    carries.  An outside frame arrives on another connection, so it cannot
-    end a wait, but its handler runs on the loop thread while the caller's
-    thread runs on: the network takes no lock, and the handlers' owner
-    serializes them.
+    carries, and a frame of another kind is dropped.  An outside frame
+    arrives on another connection, so it cannot end a wait, but its
+    handler runs on the loop thread while the caller's thread runs on: the
+    network takes no lock, and the handlers' owner serializes them.
     There is no shared clock: ``now`` counts its own readings, so the
     timestamps of a run are 0, 1, 2, ... in the order they were read.
     """
@@ -857,14 +858,15 @@ class TcpNetwork:
     def register(self, address: str,
                  handler: Callable[[WireMessage], object]) -> str:
         """Serve outside peers of ``handler`` at a fresh listening socket;
-        returns its host:port.  The handler runs on the loop thread for an
-        outside frame, perhaps while the caller's thread runs it for an
-        own one, so the handler's owner must serialize what they share."""
+        returns its host:port.  From outside, the handler gets only a
+        ``BareInbound``, on the loop thread, perhaps while the caller's
+        thread runs it for an own frame: its owner serializes the two."""
 
         def serve(msg: WireMessage) -> None:  # an outside peer gets no reply
             if isinstance(msg, Envelope):  # no controller put it there
-                msg = BareInbound(msg.sender, msg.operation, msg.payload)
-            handler(msg)
+                handler(BareInbound(msg.sender, msg.operation, msg.payload))
+            elif isinstance(msg, BareInbound):
+                handler(msg)  # any other kind is no controller message
 
         host, port = self._service.serve(
             socket.create_server(("127.0.0.1", 0)), serve)

@@ -32,6 +32,16 @@ def valid_name(token: str) -> bool:
     return _NAME_RE.fullmatch(token) is not None
 
 
+def unsigned_decimal(text: str) -> Optional[int]:
+    """The value of a count, tick or port a person typed, if it is ASCII
+    digits 0-9 and no more than ``int`` converts ("²", "٣", "-1", " 1" and
+    "1_0" are not); else None.  Each caller checks its own range."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def not_utf8(exc: UnicodeDecodeError) -> tuple[int, int, str]:
     """(line, column, "not UTF-8 (byte 0x..)") of the first byte of a file,
     read whole through ``open``, that does not decode.

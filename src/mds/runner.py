@@ -9,10 +9,10 @@ mode messages travel a deterministic in-process network on a logical
 clock, so a scenario plus a seed fixes the audit byte for byte.  In
 ``tcp`` mode every frame crosses the network's one own loopback
 connection, and every adopted persona listens for outside peers, whose
-frames are ruled on the network's service thread.  So each ruling and
-its audit line run under the runner's one lock, which no socket I/O is
-ever done under: a ruling is a function of the agent's state only while
-no other ruling writes that state.
+controller messages alone ``fabric`` hands on, to be ruled on its service
+thread.  So each ruling and its audit line run under the runner's one
+lock, which no socket I/O is ever done under: a ruling is a function of
+the agent's state only while no other ruling writes that state.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -37,7 +37,8 @@ from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Decision, DemoIssuer, Envelope, adopt,
                          handle_arrive, handle_send, matched_token)
-from .model import FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8
+from .model import (FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8,
+                    unsigned_decimal)
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
                        AdvanceStep, Scenario, SendStep, load_scenario)
 
@@ -105,14 +106,17 @@ def check_law_dir(path: Union[str, Path]) -> tuple[Optional[LawHierarchy], list[
     return h, []
 
 
-def _parse_addr(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    # isdigit alone takes "²", and the resolver wraps a port past 65535
-    if not (sep and port.isascii() and port.isdigit()
-            and 1 <= int(port) <= 65535):
+def _service_address(var: str) -> Optional[tuple[str, int]]:
+    """The host:port environment variable ``var`` names; None if unset."""
+    text = os.environ.get(var)
+    if not text:
+        return None
+    host, sep, digits = text.rpartition(":")
+    port = unsigned_decimal(digits) if sep else None
+    if port is None or not 1 <= port <= 65535:  # a resolver wraps 65536 to 0
         raise RunnerError(f"bad address {text!r}, expected host:port "
                           f"with a port of 1-65535")
-    return host, int(port)
+    return host, port
 
 
 @dataclass
@@ -162,9 +166,8 @@ class ScenarioRunner:
         self.h = h0
 
         self.registry = fabric.Registry()
-        self._remote_registry: Optional[tuple[str, int]] = None
-        if mode == "tcp" and os.environ.get(ENV_REGISTRY):
-            self._remote_registry = _parse_addr(os.environ[ENV_REGISTRY])
+        self._remote_registry = (_service_address(ENV_REGISTRY)
+                                 if mode == "tcp" else None)
 
         self.issuer = DemoIssuer("demo-ca")
         self.decls = {d.name: d for d in scn.components}
@@ -190,10 +193,8 @@ class ScenarioRunner:
             def fetch(name: str) -> fabric.LawResponse:
                 return server.respond(fabric.LawFetch(name))
         else:
-            env = os.environ.get(ENV_LAW_SERVER)
-            if env:
-                addr = _parse_addr(env)
-            else:
+            addr = _service_address(ENV_LAW_SERVER)
+            if addr is None:
                 service = fabric.TcpService(fabric.LawServer(h0).respond)
                 addr = service.address
 
@@ -270,10 +271,8 @@ class ScenarioRunner:
 
     # -- delivery -----------------------------------------------------------
 
-    def _deliver(self, label: str, agent: Agent, msg: fabric.WireMessage
-                 ) -> Optional[tuple[Decision, str]]:
-        if not isinstance(msg, (Envelope, BareInbound)):
-            return None  # a frame kind no controller rules on
+    def _deliver(self, label: str, agent: Agent,
+                 msg: Union[Envelope, BareInbound]) -> tuple[Decision, str]:
         with self._lock:
             ruling, _delivery = handle_arrive(agent, msg)
             token = self._tokens[ruling.matched]
@@ -298,10 +297,7 @@ class ScenarioRunner:
         while latency == 3:
             latency = self._bits(2)
         self.net.send(label, msg, latency=latency + 1)
-        arrival = self.net.run_until_idle()
-        if arrival is None:
-            raise RunnerError("message was sent but never handled")
-        decision, token = arrival
+        decision, token = self.net.run_until_idle()
         if decision is _DELIVER:
             return DELIVERED, token
         return BLOCKED_AT_RECEIVER, token
@@ -319,7 +315,10 @@ class ScenarioRunner:
                                           f"{step.ticks}: {exc}") from None
                     self.reports.append(StepReport(step.line, text, True))
                 else:
-                    self._send_step(step)
+                    try:
+                        self._send_step(step)
+                    except fabric.FrameError as exc:  # sim carries no frames
+                        raise RunnerError(f"line {step.line}: {exc}") from None
         finally:
             self.net.close()
         ok = all(r.ok for r in self.reports)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .model import NAME, not_utf8, valid_name
+from .model import NAME, not_utf8, unsigned_decimal, valid_name
 
 OUTCOMES = DELIVERED, BLOCKED_AT_SENDER, BLOCKED_AT_RECEIVER = (
     "delivered", "blocked-at-sender", "blocked-at-receiver")
@@ -257,13 +257,9 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
             steps.append(last_send)
 
         elif head == "advance":
-            count = words[1] if len(words) == 2 else ""
-            if not (count.isascii() and count.isdigit()):
+            ticks = unsigned_decimal(words[1]) if len(words) == 2 else None
+            if ticks is None:
                 raise ScenarioError(lineno, "expected: advance N")
-            try:
-                ticks = int(count)
-            except ValueError:  # more digits than int() converts
-                raise ScenarioError(lineno, "expected: advance N") from None
             steps.append(AdvanceStep(ticks=ticks, line=lineno))
 
         elif head == "expect":

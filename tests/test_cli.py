@@ -173,12 +173,27 @@ class TestRunCommand:
         assert err.startswith(
             "run failed: line 4: advance 99999999999999999999: "), err
 
-    @pytest.mark.parametrize("port", ["²", "0", "70000"])
+    def test_a_message_too_big_for_the_wire_fails_a_tcp_run_in_one_line(
+            self, tmp_path, law_dir, capsys):
+        script = tmp_path / "big.mds"
+        payload = "x" * (fabric.MAX_FRAME + 10)
+        script.write_text(f"scenario big\nlaw {law_dir}\n"
+                          "component a modules MS\ncomponent b modules MS\n"
+                          f'send a -> b op retrieve payload "{payload}"\n')
+        assert main(["run", str(script)]) == 0  # sim encodes no frame
+        capsys.readouterr()
+        assert main(["run", str(script), "--mode", "tcp"]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: line 5: frame body too large\n")
+
+    @pytest.mark.parametrize("port", [
+        "²", "0", "70000", pytest.param("9" * 5000, id="5000-digits")])
     @pytest.mark.parametrize("env", ["MDS_LAW_SERVER", "MDS_REGISTRY"])
     def test_a_bad_service_port_fails_in_one_line(self, scenario_dir,
                                                   monkeypatch, capsys, env,
                                                   port):
-        # "²" passes str.isdigit, and the resolver wraps 70000 to 4464
+        # "²" passes str.isdigit, the resolver wraps 70000 to 4464, and
+        # int() refuses more than 4,300 digits
         monkeypatch.setenv(env, f"127.0.0.1:{port}")
         assert main(["run", str(scenario_dir / "sandbox.mds"),
                      "--mode", "tcp"]) == 1
@@ -246,14 +261,27 @@ class TestOtherCommands:
             main(["law", "frobnicate"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("argv", [["bench", "--events", "0"],
-                                      ["fuzz", "--trials", "-3"]],
-                             ids=["bench", "fuzz"])
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--events", "0"], ["fuzz", "--trials", "-3"],
+        # int() reads "\u0663" (Arabic-Indic three) as 3
+        ["bench", "--events", "\u0663"], ["fuzz", "--trials", "\u0663"]],
+        ids=["bench", "fuzz", "bench-arabic-indic-3", "fuzz-arabic-indic-3"])
     def test_a_count_below_one_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        assert f"must be at least 1, not {argv[2]}" in capsys.readouterr().err
+
+    def test_bench_with_a_law_that_refuses_adoption_fails_in_one_line(
+            self, law_dir, tmp_path, capsys):
+        for law in law_dir.glob("*.law"):
+            (tmp_path / law.name).write_bytes(law.read_bytes())
+        (tmp_path / "MS.law").write_text(
+            'law MS extends S { profile [log]; categorical rule gate on '
+            'adopted if not cert.dept == "x" { block; } }\n')
+        assert main(["bench", "--events", "10", "--laws", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "bench failed: adopt m1@MS: refused (adoption blocked)\n")
 
     def test_bench_without_laws_fails_in_one_line(self, tmp_path, capsys):
         assert main(["bench", "--events", "10", "--laws", str(tmp_path)]) == 1
@@ -279,7 +307,12 @@ class TestServeCommands:
             return ["registry", "serve"]
         return ["lawserver", "serve", str(law_dir)]
 
-    @pytest.mark.parametrize("port", ["70000", "-1"])
+    @pytest.mark.parametrize("port", [
+        "70000", "-1",
+        # int() reads each of these as a port: 80, 10 and 80
+        pytest.param("\u0668\u0660", id="arabic-indic-80"),
+        pytest.param("1_0", id="underscore"),
+        pytest.param(" 80", id="leading-space")])
     def test_a_port_out_of_range_is_a_usage_error(self, serve, port, capsys):
         with pytest.raises(SystemExit) as err:
             main(serve + ["--port", port])

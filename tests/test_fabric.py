@@ -686,6 +686,10 @@ def _settle(condition, within: float = 1.0) -> bool:
     return condition()
 
 
+def _bare(operation: str) -> BareInbound:
+    return BareInbound("peer", operation, b"")
+
+
 def _one_of_each_kind() -> dict:
     """A message of every ``WIRE_FORMAT`` class, by class."""
     rng = random.Random(23)
@@ -869,19 +873,19 @@ class TestTcpNetwork:
         assert threads == [threading.get_ident()] * 3
 
     def test_outside_frames_are_handled_on_one_loop_thread(self):
-        handled = []  # (name, thread)
+        handled = []  # (operation, thread)
 
         def handler(msg):
-            handled.append((msg.name, threading.get_ident()))
+            handled.append((msg.operation, threading.get_ident()))
 
         net = TcpNetwork()
         try:
             host, port = net.register("a", handler).rsplit(":", 1)
             with socket.create_connection((host, int(port))) as outside:
                 outside.sendall(b"".join(
-                    encode_frame(LawFetch("outside")) for _ in range(30)))
+                    encode_frame(_bare("outside")) for _ in range(30)))
                 for _ in range(30):
-                    net.send("a", LawFetch("own"))
+                    net.send("a", _bare("own"))
                     net.run_until_idle()
                 assert _settle(lambda: len(handled) == 60, within=5.0)
         finally:
@@ -896,7 +900,7 @@ class TestTcpNetwork:
         handled = []
 
         def handler(msg):
-            if msg.name == "fail":
+            if msg.operation == "fail":
                 raise RuntimeError("outside frame fails")
             handled.append(msg)
             return msg  # a value the service could encode as a reply
@@ -907,21 +911,36 @@ class TestTcpNetwork:
             for i in range(2):
                 with socket.create_connection((host, int(port))) as outside:
                     # a failing frame is logged, and the next one handled
-                    outside.sendall(encode_frame(LawFetch("fail"))
-                                    + encode_frame(LawFetch(f"outside{i}")))
+                    outside.sendall(encode_frame(_bare("fail"))
+                                    + encode_frame(_bare(f"outside{i}")))
                     outside.shutdown(socket.SHUT_WR)
                     # the service closes the connection once the frame is
                     # handled, and sends nothing before it
                     outside.settimeout(2.0)
                     assert outside.recv(4096) == b""
-            net.send("a", LawFetch("own"))
-            assert net.run_until_idle() == LawFetch("own")
+            net.send("a", _bare("own"))
+            assert net.run_until_idle() == _bare("own")
         finally:
             net.close()
-        assert handled == [LawFetch("outside0"), LawFetch("outside1"),
-                           LawFetch("own")]
+        assert handled == [_bare("outside0"), _bare("outside1"), _bare("own")]
         assert [r.getMessage() for r in caplog.records] == [
             "frame handler failed"] * 2
+
+    def test_an_outside_frame_of_another_kind_is_dropped(self):
+        handled = []
+        net = TcpNetwork()
+        try:
+            host, port = net.register("a", handled.append).rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as outside:
+                outside.sendall(
+                    encode_frame(LawFetch("S"))
+                    + encode_frame(Registration("c", "M", "h:1"))
+                    + encode_frame(_bare("outside")))
+                # one connection's frames are handled in the order sent
+                assert _settle(lambda: handled, within=5.0)
+        finally:
+            net.close()
+        assert handled == [_bare("outside")]
 
     def test_one_thread_serves_every_address(self):
         before = threading.active_count()

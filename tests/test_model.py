@@ -6,7 +6,8 @@ from mds.conformance import build_hierarchy
 from mds.controller import program_for
 from mds.law_lang import parse_law
 from mds.model import (Block, EventKind, FlowKind, Permit, SetState,
-                       UnknownLawError, terminal_of, valid_name)
+                       UnknownLawError, terminal_of, unsigned_decimal,
+                       valid_name)
 
 
 class TestNames:
@@ -21,6 +22,22 @@ class TestNames:
     ])
     def test_rejects(self, token):
         assert not valid_name(token)
+
+
+class TestUnsignedDecimal:
+    @pytest.mark.parametrize("text,value", [
+        ("0", 0), ("007", 7), ("65535", 65535),
+        pytest.param("9" * 4300, int("9" * 4300), id="4300-digits"),
+    ])
+    def test_accepts_ascii_digits(self, text, value):
+        assert unsigned_decimal(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "-1", "+1", " 80", "80 ", "1_0", "0x10", "1e3", "\u00b2",
+        "\u0663", "\u0668\u0660", pytest.param("9" * 5000, id="5000-digits"),
+    ])
+    def test_rejects_all_else(self, text):
+        assert unsigned_decimal(text) is None
 
 
 class TestEnums:
