@@ -32,7 +32,9 @@ one too: the handlers' owner serializes them.  From outside, such a
 handler sees only controller messages, an envelope as the bare one it
 carries.  ``LawServer.respond`` and ``Registry.respond`` are
 ``TcpService`` handlers as they stand.  ``call_remote`` opens one
-connection per request, for law fetches and registry calls.  The simulator
+connection per request, for law fetches and registry calls, and
+``CALL_TIMEOUT`` bounds the whole call, however slowly a peer trickles
+its reply.  The simulator
 delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
 schedule of sends yields one possible execution, always the same.  The
 registry is best-effort bookkeeping: rulings never depend on it.
@@ -67,7 +69,7 @@ MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
-CALL_TIMEOUT = 5.0  # seconds call_remote waits to connect, send or read
+CALL_TIMEOUT = 5.0  # seconds one call_remote takes: connect, send and read
 
 
 @dataclass(frozen=True)
@@ -715,14 +717,41 @@ class TcpService:
         self._wake.close()
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic`` reading);
+    TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _DeadlineReader:
+    """The socket ``read_frame`` reads for ``call_remote``: each ``recv``
+    waits only for the time left to one deadline."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+
+    def recv(self, size: int) -> bytes:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv(size)
+
+
 def call_remote(address: tuple[str, int], msg: WireMessage,
                 expect_reply: bool = True) -> Optional[WireMessage]:
-    """One request (and optionally one reply) over a fresh connection."""
+    """One request (and optionally one reply) over a fresh connection, all
+    within ``CALL_TIMEOUT`` seconds: connecting, sending and each read wait
+    only for the time left, so a reply that trickles in times out as a
+    silent one does."""
+    deadline = time.monotonic() + CALL_TIMEOUT
     with socket.create_connection(address, timeout=CALL_TIMEOUT) as sock:
-        send_frame(sock, msg)
+        sock.settimeout(_time_left(deadline))
+        send_frame(sock, msg)  # sendall: the timeout bounds the whole send
         if not expect_reply:
             return None
-        return read_frame(sock)  # create_connection set the timeout
+        return read_frame(_DeadlineReader(sock, deadline))
 
 
 def fetch_law(address: tuple[str, int], name: str) -> LawResponse:

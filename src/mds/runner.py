@@ -266,8 +266,8 @@ class ScenarioRunner:
                     fabric.Registration(component=component, module=module,
                                         address=address),
                     expect_reply=False)
-            except OSError:
-                pass  # registration is best effort
+            except OSError:  # registration is best effort: stop trying
+                self._remote_registry = None
 
     # -- delivery -----------------------------------------------------------
 

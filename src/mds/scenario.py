@@ -16,12 +16,14 @@ or more modules) and outside parties, then a script of deliveries:
 
 `expect` binds to the nearest preceding send step; `@LAW` picks which of a
 component's modules speaks or listens and may be dropped when only one was
-declared.  Lines starting with `#` and blank lines are skipped.
+declared.  One pass of `_ROW` reads the text: it skips blank and `#` lines,
+and only lines that are not a well-formed send or expect are split into words.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -91,17 +93,23 @@ _WORD = re.compile(rf'("{_STRING_BODY})"|(")|(\S+)')
 _QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 _ENDPOINT = re.compile(f"({NAME})(?:@({NAME}))?")
 
-# The two lines a script repeats, matched whole on a stripped line so a
-# well-formed one becomes its step without being split into words.  An
-# outside sender takes no @MODULE, an operation holds no '"', and a payload
-# is one string.  A line they miss is read word by word, and only there are
-# diagnostics made.
-_SEND_LINE = re.compile(
-    rf"(outside)?send\s+({NAME})(?(1)|(?:@({NAME}))?)\s+->\s+"
-    rf'({NAME})(?:@({NAME}))?\s+op\s+([^\s"]+)'
-    rf'(?:\s+payload\s+"({_STRING_BODY})")?')
-_EXPECT_LINE = re.compile(
-    rf'expect\s+({"|".join(OUTCOMES)})(?:\s+matched\s+([^\s"]+))?')
+# One match per line, ended by "\n" or the end of the text; blanks are all
+# whitespace but "\n", so a "\r" before it is one.  The last group a match
+# closes sorts it: 6-7 a send (an outside sender takes no @MODULE, an
+# operation no '"', a payload one string with no backslash), 8-9 an expect,
+# 10 any other line, none a blank or '#' line.  No repeat need give back a
+# character, so Python 3.10's greedy ones (it has no possessive repeats) take
+# the same rows.
+_B = r"[^\S\n]"
+_ROW = (
+    rf"{_B}*+(?:(?:send|(outside)send){_B}++({NAME})(?(1)|(?:@({NAME}))?)"
+    rf'{_B}++->{_B}++({NAME})(?:@({NAME}))?{_B}++op{_B}++([^\s"]++)'
+    rf'(?:{_B}++payload{_B}++"([^"\\\n]*+)")?'
+    rf'|expect{_B}++({"|".join(OUTCOMES)})(?:{_B}++matched{_B}++([^\s"]++))?'
+    rf"|#[^\n]*+)?{_B}*+(?:\n|\Z)|([^\n]*+)\n?")
+_ROW = re.compile(_ROW if sys.version_info >= (3, 11)
+                  else _ROW.replace("*+", "*").replace("++", "+"))
+_EXPECT_ROW, _OTHER_ROW = 8, 10
 
 
 def _split(line: str, lineno: int) -> list[str]:
@@ -115,12 +123,8 @@ def _split(line: str, lineno: int) -> list[str]:
     for quoted, lone, word in _WORD.findall(line):
         if lone:
             raise ScenarioError(lineno, "unterminated string")
-        out.append(_unescape(quoted) or word)
+        out.append(_QUOTED_ESCAPE.sub(r"\1", quoted) or word)
     return out
-
-
-def _unescape(body: str) -> str:
-    return _QUOTED_ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 def _endpoint(token: str, lineno: int) -> tuple[str, Optional[str]]:
@@ -159,26 +163,21 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
     steps: list[Step] = []
     last_send: Optional[SendStep] = None  # what an expect line binds to
 
-    # Lines end at "\n" only; strip() drops a "\r" before it.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, m in enumerate(_ROW.finditer(text), start=1):
+        if (kind := m.lastindex) is None:
             continue
-        m = _SEND_LINE.fullmatch(line)
-        if m is not None:
-            (outside, sender, sender_law, target, target_law, operation,
-             payload) = m.groups()
-            last_send = SendStep(
-                sender, sender_law, target, target_law, operation,
-                b"" if payload is None else _unescape(payload).encode("utf-8"),
-                outside is not None, lineno)
+        if kind < _EXPECT_ROW:
+            last_send = SendStep(m[2], m[3], m[4], m[5], m[6],
+                                 (m[7] or "").encode(), m[1] is not None,
+                                 lineno)
             steps.append(last_send)
             continue
-        m = _EXPECT_LINE.fullmatch(line)
-        if m is not None and last_send is not None and last_send.expect is None:
-            last_send.expect = Expectation(m[1], m[2], lineno)
+        if kind < _OTHER_ROW and last_send and last_send.expect is None:
+            # Expectation() would run NamedTuple's Python-level __new__.
+            last_send.expect = tuple.__new__(Expectation,
+                                             (m[8], m[9], lineno))
             continue
-        words = _split(line, lineno)
+        words = _split(m[0], lineno)
         head = words[0]
 
         if head == "scenario":

@@ -1,7 +1,9 @@
 """Command-line entry points and exit codes."""
 
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -133,6 +135,42 @@ class TestRunCommand:
         assert status == 1
         assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
                        f"law server sent no law_response\n")
+
+    def test_a_trickling_law_server_fails_within_the_call_timeout(
+            self, scenario_dir, monkeypatch, capsys):
+        """A reply that comes a byte at a time, each well within the time
+        one read may take, still ends the call at ``CALL_TIMEOUT``."""
+        monkeypatch.setattr(fabric, "CALL_TIMEOUT", 1.0)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+
+            def serve():  # promise 200 bytes, then send one each 0.2 s
+                conn, _ = listener.accept()
+                with conn:
+                    fabric.read_frame(conn)
+                    stop = time.monotonic() + 4.0
+                    try:
+                        conn.sendall(struct.pack(">I", 200))
+                        while time.monotonic() < stop:
+                            conn.sendall(b"\0")
+                            time.sleep(0.2)
+                    except OSError:  # the client gave up
+                        pass
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            address = "{}:{}".format(*listener.getsockname())
+            monkeypatch.setenv("MDS_LAW_SERVER", address)
+            start = time.monotonic()
+            status = main(["run", str(scenario_dir / "sandbox.mds"),
+                           "--mode", "tcp"])
+            took = time.monotonic() - start
+            server.join(timeout=10.0)
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
+                       f"timed out\n")
+        assert took < fabric.CALL_TIMEOUT + 1.0
 
     @pytest.mark.parametrize("where", ["refused", "unresolvable"])
     def test_an_unreachable_law_server_fails_in_one_line(

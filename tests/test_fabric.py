@@ -1271,6 +1271,46 @@ class TestServiceLimits:
         finally:
             service.close()
 
+    def test_replies_that_back_up_wait_in_order_while_others_are_served(
+            self, shipped):
+        """A peer that pipelines thousands of fetches and reads nothing
+        fills its socket; the service then waits to send, serves other
+        peers meanwhile, sends every reply in order once the peer reads,
+        and closes with replies still owed."""
+        names = sorted(shipped.laws) * 500
+        server = LawServer(shipped)
+        want = [server.respond(LawFetch(name)) for name in names]
+        fetches = b"".join(encode_frame(LawFetch(name)) for name in names)
+        service = TcpService()
+        # Accepted sockets take the listener's send buffer.  Loopback's
+        # large segments would make it megabytes; at 16 KiB a send often
+        # finds it full, and the service must wait for room.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+        address = service.serve(listener, server.respond)
+        try:
+            with socket.socket() as greedy:
+                greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                greedy.connect(address)
+                greedy.settimeout(10.0)
+                for round in ("drain", "close"):
+                    sender = threading.Thread(target=greedy.sendall,
+                                              args=(fetches,), daemon=True)
+                    sender.start()
+                    sender.join(timeout=10.0)
+                    assert not sender.is_alive()
+                    _wait_for(greedy, 4096)  # replies wait, unread
+                    assert fetch_law(address, "SB") == want[
+                        names.index("SB")]
+                    if round == "drain":
+                        assert [read_frame(greedy) for _ in names] == want
+                closing = threading.Thread(target=service.close, daemon=True)
+                closing.start()
+                closing.join(timeout=5.0)
+                assert not closing.is_alive()
+        finally:
+            service.close()
+
     def test_replies_to_a_slow_reader_wait_while_others_are_served(
             self, shipped, monkeypatch):
         real_send = socket.socket.send

@@ -472,6 +472,30 @@ class TestExternalServices:
             registry_service.close()
 
 
+    def test_registering_stops_at_the_first_failure(
+            self, scenario_dir, monkeypatch):
+        """Registering is best effort: one failed call, not one per
+        persona, and the run goes on."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = listener.getsockname()  # bound and closed again
+        monkeypatch.setenv(ENV_REGISTRY, "{}:{}".format(*address))
+        calls = []
+        real = fabric.call_remote
+
+        def call_remote(to, msg, expect_reply=True):
+            if isinstance(msg, fabric.Registration):
+                calls.append(msg)
+            return real(to, msg, expect_reply)
+
+        monkeypatch.setattr(fabric, "call_remote", call_remote)
+        scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode="tcp", seed=7)
+        report = runner.run()
+        assert report.ok, [s.text for s in report.failures()]
+        assert len(runner.registry.query()) > 1
+        assert len(calls) == 1
+
+
 class TestOneRulingAtATime:
     """In tcp mode an outside peer's frame is ruled on the network's
     service thread, and the runner's lock keeps that ruling from

@@ -1,5 +1,6 @@
 """Scenario script parsing and validation."""
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from mds import scenario
 from mds.scenario import (OUTCOMES, AdvanceStep, ScenarioError, SendStep,
                           _split, parse_scenario)
 
-SCENARIO_FILES = sorted(
-    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.mds"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_FILES = sorted((REPO_ROOT / "scenarios").glob("*.mds"))
 
 GOOD = """
 # exercise every directive
@@ -251,9 +252,71 @@ class TestEmptyScript:
         assert scn.components == []
 
 
-# -- the fast line patterns against the word-by-word path --------------------
+def _crlf(text):
+    """``text`` with CRLF line ends and no newline after its last line."""
+    return text.replace("\n", "\r\n").removesuffix("\r\n")
 
-_NEVER = re.compile("(?!)")
+
+class TestLineEnds:
+    """A line ends at a newline or at the end of the text; a carriage
+    return before the newline is a blank like any other."""
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_shipped_scenarios(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert parse_scenario(_crlf(text)) == parse_scenario(text)
+
+    @pytest.mark.parametrize("workload", ["sim-mix", "tcp-mix", "deep-law"])
+    def test_workload_scripts(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        text = workloads.build(workload, 1, REPO_ROOT / "laws",
+                               steps=40).scenario_text("laws")
+        assert parse_scenario(_crlf(text)) == parse_scenario(text)
+
+    @pytest.mark.parametrize("body,fragment,line", [
+        pytest.param("transmit a -> c op x\n", "unknown directive", 5,
+                     id="unknown-directive"),
+        pytest.param('send a -> c op x payload "open\n',
+                     "unterminated string", 5, id="unterminated-payload"),
+        pytest.param("send a -> c op x\nexpect maybe\n",
+                     "outcome must be one of", 6, id="bad-outcome"),
+        pytest.param("expect delivered\nsend a -> c op x\n",
+                     "expect with no send before it", 5,
+                     id="expect-before-any-send"),
+        pytest.param("send a -> c op x\nexpect delivered\nexpect delivered\n",
+                     "step already has an expectation", 7,
+                     id="second-expect"),
+        pytest.param("send a -> ghost op x\n", "unknown target", 5,
+                     id="unknown-target"),
+    ])
+    @pytest.mark.parametrize("ends", [str, _crlf], ids=["lf", "crlf"])
+    def test_errors_keep_their_line(self, body, fragment, line, ends):
+        _expect_error(ends(MINI + body), fragment, line=line)
+        _expect_error(ends(MINI + body).removesuffix("\n"), fragment,
+                      line=line)
+
+    @pytest.mark.parametrize("blank", ["\xa0", "\x0b", "\x1c"])
+    def test_unicode_blanks_between_words(self, blank):
+        lines = ['send a -> c@N op x payload "p"',
+                 "expect delivered matched T", "outsidesend w -> c@M op y"]
+        text = _HEADER + "".join(line.replace(" ", blank) + "\n"
+                                 for line in lines)
+        assert parse_scenario(text) == parse_scenario(
+            _HEADER + "".join(line + "\n" for line in lines))
+        _assert_paths_agree(text)
+
+
+# -- the row pattern against the word-by-word path ---------------------------
+
+# Sorts every line but a blank or '#' one as "other", so the parser reads it
+# word by word: the groups that mark a send or an expect never match.
+_WORDS_ONLY = re.compile(
+    r"(?:[^\S\n]*(?:#[^\n]*)?|(?!)" + "()" * (scenario._OTHER_ROW - 1)
+    + r"|([^\n]*))(?:\n|\Z)")
+# The row pattern as Python 3.10 compiles it, with greedy repeats.
+_GREEDY_ROW = re.compile(
+    scenario._ROW.pattern.replace("*+", "*").replace("++", "+"))
 
 
 def _parsed(text):
@@ -267,10 +330,11 @@ def _parsed(text):
 def _assert_paths_agree(text):
     fast = _parsed(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario, "_SEND_LINE", _NEVER)
-        mp.setattr(scenario, "_EXPECT_LINE", _NEVER)
+        mp.setattr(scenario, "_ROW", _GREEDY_ROW)
+        greedy = _parsed(text)
+        mp.setattr(scenario, "_ROW", _WORDS_ONLY)
         slow = _parsed(text)
-    assert fast == slow, text
+    assert fast == greedy == slow, text
 
 
 # Whitespace that str.strip, str.split and \s all treat as a separator.
@@ -356,8 +420,9 @@ _HEADER = ("scenario t\nlaw d\ncomponent a modules M\n"
 
 
 class TestFastLinesAgreeWithWords:
-    """The send and expect patterns build exactly what the word-by-word
-    path builds, and miss every line that path would refuse."""
+    """The row pattern's send and expect rows build exactly what the
+    word-by-word path builds, and it sorts as "other" every line that path
+    would refuse, with possessive repeats or greedy ones."""
 
     @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_shipped_scenarios(self, path):
@@ -369,12 +434,24 @@ class TestFastLinesAgreeWithWords:
 
     def test_shipped_send_and_expect_lines_take_the_patterns(self):
         for path in SCENARIO_FILES:
-            for line in path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
+            for m in scenario._ROW.finditer(path.read_text(encoding="utf-8")):
+                line = m[0].strip()
                 if line.startswith(("send ", "outsidesend ")):
-                    assert scenario._SEND_LINE.fullmatch(line), line
+                    assert m.lastindex < scenario._EXPECT_ROW, line
                 elif line.startswith("expect "):
-                    assert scenario._EXPECT_LINE.fullmatch(line), line
+                    assert (scenario._EXPECT_ROW <= m.lastindex
+                            < scenario._OTHER_ROW), line
+
+    def test_words_only_pattern_sorts_every_line_as_other(self):
+        for path in SCENARIO_FILES:
+            text = path.read_text(encoding="utf-8")
+            rows = list(_WORDS_ONLY.finditer(text))
+            assert len(rows) == text.count("\n") + 1
+            for m in rows:
+                line = m[0].strip()
+                want = (None if not line or line.startswith("#")
+                        else scenario._OTHER_ROW)
+                assert m.lastindex == want, line
 
     @settings(derandomize=True, max_examples=600, deadline=None,
               database=None)
