@@ -33,8 +33,8 @@ handler sees only controller messages, an envelope as the bare one it
 carries.  ``LawServer.respond`` and ``Registry.respond`` are
 ``TcpService`` handlers as they stand.  ``call_remote`` opens one
 connection per request, for law fetches and registry calls, and
-``CALL_TIMEOUT`` bounds the whole call, however slowly a peer trickles
-its reply.  The simulator
+``CALL_TIMEOUT`` bounds the whole call but the host name lookup: every
+address tried, however slowly a peer trickles its reply.  The simulator
 delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
 schedule of sends yields one possible execution, always the same.  The
 registry is best-effort bookkeeping: rulings never depend on it.
@@ -69,7 +69,7 @@ MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
-CALL_TIMEOUT = 5.0  # seconds one call_remote takes: connect, send and read
+CALL_TIMEOUT = 5.0  # seconds one call_remote takes, name lookup aside
 
 
 @dataclass(frozen=True)
@@ -739,14 +739,34 @@ class _DeadlineReader:
         return self._sock.recv(size)
 
 
+def _connect(address: tuple[str, int], deadline: float) -> socket.socket:
+    """``socket.create_connection`` with each attempt, one per address the
+    host name resolves to, waiting only for the time left to ``deadline``;
+    the name lookup itself has no limit."""
+    host, port = address
+    errors: list[OSError] = []
+    for family, kind, proto, _, sockaddr in socket.getaddrinfo(
+            host, port, 0, socket.SOCK_STREAM):
+        timeout = _time_left(deadline)
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(sockaddr)
+            return sock
+        except OSError as exc:
+            sock.close()
+            errors.append(exc)
+    raise errors[0] if errors else OSError("getaddrinfo returns an empty list")
+
+
 def call_remote(address: tuple[str, int], msg: WireMessage,
                 expect_reply: bool = True) -> Optional[WireMessage]:
     """One request (and optionally one reply) over a fresh connection, all
-    within ``CALL_TIMEOUT`` seconds: connecting, sending and each read wait
-    only for the time left, so a reply that trickles in times out as a
-    silent one does."""
+    within ``CALL_TIMEOUT`` seconds but for the host name lookup: each
+    connect attempt, the send and each read wait only for the time left, so
+    a reply that trickles in times out as a silent one does."""
     deadline = time.monotonic() + CALL_TIMEOUT
-    with socket.create_connection(address, timeout=CALL_TIMEOUT) as sock:
+    with _connect(address, deadline) as sock:
         sock.settimeout(_time_left(deadline))
         send_frame(sock, msg)  # sendall: the timeout bounds the whole send
         if not expect_reply:

@@ -97,18 +97,19 @@ _ENDPOINT = re.compile(f"({NAME})(?:@({NAME}))?")
 # whitespace but "\n", so a "\r" before it is one.  The last group a match
 # closes sorts it: 6-7 a send (an outside sender takes no @MODULE, an
 # operation no '"', a payload one string with no backslash), 8-9 an expect,
-# 10 any other line, none a blank or '#' line.  No repeat need give back a
-# character, so Python 3.10's greedy ones (it has no possessive repeats) take
-# the same rows.
-_B = r"[^\S\n]"
-_ROW = (
-    rf"{_B}*+(?:(?:send|(outside)send){_B}++({NAME})(?(1)|(?:@({NAME}))?)"
-    rf'{_B}++->{_B}++({NAME})(?:@({NAME}))?{_B}++op{_B}++([^\s"]++)'
-    rf'(?:{_B}++payload{_B}++"([^"\\\n]*+)")?'
-    rf'|expect{_B}++({"|".join(OUTCOMES)})(?:{_B}++matched{_B}++([^\s"]++))?'
-    rf"|#[^\n]*+)?{_B}*+(?:\n|\Z)|([^\n]*+)\n?")
-_ROW = re.compile(_ROW if sys.version_info >= (3, 11)
-                  else _ROW.replace("*+", "*").replace("++", "+"))
+# 10 any other line, none a blank or '#' line.  A run of blanks is always
+# followed by a word or the line's end, so 3.10's greedy repeats take the
+# rows 3.11's possessive ones take (which read sim-mix's script about 1 ms
+# sooner, BENCH_26.json), and a failing line backs off in linear time.
+_P = "+" if sys.version_info >= (3, 11) else ""
+_BLANKS, _GAP = rf"[^\S\n]*{_P}", rf"[^\S\n]+{_P}"
+_ROW = re.compile(
+    rf"{_BLANKS}(?:(?:send|(outside)send){_GAP}({NAME})(?(1)|(?:@({NAME}))?)"
+    rf'{_GAP}->{_GAP}({NAME})(?:@({NAME}))?{_GAP}op{_GAP}([^\s"]+{_P})'
+    rf'(?:{_GAP}payload{_GAP}"([^"\\\n]*{_P})")?{_BLANKS}'
+    rf'|expect{_GAP}({"|".join(OUTCOMES)})'
+    rf'(?:{_GAP}matched{_GAP}([^\s"]+{_P}))?{_BLANKS}'
+    rf"|#[^\n]*)?(?:\n|\Z)|([^\n]*)\n?")
 _EXPECT_ROW, _OTHER_ROW = 8, 10
 
 

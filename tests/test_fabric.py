@@ -11,6 +11,7 @@ import string
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -783,6 +784,42 @@ class TestTcpServices:
             assert _settle(lambda: threading.active_count() <= before)
         finally:
             peer.close()
+
+    def test_connect_attempts_share_the_call_deadline(self, monkeypatch):
+        """A name that resolves to several addresses gives each attempt
+        only the time left, so the call still ends at ``CALL_TIMEOUT``."""
+        monkeypatch.setattr(fabric, "CALL_TIMEOUT", 0.5)
+        waits = []
+
+        class Unanswered:  # connects that wait, then fail
+            def __init__(self, *args):
+                pass
+
+            def settimeout(self, timeout):
+                self.timeout = timeout
+
+            def connect(self, sockaddr):
+                waits.append(self.timeout)
+                if len(waits) == 1:  # refused after a while
+                    time.sleep(0.2)
+                    raise ConnectionRefusedError("refused")
+                time.sleep(self.timeout)  # silent to the end
+                raise TimeoutError("timed out")
+
+            def close(self):
+                pass
+
+        resolved = [(socket.AF_INET, socket.SOCK_STREAM, 0, "",
+                     ("192.0.2.1", 9))] * 3
+        monkeypatch.setattr(fabric, "socket", types.SimpleNamespace(
+            getaddrinfo=lambda *args: resolved,
+            SOCK_STREAM=socket.SOCK_STREAM, socket=Unanswered))
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            call_remote(("law.example", 9), LawFetch(name="MGMT"))
+        assert time.monotonic() - start < fabric.CALL_TIMEOUT + 0.2
+        assert len(waits) == 2
+        assert waits[1] <= fabric.CALL_TIMEOUT - 0.2
 
     def test_law_fetch_over_sockets(self, shipped):
         service = TcpService(LawServer(shipped).respond)
