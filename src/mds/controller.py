@@ -259,6 +259,8 @@ class Ruling:
     decision: Decision
     matched: Matched
     reason: Optional[str]
+    # the ruling's writes, in order, as the notes described above _Decided;
+    # replayed on the state before the ruling, they give the state after it
     state_updates: tuple[tuple, ...]
     effects: tuple[tuple, ...]
     flow: Optional[FlowKind] = None
@@ -361,7 +363,13 @@ def compile_predicate(p: Predicate) -> _CompiledPred:
 
 
 # A compiled body applies its actions to (state, cert_attrs, updates,
-# effects) and returns (verdict, reason) if it decides, or None.
+# effects) and returns (verdict, reason) if it decides, or None.  Each write
+# appends one note to ``updates``: ("set", key, value) for the value stored;
+# ("increment", key, delta) for a key that now holds delta plus its old
+# value, or plus 0 if that was not an int; ("append-profile", labels) for
+# the labels added to the end of the comma-separated "profile" value.  A
+# set or increment note is made once, when its step is compiled, and every
+# ruling shares it.
 _Decided = Optional[tuple[str, Optional[str]]]
 _CompiledBody = Callable[[dict, dict, list, list], _Decided]
 
@@ -387,12 +395,12 @@ def _compile_step(act: Action, leaf: str,
         return set_state
     if isinstance(act, IncrementState):
         key, delta = act.key, act.delta
+        note = ("increment", key, delta)
 
         def increment(st, ce, updates, effects):
             cur = st.get(key)
-            new = (cur if type(cur) is int else 0) + delta
-            st[key] = new
-            updates.append(("increment", key, delta, new))
+            st[key] = (cur if type(cur) is int else 0) + delta
+            updates.append(note)
         return increment
     if isinstance(act, NotifyRegistry):
         return lambda st, ce, updates, effects: effects.append(_NOTIFY)

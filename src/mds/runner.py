@@ -273,11 +273,16 @@ class ScenarioRunner:
 
     def _deliver(self, label: str, agent: Agent,
                  msg: Union[Envelope, BareInbound]) -> tuple[Decision, str]:
-        with self._lock:
+        # acquire and release, not ``with``: ``with`` makes a bound
+        # ``__exit__`` each time, and the two rulings of a step take the lock
+        self._lock.acquire()
+        try:
             ruling, _delivery = handle_arrive(agent, msg)
             token = self._tokens[ruling.matched]
             self._audit_line(label, "arrived", ruling.flow,
                              ruling.decision._value_, token)
+        finally:
+            self._lock.release()
         return ruling.decision, token
 
     def _audit_line(self, agent_label: str, event: str,
@@ -352,12 +357,15 @@ class ScenarioRunner:
             else:
                 tlabel = None
                 locus = OUTSIDE
-            with self._lock:
+            self._lock.acquire()  # not ``with``: see _deliver
+            try:
                 ruling, env = handle_send(agent, step.operation,
                                           step.payload, step.target, locus)
                 matched = self._tokens[ruling.matched]
                 self._audit_line(slabel, "sent", ruling.flow,
                                  ruling.decision._value_, matched)
+            finally:
+                self._lock.release()
             if ruling.decision is _BLOCK_NOTICE:
                 outcome = BLOCKED_AT_SENDER
             elif tlabel is None:
@@ -368,16 +376,16 @@ class ScenarioRunner:
                 assert env is not None
                 outcome, matched = self._transmit(tlabel, env)
 
-        expect = step.expect
-        if expect is None:
+        want_outcome, want_matched = step.expect_outcome, step.expect_matched
+        if want_outcome is None:
             ok, verdict = True, ""
-        elif expect.outcome == outcome and (expect.matched is None
-                                            or expect.matched == matched):
+        elif want_outcome == outcome and (want_matched is None
+                                          or want_matched == matched):
             ok, verdict = True, " [ok]"
         else:
             ok = False
-            want = f" matched {expect.matched}" if expect.matched else ""
-            verdict = f" [FAIL expected {expect.outcome}{want}]"
+            want = f" matched {want_matched}" if want_matched else ""
+            verdict = f" [FAIL expected {want_outcome}{want}]"
         text = (
             f"{'outsidesend' if step.from_outside else 'send'} "
             f"{step.sender}{'@' if step.sender_law else ''}"

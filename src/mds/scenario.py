@@ -14,7 +14,8 @@ or more modules) and outside parties, then a script of deliveries:
     expect blocked-at-receiver
     advance 5
 
-`expect` binds to the nearest preceding send step; `@LAW` picks which of a
+`expect` binds to the nearest preceding send step and fills its two fields,
+``expect_outcome`` and ``expect_matched``; `@LAW` picks which of a
 component's modules speaks or listens and may be dropped when only one was
 declared.  One pass of `_ROW` reads the text: it skips blank and `#` lines,
 and only lines that are not a well-formed send or expect are split into words.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .model import NAME, not_utf8, unsigned_decimal, valid_name
 
@@ -34,10 +35,15 @@ OUTCOMES = DELIVERED, BLOCKED_AT_SENDER, BLOCKED_AT_RECEIVER = (
 
 
 class ScenarioError(ValueError):
-    def __init__(self, line: int, message: str):
+    """A script fault at ``line``; ``origin`` names the script, and is not
+    part of the message."""
+
+    def __init__(self, line: int, message: str,
+                 origin: Optional[str] = None):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+        self.origin = origin
 
 
 @dataclass(frozen=True)
@@ -45,12 +51,6 @@ class ComponentDecl:
     name: str
     modules: tuple[str, ...]
     cert_attrs: tuple[tuple[str, str], ...]
-
-
-class Expectation(NamedTuple):
-    outcome: str
-    matched: Optional[str]
-    line: int
 
 
 @dataclass(slots=True)
@@ -63,7 +63,8 @@ class SendStep:
     payload: bytes
     from_outside: bool
     line: int
-    expect: Optional[Expectation] = None
+    expect_outcome: Optional[str] = None  # from the expect line, if any
+    expect_matched: Optional[str] = None
 
 
 @dataclass
@@ -156,6 +157,16 @@ def _parse_cert(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
 
 
 def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
+    """The scenario ``text`` holds; a ScenarioError it raises carries
+    ``origin`` as its ``origin``."""
+    try:
+        return _parse(text)
+    except ScenarioError as exc:
+        exc.origin = origin
+        raise
+
+
+def _parse(text: str) -> Scenario:
     name: Optional[str] = None
     law_dir: Optional[str] = None
     components: list[ComponentDecl] = []
@@ -173,10 +184,9 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                                  lineno)
             steps.append(last_send)
             continue
-        if kind < _OTHER_ROW and last_send and last_send.expect is None:
-            # Expectation() would run NamedTuple's Python-level __new__.
-            last_send.expect = tuple.__new__(Expectation,
-                                             (m[8], m[9], lineno))
+        if (kind < _OTHER_ROW and last_send
+                and last_send.expect_outcome is None):
+            last_send.expect_outcome, last_send.expect_matched = m[8], m[9]
             continue
         words = _split(m[0], lineno)
         head = words[0]
@@ -280,9 +290,10 @@ def parse_scenario(text: str, origin: str = "<scenario>") -> Scenario:
                                         "matched token must not be quoted")
             if last_send is None:
                 raise ScenarioError(lineno, "expect with no send before it")
-            if last_send.expect is not None:
+            if last_send.expect_outcome is not None:
                 raise ScenarioError(lineno, "step already has an expectation")
-            last_send.expect = Expectation(outcome, matched, lineno)
+            last_send.expect_outcome = outcome
+            last_send.expect_matched = matched
 
         else:
             raise ScenarioError(lineno, f"unknown directive {head!r}")
@@ -304,32 +315,39 @@ def _check_endpoints(scn: Scenario):
     for step in scn.steps:
         if not isinstance(step, SendStep):
             continue
+        sender = decls.get(step.sender)  # None for an outside party
+        target = decls.get(step.target)
         if step.from_outside:
             if step.sender not in outside:
                 raise ScenarioError(step.line,
                                     f"{step.sender!r} is not an outside party")
-            if step.target not in decls:
+            if target is None:
                 raise ScenarioError(step.line,
                                     f"{step.target!r} is not a component")
         else:
-            if step.sender not in decls:
+            if sender is None:
                 raise ScenarioError(step.line,
                                     f"{step.sender!r} is not a component")
-            if step.target not in decls and step.target not in outside:
+            if target is None and step.target not in outside:
                 raise ScenarioError(step.line, f"unknown target {step.target!r}")
-        for endpoint, law in ((step.sender, step.sender_law),
-                              (step.target, step.target_law)):
-            decl = decls.get(endpoint)
-            if decl is None:
-                continue
-            if law is not None and law not in decl.modules:
-                raise ScenarioError(
-                    step.line, f"{endpoint!r} adopted no module {law!r}")
-            if law is None and len(decl.modules) > 1:
-                raise ScenarioError(
-                    step.line,
-                    f"{endpoint!r} holds several modules; write "
-                    f"{endpoint}@MODULE")
+        if sender is not None:
+            _check_module(step, sender, step.sender_law)
+        if target is not None:
+            _check_module(step, target, step.target_law)
+
+
+def _check_module(step: SendStep, decl: ComponentDecl, law: Optional[str]):
+    """``law``, the @MODULE the step names for ``decl``, is one it adopted,
+    or is left out where it adopted only one."""
+    if law is None:
+        if len(decl.modules) > 1:
+            raise ScenarioError(
+                step.line,
+                f"{decl.name!r} holds several modules; write "
+                f"{decl.name}@MODULE")
+    elif law not in decl.modules:
+        raise ScenarioError(step.line,
+                            f"{decl.name!r} adopted no module {law!r}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -338,5 +356,6 @@ def load_scenario(path: str) -> Scenario:
             text = fh.read()
         except UnicodeDecodeError as exc:
             line, col, what = not_utf8(exc)
-            raise ScenarioError(line, f"{what} at column {col}") from None
+            raise ScenarioError(line, f"{what} at column {col}",
+                                origin=path) from None
     return parse_scenario(text, origin=path)

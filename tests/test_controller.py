@@ -307,10 +307,71 @@ class TestWorkflowState:
                        sender_profile=boss.profile_labels(),
                        sender_lineage=boss.lineage, operation="directive",
                        payload=b"", sender="boss")
+        notes = []
         for expected in (1, 2):
             ruling, _ = handle_arrive(worker, env)
             assert ruling.decision is Decision.DELIVER
             assert worker.state["directives"] == expected
+            assert ruling.state_updates == (("increment", "directives", 1),)
+            notes.append(ruling.state_updates[0])
+        assert notes[0] is notes[1]  # made once, when the law compiled
+
+
+def _replay(state, notes):
+    """``state`` after the writes ``notes`` record, as the notes described
+    in ``controller`` say."""
+    st = dict(state)
+    for note in notes:
+        if note[0] == "set":
+            _, key, value = note
+            st[key] = value
+        elif note[0] == "increment":
+            _, key, delta = note
+            old = st.get(key)
+            st[key] = (old if type(old) is int else 0) + delta
+        else:
+            kind, added = note
+            assert kind == "append-profile", note
+            raw = st.get("profile", "")
+            labels = ([x for x in raw.split(",") if x]
+                      if isinstance(raw, str) else [])
+            st["profile"] = ",".join(labels + list(added))
+    return st
+
+
+class TestWriteLog:
+    """Replaying a ruling's ``state_updates`` on the agent's state from
+    before the ruling gives its state after it."""
+
+    def test_generated_systems(self, monkeypatch):
+        real_send, real_arrive = oracle.handle_send, oracle.handle_arrive
+        seen = {}  # (event, note kind) -> count
+
+        def replayed(kind, agent, ruling, before):
+            assert _replay(before, ruling.state_updates) == agent.state
+            for note in ruling.state_updates:
+                seen[kind, note[0]] = seen.get((kind, note[0]), 0) + 1
+
+        def send(agent, *args):
+            before = dict(agent.state)
+            ruling, env = real_send(agent, *args)
+            replayed("sent", agent, ruling, before)
+            return ruling, env
+
+        def arrive(agent, msg):
+            before = dict(agent.state)
+            ruling, delivery = real_arrive(agent, msg)
+            replayed("import" if isinstance(msg, BareInbound) else "arrived",
+                     agent, ruling, before)
+            return ruling, delivery
+
+        monkeypatch.setattr(oracle, "handle_send", send)
+        monkeypatch.setattr(oracle, "handle_arrive", arrive)
+        for seed in range(40):
+            assert oracle.run_trial(generate_system(seed)) == []
+        for event in ("sent", "arrived", "import"):
+            for kind in ("set", "increment", "append-profile"):
+                assert seen.get((event, kind)), (event, kind, seen)
 
 
 OPEN = """

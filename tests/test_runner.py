@@ -598,6 +598,22 @@ class TestOneRulingAtATime:
         assert report.ok, [s.text for s in report.failures()]
         assert not overlapped
 
+    @pytest.mark.parametrize("name", ["handle_send", "handle_arrive"])
+    def test_a_ruling_that_raises_releases_the_lock(self, scenario_dir,
+                                                    monkeypatch, name):
+        class Broken(Exception):
+            pass
+
+        def broken(*args):
+            raise Broken(name)
+
+        monkeypatch.setattr(f"mds.runner.{name}", broken)
+        scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode="sim", seed=7)
+        with pytest.raises(Broken, match=name):
+            runner.run()
+        assert not runner._lock.locked()
+
 
 class TestLawDirChecking:
     def test_missing_directory_is_a_problem(self, tmp_path):

@@ -1,5 +1,6 @@
 """Scenario script parsing and validation."""
 
+import gc
 import importlib
 import re
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from mds import scenario
 from mds.scenario import (OUTCOMES, AdvanceStep, ScenarioError, SendStep,
-                          _split, parse_scenario)
+                          _split, load_scenario, parse_scenario)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_FILES = sorted((REPO_ROOT / "scenarios").glob("*.mds"))
@@ -55,13 +56,32 @@ class TestParse:
         first = scn.steps[0]
         assert isinstance(first, SendStep)
         assert first.payload == b"hello world"
-        assert first.expect.outcome == "delivered"
-        assert first.expect.matched == "S:inner-permit"
+        assert first.expect_outcome == "delivered"
+        assert first.expect_matched == "S:inner-permit"
         second = scn.steps[1]
         assert second.from_outside
-        assert second.expect.outcome == "blocked-at-receiver"
-        assert second.expect.matched is None
-        assert scn.steps[3].expect is None
+        assert second.expect_outcome == "blocked-at-receiver"
+        assert second.expect_matched is None
+        assert scn.steps[3].expect_outcome is None
+        assert scn.steps[3].expect_matched is None
+
+    @pytest.mark.parametrize("sends", [100, 1000])
+    def test_one_tracked_object_per_send(self, sends):
+        """A send and its expect line leave one object the cyclic collector
+        tracks, the step: nothing per line may creep back."""
+        text = MINI + "".join(
+            f'send a -> c op x{i} payload "p{i}"\n'
+            f"expect delivered matched M:r{i}\n" for i in range(sends))
+        gc.disable()
+        try:
+            gc.collect()
+            before = len(gc.get_objects())
+            scn = parse_scenario(text)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(scn.steps) == sends
+        assert grown <= sends + 20
 
     def test_advance_ticks(self):
         scn = parse_scenario(GOOD)
@@ -155,6 +175,23 @@ class TestErrors:
             parse_scenario(MINI + text)
         assert (err.value.line, err.value.message) == (line, message)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("law d\n", id="while-reading"),
+        pytest.param(MINI + "send a -> ghost op x\n", id="endpoint-check"),
+    ])
+    def test_error_names_its_origin(self, text):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, origin="x.mds")
+        assert err.value.origin == "x.mds"
+        assert str(err.value) == f"line {err.value.line}: {err.value.message}"
+
+    def test_unreadable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "latin1.mds"
+        path.write_bytes(b"scenario t\nlaw d\n# caf\xe9\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert (err.value.line, err.value.origin) == (3, str(path))
+
     def test_repeated_module_in_declaration(self):
         _expect_error("scenario t\nlaw d\ncomponent a modules M,M\n",
                       "repeated module", line=3)
@@ -243,7 +280,7 @@ class TestSplit:
     def test_crlf_line_ends(self):
         scn = parse_scenario(MINI.replace("\n", "\r\n")
                              + "send a -> c op x\r\nexpect delivered\r\n")
-        assert scn.steps[0].expect.outcome == "delivered"
+        assert scn.steps[0].expect_outcome == "delivered"
 
 
 class TestEmptyScript:
