@@ -66,6 +66,9 @@ MAX_FRAME = 1024 * 1024  # bytes in a frame body; a law_response needs ~2 KB
 DELIVERY_TIMEOUT = 10.0  # seconds TcpNetwork.run_until_idle waits per read
 FRAME_DEADLINE = 5.0  # seconds a served peer has to finish a frame it began
 MAX_CONNECTIONS = 32  # connections one TcpService serves at once
+# bytes of kernel send buffer each served peer gets, where loopback's own
+# sizing gives megabytes to a peer that sends requests and reads no reply
+SEND_BUFFER = 64 * 1024
 MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
@@ -515,8 +518,9 @@ class TcpService:
 
     ``TcpService(handler, host, port)`` listens at ``address``; ``serve``
     adds more listeners, each with its own handler.  Every accepted
-    connection keeps a byte buffer, cut into frames at the length prefix
-    (the check ``read_frame`` makes).  The loop thread hands each whole
+    connection gets a kernel send buffer of ``SEND_BUFFER`` bytes and
+    keeps a byte buffer, cut into frames at the length prefix (the check
+    ``read_frame`` makes).  The loop thread hands each whole
     frame to the listener's handler, one frame at a time, and sends back
     the reply it returns; it reads no more from a connection until that
     reply is out.  A handler that raises is logged, and the next frame is
@@ -631,6 +635,7 @@ class TcpService:
                 return
             self._drop(min(idle, key=lambda peer: peer.active))
         sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER)
         peer = _Peer(sock, handler)
         self._peers[sock] = peer
         self._selector.register(sock, peer.events,

@@ -4,9 +4,12 @@ The production controller compiles each hierarchy into a flat program of
 closures.  This module reaches the same verdicts by a deliberately different
 route: it walks the law syntax trees directly, re-derives the scan order
 from parent pointers on every call, resolves overrides by its own search,
-and applies actions interpretively to a copied state.  Randomly generated
-systems are then driven through both and any daylight between the answers
-is a bug in one of them.
+and applies actions interpretively to a copied state.  ``replay`` turns a
+randomly generated system into the records the oracle expects, one per
+controller event, with certificate attributes taken from the script, never
+from production.  ``run_trial`` drives production over the same script and
+reports the first record that differs, which is a bug in one of the two;
+``DiffReport.agreement`` is the share of trials with none.
 """
 
 from __future__ import annotations
@@ -15,18 +18,19 @@ import random
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .conformance import build_hierarchy
-from .controller import (OUTSIDE, BareInbound, DemoIssuer, adopt,
-                         handle_arrive, handle_send, matched_token)
+from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
+                         adopt, handle_arrive, handle_send, matched_token)
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
-                    MetaDirection, MetaPermission, Not, NotifyRegistry,
-                    OpEquals, OpGlob, Or, Override, OverrideKind, Permit,
-                    PeerModuleIs, PeerOutside, PeerProfileHas, Predicate,
-                    RequireCertificate, Rule, RuleMode, SetState, SpecialValue,
-                    StateEquals, StateLess, TruePred)
+                    LawHierarchy, MetaDirection, MetaPermission, Not,
+                    NotifyRegistry, OpEquals, OpGlob, Or, Override,
+                    OverrideKind, Permit, PeerModuleIs, PeerOutside,
+                    PeerProfileHas, Predicate, RequireCertificate, Rule,
+                    RuleMode, SetState, SpecialValue, StateEquals, StateLess,
+                    TruePred)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +215,6 @@ def oracle_flow(perspective: str, sender_module: Optional[str],
     return FlowKind.INFLOW
 
 
-def _profile_labels(state: dict) -> tuple[str, ...]:
-    raw = state.get("profile")
-    if not isinstance(raw, str) or not raw:
-        return ()
-    return tuple(x for x in raw.split(",") if x)
-
-
 # ---------------------------------------------------------------------------
 # Random system generation
 # ---------------------------------------------------------------------------
@@ -239,6 +236,10 @@ class GenComponent:
     name: str
     modules: tuple[str, ...]
     cert_attrs: tuple[tuple[str, str], ...]
+
+    def attributes(self) -> dict[str, str]:
+        """The certificate attributes the runner's ``_mint`` gives it."""
+        return {"modules": ",".join(self.modules), **dict(self.cert_attrs)}
 
 
 @dataclass(frozen=True)
@@ -468,143 +469,140 @@ def generate_system(seed: int) -> GeneratedSystem:
 # ---------------------------------------------------------------------------
 
 
+class Record(NamedTuple):
+    """One controller event, as the ruling on it left the persona."""
+    index: int                # the message's place in the script; -1: adoption
+    persona: tuple[str, str]  # (component, module)
+    event: str                # adopted, sent, arrived or import
+    verdict: str              # permit or block
+    token: str                # the rule, override or default that decided
+    state: dict               # the persona's state after the event
+
+
+def replay(laws: dict[str, Law], components: list[GenComponent],
+           script: list[GenMessage]) -> Iterator[Record]:
+    """The oracle's record of each controller event the script makes, from
+    the laws and the script alone.  A blocked send has no arrival, and
+    neither has a send aimed outside."""
+    certs = {comp.name: comp.attributes() for comp in components}
+    states: dict[tuple[str, str], dict] = {}
+
+    def rule(idx, key, event, ev: OracleEvent) -> Record:
+        verdict, token, states[key] = oracle_evaluate(
+            laws, key[1], states.get(key, {}), certs[key[0]], ev)
+        return Record(idx, key, event, verdict, token, states[key])
+
+    for comp in components:
+        for module in comp.modules:
+            yield rule(-1, (comp.name, module), "adopted",
+                       OracleEvent(EventKind.ADOPTED))
+    for idx, msg in enumerate(script):
+        src, dst, op = msg.sender_module, msg.target_module, msg.operation
+        if src is None:
+            yield rule(idx, (msg.target, dst), "import", OracleEvent(
+                EventKind.ARRIVED, op, FlowKind.IMPORT, msg.sender,
+                peer_outside=True))
+            continue
+        sent = rule(idx, (msg.sender, src), "sent", OracleEvent(
+            EventKind.SENT, op, oracle_flow(src, src, dst), dst or msg.target,
+            peer_outside=dst is None))
+        yield sent
+        if sent.verdict == "permit" and dst is not None:
+            raw = sent.state.get("profile")  # the sender's profile labels
+            labels = raw.split(",") if isinstance(raw, str) else ()
+            yield rule(idx, (msg.target, dst), "arrived", OracleEvent(
+                EventKind.ARRIVED, op, oracle_flow(dst, src, dst), src,
+                frozenset(labels) - {""}))
+
+
+def _production(system: GeneratedSystem, h: LawHierarchy,
+                agents: dict) -> Iterator[Record]:
+    """Production's record of the same events, in ``replay``'s order;
+    puts each agent it adopts in ``agents``."""
+    def record(idx, key, event, ruling) -> Record:
+        return Record(idx, key, event, "permit" if ruling.decision.permits
+                      else "block", matched_token(ruling.matched),
+                      dict(agents[key].state) if key in agents else {})
+
+    for comp in system.components:
+        cert = DemoIssuer().issue(comp.name, comp.attributes())
+        for module in comp.modules:
+            key = (comp.name, module)
+            try:
+                agents[key], ruling = adopt(comp.name, h, module, cert=cert)
+            except AdoptionRefused as exc:
+                yield record(-1, key, "adopted", exc.outcome)
+                return
+            yield record(-1, key, "adopted", ruling)
+    for idx, msg in enumerate(system.script):
+        target = (msg.target, msg.target_module)
+        if msg.sender_module is None:
+            ruling, _ = handle_arrive(agents[target], BareInbound(
+                msg.sender, msg.operation, msg.payload))
+            yield record(idx, target, "import", ruling)
+            continue
+        key = (msg.sender, msg.sender_module)
+        ruling, env = handle_send(agents[key], msg.operation, msg.payload,
+                                  msg.target, msg.target_module or OUTSIDE)
+        yield record(idx, key, "sent", ruling)
+        if env is not None:  # forwarded in-system
+            ruling, _ = handle_arrive(agents[target], env)
+            yield record(idx, target, "arrived", ruling)
+
+
+def _mismatch(seed: int, want: Record, have: Record) -> Optional[str]:
+    """How production's record ``have`` departs from the oracle's ``want``,
+    or None where they agree."""
+    at = "{}@{}".format(*want.persona)
+    if want.index >= 0:
+        where = f"seed {seed} msg {want.index} {want.event}"
+        split = f"{where}: state split"
+    elif want.verdict != "permit":
+        return f"seed {seed}: oracle refused adoption {at} via {want.token}"
+    else:
+        where = f"seed {seed}: adoption {at}"
+        split = f"seed {seed}: adoption state split at {at}:"
+    prod, oracle = (have.verdict, have.token), (want.verdict, want.token)
+    if prod != oracle:
+        return f"{where}: prod {prod} oracle {oracle}"
+    if have.state != want.state:
+        return f"{split} {have.state!r} != {want.state!r}"
+    return None
+
+
 @dataclass
 class DiffReport:
     trials: int
     events_compared: int
-    disagreements: list[str]
+    disagreements: list[str]  # at most one per trial
     elapsed: float
 
     @property
     def agreement(self) -> float:
-        if self.trials == 0:
-            return 1.0
-        return 1.0 - len(self.disagreements) / self.trials
+        """The share of trials on which the two evaluators agree."""
+        return 1.0 - len(self.disagreements) / max(self.trials, 1)
 
 
 def run_trial(system: GeneratedSystem) -> list[str]:
-    """Drive one generated system through both evaluators; returns mismatches."""
-    problems: list[str] = []
+    """Walk the oracle's and production's records of one generated system
+    in lockstep; returns the first mismatch, if any, as a one-line list."""
     h, violations = build_hierarchy(system.laws.values())
     if h is None:
         return [f"seed {system.seed}: generated hierarchy rejected: "
                 + "; ".join(v.kind.value for v in violations)]
-    issuer = DemoIssuer("demo-ca")
-
-    prod_agents = {}
-    oracle_state: dict[tuple[str, str], dict] = {}
-    for comp in system.components:
-        attrs = dict(comp.cert_attrs)
-        attrs.setdefault("modules", ",".join(comp.modules))
-        cert = issuer.issue(comp.name, attrs)
-        for module in comp.modules:
-            agent, _ = adopt(comp.name, h, module, cert=cert)
-            prod_agents[(comp.name, module)] = agent
-            verdict, token, st = oracle_evaluate(
-                system.laws, module, {}, agent.cert_attrs,
-                OracleEvent(event=EventKind.ADOPTED))
-            oracle_state[(comp.name, module)] = st
-            if verdict != "permit":
-                problems.append(
-                    f"seed {system.seed}: oracle refused adoption "
-                    f"{comp.name}@{module} via {token}")
-            elif agent.state != st:
-                problems.append(
-                    f"seed {system.seed}: adoption state split at "
-                    f"{comp.name}@{module}: {agent.state!r} != {st!r}")
-
-    for idx, msg in enumerate(system.script):
-        compare = _compare_bare if msg.sender_module is None else _compare_send
-        problems.extend(compare(system, prod_agents, oracle_state, idx, msg))
-        if problems:
-            return problems
-
-    for key, agent in prod_agents.items():
-        if agent.state != oracle_state[key]:
-            problems.append(
-                f"seed {system.seed}: final state split at {key}: "
-                f"{agent.state!r} != {oracle_state[key]!r}")
-    return problems
-
-
-def _compare_send(system, prod_agents, oracle_state, idx, msg):
-    problems = []
-    key = (msg.sender, msg.sender_module)
-    agent = prod_agents[key]
-    outside = msg.target_module is None
-    locus = OUTSIDE if outside else msg.target_module
-    ruling, env = handle_send(agent, msg.operation, msg.payload, msg.target,
-                              locus)
-    prod = ("permit" if ruling.decision.permits else "block",
-            matched_token(ruling.matched))
-
-    st = oracle_state[key]
-    flow = oracle_flow(msg.sender_module, msg.sender_module,
-                       msg.target_module)
-    overdict, otoken, new_st = oracle_evaluate(
-        system.laws, msg.sender_module, st, agent.cert_attrs,
-        OracleEvent(event=EventKind.SENT, operation=msg.operation, flow=flow,
-                    peer_name=msg.target if outside else msg.target_module,
-                    peer_profile=frozenset(), peer_outside=outside))
-    oracle_state[key] = new_st
-    if (overdict, otoken) != prod:
-        problems.append(f"seed {system.seed} msg {idx} sent: prod {prod} "
-                        f"oracle {(overdict, otoken)}")
-        return problems
-    if agent.state != new_st:
-        problems.append(f"seed {system.seed} msg {idx} sent: state split "
-                        f"{agent.state!r} != {new_st!r}")
-        return problems
-    if prod[0] == "block" or outside:
-        return problems
-
-    # Delivery side.
-    tkey = (msg.target, msg.target_module)
-    target_agent = prod_agents[tkey]
-    ruling2, _ = handle_arrive(target_agent, env)
-    prod2 = ("permit" if ruling2.decision.permits else "block",
-             matched_token(ruling2.matched))
-    sender_profile = frozenset(_profile_labels(new_st))
-    flow2 = oracle_flow(msg.target_module, msg.sender_module,
-                        msg.target_module)
-    overdict2, otoken2, new_st2 = oracle_evaluate(
-        system.laws, msg.target_module, oracle_state[tkey],
-        target_agent.cert_attrs,
-        OracleEvent(event=EventKind.ARRIVED, operation=msg.operation,
-                    flow=flow2, peer_name=msg.sender_module,
-                    peer_profile=sender_profile, peer_outside=False))
-    oracle_state[tkey] = new_st2
-    if (overdict2, otoken2) != prod2:
-        problems.append(f"seed {system.seed} msg {idx} arrived: prod {prod2} "
-                        f"oracle {(overdict2, otoken2)}")
-    elif target_agent.state != new_st2:
-        problems.append(f"seed {system.seed} msg {idx} arrived: state split "
-                        f"{target_agent.state!r} != {new_st2!r}")
-    return problems
-
-
-def _compare_bare(system, prod_agents, oracle_state, idx, msg):
-    problems = []
-    key = (msg.target, msg.target_module)
-    agent = prod_agents[key]
-    inbound = BareInbound(sender_address=msg.sender, operation=msg.operation,
-                          payload=msg.payload)
-    ruling, _ = handle_arrive(agent, inbound)
-    prod = ("permit" if ruling.decision.permits else "block",
-            matched_token(ruling.matched))
-    overdict, otoken, new_st = oracle_evaluate(
-        system.laws, msg.target_module, oracle_state[key], agent.cert_attrs,
-        OracleEvent(event=EventKind.ARRIVED, operation=msg.operation,
-                    flow=FlowKind.IMPORT, peer_name=msg.sender,
-                    peer_profile=frozenset(), peer_outside=True))
-    oracle_state[key] = new_st
-    if (overdict, otoken) != prod:
-        problems.append(f"seed {system.seed} msg {idx} import: prod {prod} "
-                        f"oracle {(overdict, otoken)}")
-    elif agent.state != new_st:
-        problems.append(f"seed {system.seed} msg {idx} import: state split "
-                        f"{agent.state!r} != {new_st!r}")
-    return problems
+    agents: dict = {}  # (component, module) -> production's agent
+    final: dict[tuple[str, str], dict] = {}
+    expected = replay(system.laws, system.components, system.script)
+    for want, have in zip(expected, _production(system, h, agents)):
+        problem = _mismatch(system.seed, want, have)
+        if problem is not None:
+            return [problem]
+        final[want.persona] = want.state
+    for key, agent in agents.items():
+        if agent.state != final[key]:
+            return [f"seed {system.seed}: final state split at {key}: "
+                    f"{agent.state!r} != {final[key]!r}"]
+    return []
 
 
 def run_differential(trials: int, seed: int = 0) -> DiffReport:

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from mds import fabric
+from mds import fabric, oracle
 from mds.cli import main
+from mds.controller import AdoptionRefused, Decision, Ruling
 
 
 class TestLawCommands:
@@ -288,6 +289,20 @@ class TestOtherCommands:
     def test_fuzz_small_batch(self, capsys):
         assert main(["fuzz", "--trials", "10", "--seed", "1"]) == 0
         assert "agree" in capsys.readouterr().out
+
+    def test_fuzz_reports_a_refused_adoption(self, monkeypatch, capsys):
+        """Production refusing what the oracle adopts is a disagreement,
+        and the run ends with exit 1, not a traceback."""
+        def refuse(*args, **kwargs):
+            raise AdoptionRefused("refused", Ruling(
+                Decision.BLOCK_NOTICE, None, "refused", (), ()))
+
+        monkeypatch.setattr(oracle, "adopt", refuse)
+        assert main(["fuzz", "--trials", "3", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "3 disagreement(s)"
+        assert all(": adoption c0@" in line and "prod ('block', '-')" in line
+                   for line in lines[1:-1])
 
     def test_bench_tiny(self, law_dir, capsys):
         assert main(["bench", "--events", "400",

@@ -1291,6 +1291,23 @@ class TestServiceLimits:
                 sock.close()
             service.close()
 
+    def test_a_served_peer_gets_a_bounded_send_buffer(self, shipped):
+        """Replies a peer does not read fill at most SEND_BUFFER bytes of
+        the kernel's memory (Linux reports twice the size asked for), not
+        the megabytes loopback would size it at."""
+        service = TcpService(LawServer(shipped).respond)
+        try:
+            with socket.create_connection(service.address,
+                                          timeout=5.0) as peer:
+                peer.sendall(encode_frame(LawFetch("SB")))
+                assert read_frame(peer).found  # accepted and served
+                [served] = list(service._peers)
+                size = served.getsockopt(socket.SOL_SOCKET,
+                                         socket.SO_SNDBUF)
+        finally:
+            service.close()
+        assert fabric.SEND_BUFFER <= size <= 2 * fabric.SEND_BUFFER
+
     def test_oversized_declaration_is_refused_before_the_body(self):
         stream = (fabric.MAX_FRAME + 1).to_bytes(4, "big") + b"{}" * 64
         sock = ChunkedSocket(stream)
@@ -1309,7 +1326,7 @@ class TestServiceLimits:
             service.close()
 
     def test_replies_that_back_up_wait_in_order_while_others_are_served(
-            self, shipped):
+            self, shipped, monkeypatch):
         """A peer that pipelines thousands of fetches and reads nothing
         fills its socket; the service then waits to send, serves other
         peers meanwhile, sends every reply in order once the peer reads,
@@ -1318,13 +1335,12 @@ class TestServiceLimits:
         server = LawServer(shipped)
         want = [server.respond(LawFetch(name)) for name in names]
         fetches = b"".join(encode_frame(LawFetch(name)) for name in names)
+        # Below one of loopback's 64 KiB segments, a send often finds the
+        # buffer full, and the service must wait for room.
+        monkeypatch.setattr(fabric, "SEND_BUFFER", 16384)
         service = TcpService()
-        # Accepted sockets take the listener's send buffer.  Loopback's
-        # large segments would make it megabytes; at 16 KiB a send often
-        # finds it full, and the service must wait for room.
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
-        address = service.serve(listener, server.respond)
+        address = service.serve(socket.create_server(("127.0.0.1", 0)),
+                                server.respond)
         try:
             with socket.socket() as greedy:
                 greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mds import controller, oracle
 from mds.conformance import build_hierarchy
 from mds.law_lang import parse_law
 from mds.model import EventKind, FlowKind
@@ -118,3 +119,34 @@ class TestDifferential:
         assert report.trials == 150
         assert report.agreement == 1.0
         assert report.events_compared > 1000
+
+    def test_agreement_is_the_share_of_agreeing_trials(self, monkeypatch):
+        """A trial reports at most its first mismatch, however many
+        personas a mutant splits."""
+        real_adopt = oracle.adopt
+
+        def adopt(*args, **kwargs):  # a mutant that splits B's state
+            agent, ruling = real_adopt(*args, **kwargs)
+            if agent.law == "B":
+                agent.state["extra"] = 1
+            return agent, ruling
+
+        monkeypatch.setattr(oracle, "adopt", adopt)
+        report = run_differential(trials=100, seed=1)
+        failing = {line.split()[1].rstrip(":")
+                   for line in report.disagreements}
+        assert 0 < len(failing) < report.trials
+        assert 0 <= report.agreement <= 1
+        assert report.agreement == pytest.approx(
+            1 - len(failing) / report.trials)
+        assert all(" adoption state split at c" in line
+                   for line in report.disagreements)
+
+    def test_the_oracle_reads_certificates_from_the_script(
+            self, monkeypatch):
+        """Production that drops every certificate is caught: the oracle
+        takes each component's attributes from the script, not from the
+        agent production made."""
+        monkeypatch.setattr(controller, "demo_verify", lambda cert: False)
+        report = run_differential(trials=300, seed=1)
+        assert report.disagreements
