@@ -26,17 +26,10 @@ def _cmd_law_check(args) -> int:
             print(problem)
         print(f"rejected: {args.directory}")
         return 1
-    children: dict[str, list[str]] = {name: [] for name in h.laws}
-    for law in h.laws.values():
-        if law.parent is not None:
-            children[law.parent].append(law.name)
     # Depth first from the root, children by name.
-    pending = [h.root]
-    while pending:
-        name = pending.pop()
+    for name in sorted(h.laws, key=h.path):
         depth = len(h.lineage[name]) - 1
         print(f"{'  ' * depth}{name}  {h.laws[name].hash[:12]}")
-        pending.extend(sorted(children[name], reverse=True))
     print(f"ok: {len(h.laws)} laws, root {h.root}")
     return 0
 

@@ -28,8 +28,9 @@ it, compiled the same way.  A guard costs as few calls as its shape allows
 leaf below it, unless its body names the module; the same pass records
 which operations the ``op ==`` atoms of its guard let match, and whether
 the guard reads anything but the operation.  Adoption binds the leaf's
-program, which also holds the hierarchy's lineage table, to the agent
-(``Agent.program``), so a send or an arrival goes straight to ``evaluate``.
+program, which also holds the hierarchy's lineage table and token cache, to
+the agent (``Agent.program``), so a send or an arrival goes straight to
+``evaluate``, and its ruling names the decider by a token rendered once.
 
 Scans are built on demand, never at compile time.  The first scan of an
 event kind lists the entries that kind can reach (``Program.candidates``);
@@ -236,28 +237,30 @@ _EXPORT, _INNER, _OUTFLOW = FlowKind.EXPORT, FlowKind.INNER, FlowKind.OUTFLOW
 _INFLOW, _IMPORT = FlowKind.INFLOW, FlowKind.IMPORT
 
 
-@dataclass(frozen=True)
-class DefaultOfRoot:
-    """Marker for rulings decided by the built-in fallback, not a rule."""
-
-    flow: Optional[FlowKind]
-
-
-Matched = Union[tuple[str, str], DefaultOfRoot, None]
+# what ``evaluate`` says decided: a rule's (law, rule), or a fallback's token
+Matched = Union[tuple[str, str], str]
 
 
 def matched_token(matched: Matched) -> str:
+    """LAW:rule for a rule's pair; a fallback's default:FLOW is its token."""
     if type(matched) is tuple:  # a rule decided: the common case
         return f"{matched[0]}:{matched[1]}"
-    if matched is None:
-        return "-"
-    return f"default:{matched.flow.value if matched.flow else 'adopted'}"
+    return matched
+
+
+class _Tokens(dict):
+    """``matched`` value -> its audit token, rendered on first use.  One per
+    hierarchy; the values come from its rules, so peers cannot grow it."""
+
+    def __missing__(self, matched):
+        token = self[matched] = matched_token(matched)
+        return token
 
 
 @dataclass(slots=True)
 class Ruling:
     decision: Decision
-    matched: Matched
+    matched: str  # audit token: LAW:rule, default:FLOW, or - if malformed
     reason: Optional[str]
     # the ruling's writes, in order, as the notes described above _Decided;
     # replayed on the state before the ruling, they give the state after it
@@ -586,15 +589,16 @@ class Program:
     (guard as written) or ``settled_row`` (guard settled to None), each
     made by the first scan that needs it; the row of an entry with
     overrides is built for its scan.  ``lineages`` is the hierarchy's
-    lineage table, against which an arrival checks its sender's claim.
+    lineage table, against which an arrival checks its sender's claim, and
+    ``tokens`` its token cache (see ``_Tokens``).
     """
 
-    __slots__ = ("leaf", "entries", "lineages", "named", "candidates",
+    __slots__ = ("tokens", "entries", "lineages", "named", "candidates",
                  "tables")
 
-    def __init__(self, leaf: str, entries: tuple[_RuleEntry, ...],
+    def __init__(self, tokens: _Tokens, entries: tuple[_RuleEntry, ...],
                  lineages: dict[str, tuple[str, ...]]):
-        self.leaf = leaf
+        self.tokens = tokens
         self.entries = entries
         self.lineages = lineages
         # operations some ``op ==`` of the program names
@@ -687,13 +691,15 @@ def program_for(h: LawHierarchy, leaf: str) -> Program:
                 ovs = tuple(overrides.get((law.name, rule.id), ()))
             entries.append(_RuleEntry(
                 law.name, rule, *_compile_clause(h, rule, leaf, profile), ovs))
-    program = Program(leaf, tuple(entries), h.lineage)
+    program = Program(h.cache.setdefault("tokens", _Tokens()),
+                      tuple(entries), h.lineage)
     h.cache[("program", leaf)] = program
     return program
 
 
 _FALLBACK_PERMIT = (_OUTFLOW, _INNER)
-_DEFAULT_OF_ROOT = {flow: DefaultOfRoot(flow) for flow in (None, *FlowKind)}
+_DEFAULT_OF_ROOT = {flow: f"default:{flow.value if flow else 'adopted'}"
+                    for flow in (None, *FlowKind)}
 
 
 def evaluate(program: Program, state: dict, cert_attrs: dict,
@@ -753,11 +759,12 @@ def adopt(component: str, h: LawHierarchy, law: str,
     ctx = EventContext(_ADOPTED, "", None, None, _NO_PROFILE, False)
     verdict, matched, updates, effects, reason = evaluate(
         agent.program, agent.state, agent.cert_attrs, ctx)
+    token = agent.program.tokens[matched]
     if verdict == "block":
-        ruling = Ruling(_BLOCK_NOTICE, matched,
+        ruling = Ruling(_BLOCK_NOTICE, token,
                         reason or "adoption blocked", updates, effects)
         raise AdoptionRefused(ruling.reason, ruling)
-    ruling = Ruling(_DELIVER, matched, None, updates, effects)
+    ruling = Ruling(_DELIVER, token, None, updates, effects)
     return agent, ruling
 
 
@@ -775,13 +782,14 @@ def handle_send(agent: Agent, operation: str, payload: bytes, target: str,
     ctx = _tuple_new(EventContext, (
         _SENT, operation, flow,
         target if outside else target_locus, _NO_PROFILE, outside))
+    program = agent.program
     verdict, matched, updates, effects, reason = evaluate(
-        agent.program, agent.state, agent.cert_attrs, ctx)
+        program, agent.state, agent.cert_attrs, ctx)
+    token = program.tokens[matched]
     if verdict == "block":
-        note = reason or f"blocked by {matched_token(matched)}"
-        return Ruling(_BLOCK_NOTICE, matched, note, updates, effects,
-                      flow), None
-    ruling = Ruling(_FORWARD, matched, None, updates, effects, flow)
+        return Ruling(_BLOCK_NOTICE, token, reason or f"blocked by {token}",
+                      updates, effects, flow), None
+    ruling = Ruling(_FORWARD, token, None, updates, effects, flow)
     if outside:
         return ruling, None
     env = Envelope(agent.law, agent.profile_labels(), agent.lineage,
@@ -798,7 +806,7 @@ def handle_arrive(agent: Agent, inbound: Union[Envelope, BareInbound]
     if isinstance(inbound, Envelope):
         if (not inbound.sender_module or not inbound.sender
                 or not inbound.sender_lineage):
-            ruling = Ruling(_BLOCK_NOTICE, None, "malformed envelope",
+            ruling = Ruling(_BLOCK_NOTICE, "-", "malformed envelope",
                             (), ())
             return ruling, None
         # in-system only if the lineage is the one this hierarchy holds for
@@ -827,16 +835,18 @@ def handle_arrive(agent: Agent, inbound: Union[Envelope, BareInbound]
     ctx = _tuple_new(EventContext, (
         _ARRIVED, inbound.operation, flow, peer_name, peer_profile,
         peer_outside))
+    program = agent.program
     verdict, matched, updates, effects, reason = evaluate(
-        agent.program, agent.state, agent.cert_attrs, ctx)
+        program, agent.state, agent.cert_attrs, ctx)
+    token = program.tokens[matched]
     if verdict == "block":
         # Arrival-side blocks stay silent: a notice would leak topology.
-        return Ruling(_BLOCK_SILENT, matched, None, updates, effects,
+        return Ruling(_BLOCK_SILENT, token, None, updates, effects,
                       flow), None
     identity = None
     if not peer_outside and agent.state.get("disclose") == "yes":
         identity = (peer_name, inbound.sender_profile)
     delivery = Delivery(inbound.operation, inbound.payload, identity)
-    return Ruling(_DELIVER, matched, None, updates, effects,
+    return Ruling(_DELIVER, token, None, updates, effects,
                   flow), delivery
 

@@ -706,14 +706,9 @@ def _print_action(a: Action) -> str:
     if isinstance(a, NotifyRegistry):
         return "notify-registry;"
     if isinstance(a, RequireCertificate):
-        parts = []
-        for c in a.constraints:
-            if c.op == "equals":
-                parts.append(f"{c.attr} == {_print_value(c.value)}")
-            else:
-                rhs = c.value.value if isinstance(c.value, SpecialValue) else _quote(c.value)
-                parts.append(f"{c.attr} contains {rhs}")
-        return "require-cert " + ", ".join(parts) + ";"
+        return "require-cert " + ", ".join(
+            f"{c.attr} {'==' if c.op == 'equals' else 'contains'} "
+            f"{_print_value(c.value)}" for c in a.constraints) + ";"
     if isinstance(a, AppendProfile):
         return "append-profile " + ", ".join(a.labels) + ";"
     raise TypeError(f"unknown action {a!r}")  # pragma: no cover

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
-                         adopt, handle_arrive, handle_send, matched_token)
+                         adopt, handle_arrive, handle_send)
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
                     LawHierarchy, MetaDirection, MetaPermission, Not,
@@ -521,7 +521,7 @@ def _production(system: GeneratedSystem, h: LawHierarchy,
     puts each agent it adopts in ``agents``."""
     def record(idx, key, event, ruling) -> Record:
         return Record(idx, key, event, "permit" if ruling.decision.permits
-                      else "block", matched_token(ruling.matched),
+                      else "block", ruling.matched,
                       dict(agents[key].state) if key in agents else {})
 
     for comp in system.components:
@@ -573,7 +573,7 @@ def _mismatch(seed: int, want: Record, have: Record) -> Optional[str]:
 @dataclass
 class DiffReport:
     trials: int
-    events_compared: int
+    events_compared: int  # record pairs compared, up to each mismatch
     disagreements: list[str]  # at most one per trial
     elapsed: float
 
@@ -583,26 +583,34 @@ class DiffReport:
         return 1.0 - len(self.disagreements) / max(self.trials, 1)
 
 
-def run_trial(system: GeneratedSystem) -> list[str]:
+def _lockstep(system: GeneratedSystem) -> tuple[int, list[str]]:
     """Walk the oracle's and production's records of one generated system
-    in lockstep; returns the first mismatch, if any, as a one-line list."""
+    in lockstep; returns the record pairs compared, up to and including the
+    first mismatch, and that mismatch, if any, as a one-line list."""
     h, violations = build_hierarchy(system.laws.values())
     if h is None:
-        return [f"seed {system.seed}: generated hierarchy rejected: "
-                + "; ".join(v.kind.value for v in violations)]
+        return 0, [f"seed {system.seed}: generated hierarchy rejected: "
+                   + "; ".join(v.kind.value for v in violations)]
     agents: dict = {}  # (component, module) -> production's agent
     final: dict[tuple[str, str], dict] = {}
     expected = replay(system.laws, system.components, system.script)
+    compared = 0
     for want, have in zip(expected, _production(system, h, agents)):
+        compared += 1
         problem = _mismatch(system.seed, want, have)
         if problem is not None:
-            return [problem]
+            return compared, [problem]
         final[want.persona] = want.state
     for key, agent in agents.items():
         if agent.state != final[key]:
-            return [f"seed {system.seed}: final state split at {key}: "
-                    f"{agent.state!r} != {final[key]!r}"]
-    return []
+            return compared, [f"seed {system.seed}: final state split at "
+                              f"{key}: {agent.state!r} != {final[key]!r}"]
+    return compared, []
+
+
+def run_trial(system: GeneratedSystem) -> list[str]:
+    """The first mismatch of one generated system, if any, as a list."""
+    return _lockstep(system)[1]
 
 
 def run_differential(trials: int, seed: int = 0) -> DiffReport:
@@ -611,10 +619,9 @@ def run_differential(trials: int, seed: int = 0) -> DiffReport:
     disagreements: list[str] = []
     events = 0
     for _ in range(trials):
-        system_seed = rng.getrandbits(48)
-        system = generate_system(system_seed)
-        events += len(system.script)
-        disagreements.extend(run_trial(system))
+        compared, problems = _lockstep(generate_system(rng.getrandbits(48)))
+        events += compared
+        disagreements.extend(problems)
     return DiffReport(trials=trials, events_compared=events,
                       disagreements=disagreements,
                       elapsed=time.perf_counter() - started)

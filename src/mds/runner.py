@@ -18,8 +18,8 @@ Either way the run leaves an audit trail, one line per controller event:
 
     ts | agent | event | flow | decision | matched
 
-with ``matched`` naming the deciding rule as LAW:rule, the built-in
-fallback as default:FLOW, or ``-`` when nothing applied.
+with ``matched`` the ruling's own token: the deciding rule as LAW:rule, the
+built-in fallback as default:FLOW, or ``-`` for a malformed envelope.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Decision, DemoIssuer, Envelope, adopt,
-                         handle_arrive, handle_send, matched_token)
+                         handle_arrive, handle_send)
 from .model import (FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8,
                     unsigned_decimal)
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
@@ -52,15 +52,6 @@ class RunnerError(RuntimeError):
 
 # bound once, as in ``controller``: a read through the class is slow on 3.10-11
 _DELIVER, _BLOCK_NOTICE = Decision.DELIVER, Decision.BLOCK_NOTICE
-
-
-class _Tokens(dict):
-    """``matched`` value -> its audit token, rendered on first use.  The
-    values come from the hierarchy's rules, so peers cannot grow it."""
-
-    def __missing__(self, matched):
-        token = self[matched] = matched_token(matched)
-        return token
 
 
 def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
@@ -155,7 +146,6 @@ class ScenarioRunner:
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
         self._lock = threading.Lock()  # one ruling at a time, see above
-        self._tokens = _Tokens()
 
         law_dir = (Path(base_dir) / scn.law_dir).resolve()
         h0, problems = check_law_dir(law_dir)
@@ -242,7 +232,7 @@ class ScenarioRunner:
                 except AdoptionRefused as exc:
                     with self._lock:
                         self._audit_line(label, "adopted", None, "refused",
-                                         self._tokens[exc.outcome.matched])
+                                         exc.outcome.matched)
                     self.reports.append(StepReport(
                         0, f"adopt {label}: refused ({exc.reason})", True))
                     continue
@@ -253,7 +243,7 @@ class ScenarioRunner:
                     self._register(decl.name, module, address)
                 with self._lock:
                     self._audit_line(label, "adopted", None, "adopted",
-                                     self._tokens[ruling.matched])
+                                     ruling.matched)
                 self.reports.append(StepReport(0, f"adopt {label}: adopted",
                                                True))
 
@@ -278,12 +268,11 @@ class ScenarioRunner:
         self._lock.acquire()
         try:
             ruling, _delivery = handle_arrive(agent, msg)
-            token = self._tokens[ruling.matched]
             self._audit_line(label, "arrived", ruling.flow,
-                             ruling.decision._value_, token)
+                             ruling.decision._value_, ruling.matched)
         finally:
             self._lock.release()
-        return ruling.decision, token
+        return ruling.decision, ruling.matched
 
     def _audit_line(self, agent_label: str, event: str,
                     flow: Optional[FlowKind], decision: str, matched: str):
@@ -361,7 +350,7 @@ class ScenarioRunner:
             try:
                 ruling, env = handle_send(agent, step.operation,
                                           step.payload, step.target, locus)
-                matched = self._tokens[ruling.matched]
+                matched = ruling.matched
                 self._audit_line(slabel, "sent", ruling.flow,
                                  ruling.decision._value_, matched)
             finally:

@@ -1,5 +1,6 @@
 """Command-line entry points and exit codes."""
 
+import dataclasses
 import socket
 import struct
 import threading
@@ -66,6 +67,15 @@ class TestLawCommands:
         captured = capsys.readouterr()
         assert captured.out.startswith("law SB extends S {")
         assert "sha256" in captured.err
+
+    def test_print_of_an_unreadable_path_fails_in_one_line(self, tmp_path,
+                                                           capsys):
+        missing = tmp_path / "missing.law"
+        assert main(["law", "print", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {missing}: ")
+        assert captured.err.count("\n") == 1, captured.err
 
     def test_print_reports_parse_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.law"
@@ -136,6 +146,32 @@ class TestRunCommand:
         assert status == 1
         assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
                        f"law server sent no law_response\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"found": False}, "law server lacks 'P'"),
+        ({"algo": "md5"}, "law server hashes with 'md5'")],
+        ids=["lacks-a-law", "other-hash"])
+    def test_a_law_server_serving_other_laws_fails_in_one_line(
+            self, scenario_dir, shipped, monkeypatch, capsys, change,
+            message):
+        server = fabric.LawServer(shipped)
+
+        def respond(msg):  # every law but P as it is, or none with sha256
+            reply = server.respond(msg)
+            if msg.name == "P" or "algo" in change:
+                reply = dataclasses.replace(reply, **change)
+            return reply
+
+        service = fabric.TcpService(respond)
+        try:
+            monkeypatch.setenv("MDS_LAW_SERVER",
+                               "{}:{}".format(*service.address))
+            status = main(["run", str(scenario_dir / "sandbox.mds"),
+                           "--mode", "tcp"])
+        finally:
+            service.close()
+        assert status == 1
+        assert capsys.readouterr().err == f"run failed: {message}\n"
 
     def test_a_trickling_law_server_fails_within_the_call_timeout(
             self, scenario_dir, monkeypatch, capsys):
@@ -295,7 +331,7 @@ class TestOtherCommands:
         and the run ends with exit 1, not a traceback."""
         def refuse(*args, **kwargs):
             raise AdoptionRefused("refused", Ruling(
-                Decision.BLOCK_NOTICE, None, "refused", (), ()))
+                Decision.BLOCK_NOTICE, "-", "refused", (), ()))
 
         monkeypatch.setattr(oracle, "adopt", refuse)
         assert main(["fuzz", "--trials", "3", "--seed", "1"]) == 1
@@ -341,6 +377,16 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             "bench failed: law directory rejected: no .law files found\n")
 
+    @pytest.mark.parametrize("needed", ["MS", "OPS"])
+    def test_bench_without_ms_or_ops_fails_in_one_line(
+            self, law_dir, tmp_path, capsys, needed):
+        for law in law_dir.glob("*.law"):
+            if law.stem != needed:
+                (tmp_path / law.name).write_bytes(law.read_bytes())
+        assert main(["bench", "--events", "10", "--laws", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"bench failed: law directory has no law named {needed}\n")
+
     def test_unwritable_audit_fails_in_one_line(self, scenario_dir,
                                                 tmp_path, capsys):
         audit = tmp_path / "missing" / "trail.audit"
@@ -371,6 +417,13 @@ class TestServeCommands:
             main(serve + ["--port", port])
         assert err.value.code == 2
         assert f"must be 0-65535, not {port}" in capsys.readouterr().err
+
+    def test_a_rejected_law_directory_fails_in_one_line(self, tmp_path,
+                                                        capsys):
+        assert main(["lawserver", "serve", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no .law files found\n"
 
     def test_a_port_in_use_fails_in_one_line(self, serve, capsys):
         with socket.create_server(("127.0.0.1", 0)) as taken:

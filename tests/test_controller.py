@@ -522,6 +522,25 @@ class TestMatchDiscipline:
         assert imported.decision is Decision.BLOCK_SILENT
         assert matched_token(imported.matched) == "default:import"
 
+    def test_the_token_cache_renders_as_matched_token(self):
+        """Every leaf of a hierarchy names its rulings through one token
+        cache, which ``matched_token`` fills once per matched value."""
+        h = _hier(BASE, MID, LEAF)
+        mid, _ = adopt("m", h, "Mid")
+        leaf, _ = adopt("l", h, "Leaf")
+        assert mid.program is not leaf.program
+        tokens = leaf.program.tokens
+        assert mid.program.tokens is tokens
+        rulings = [self._arrive(h, agent, "shut", sender_law="Base")[0]
+                   for agent in (mid, leaf)]
+        assert [r.matched for r in rulings] == ["Base:gate", "Base:gate"]
+        assert rulings[0].matched is rulings[1].matched  # rendered once
+        for matched in (("Base", "out"), "default:adopted",
+                        *(f"default:{flow.value}" for flow in FlowKind)):
+            token = tokens[matched]
+            assert token == matched_token(matched)
+            assert tokens[matched] is token
+
 
 class TestLocalityQuick:
     """Rulings read only the acting agent and the message itself."""
@@ -769,8 +788,8 @@ class TestOperationIndex:
         permit = (ctx.event is EventKind.ADOPTED
                   or ctx.flow in (FlowKind.OUTFLOW, FlowKind.INNER))
         return ("permit" if permit else "block",
-                controller.DefaultOfRoot(ctx.flow), tuple(updates),
-                tuple(effects), None)
+                f"default:{ctx.flow.value if ctx.flow else 'adopted'}",
+                tuple(updates), tuple(effects), None)
 
     @staticmethod
     def _systems(rng):
@@ -991,6 +1010,6 @@ class TestTracedSeams:
             entries = [e for e in program.entries if e.rule_id == rule]
             rules = {e.law_name for e in entries}
             sources = {ov.source for e in entries for ov in e.overrides}
-            assert law in rules | sources, (program.leaf, law, rule)
+            assert law in rules | sources, (law, rule)
             by_override += law not in rules
         assert by_override, "no override decided in the shipped scenarios"

@@ -358,7 +358,7 @@ class TestDecodedInbound:
             ruling, _ = handle_arrive(agent, msg)
             if isinstance(msg, Envelope) and not (
                     msg.sender_module and msg.sender and msg.sender_lineage):
-                assert ruling.matched is None and not ruling.decision.permits
+                assert ruling.matched == "-" and not ruling.decision.permits
                 assert agent.state == before
                 continue
             genuine = (isinstance(msg, Envelope) and h.lineage.get(

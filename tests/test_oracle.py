@@ -1,5 +1,7 @@
 """The interpretive reference evaluator and the differential harness."""
 
+import random
+
 import pytest
 
 from mds import controller, oracle
@@ -7,7 +9,7 @@ from mds.conformance import build_hierarchy
 from mds.law_lang import parse_law
 from mds.model import EventKind, FlowKind
 from mds.oracle import (OracleEvent, generate_system, oracle_evaluate,
-                        oracle_flow, run_differential, run_trial)
+                        oracle_flow, replay, run_differential, run_trial)
 
 LAW_TEXTS = {
     "Top": """
@@ -113,6 +115,20 @@ class TestGenerator:
 
 
 class TestDifferential:
+    @pytest.fixture
+    def split_b(self, monkeypatch):
+        """A mutant production that splits the state of each agent of B at
+        its adoption."""
+        real_adopt = oracle.adopt
+
+        def adopt(*args, **kwargs):
+            agent, ruling = real_adopt(*args, **kwargs)
+            if agent.law == "B":
+                agent.state["extra"] = 1
+            return agent, ruling
+
+        monkeypatch.setattr(oracle, "adopt", adopt)
+
     def test_quick_batch_agrees(self):
         report = run_differential(trials=150, seed=2)
         assert report.disagreements == [], report.disagreements[:3]
@@ -120,18 +136,9 @@ class TestDifferential:
         assert report.agreement == 1.0
         assert report.events_compared > 1000
 
-    def test_agreement_is_the_share_of_agreeing_trials(self, monkeypatch):
+    def test_agreement_is_the_share_of_agreeing_trials(self, split_b):
         """A trial reports at most its first mismatch, however many
         personas a mutant splits."""
-        real_adopt = oracle.adopt
-
-        def adopt(*args, **kwargs):  # a mutant that splits B's state
-            agent, ruling = real_adopt(*args, **kwargs)
-            if agent.law == "B":
-                agent.state["extra"] = 1
-            return agent, ruling
-
-        monkeypatch.setattr(oracle, "adopt", adopt)
         report = run_differential(trials=100, seed=1)
         failing = {line.split()[1].rstrip(":")
                    for line in report.disagreements}
@@ -141,6 +148,29 @@ class TestDifferential:
             1 - len(failing) / report.trials)
         assert all(" adoption state split at c" in line
                    for line in report.disagreements)
+
+    def test_events_compared_are_the_record_pairs_walked(self, request):
+        """An agreeing trial counts every record ``replay`` yields; a
+        failing one only the pairs up to and including its mismatch."""
+        rng = random.Random(1)
+        records = []
+        for _ in range(100):
+            system = generate_system(rng.getrandbits(48))
+            records.append(list(replay(system.laws, system.components,
+                                       system.script)))
+        report = run_differential(trials=100, seed=1)
+        assert report.agreement == 1.0
+        assert report.events_compared == sum(map(len, records))
+
+        request.getfixturevalue("split_b")
+        # the mutant splits the first adoption of B, if there is one
+        until_split = [next((i + 1 for i, r in enumerate(trial)
+                             if r.event == "adopted" and r.persona[1] == "B"),
+                            len(trial)) for trial in records]
+        report = run_differential(trials=100, seed=1)
+        assert report.disagreements
+        assert report.events_compared == sum(until_split)
+        assert report.events_compared < sum(map(len, records))
 
     def test_the_oracle_reads_certificates_from_the_script(
             self, monkeypatch):

@@ -13,8 +13,7 @@ import types
 import pytest
 
 from mds import conformance, controller, fabric, law_lang
-from mds.controller import BareInbound, DefaultOfRoot, Envelope, matched_token
-from mds.model import FlowKind
+from mds.controller import BareInbound, Envelope
 from mds.runner import (ENV_LAW_SERVER, ENV_REGISTRY, RunnerError,
                         ScenarioRunner, check_law_dir, run_scenario)
 from mds.scenario import load_scenario, parse_scenario
@@ -338,15 +337,6 @@ class TestPerMessagePath:
             loaded = set(globals_loaded(fn.__code__))
             assert not loaded & {"EventKind", "FlowKind", "Decision"}, \
                 fn.__qualname__
-
-    def test_the_token_cache_renders_as_matched_token(self, scenario_dir):
-        scn = parse_scenario("scenario t\nlaw ../laws\n")
-        tokens = ScenarioRunner(scn, scenario_dir)._tokens
-        for matched in (("S", "inner-permit"), None,
-                        *(DefaultOfRoot(flow) for flow in (None, *FlowKind))):
-            token = tokens[matched]
-            assert token == matched_token(matched)
-            assert tokens[matched] is token  # rendered once
 
 
 class TestLawDistribution:

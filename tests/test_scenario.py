@@ -327,6 +327,24 @@ class TestLineEnds:
                      id="second-expect"),
         pytest.param("send a -> ghost op x\n", "unknown target", 5,
                      id="unknown-target"),
+        pytest.param("scenario u\n", "second scenario line", 5,
+                     id="second-scenario"),
+        pytest.param("law e\n", "second law line", 5, id="second-law"),
+        pytest.param("component 9b modules M\n",
+                     "bad component name '9b'", 5, id="bad-component-name"),
+        pytest.param("component b modules ,\n",
+                     "component needs at least one module", 5,
+                     id="no-module"),
+        pytest.param("component b modules M,9N\n", "bad module name '9N'", 5,
+                     id="bad-module-name"),
+        pytest.param("component b modules M extra\n", "unexpected 'extra'",
+                     5, id="unexpected-after-modules"),
+        pytest.param("component b modules M cert team\n",
+                     "cert attribute 'team' needs k=v", 5,
+                     id="cert-without-value"),
+        pytest.param("send a -> c op x\nexpect delivered by T\n",
+                     "expected: matched TOKEN", 6,
+                     id="expect-without-matched"),
     ])
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_errors_keep_their_line(self, body, fragment, line, end):
