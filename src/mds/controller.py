@@ -24,9 +24,12 @@ the rules on the path root-first: each with its guard and body compiled to
 closures, values that name the module resolved against the leaf, and its
 matched pair; a default rule also carries the overrides that may replace
 it, compiled the same way.  A guard costs as few calls as its shape allows
-(``compile_predicate``).  A rule or override is compiled once for every
-leaf below it, unless its body names the module; the same pass records
-which operations the ``op ==`` atoms of its guard let match, and whether
+(``compile_predicate``).  A guard or body is compiled once per hierarchy
+(``_compile_clause``): the cache is keyed on the parsed node, which the
+laws of one directory load share wherever they spell it alike, so one
+compile serves every clause and leaf that holds the node, unless the body
+names the module, which is compiled for each leaf.  The same pass records
+which operations the ``op ==`` atoms of a guard let match, and whether
 the guard reads anything but the operation.  Adoption binds the leaf's
 program, which also holds the hierarchy's lineage table and token cache, to
 the agent (``Agent.program``), so a send or an arrival goes straight to
@@ -517,23 +520,29 @@ def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
     """(guard, body, operations, reads only op) of a rule or override,
     compiled and analysed once per hierarchy.
 
-    Leaves share what ancestors declare, so the first leaf to reach a clause
-    compiles it for all; only a body that names the module is compiled again
-    for each leaf.
+    The cache is keyed on the guard node and the body node, not on the
+    clause: leaves share what ancestors declare, and the laws of one
+    directory load share every guard and body spelled alike
+    (``law_lang.parse_law``), so the first clause to reach a node compiles
+    it for all.  Only a body that names the module is compiled again for
+    each leaf.
     """
-    done = h.cache.setdefault("clauses", {})
-    hit = done.get(id(clause))
-    if hit is None:
-        body = (None if _names_module(clause.actions)
-                else compile_body(clause.actions, leaf, leaf_profile))
-        # The clause is kept so that its id is not reused while cached.
-        hit = done[id(clause)] = (
-            clause, compile_predicate(clause.predicate), body,
-            _ops_of(clause.predicate), _reads_only_op(clause.predicate))
-    _, guard, body, ops, op_only = hit
+    nodes = h.cache.setdefault("nodes", {})
+    pred, actions = clause.predicate, clause.actions
+    guard = nodes.get(id(pred))
+    if guard is None:
+        # Each node is kept so that its id is not reused while cached.
+        guard = nodes[id(pred)] = (
+            pred, compile_predicate(pred), _ops_of(pred), _reads_only_op(pred))
+    body = nodes.get(id(actions))
     if body is None:
-        body = compile_body(clause.actions, leaf, leaf_profile)
-    return guard, body, ops, op_only
+        body = nodes[id(actions)] = (
+            actions, None if _names_module(actions)
+            else compile_body(actions, leaf, leaf_profile))
+    compiled = body[1]
+    if compiled is None:
+        compiled = compile_body(actions, leaf, leaf_profile)
+    return guard[1], compiled, guard[2], guard[3]
 
 
 class _OvEntry:

@@ -40,15 +40,27 @@ runs to the end of its row.  A STRING closes on its own row, holds no
 control character and knows only the escapes ``\\ \" \n \t``.  A run of
 ``[A-Za-z0-9_-]`` is an INT when it reads ``-?[0-9]+`` and a name when it
 starts with a letter or ``_``; any other run is an error.  One ``findall``
-over the whole text gives the lexeme strings, with ``""`` for the end of
-input, and the parser reads each lexeme's kind from its first character.
-A text that starts with a byte order mark or holds a bad lexeme is
-refused with one diagnostic, at the mark or the first bad lexeme.
-Positions cost nothing until a diagnostic needs one: then a ``finditer``
-walk over the same expression finds the lexeme's offset, and the line and
-column follow from it.  Columns count characters from 1, tabs included.
-A predicate nests at most ``MAX_NESTING`` (64) levels of ``(`` and
-``not``, so no text can exhaust the interpreter's stack.
+over the text plus a newline gives the parser its list of lexeme strings:
+its one group reads ``""`` both for a bad lexeme and for the end of the
+text, which the added newline makes come exactly twice, so any earlier
+``""`` marks a bad lexeme.  The parser reads each lexeme's kind from its
+first character.  A text that starts with a byte order mark or holds a
+bad lexeme is refused with one diagnostic, at the mark or the first bad
+lexeme, found again by a walk over the text.  Positions cost nothing
+until a diagnostic needs one: then a ``finditer`` walk over the same
+expression finds the lexeme's offset, and the line and column follow
+from it.  Columns count characters from 1, tabs included.  A predicate
+nests at most ``MAX_NESTING`` (64) levels of ``(`` and ``not``, so no
+text can exhaust the interpreter's stack.
+
+A law tree repeats its guards and bodies from law to law, so
+``parse_law`` takes an optional memo, which ``runner.load_law_dir``
+passes to every parse of one directory load and then drops.  The memo
+maps the lexemes from a guard's ``if`` up to its ``{``, or from a body's
+``{`` up to its ``}``, to the node they parsed to, and holds a node only
+if its parse succeeded and stopped right at that delimiter.  So every
+clause that spells a guard or body alike gets the same immutable node,
+and no law, hash or diagnostic changes.
 
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
@@ -64,7 +76,6 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from itertools import islice
-from operator import itemgetter
 from string import ascii_letters
 from typing import Callable, Iterator, Optional, Union
 
@@ -143,24 +154,27 @@ class LawParseError(ValueError):
 # \\ \" \n \t.
 _STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\[\\"nt])*'
 
-# Skip blanks and comments one character or comment at a time, then take a
-# lexeme (group 1), the end of the text (group 1, empty) or a bad lexeme
-# (group 2).  The last alternative cannot fail, so the skip never backtracks
-# and lexing stays linear.  A '"' that opens no well-formed string on its
-# row is a bad lexeme, and ``_lex_error`` says why.
+# Blanks and comments, skipped one character or comment at a time.
+_SKIP = r"(?:[ \t\r\n]|#[^\n]*)*"
+# Where no lexeme matches: a bad word, or one character.
+_BAD = NAME_CHAR + r"+|[^ \t\r\n]"
+
+# Skip, then take a lexeme (the group), the end of the text (the group,
+# empty) or a bad lexeme (no group, so ``findall`` gives "").  The last
+# alternative cannot fail, so the skip never backtracks and lexing stays
+# linear.  A '"' that opens no well-formed string on its row is a bad
+# lexeme, and ``_lex_error`` says why.
 _LEXEME = re.compile(
-    r"(?:[ \t\r\n]|#[^\n]*)*"
-    r"(?:(" + NAME                              # 1 NAME
-    + r"|==|[{}\[\](),;.=<]"                    #   PUNCT
-    + r'|"' + _STRING_BODY + '"'                #   STRING
-    + r"|-?[0-9]+(?!" + NAME_CHAR + ")"         #   NUMBER
-    + r"|\Z)"                                   #   end of text: ""
-    + r"|(" + NAME_CHAR + r"+|[^ \t\r\n]))")    # 2 bad word or character
+    _SKIP + r"(?:(" + NAME                      # NAME
+    + r"|==|[{}\[\](),;.=<]"                    # PUNCT
+    + r'|"' + _STRING_BODY + '"'                # STRING
+    + r"|-?[0-9]+(?!" + NAME_CHAR + ")"         # NUMBER
+    + r"|\Z)"                                   # end of text: ""
+    + r"|" + _BAD + ")")                        # bad lexeme: ""
+_BAD_LEXEME = re.compile(_SKIP + "(" + _BAD + ")")
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-_lexeme = itemgetter(0)
-_bad_lexeme = itemgetter(1)
 
 # A lexeme's first character gives its kind; "" is the end of input.
 _NAME_FIRST = frozenset(ascii_letters + "_")
@@ -195,9 +209,10 @@ def _error(text: str, offset: int, message: str) -> ParseDiagnostic:
 
 
 def _offsets(text: str) -> Iterator[int]:
-    """The text offset of each lexeme that ``findall`` gives, in order."""
+    """The text offset of each lexeme that ``findall`` gives over a text
+    without a bad lexeme, in order."""
     for m in _LEXEME.finditer(text):
-        yield m.start(m.lastindex)
+        yield m.start(1)
 
 
 def _lex_error(text: str) -> ParseDiagnostic:
@@ -205,8 +220,9 @@ def _lex_error(text: str) -> ParseDiagnostic:
     holds a bad lexeme, at the mark or the first bad lexeme."""
     if text.startswith("\ufeff"):
         return ParseDiagnostic(1, 1, "byte order mark not allowed")
-    m = next(m for m in _LEXEME.finditer(text) if m.lastindex == 2)
-    start, value = m.start(2), m.group(2)
+    at = next(m.start() for m in _LEXEME.finditer(text) if m.lastindex is None)
+    m = _BAD_LEXEME.match(text, at)
+    start, value = m.start(1), m.group(1)
     if value == '"':
         end = _STRING_PREFIX.match(text, start + 1).end()
         ahead = text[end:end + 2]
@@ -230,13 +246,15 @@ def _lex_error(text: str) -> ParseDiagnostic:
 class _Parser:
     """Recursive descent over lexeme strings.  A failure records the index
     of the lexeme it is about; ``parse_law`` turns that into a line and
-    column only once a diagnostic is made."""
+    column only once a diagnostic is made.  ``memo``, if given, holds the
+    guards and bodies parsed so far (see ``shared``)."""
 
-    def __init__(self, lexemes: list[str]):
+    def __init__(self, lexemes: list[str], memo: Optional[dict]):
         self.lex = lexemes
         self.pos = 0
         self.depth = 0
         self.errors: list[tuple[int, str]] = []
+        self.memo = memo
 
     def fail(self, message: str, at: Optional[int] = None):
         """Record an error at lexeme ``at``, by default the next one."""
@@ -287,6 +305,31 @@ class _Parser:
             self.fail("integer literal too long")
         self.pos += 1
         return value
+
+    def shared(self, parse: Callable[[], object], close: str):
+        """``parse()`` of the lexemes from the one just passed (``if`` or
+        ``{``) up to the next ``close``, taken from the memo if they were
+        parsed before.  A node is stored only when its parse succeeded and
+        stopped right at ``close``: it then depends on those lexemes alone,
+        so every text that spells them alike gets the same object and the
+        same outcome.  Nodes are immutable, so laws may share them."""
+        memo = self.memo
+        if memo is None:
+            return parse()
+        lex, start = self.lex, self.pos
+        try:
+            end = lex.index(close, start)
+        except ValueError:
+            return parse()
+        key = tuple(lex[start - 1:end])
+        node = memo.get(key)
+        if node is not None:
+            self.pos = end
+            return node
+        node = parse()
+        if self.pos == end:
+            memo[key] = node
+        return node
 
     def comma_list(self, item: Callable[[list], object]) -> list:
         """One or more ``item(done)`` separated by commas, where ``done``
@@ -370,7 +413,8 @@ class _Parser:
         self.expect_keyword("on")
         seen = self.comma_list(self.event)
         events = tuple(e for e in _EVENT_ORDER if e in seen)
-        predicate = self.parse_or() if self.accept("if") else TruePred()
+        predicate = (self.shared(self.parse_or, "{") if self.accept("if")
+                     else TruePred())
         return events, predicate, self.parse_body()
 
     def parse_rule(self) -> Rule:
@@ -418,8 +462,14 @@ class _Parser:
 
     def parse_body(self) -> tuple[Action, ...]:
         self.expect_punct("{")
+        actions = self.shared(self.parse_actions, "}")
+        self.pos += 1  # "}"
+        return actions
+
+    def parse_actions(self) -> tuple[Action, ...]:
+        """The actions of a body, up to its closing ``}``."""
         actions: list[Action] = []
-        while not self.accept("}"):
+        while self.lex[self.pos] != "}":
             if not self.lex[self.pos]:
                 self.fail("unexpected end of input inside rule body")
             if actions and isinstance(actions[-1], (Permit, Block)):
@@ -609,16 +659,21 @@ class _Parser:
             seen_meta.add(pair)
 
 
-def parse_law(text: str, origin: str = "<law>") -> Law:
+def parse_law(text: str, origin: str = "<law>",
+              memo: Optional[dict] = None) -> Law:
     """Parse one law and return it with its canonical-text hash filled in.
 
     Raises :class:`LawParseError` naming ``origin`` and carrying 1-based
-    positioned diagnostics.
+    positioned diagnostics.  ``memo`` is an empty dict that the caller
+    passes to every parse of one batch of laws and then drops: a guard or
+    body spelled alike in two of them is parsed once and shared.
     """
-    found = _LEXEME.findall(text)
-    if text.startswith("\ufeff") or any(map(_bad_lexeme, found)):
+    # With the newline, the end of the text always reads as two "", so an
+    # earlier "" is a bad lexeme.
+    lexemes = _LEXEME.findall(text + "\n")
+    if text.startswith("\ufeff") or lexemes.index("") < len(lexemes) - 2:
         raise LawParseError(origin, [_lex_error(text)])
-    parser = _Parser(list(map(_lexeme, found)))
+    parser = _Parser(lexemes, memo)
     try:
         law = parser.parse()
     except _Abort:

@@ -338,8 +338,8 @@ class LawHierarchy:
 
     ``lineage[name]`` is the chain of law hashes from the root down to
     ``name`` inclusive, so ``lineage[name][0]`` is always the root's hash.
-    ``cache`` holds compiled artifacts (a program per leaf, the rules and
-    overrides they share, and the token cache that names each ruling's
+    ``cache`` holds compiled artifacts (a program per leaf, the guards and
+    bodies they share, and the token cache that names each ruling's
     decider); it never affects equality.
     """
 

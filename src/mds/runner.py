@@ -55,14 +55,20 @@ _DELIVER, _BLOCK_NOTICE = Decision.DELIVER, Decision.BLOCK_NOTICE
 
 
 def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
-    """Parse every *.law file under path.  Returns (laws, problems).
+    """Parse every *.law file in path whose name does not start with a dot,
+    as the shell's ``*.law`` reads them.  Returns (laws, problems).
 
+    One memo serves every parse of the load, so a guard or body spelled
+    alike in several laws is parsed once and shared (``law_lang.parse_law``).
     Name clashes are left in the list on purpose; the conformance check
     reports them with the other hierarchy violations.
     """
     laws: list[Law] = []
     problems: list[str] = []
+    memo: dict = {}
     for file in sorted(Path(path).glob("*.law")):
+        if file.name.startswith("."):  # an editor's lock or backup file
+            continue
         try:
             text = file.read_text(encoding="utf-8")
         except OSError as exc:
@@ -74,7 +80,7 @@ def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
                             f"column {col}")
             continue
         try:
-            law = law_lang.parse_law(text, str(file))
+            law = law_lang.parse_law(text, str(file), memo)
         except law_lang.LawParseError as exc:
             problems.extend(
                 f"{file.name}:{d.line}:{d.col}: {d.message}"

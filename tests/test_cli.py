@@ -62,6 +62,16 @@ class TestLawCommands:
         assert code == 1
         assert "CycleDetected" in capsys.readouterr().out
 
+    def test_check_skips_dot_files(self, law_dir, tmp_path, capsys):
+        # An editor's lock file beside a law it has open: a dangling
+        # symlink named like a law, which the shell's *.law would skip.
+        for file in law_dir.glob("*.law"):
+            (tmp_path / file.name).write_text(file.read_text())
+        (tmp_path / ".#S.law").symlink_to("user@host.1234:1700000000")
+        (tmp_path / ".hidden.law").write_text("not a law")
+        assert main(["law", "check", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("ok: 6 laws, root S\n")
+
     def test_print_emits_canonical_text(self, law_dir, capsys):
         assert main(["law", "print", str(law_dir / "SB.law")]) == 0
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        PeerProfileHas, StateEquals, StateLess, TruePred)
 from mds.oracle import (OracleEvent, generate_system, oracle_evaluate,
                         oracle_flow)
+from mds.runner import check_law_dir
 
 ISSUER = DemoIssuer("demo-ca")
 
@@ -958,6 +959,51 @@ class TestCompiledGuards:
     @given(_GUARDS, _EVENTS, _STATES, _CERTS)
     def test_flat_shapes(self, p, ev, state, cert):
         self._assert_agrees(p, ev, state, cert)
+
+
+class TestSharedNodes:
+    """Laws loaded from one directory share the guards and bodies they
+    spell alike, and a hierarchy compiles each shared node once; a body
+    that names the module is still compiled for each leaf."""
+
+    SIBLING = """law {name} extends R {{
+  profile [{name}];
+  categorical rule init on adopted {{
+    require-cert modules contains module-name;
+    set state.module = module-name;
+  }}
+  default rule r on sent if op == "x" or peer.outside {{
+    permit;
+  }}
+}}
+"""
+
+    @pytest.fixture
+    def h(self, tmp_path):
+        (tmp_path / "R.law").write_text("law R {\n}\n")
+        for name in ("A", "B"):
+            (tmp_path / f"{name}.law").write_text(
+                self.SIBLING.format(name=name))
+        h, problems = check_law_dir(tmp_path)
+        assert h is not None, problems
+        return h
+
+    def test_a_shared_body_that_names_the_module_stays_per_leaf(self, h):
+        assert h.law("A").rules[0].actions is h.law("B").rules[0].actions
+        for leaf in ("A", "B"):
+            agent, ruling = _adopt(h, leaf.lower(), leaf)
+            assert agent.state["module"] == leaf
+            assert ruling.state_updates == (("set", "module", leaf),)
+        with pytest.raises(AdoptionRefused, match="does not list 'B'"):
+            adopt("x", h, "B", cert=ISSUER.issue("x", {"modules": "A"}))
+
+    def test_a_shared_guard_compiles_to_one_closure(self, h):
+        assert (h.law("A").rules[1].predicate
+                is h.law("B").rules[1].predicate)
+        a = controller.program_for(h, "A").entries[-1]
+        b = controller.program_for(h, "B").entries[-1]
+        assert a.pred is b.pred and a.body is b.body
+        assert (a.matched, b.matched) == (("A", "r"), ("B", "r"))
 
 
 class TestTracedSeams:

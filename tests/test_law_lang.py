@@ -1,6 +1,7 @@
 """Law text: parsing, canonical printing, and content hashing."""
 
 import hashlib
+import importlib
 import json
 import random
 import re
@@ -8,14 +9,15 @@ import time
 
 import pytest
 from hypothesis import given
-from test_generative import LAW_PIECES, SETTINGS, _joined
+from test_generative import LAW_PIECES, REPO_ROOT, SETTINGS, _joined
 
 from mds.law_lang import (_LEXEME, LawParseError, _offsets, law_hash,
                           parse_law, print_law, print_predicate)
 from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
                        MetaDirection, Not, OpEquals, OpGlob, Or, RuleMode,
-                       StateEquals, StateLess)
+                       StateEquals, StateLess, TruePred)
 from mds.oracle import generate_system
+from mds.runner import load_law_dir
 
 ROOT_HASH = "179e48fadf68a4c1abe509984725d69f7f631a93a5535c8914cb509cf3df2d1e"
 
@@ -520,22 +522,22 @@ def _row_lexemes(text):
 
 
 def _check_lexemes(text):
-    found = _LEXEME.findall(text)
-    lexemes = [lexeme for lexeme, _ in found]
+    lexemes = _LEXEME.findall(text + "\n")
     reference = _row_lexemes(text)
+    # With the newline, the end of input reads as exactly two "".
+    assert lexemes[-2:] == ["", ""]
     if reference is None:
-        assert text.startswith("\ufeff") or any(bad for _, bad in found)
+        # A bad lexeme reads as "" too.
+        assert text.startswith("\ufeff") or "" in lexemes[:-2]
         return
-    assert not any(bad for _, bad in found)
-    # The end of input reads as one or two "" (after trailing blanks).
-    assert lexemes[:len(reference)] == reference
-    assert 1 <= len(lexemes) - len(reference) <= 2
-    assert not any(lexemes[len(reference):])
-    # The walk that positions diagnostics sees the same lexemes.
+    assert "" not in lexemes[:-2]
+    assert lexemes[:-2] == reference
+    # The walk that positions diagnostics, over the text as given, sees the
+    # same lexemes, then the end of input as one or two "".
     offsets = list(_offsets(text))
-    assert len(offsets) == len(lexemes)
+    assert 1 <= len(offsets) - len(reference) <= 2
     assert [text[at:at + len(lexeme)]
-            for at, lexeme in zip(offsets, lexemes)] == lexemes
+            for at, lexeme in zip(offsets, reference)] == reference
     assert offsets == sorted(offsets) and offsets[-1] == len(text)
 
 
@@ -622,6 +624,109 @@ class TestLexer:
         except LawParseError:
             pass
         assert time.perf_counter() - started < 1.0
+
+
+class TestDirectoryMemo:
+    """``load_law_dir`` parses a directory's files with one memo of guards
+    and bodies; each law and each problem must be what parsing its file
+    alone gives."""
+
+    @staticmethod
+    def _alone(directory):
+        """(laws, problems) of parsing each file without a memo, in the
+        form ``load_law_dir`` reports them."""
+        laws, problems = [], []
+        for file in sorted(directory.glob("*.law")):
+            try:
+                laws.append(parse_law(file.read_text(encoding="utf-8"),
+                                      str(file)))
+            except LawParseError as err:
+                problems.extend(f"{file.name}:{d.line}:{d.col}: {d.message}"
+                                for d in err.diagnostics)
+        return laws, problems
+
+    def _load(self, directory):
+        laws, problems = load_law_dir(directory)
+        alone, alone_problems = self._alone(directory)
+        assert laws == alone
+        assert [law.hash for law in laws] == [law.hash for law in alone]
+        assert problems == alone_problems
+        return laws
+
+    @staticmethod
+    def _write(directory, texts):
+        directory.mkdir()
+        for name, text in texts.items():
+            (directory / name).write_text(text, encoding="utf-8")
+
+    @staticmethod
+    def _deep_texts(monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        return workloads.build("deep-law", 1, REPO_ROOT / "laws",
+                               steps=1).law_texts
+
+    def _canonical_deep(self, monkeypatch, directory):
+        """The deep-law tree, each law printed canonically: there, two
+        guards or bodies are spelled alike exactly when they are equal."""
+        texts = self._deep_texts(monkeypatch)
+        self._write(directory, {name: print_law(parse_law(text))
+                                for name, text in texts.items()})
+        return self._load(directory)
+
+    @staticmethod
+    def _nodes(laws):
+        """(law name, guard or body) of every clause, leaving out the
+        guards and bodies a clause without them gets."""
+        for law in laws:
+            for clause in law.rules + law.overrides:
+                if not isinstance(clause.predicate, TruePred):
+                    yield law.name, clause.predicate
+                if clause.actions:
+                    yield law.name, clause.actions
+
+    def test_damaged_laws_load_as_they_parse_alone(self, law_dir, tmp_path):
+        # Each damaged text is written twice, so the second copy meets
+        # whatever the first left in the memo, and all of them load
+        # before the shipped laws do (digits sort before letters).
+        shipped = {file.name: file.read_text()
+                   for file in sorted(law_dir.glob("*.law"))}
+        damaged = list(_mutations(list(shipped.values()), 300, 30))
+        problems = 0
+        for n in range(30):
+            texts = dict(shipped)
+            for i, text in enumerate(damaged[10 * n:10 * n + 10]):
+                texts[f"M{i}a.law"] = texts[f"M{i}b.law"] = text
+            self._write(tmp_path / str(n), texts)
+            self._load(tmp_path / str(n))
+            problems += len(load_law_dir(tmp_path / str(n))[1])
+        assert problems > 300
+
+    def test_deep_trees_load_as_they_parse_alone(self, monkeypatch,
+                                                 tmp_path):
+        self._write(tmp_path / "generated", self._deep_texts(monkeypatch))
+        assert len(self._load(tmp_path / "generated")) == 64
+        assert len(self._canonical_deep(monkeypatch,
+                                        tmp_path / "canonical")) == 64
+
+    def test_alike_guards_and_bodies_are_one_object(self, monkeypatch,
+                                                    tmp_path):
+        laws = self._canonical_deep(monkeypatch, tmp_path / "deep")
+        found: dict = {}
+        for name, node in self._nodes(laws):
+            ids, names = found.setdefault(node, (set(), set()))
+            ids.add(id(node))
+            names.add(name)
+        assert all(len(ids) == 1 for ids, _ in found.values())
+        # shared across laws, not only within one
+        assert sum(len(names) > 1 for _, names in found.values()) > 50
+
+    def test_separate_loads_share_nothing(self, monkeypatch, tmp_path):
+        first = self._canonical_deep(monkeypatch, tmp_path / "deep")
+        second, problems = load_law_dir(tmp_path / "deep")
+        assert second == first and not problems
+        assert not ({id(node) for _, node in self._nodes(first)}
+                    & {id(node) for _, node in self._nodes(second)})
 
 
 class TestCanonicalPrint:

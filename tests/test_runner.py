@@ -345,9 +345,9 @@ class TestLawDistribution:
         parsed = []
         real = law_lang.parse_law
 
-        def parse_law(text, origin):
+        def parse_law(text, origin, memo):
             parsed.append(origin)
-            return real(text, origin)
+            return real(text, origin, memo)
 
         monkeypatch.setattr(law_lang, "parse_law", parse_law)
         assert run_scenario(scenario_dir / "crosscutting.mds", seed=1).ok
