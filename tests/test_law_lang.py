@@ -651,7 +651,7 @@ class TestDirectoryMemo:
         assert laws == alone
         assert [law.hash for law in laws] == [law.hash for law in alone]
         assert problems == alone_problems
-        return laws
+        return laws, problems
 
     @staticmethod
     def _write(directory, texts):
@@ -672,7 +672,7 @@ class TestDirectoryMemo:
         texts = self._deep_texts(monkeypatch)
         self._write(directory, {name: print_law(parse_law(text))
                                 for name, text in texts.items()})
-        return self._load(directory)
+        return self._load(directory)[0]
 
     @staticmethod
     def _nodes(laws):
@@ -698,14 +698,13 @@ class TestDirectoryMemo:
             for i, text in enumerate(damaged[10 * n:10 * n + 10]):
                 texts[f"M{i}a.law"] = texts[f"M{i}b.law"] = text
             self._write(tmp_path / str(n), texts)
-            self._load(tmp_path / str(n))
-            problems += len(load_law_dir(tmp_path / str(n))[1])
+            problems += len(self._load(tmp_path / str(n))[1])
         assert problems > 300
 
     def test_deep_trees_load_as_they_parse_alone(self, monkeypatch,
                                                  tmp_path):
         self._write(tmp_path / "generated", self._deep_texts(monkeypatch))
-        assert len(self._load(tmp_path / "generated")) == 64
+        assert len(self._load(tmp_path / "generated")[0]) == 64
         assert len(self._canonical_deep(monkeypatch,
                                         tmp_path / "canonical")) == 64
 
