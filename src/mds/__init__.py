@@ -12,8 +12,7 @@ from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Certificate, Decision, Delivery, DemoIssuer, Envelope,
                          Ruling, adopt, handle_arrive, handle_send,
                          matched_token)
-from .law_lang import (HASH_ALGORITHM, LawParseError, law_hash, parse_law,
-                       print_law)
+from .law_lang import HASH_ALGORITHM, LawParseError, parse_law, print_law
 from .model import (EventKind, FlowKind, Law, LawHierarchy, MetaDirection,
                     OverrideKind, Rule, RuleMode, UnknownLawError)
 from .runner import RunReport, RunnerError, check_law_dir, run_scenario
@@ -55,7 +54,6 @@ __all__ = [
     "derive_law",
     "handle_arrive",
     "handle_send",
-    "law_hash",
     "load_scenario",
     "matched_token",
     "parse_law",

@@ -35,18 +35,12 @@ class ViolationKind(Enum):
     CYCLE_DETECTED = "CycleDetected"
     MULTIPLE_ROOTS = "MultipleRoots"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ConformanceViolation:
     kind: ViolationKind
     law: str      # name of the offending law
     detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}: law {self.law!r}: {self.detail}"
 
 
 _COMPATIBLE = {

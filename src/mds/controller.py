@@ -222,9 +222,6 @@ class Decision(Enum):
     BLOCK_SILENT = "block-silent"
     BLOCK_NOTICE = "block-notice"
 
-    def __str__(self) -> str:
-        return self.value
-
     @property
     def permits(self) -> bool:
         return self in (Decision.FORWARD, Decision.DELIVER)

@@ -31,13 +31,14 @@ a ``TcpNetwork`` handler may run there while the caller's thread runs
 one too: the handlers' owner serializes them.  From outside, such a
 handler sees only controller messages, an envelope as the bare one it
 carries.  ``LawServer.respond`` and ``Registry.respond`` are
-``TcpService`` handlers as they stand.  ``call_remote`` opens one
-connection per request, for law fetches and registry calls, and
-``CALL_TIMEOUT`` bounds the whole call but the host name lookup: every
-address tried, however slowly a peer trickles its reply.  The simulator
-delivers strictly in (deliver_at, enqueue sequence) order, so a fixed
-schedule of sends yields one possible execution, always the same.  The
-registry is best-effort bookkeeping: rulings never depend on it.
+``TcpService`` handlers as they stand; ``respond`` is the law server's
+one entry point, in process too.  ``call_remote`` opens one connection
+per request, for law fetches and registry calls, and ``CALL_TIMEOUT``
+bounds the whole call but the host name lookup: every address tried,
+however slowly a peer trickles its reply.  The simulator delivers
+strictly in (deliver_at, enqueue sequence) order, so a fixed schedule of
+sends yields one possible execution, always the same.  The registry is
+best-effort bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import law_lang
 from .controller import BareInbound, Envelope
-from .model import LawHierarchy, UnknownLawError
+from .model import LawHierarchy
 
 log = logging.getLogger("mds.fabric")
 
@@ -69,7 +70,6 @@ MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 # bytes of kernel send buffer each served peer gets, where loopback's own
 # sizing gives megabytes to a peer that sends requests and reads no reply
 SEND_BUFFER = 64 * 1024
-MAX_SIM_EVENTS = 1_000_000  # deliveries SimNetwork.run_until_idle allows
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
 CALL_TIMEOUT = 5.0  # seconds one call_remote takes, name lookup aside
@@ -297,7 +297,8 @@ def decode_body(body: bytes) -> WireMessage:
 
 
 class SimNetwork:
-    """Logical-tick message transport with reproducible delivery order."""
+    """Logical-tick transport: ``run_until_idle`` and ``advance`` pop the
+    (deliver_at, seq) heap and deliver each message due themselves."""
 
     def __init__(self):
         self.clock = 0
@@ -312,27 +313,19 @@ class SimNetwork:
         return address
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
         handler = self._handlers[address]
         heappush(self._pending, (self.clock + latency, self._seq, handler, msg))
         self._seq += 1
 
-    def step(self) -> object:
-        """Deliver the next message due, of which there must be one; returns
-        what its handler returned."""
-        deliver_at, _, handler, msg = heappop(self._pending)
-        if deliver_at > self.clock:
-            self.clock = deliver_at
-        return handler(msg)
-
     def run_until_idle(self) -> object:
+        pending = self._pending
         result = None
-        for _ in range(MAX_SIM_EVENTS):
-            if not self._pending:
-                return result
-            result = self.step()
-        raise RuntimeError("simulator did not quiesce")
+        while pending:
+            deliver_at, _, handler, msg = heappop(pending)
+            if deliver_at > self.clock:
+                self.clock = deliver_at
+            result = handler(msg)
+        return result
 
     def advance(self, ticks: int) -> str:
         """Move the clock forward, delivering everything due on the way.
@@ -341,7 +334,10 @@ class SimNetwork:
         """
         target = self.clock + ticks
         while self._pending and self._pending[0][0] <= target:
-            self.step()
+            deliver_at, _, handler, msg = heappop(self._pending)
+            if deliver_at > self.clock:
+                self.clock = deliver_at
+            handler(msg)
         if target > self.clock:
             self.clock = target
         return f"advance {ticks} -> t={self.clock}"
@@ -363,28 +359,23 @@ class SimNetwork:
 
 
 class LawServer:
-    """Serves each law's canonical text, kept from hashing, plus its lineage."""
+    """Serves each law of the hierarchy it was built from: the canonical
+    text, kept from hashing, plus its lineage."""
 
     def __init__(self, h: LawHierarchy):
-        self._texts = {name: law.text for name, law in h.laws.items()}
-        self._lineage = dict(h.lineage)
-
-    def get(self, name: str) -> tuple[str, tuple[str, ...]]:
-        if name not in self._texts:
-            raise UnknownLawError(f"law server does not hold {name!r}")
-        return self._texts[name], self._lineage[name]
+        self._h = h
 
     def respond(self, msg: WireMessage) -> Optional[LawResponse]:
         """The reply to a law_fetch; None to any other message."""
         if not isinstance(msg, LawFetch):
             return None
-        try:
-            text, lineage = self.get(msg.name)
-        except UnknownLawError:
+        law = self._h.laws.get(msg.name)
+        if law is None:
             return LawResponse(name=msg.name, found=False, text="",
                                lineage=(), algo=law_lang.HASH_ALGORITHM)
-        return LawResponse(name=msg.name, found=True, text=text,
-                           lineage=lineage, algo=law_lang.HASH_ALGORITHM)
+        return LawResponse(name=msg.name, found=True, text=law.text,
+                           lineage=self._h.lineage[msg.name],
+                           algo=law_lang.HASH_ALGORITHM)
 
 
 class Registry:
@@ -487,10 +478,6 @@ def read_frame(sock: socket.socket) -> Optional[WireMessage]:
             return None
         buf += chunk
     return decode_body(bytes(buf[4:]))
-
-
-def send_frame(sock: socket.socket, msg: WireMessage):
-    sock.sendall(encode_frame(msg))
 
 
 Handler = Callable[[WireMessage], Optional[WireMessage]]  # returns a reply
@@ -773,17 +760,10 @@ def call_remote(address: tuple[str, int], msg: WireMessage,
     deadline = time.monotonic() + CALL_TIMEOUT
     with _connect(address, deadline) as sock:
         sock.settimeout(_time_left(deadline))
-        send_frame(sock, msg)  # sendall: the timeout bounds the whole send
+        sock.sendall(encode_frame(msg))  # the timeout bounds the whole send
         if not expect_reply:
             return None
         return read_frame(_DeadlineReader(sock, deadline))
-
-
-def fetch_law(address: tuple[str, int], name: str) -> LawResponse:
-    reply = call_remote(address, LawFetch(name=name))
-    if not isinstance(reply, LawResponse):
-        raise FrameError("law server sent no law_response")
-    return reply
 
 
 class _Link(NamedTuple):

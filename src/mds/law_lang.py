@@ -810,11 +810,6 @@ def text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def law_hash(law: Law) -> str:
-    """Content digest of the canonical serialized law text."""
-    return text_hash(print_law(law))
-
-
 def finalize(law: Law) -> Law:
     """Return the law with its canonical text and that text's hash set."""
     text = print_law(law)

@@ -79,18 +79,12 @@ class EventKind(Enum):
 
     __hash__ = object.__hash__  # as FlowKind's
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class RuleMode(Enum):
     # Categorical rules bind all subordinate laws unconditionally; default
     # rules may be deviated from where a meta permission says so.
     CATEGORICAL = "categorical"
     DEFAULT = "default"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class MetaDirection(Enum):
@@ -107,18 +101,12 @@ class OverrideKind(Enum):
     BLOCK = "block"
     REPLACE = "replace"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class SpecialValue(Enum):
     """Action values resolved against the adopting agent, not literals."""
 
     MODULE_NAME = "module-name"        # name of the leaf law being adopted
     MODULE_PROFILE = "module-profile"  # comma-joined declared profile labels
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # ---------------------------------------------------------------------------

@@ -368,23 +368,15 @@ def _gen_law(rng: random.Random, name: str, parent: Optional[str],
                 if rng.random() < 0.5:
                     meta.append(MetaPermission(rule.id, direction))
     overrides: list[Override] = []
-    granted = [(law, rule, mp)
-               for law in ancestors
-               for rule in law.rules
-               for mp in law.meta
-               if mp.rule_id == rule.id]
     # Only the nearest declaration of a rule id can be overridden; drop
     # grants shadowed by a deeper declaration of the same id.
-    reachable = []
-    for law, rule, mp in granted:
-        deeper = False
-        idx = ancestors.index(law)
-        for other in ancestors[idx + 1:]:
-            if any(r.id == rule.id for r in other.rules):
-                deeper = True
-                break
-        if not deeper and not any(r.id == rule.id for r in rules):
-            reachable.append((law, rule, mp))
+    reachable = [(law, rule, mp)
+                 for law in ancestors
+                 for rule in law.rules
+                 for mp in law.meta
+                 if mp.rule_id == rule.id
+                 and _owning_law(ancestors, len(ancestors), rule.id) == law.name
+                 and not any(r.id == rule.id for r in rules)]
     for _ in range(rng.randint(0, 3)):
         if not reachable:
             break

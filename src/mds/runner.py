@@ -196,7 +196,10 @@ class ScenarioRunner:
 
             def fetch(name: str) -> fabric.LawResponse:
                 try:
-                    return fabric.fetch_law(addr, name)
+                    reply = fabric.call_remote(addr, fabric.LawFetch(name))
+                    if isinstance(reply, fabric.LawResponse):
+                        return reply
+                    raise fabric.FrameError("law server sent no law_response")
                 except (fabric.FrameError, OSError) as exc:
                     raise RunnerError(f"cannot fetch {name!r} from "
                                       f"{addr[0]}:{addr[1]}: {exc}") from exc

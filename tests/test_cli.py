@@ -72,6 +72,16 @@ class TestLawCommands:
         assert main(["law", "check", str(tmp_path)]) == 0
         assert capsys.readouterr().out.endswith("ok: 6 laws, root S\n")
 
+    def test_check_names_a_law_file_that_is_a_directory(self, law_dir,
+                                                         tmp_path, capsys):
+        for file in law_dir.glob("*.law"):
+            (tmp_path / file.name).write_text(file.read_text())
+        (tmp_path / "Z.law").mkdir()
+        assert main(["law", "check", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            f"Z.law: unreadable ([Errno 21] Is a directory: "
+            f"'{tmp_path / 'Z.law'}')\nrejected: {tmp_path}\n")
+
     def test_print_emits_canonical_text(self, law_dir, capsys):
         assert main(["law", "print", str(law_dir / "SB.law")]) == 0
         captured = capsys.readouterr()
@@ -116,15 +126,16 @@ class TestRunCommand:
 
     def test_unparsable_served_law_fails_in_one_line(self, scenario_dir,
                                                      monkeypatch, capsys):
-        real = fabric.LawServer.get
+        real = fabric.LawServer.respond
 
-        def get(self, name):
-            text, lineage = real(self, name)
-            if name == "MS":
-                text = text.replace("permit;", "block;", 1)
-            return text, lineage
+        def respond(self, msg):
+            reply = real(self, msg)
+            if msg.name == "MS":
+                reply = dataclasses.replace(
+                    reply, text=reply.text.replace("permit;", "block;", 1))
+            return reply
 
-        monkeypatch.setattr(fabric.LawServer, "get", get)
+        monkeypatch.setattr(fabric.LawServer, "respond", respond)
         assert main(["run", str(scenario_dir / "crosscutting.mds")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
@@ -142,7 +153,7 @@ class TestRunCommand:
                 with conn:
                     fabric.read_frame(conn)
                     if reply is not None:
-                        fabric.send_frame(conn, reply)
+                        conn.sendall(fabric.encode_frame(reply))
 
             server = threading.Thread(target=serve, daemon=True)
             server.start()

@@ -24,7 +24,7 @@ from mds.fabric import (WIRE_FORMAT, FrameError, LawFetch, LawResponse,
                         LawServer, Registration, Registry, RegistryQuery,
                         RegistryRecord, RegistryRecords, SimNetwork,
                         TcpNetwork, TcpService, call_remote, decode_body,
-                        encode_frame, fetch_law, read_frame, record_size)
+                        encode_frame, read_frame, record_size)
 from mds.controller import BareInbound, Envelope
 from mds.law_lang import print_law
 
@@ -524,12 +524,6 @@ class TestSimNetwork:
         assert run(42) == run(42)
         assert run(42) != run(43)
 
-    def test_step_returns_the_handlers_result(self):
-        net = SimNetwork()
-        net.register("x", lambda msg: msg.operation)
-        net.send("x", BareInbound("s", "one", b""))
-        assert net.step() == "one"
-
 
 @pytest.mark.parametrize("network", [SimNetwork, TcpNetwork])
 def test_run_until_idle_returns_the_last_result_and_raises_errors(network):
@@ -572,15 +566,15 @@ def test_an_unknown_address_is_refused_before_anything_is_queued(network):
 
 class TestLawServer:
     def test_serves_canonical_text_and_lineage(self, shipped):
-        server = LawServer(shipped)
-        text, lineage = server.get("MS")
-        assert text.startswith("law MS extends S {")
-        assert lineage == shipped.lineage["MS"]
+        reply = LawServer(shipped).respond(LawFetch("MS"))
+        assert reply.found is True
+        assert reply.text.startswith("law MS extends S {")
+        assert reply.lineage == shipped.lineage["MS"]
 
     def test_serves_the_text_hashed_at_parse(self, shipped):
         server = LawServer(shipped)
         for name, law in shipped.laws.items():
-            text = server.get(name)[0].encode("utf-8")
+            text = server.respond(LawFetch(name)).text.encode("utf-8")
             assert text == print_law(law).encode("utf-8"), name
             assert hashlib.sha256(text).hexdigest() == law.hash, name
 
@@ -824,10 +818,10 @@ class TestTcpServices:
     def test_law_fetch_over_sockets(self, shipped):
         service = TcpService(LawServer(shipped).respond)
         try:
-            reply = fetch_law(service.address, "SB")
+            reply = call_remote(service.address, LawFetch("SB"))
             assert reply.found
             assert reply.lineage == shipped.lineage["SB"]
-            missing = fetch_law(service.address, "ZZ")
+            missing = call_remote(service.address, LawFetch("ZZ"))
             assert not missing.found
         finally:
             service.close()
@@ -866,6 +860,20 @@ class TestTcpNetwork:
                and time.monotonic() < deadline):
             time.sleep(0.01)
         assert threading.active_count() <= before
+
+    def test_a_failed_own_link_leaves_no_service_thread(self, monkeypatch):
+        def services():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "mds-tcp-service"}
+
+        def refuse():
+            raise OSError("no loopback")
+
+        monkeypatch.setattr(fabric, "_own_link", refuse)
+        before = services()
+        with pytest.raises(OSError, match="no loopback"):
+            TcpNetwork()
+        assert services() <= before
 
     def test_failing_handler_does_not_end_the_connection(self):
         got = []
@@ -1219,7 +1227,7 @@ class TestServiceLimits:
         try:
             with socket.create_connection(service.address) as loris:
                 loris.sendall(b"\x00\x00")  # half a length prefix, then idle
-                reply = fetch_law(service.address, "SB")
+                reply = call_remote(service.address, LawFetch("SB"))
                 assert reply.found and reply.lineage == shipped.lineage["SB"]
                 start = time.monotonic()
                 assert _ended(loris)
@@ -1245,7 +1253,7 @@ class TestServiceLimits:
             assert len(closed) == 8
             assert all(_ended(sock) for sock in flood)
             assert threading.active_count() <= threads
-            assert fetch_law(service.address, "SB").found
+            assert call_remote(service.address, LawFetch("SB")).found
         finally:
             for sock in flood:
                 sock.close()
@@ -1262,7 +1270,8 @@ class TestServiceLimits:
                 peers.append(sock)
                 sock.sendall(encode_frame(LawFetch("SB")))
                 assert read_frame(sock).found
-            assert fetch_law(service.address, "SB").found  # a fifth peer
+            # a fifth peer
+            assert call_remote(service.address, LawFetch("SB")).found
             assert _ended(peers[0])
             for sock in peers[1:]:  # the rest are served still
                 sock.sendall(encode_frame(LawFetch("S")))
@@ -1284,7 +1293,7 @@ class TestServiceLimits:
                 sock.sendall(b"\x00")  # a frame begun, not finished
             time.sleep(0.2)
             with pytest.raises((FrameError, OSError)):
-                fetch_law(service.address, "SB")
+                call_remote(service.address, LawFetch("SB"))
             assert not select.select(peers, [], [], 0)[0]  # all still open
         finally:
             for sock in peers:
@@ -1353,7 +1362,7 @@ class TestServiceLimits:
                     sender.join(timeout=10.0)
                     assert not sender.is_alive()
                     _wait_for(greedy, 4096)  # replies wait, unread
-                    assert fetch_law(address, "SB") == want[
+                    assert call_remote(address, LawFetch("SB")) == want[
                         names.index("SB")]
                     if round == "drain":
                         assert [read_frame(greedy) for _ in names] == want
@@ -1384,7 +1393,7 @@ class TestServiceLimits:
                 slow.connect(service.address)
                 slow.sendall(b"".join(encode_frame(LawFetch(name))
                                       for name in names))
-                reply = fetch_law(service.address, "SB")
+                reply = call_remote(service.address, LawFetch("SB"))
                 assert reply == server.respond(LawFetch("SB"))
                 slow.settimeout(5.0)
 

@@ -1,5 +1,6 @@
 """End-to-end scenario execution over both transports."""
 
+import dataclasses
 import dis
 import gc
 import random
@@ -67,7 +68,7 @@ class TestShippedScenarios:
         for record in records:
             host, port = record.address.rsplit(":", 1)
             with socket.create_connection((host, int(port))) as conn:
-                fabric.send_frame(conn, fabric.LawFetch("S"))
+                conn.sendall(fabric.encode_frame(fabric.LawFetch("S")))
                 conn.shutdown(socket.SHUT_WR)
                 # the service closes the connection once the frame is handled
                 assert conn.recv(1) == b""
@@ -86,7 +87,7 @@ class TestShippedScenarios:
                               "task", b"", "helper")
             with socket.create_connection((host, int(port)),
                                           timeout=5.0) as conn:
-                fabric.send_frame(conn, forged)
+                conn.sendall(fabric.encode_frame(forged))
                 conn.shutdown(socket.SHUT_WR)
                 assert conn.recv(1) == b""  # closed once it is handled
         finally:
@@ -384,43 +385,46 @@ class TestLawDistribution:
 
     def test_wrong_ancestor_hash_in_lineage_is_refused(self, scenario_dir,
                                                        monkeypatch):
-        real = fabric.LawServer.get
+        real = fabric.LawServer.respond
 
-        def get(self, name):
-            text, lineage = real(self, name)
-            if name == "MS":
-                lineage = ("0" * 64,) + lineage[1:]
-            return text, lineage
+        def respond(self, msg):
+            reply = real(self, msg)
+            if msg.name == "MS":
+                reply = dataclasses.replace(
+                    reply, lineage=("0" * 64,) + reply.lineage[1:])
+            return reply
 
-        monkeypatch.setattr(fabric.LawServer, "get", get)
+        monkeypatch.setattr(fabric.LawServer, "respond", respond)
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
         with pytest.raises(RunnerError, match="lineage.*'MS'"):
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
     def test_tampered_law_text_is_refused(self, scenario_dir, monkeypatch):
-        real = fabric.LawServer.get
+        real = fabric.LawServer.respond
 
-        def get(self, name):
-            text, lineage = real(self, name)
-            if name == "MS":
-                text = text.replace('"log"', '"lag"')
-            return text, lineage
+        def respond(self, msg):
+            reply = real(self, msg)
+            if msg.name == "MS":
+                reply = dataclasses.replace(
+                    reply, text=reply.text.replace('"log"', '"lag"'))
+            return reply
 
-        monkeypatch.setattr(fabric.LawServer, "get", get)
+        monkeypatch.setattr(fabric.LawServer, "respond", respond)
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
         with pytest.raises(RunnerError, match="hash mismatch.*'MS'"):
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
     def test_unparsable_law_text_is_refused(self, scenario_dir, monkeypatch):
-        real = fabric.LawServer.get
+        real = fabric.LawServer.respond
 
-        def get(self, name):
-            text, lineage = real(self, name)
-            if name == "MS":
-                text = text.replace("permit;", "block;", 1)
-            return text, lineage
+        def respond(self, msg):
+            reply = real(self, msg)
+            if msg.name == "MS":
+                reply = dataclasses.replace(
+                    reply, text=reply.text.replace("permit;", "block;", 1))
+            return reply
 
-        monkeypatch.setattr(fabric.LawServer, "get", get)
+        monkeypatch.setattr(fabric.LawServer, "respond", respond)
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
         with pytest.raises(RunnerError, match="hash mismatch.*'MS'"):
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)

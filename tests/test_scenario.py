@@ -51,6 +51,12 @@ class TestParse:
         kinds = [type(s).__name__ for s in scn.steps]
         assert kinds == ["SendStep", "SendStep", "AdvanceStep", "SendStep"]
 
+    def test_cert_skips_empty_pairs_and_splits_at_the_first_equals(self):
+        scn = parse_scenario("scenario t\nlaw d\ncomponent c modules M "
+                             "cert dept=a,,clearance=b=c,\n")
+        assert scn.components[0].cert_attrs == (
+            ("dept", "a"), ("clearance", "b=c"))
+
     def test_payload_and_expectation_binding(self):
         scn = parse_scenario(GOOD)
         first = scn.steps[0]
