@@ -157,10 +157,9 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
         violations.append(ConformanceViolation(
             ViolationKind.MULTIPLE_ROOTS, sorted(law.name for law in roots)[0],
             f"parentless laws: {names}"))
-    elif not roots and not violations:
+    elif not by_name:  # else a rootless set has a loop or an unknown parent
         violations.append(ConformanceViolation(
-            ViolationKind.CYCLE_DETECTED, min(by_name) if by_name else "",
-            "no root law (every law names a parent)"))
+            ViolationKind.CYCLE_DETECTED, "", "no laws in the set"))
 
     if violations:
         return None, violations

@@ -276,11 +276,11 @@ class Ruling:
 
 class EventContext(NamedTuple):
     event: EventKind
-    operation: str
-    flow: Optional[FlowKind]
-    peer_name: Optional[str]
-    peer_profile: tuple[str, ...]  # the envelope's, as it arrived
-    peer_outside: bool
+    operation: str = ""
+    flow: Optional[FlowKind] = None
+    peer_name: Optional[str] = None
+    peer_profile: tuple[str, ...] = ()  # the envelope's, as it arrived
+    peer_outside: bool = False
 
 
 # Calling tuple.__new__ skips NamedTuple's Python-level __new__.
@@ -636,8 +636,7 @@ class Program:
             candidates = self.candidates[event] = tuple(
                 e for e in self.entries if event in e.events)
         # op-only guards are settled by a named operation alone
-        ctx = (None if key is _OTHER else
-               EventContext(event, operation, None, None, _NO_PROFILE, False))
+        ctx = None if key is _OTHER else EventContext(event, operation)
         kept = []
         for entry in candidates:
             # ops lie within named, so an unnamed operation is in none
@@ -762,9 +761,8 @@ def adopt(component: str, h: LawHierarchy, law: str,
         attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
                   program=program_for(h, law), cert_attrs=attrs)
-    ctx = EventContext(_ADOPTED, "", None, None, _NO_PROFILE, False)
     verdict, matched, updates, effects, reason = evaluate(
-        agent.program, agent.state, agent.cert_attrs, ctx)
+        agent.program, agent.state, agent.cert_attrs, EventContext(_ADOPTED))
     token = agent.program.tokens[matched]
     if verdict == "block":
         ruling = Ruling(_BLOCK_NOTICE, token,

@@ -4,11 +4,14 @@ The production controller compiles each hierarchy into a flat program of
 closures.  This module reaches the same verdicts by a deliberately different
 route: it walks the law syntax trees directly, re-derives the scan order
 from parent pointers on every call, resolves overrides by its own search,
-and applies actions interpretively to a copied state.  ``replay`` turns a
-randomly generated system into the records the oracle expects, one per
-controller event, with certificate attributes taken from the script, never
-from production.  ``run_trial`` drives production over the same script and
-reports the first record that differs, which is a bug in one of the two;
+and applies actions interpretively to a copied state, ruling on the same
+``EventContext`` production builds.  A randomly generated system is a
+scenario's cast and script: ``ComponentDecl``s and ``SendStep``s.
+``replay`` turns one into the records the oracle expects, one per
+controller event, with certificate attributes taken from the script
+(``ComponentDecl.attributes``), never from production.  ``run_trial``
+drives production over the same script and reports the first record that
+differs, which is a bug in one of the two;
 ``DiffReport.agreement`` is the share of trials with none.
 """
 
@@ -22,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
-                         adopt, handle_arrive, handle_send)
+                         EventContext, adopt, handle_arrive, handle_send)
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
                     LawHierarchy, MetaDirection, MetaPermission, Not,
@@ -31,6 +34,7 @@ from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     PeerProfileHas, Predicate, RequireCertificate, Rule,
                     RuleMode, SetState, SpecialValue, StateEquals, StateLess,
                     TruePred)
+from .scenario import ComponentDecl, SendStep
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +42,8 @@ from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OracleEvent:
-    event: EventKind
-    operation: str = ""
-    flow: Optional[FlowKind] = None
-    peer_name: Optional[str] = None
-    peer_profile: frozenset = frozenset()
-    peer_outside: bool = False
+# The former name, which perfbench's workloads still import.
+OracleEvent = EventContext
 
 
 def oracle_path(laws: dict[str, Law], leaf: str) -> list[Law]:
@@ -59,7 +57,7 @@ def oracle_path(laws: dict[str, Law], leaf: str) -> list[Law]:
     return chain
 
 
-def _eval_pred(p: Predicate, ev: OracleEvent, state: dict,
+def _eval_pred(p: Predicate, ev: EventContext, state: dict,
                cert_attrs: dict) -> bool:
     if isinstance(p, TruePred):
         return True
@@ -106,7 +104,7 @@ def _owning_law(chain: list[Law], upto: int, target: str) -> Optional[str]:
 
 
 def _find_override(chain: list[Law], law_index: int, rule: Rule,
-                   ev: OracleEvent, state: dict,
+                   ev: EventContext, state: dict,
                    cert_attrs: dict) -> Optional[tuple[str, Override]]:
     if rule.mode is not RuleMode.DEFAULT:
         return None
@@ -169,7 +167,7 @@ def _run_body(actions, leaf: str, leaf_profile: tuple[str, ...], state: dict,
 
 def oracle_evaluate(laws: dict[str, Law], leaf: str, state: dict,
                     cert_attrs: dict,
-                    ev: OracleEvent) -> tuple[str, str, dict]:
+                    ev: EventContext) -> tuple[str, str, dict]:
     """Independent ruling: returns (verdict, matched token, new state)."""
     chain = oracle_path(laws, leaf)
     leaf_profile = chain[-1].profile
@@ -231,34 +229,17 @@ MAX_COMPONENTS = 8  # components one generated system has at most
 MAX_MESSAGES = 60  # messages in one generated script at most
 
 
-@dataclass(frozen=True)
-class GenComponent:
-    name: str
-    modules: tuple[str, ...]
-    cert_attrs: tuple[tuple[str, str], ...]
-
-    def attributes(self) -> dict[str, str]:
-        """The certificate attributes the runner's ``_mint`` gives it."""
-        return {"modules": ",".join(self.modules), **dict(self.cert_attrs)}
-
-
-@dataclass(frozen=True)
-class GenMessage:
-    sender: str                      # component or outsider name
-    sender_module: Optional[str]     # None when from outside
-    target: str
-    target_module: Optional[str]     # None when aimed outside
-    operation: str
-    payload: bytes
-
-
 @dataclass
 class GeneratedSystem:
+    """A random law hierarchy, cast and script.  A step names the module
+    of each end inside the system, and None for an end outside it;
+    ``from_outside`` marks an outside sender, and ``line`` is the step's
+    place in the script, from 1."""
     seed: int
     laws: dict[str, Law]
     root: str
-    components: list[GenComponent]
-    script: list[GenMessage]
+    components: list[ComponentDecl]
+    script: list[SendStep]
 
 
 def _gen_predicate(rng: random.Random, modules: list[str],
@@ -419,39 +400,31 @@ def generate_system(seed: int) -> GeneratedSystem:
         laws[name] = law
         order.append(name)
 
-    components: list[GenComponent] = []
+    components: list[ComponentDecl] = []
     for i in range(rng.randint(1, MAX_COMPONENTS)):
         adopted = tuple(rng.sample(names, rng.randint(1, min(2, count))))
         attrs = []
         for attr, values in _CERT_ATTRS:
             if rng.random() < 0.5:
                 attrs.append((attr, rng.choice(values)))
-        components.append(GenComponent(name=f"c{i}", modules=adopted,
-                                       cert_attrs=tuple(attrs)))
+        components.append(ComponentDecl(f"c{i}", adopted, tuple(attrs)))
 
     personas = [(c.name, m) for c in components for m in c.modules]
-    script: list[GenMessage] = []
-    for _ in range(rng.randint(1, MAX_MESSAGES)):
+    script: list[SendStep] = []
+    for line in range(1, rng.randint(1, MAX_MESSAGES) + 1):
         op = rng.choice(_OPS)
         payload = rng.choice(_PAYLOADS)
         if rng.random() < 0.15:
             target, tmod = rng.choice(personas)
-            script.append(GenMessage(sender=rng.choice(_OUTSIDERS),
-                                     sender_module=None, target=target,
-                                     target_module=tmod, operation=op,
-                                     payload=payload))
+            sender, smod = rng.choice(_OUTSIDERS), None
         else:
             sender, smod = rng.choice(personas)
             if rng.random() < 0.15:
-                script.append(GenMessage(sender=sender, sender_module=smod,
-                                         target=rng.choice(_OUTSIDERS),
-                                         target_module=None, operation=op,
-                                         payload=payload))
+                target, tmod = rng.choice(_OUTSIDERS), None
             else:
                 target, tmod = rng.choice(personas)
-                script.append(GenMessage(sender=sender, sender_module=smod,
-                                         target=target, target_module=tmod,
-                                         operation=op, payload=payload))
+        script.append(SendStep(sender, smod, target, tmod, op, payload,
+                               smod is None, line))
     return GeneratedSystem(seed=seed, laws=laws, root=names[0],
                            components=components, script=script)
 
@@ -471,15 +444,15 @@ class Record(NamedTuple):
     state: dict               # the persona's state after the event
 
 
-def replay(laws: dict[str, Law], components: list[GenComponent],
-           script: list[GenMessage]) -> Iterator[Record]:
+def replay(laws: dict[str, Law], components: list[ComponentDecl],
+           script: list[SendStep]) -> Iterator[Record]:
     """The oracle's record of each controller event the script makes, from
     the laws and the script alone.  A blocked send has no arrival, and
     neither has a send aimed outside."""
     certs = {comp.name: comp.attributes() for comp in components}
     states: dict[tuple[str, str], dict] = {}
 
-    def rule(idx, key, event, ev: OracleEvent) -> Record:
+    def rule(idx, key, event, ev: EventContext) -> Record:
         verdict, token, states[key] = oracle_evaluate(
             laws, key[1], states.get(key, {}), certs[key[0]], ev)
         return Record(idx, key, event, verdict, token, states[key])
@@ -487,22 +460,22 @@ def replay(laws: dict[str, Law], components: list[GenComponent],
     for comp in components:
         for module in comp.modules:
             yield rule(-1, (comp.name, module), "adopted",
-                       OracleEvent(EventKind.ADOPTED))
+                       EventContext(EventKind.ADOPTED))
     for idx, msg in enumerate(script):
-        src, dst, op = msg.sender_module, msg.target_module, msg.operation
-        if src is None:
-            yield rule(idx, (msg.target, dst), "import", OracleEvent(
+        src, dst, op = msg.sender_law, msg.target_law, msg.operation
+        if msg.from_outside:
+            yield rule(idx, (msg.target, dst), "import", EventContext(
                 EventKind.ARRIVED, op, FlowKind.IMPORT, msg.sender,
                 peer_outside=True))
             continue
-        sent = rule(idx, (msg.sender, src), "sent", OracleEvent(
+        sent = rule(idx, (msg.sender, src), "sent", EventContext(
             EventKind.SENT, op, oracle_flow(src, src, dst), dst or msg.target,
             peer_outside=dst is None))
         yield sent
         if sent.verdict == "permit" and dst is not None:
             raw = sent.state.get("profile")  # the sender's profile labels
             labels = raw.split(",") if isinstance(raw, str) else ()
-            yield rule(idx, (msg.target, dst), "arrived", OracleEvent(
+            yield rule(idx, (msg.target, dst), "arrived", EventContext(
                 EventKind.ARRIVED, op, oracle_flow(dst, src, dst), src,
                 frozenset(labels) - {""}))
 
@@ -527,15 +500,15 @@ def _production(system: GeneratedSystem, h: LawHierarchy,
                 return
             yield record(-1, key, "adopted", ruling)
     for idx, msg in enumerate(system.script):
-        target = (msg.target, msg.target_module)
-        if msg.sender_module is None:
+        target = (msg.target, msg.target_law)
+        if msg.from_outside:
             ruling, _ = handle_arrive(agents[target], BareInbound(
                 msg.sender, msg.operation, msg.payload))
             yield record(idx, target, "import", ruling)
             continue
-        key = (msg.sender, msg.sender_module)
+        key = (msg.sender, msg.sender_law)
         ruling, env = handle_send(agents[key], msg.operation, msg.payload,
-                                  msg.target, msg.target_module or OUTSIDE)
+                                  msg.target, msg.target_law or OUTSIDE)
         yield record(idx, key, "sent", ruling)
         if env is not None:  # forwarded in-system
             ruling, _ = handle_arrive(agents[target], env)

@@ -222,14 +222,9 @@ class ScenarioRunner:
 
     # -- assembly -----------------------------------------------------------
 
-    def _mint(self, decl):
-        attrs = dict(decl.cert_attrs)
-        attrs.setdefault("modules", ",".join(decl.modules))
-        return self.issuer.issue(decl.name, attrs)
-
     def _adopt_all(self):
         for decl in self.scn.components:
-            cert = self._mint(decl)
+            cert = self.issuer.issue(decl.name, decl.attributes())
             for module in decl.modules:
                 label = f"{decl.name}@{module}"
                 try:

@@ -52,6 +52,11 @@ class ComponentDecl:
     modules: tuple[str, ...]
     cert_attrs: tuple[tuple[str, str], ...]
 
+    def attributes(self) -> dict[str, str]:
+        """The component's certificate attributes: ``modules`` lists its
+        modules, comma-separated, unless ``cert_attrs`` sets it."""
+        return {"modules": ",".join(self.modules), **dict(self.cert_attrs)}
+
 
 @dataclass(slots=True)
 class SendStep:

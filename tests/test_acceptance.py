@@ -254,9 +254,7 @@ class TestRulingLocality:
             assert h is not None, violations
             agents = []
             for comp in system.components:
-                attrs = dict(comp.cert_attrs)
-                attrs.setdefault("modules", ",".join(comp.modules))
-                cert = ISSUER.issue(comp.name, attrs)
+                cert = ISSUER.issue(comp.name, comp.attributes())
                 for module in comp.modules:
                     agent, _ = adopt(comp.name, h, module, cert=cert)
                     agents.append(agent)

@@ -76,6 +76,12 @@ class TestBuildHierarchy:
         assert _kinds(violations) == {ViolationKind.UNKNOWN_PARENT,
                                       ViolationKind.MULTIPLE_ROOTS}
 
+    def test_empty_set_has_no_laws(self):
+        h, violations = build_hierarchy([])
+        assert h is None
+        assert [(v.kind, v.law, v.detail) for v in violations] == [
+            (ViolationKind.CYCLE_DETECTED, "", "no laws in the set")]
+
     def test_no_grant_at_all(self):
         root = """
         law Root {

@@ -11,14 +11,13 @@ from mds import controller, oracle
 from mds.conformance import build_hierarchy
 from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             Certificate, Decision, DemoIssuer, Envelope,
-                            adopt, demo_verify, handle_arrive, handle_send,
-                            matched_token)
+                            EventContext, adopt, demo_verify, handle_arrive,
+                            handle_send, matched_token)
 from mds.law_lang import parse_law
 from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
                        PeerProfileHas, StateEquals, StateLess, TruePred)
-from mds.oracle import (OracleEvent, generate_system, oracle_evaluate,
-                        oracle_flow)
+from mds.oracle import generate_system, oracle_evaluate, oracle_flow
 from mds.runner import check_law_dir
 
 ISSUER = DemoIssuer("demo-ca")
@@ -623,7 +622,7 @@ class TestCompiledBodiesMatchOracle:
             cert = ISSUER.issue(name, {"modules": leaf, **attrs})
             agent, ruling = adopt(name, h, leaf, cert=cert)
             expected = oracle_evaluate(h.laws, leaf, {}, agent.cert_attrs,
-                                       OracleEvent(EventKind.ADOPTED))
+                                       EventContext(EventKind.ADOPTED))
             assert expected == ("permit", matched_token(ruling.matched),
                                 agent.state)
             # One root rule, resolved against each leaf.
@@ -636,9 +635,9 @@ class TestCompiledBodiesMatchOracle:
                     flow = oracle_flow(leaf, leaf, None if outside else locus)
                     expected = oracle_evaluate(
                         h.laws, leaf, agent.state, agent.cert_attrs,
-                        OracleEvent(EventKind.SENT, op, flow,
-                                    target if outside else locus,
-                                    frozenset(), outside))
+                        EventContext(EventKind.SENT, op, flow,
+                                     target if outside else locus,
+                                     peer_outside=outside))
                     ruling, _ = handle_send(agent, op, b"", target, locus)
                     verdict = "permit" if ruling.decision.permits else "block"
                     assert (verdict, matched_token(ruling.matched),
@@ -667,11 +666,9 @@ class TestCompiledBodiesMatchOracle:
         for start in ({}, {"profile": "a"}, {"profile": "c,b"}):
             state = dict(start)
             controller.evaluate(controller.program_for(h, "Grow"), state, {},
-                                controller.EventContext(
-                                    EventKind.ADOPTED, "", None, None,
-                                    frozenset(), False))
+                                EventContext(EventKind.ADOPTED))
             _, _, expected = oracle_evaluate(h.laws, "Grow", start, {},
-                                             OracleEvent(EventKind.ADOPTED))
+                                             EventContext(EventKind.ADOPTED))
             assert state == expected, start
 
 
@@ -763,9 +760,8 @@ class TestOperationIndex:
             ops = sorted(program.named) + [f"made-up-{i}" for i in range(1000)]
             for event in EventKind:
                 for op in ops:
-                    ctx = controller.EventContext(event, op, FlowKind.INNER,
-                                                  leaf, frozenset(), False)
-                    controller.evaluate(program, {}, {}, ctx)
+                    controller.evaluate(program, {}, {}, EventContext(
+                        event, op, FlowKind.INNER, leaf))
                 assert (len(program.tables[event])
                         <= len(program.named) + 1), (leaf, event)
 
@@ -834,23 +830,20 @@ class TestOperationIndex:
                     covered.add(flow or "adopted")
                     covered.add("named" if op in program.named else
                                 "glob" if op in unnamed[:4] else "made-up")
-                    ev = OracleEvent(
+                    ev = EventContext(
                         event, op, flow,
                         rng.choice((None, leaf, "R", "wild")),
                         frozenset(rng.sample(("audited", "probation",
                                               "trusted"), rng.randint(0, 2))),
                         rng.random() < 0.3)
-                    ctx = controller.EventContext(
-                        ev.event, ev.operation, ev.flow, ev.peer_name,
-                        ev.peer_profile, ev.peer_outside)
                     state = {key: rng.choice(("on", "off", 0, 1, 2, 3))
                              for key in ("mode", "count", "budget")
                              if rng.random() < 0.6}
                     cert = {"dept": rng.choice(("finance", "eng"))}
                     indexed_state, full_state = dict(state), dict(state)
                     indexed = controller.evaluate(program, indexed_state,
-                                                  cert, ctx)
-                    full = self._full_scan(program, full_state, cert, ctx)
+                                                  cert, ev)
+                    full = self._full_scan(program, full_state, cert, ev)
                     assert indexed == full, (seed, leaf, ev)
                     assert indexed_state == full_state, (seed, leaf, ev)
                     assert oracle_evaluate(h.laws, leaf, state, cert, ev) == (
@@ -922,7 +915,7 @@ _GUARDS = st.recursive(
             st.lists(inner, min_size=3, max_size=4).map(tuple)).map(join))),
     max_leaves=8)
 _EVENTS = st.builds(
-    OracleEvent, st.sampled_from(list(EventKind)),
+    EventContext, st.sampled_from(list(EventKind)),
     st.sampled_from(oracle._OPS + ("zz", "")),
     st.sampled_from([None, *FlowKind]), st.sampled_from([None, "M", "wild"]),
     st.frozensets(st.sampled_from(oracle._LABELS)), st.booleans())
@@ -942,10 +935,7 @@ class TestCompiledGuards:
 
     @staticmethod
     def _assert_agrees(p, ev, state, cert):
-        ctx = controller.EventContext(ev.event, ev.operation, ev.flow,
-                                      ev.peer_name, ev.peer_profile,
-                                      ev.peer_outside)
-        assert controller.compile_predicate(p)(ctx, state, cert) == \
+        assert controller.compile_predicate(p)(ev, state, cert) == \
             oracle._eval_pred(p, ev, state, cert), p
 
     @SETTINGS

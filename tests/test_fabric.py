@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib
 import random
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -874,6 +876,38 @@ class TestTcpNetwork:
         with pytest.raises(OSError, match="no loopback"):
             TcpNetwork()
         assert services() <= before
+
+    def test_own_link_refuses_a_stranger_that_connects_first(
+            self, monkeypatch):
+        """A local process that reaches the own link's listener before
+        its client does is refused, and the failed link leaves no socket
+        or thread behind."""
+        strangers = []
+        create_server = socket.create_server
+
+        def racing(*args, **kwargs):
+            listener = create_server(*args, **kwargs)
+            strangers.append(socket.create_connection(listener.getsockname()))
+            return listener
+
+        monkeypatch.setattr(fabric.socket, "create_server", racing)
+        threads = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                with pytest.raises(ConnectionError) as refused:
+                    TcpNetwork()
+                (stranger,) = strangers
+                assert str(refused.value) == (
+                    f"accepted {stranger.getsockname()}, not this "
+                    f"network's own connection")
+            finally:
+                for sock in strangers:
+                    sock.close()
+            del refused  # its traceback holds the link's frame
+            gc.collect()
+        assert [w.message for w in caught] == []
+        assert set(threading.enumerate()) <= threads
 
     def test_failing_handler_does_not_end_the_connection(self):
         got = []

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mds.conformance import build_hierarchy
-from mds.controller import (BareInbound, DemoIssuer, Envelope, adopt,
-                            handle_arrive, matched_token)
+from mds.controller import (BareInbound, DemoIssuer, Envelope, EventContext,
+                            adopt, handle_arrive, matched_token)
 from mds.fabric import (WIRE_FORMAT, FrameError, decode_body, encode_frame,
                         read_frame)
 from mds.law_lang import LawParseError, parse_law
 from mds.model import EventKind
-from mds.oracle import OracleEvent, oracle_evaluate, oracle_flow
+from mds.oracle import oracle_evaluate, oracle_flow
 from mds.runner import check_law_dir
 from mds.scenario import ScenarioError, parse_scenario
 from test_fabric import (_SAMPLES, _WIRE_VALUES, BLOCKS, KIND_BYTES,
@@ -372,7 +372,7 @@ class TestDecodedInbound:
             flow = oracle_flow(agent.law, peer if genuine else None, agent.law)
             expected = oracle_evaluate(
                 h.laws, agent.law, before, agent.cert_attrs,
-                OracleEvent(EventKind.ARRIVED, msg.operation, flow, peer,
+                EventContext(EventKind.ARRIVED, msg.operation, flow, peer,
                             profile, not genuine))
             verdict = "permit" if ruling.decision.permits else "block"
             assert ruling.flow is flow, (agent.law, msg)

@@ -1,15 +1,18 @@
 """The interpretive reference evaluator and the differential harness."""
 
+import dataclasses
 import random
 
 import pytest
 
 from mds import controller, oracle
 from mds.conformance import build_hierarchy
+from mds.controller import EventContext
 from mds.law_lang import parse_law
 from mds.model import EventKind, FlowKind
-from mds.oracle import (OracleEvent, generate_system, oracle_evaluate,
-                        oracle_flow, replay, run_differential, run_trial)
+from mds.oracle import (generate_system, oracle_evaluate, oracle_flow, replay,
+                        run_differential, run_trial)
+from mds.scenario import parse_scenario
 
 LAW_TEXTS = {
     "Top": """
@@ -58,20 +61,20 @@ class TestOracleEvaluate:
     def test_categorical_blocks_first(self, laws):
         verdict, token, _ = oracle_evaluate(
             laws, "Sub", {}, {},
-            OracleEvent(EventKind.SENT, "veto", FlowKind.OUTFLOW, "Top"))
+            EventContext(EventKind.SENT, "veto", FlowKind.OUTFLOW, "Top"))
         assert (verdict, token) == ("block", "Top:veto")
 
     def test_default_body_when_no_override(self, laws):
         verdict, token, _ = oracle_evaluate(
             laws, "Sub", {}, {},
-            OracleEvent(EventKind.ARRIVED, "nope", FlowKind.INFLOW, "Top"))
+            EventContext(EventKind.ARRIVED, "nope", FlowKind.INFLOW, "Top"))
         assert (verdict, token) == ("block", "Top:shut")
 
     def test_override_substitutes_and_mutates_copy(self, laws):
         state = {"seen": 4}
         verdict, token, new_state = oracle_evaluate(
             laws, "Sub", state, {},
-            OracleEvent(EventKind.ARRIVED, "pass", FlowKind.INFLOW, "Top"))
+            EventContext(EventKind.ARRIVED, "pass", FlowKind.INFLOW, "Top"))
         assert (verdict, token) == ("permit", "Sub:shut")
         assert new_state["seen"] == 5
         assert state["seen"] == 4  # caller's dict untouched
@@ -79,15 +82,15 @@ class TestOracleEvaluate:
     def test_builtin_fallback_tokens(self, laws):
         verdict, token, _ = oracle_evaluate(
             laws, "Sub", {}, {},
-            OracleEvent(EventKind.ARRIVED, "x", FlowKind.IMPORT, "w",
+            EventContext(EventKind.ARRIVED, "x", FlowKind.IMPORT, "w",
                         peer_outside=True))
         assert (verdict, token) == ("block", "default:import")
         verdict, token, _ = oracle_evaluate(
             laws, "Sub", {}, {},
-            OracleEvent(EventKind.SENT, "x", FlowKind.INNER, "Sub"))
+            EventContext(EventKind.SENT, "x", FlowKind.INNER, "Sub"))
         assert (verdict, token) == ("permit", "default:inner")
         verdict, token, _ = oracle_evaluate(
-            laws, "Sub", {}, {}, OracleEvent(EventKind.ADOPTED))
+            laws, "Sub", {}, {}, EventContext(EventKind.ADOPTED))
         assert (verdict, token) == ("permit", "default:adopted")
 
 
@@ -112,6 +115,36 @@ class TestGenerator:
         assert a.laws.keys() == b.laws.keys()
         assert a.script == b.script
         assert run_trial(a) == run_trial(b)
+
+    def test_a_generated_system_is_a_scenario(self):
+        """Written as .mds text, one row per component, outsider and step
+        and every endpoint with its @MODULE, a generated system parses
+        back to its own components and steps."""
+        def endpoint(name, module):
+            return name if module is None else f"{name}@{module}"
+
+        for seed in range(300):
+            system = generate_system(seed)
+            rows = ["scenario generated", "law laws"]
+            for comp in system.components:
+                cert = ",".join(f"{k}={v}" for k, v in comp.cert_attrs)
+                rows.append(f"component {comp.name} modules "
+                            f"{','.join(comp.modules)}"
+                            + (f" cert {cert}" if cert else ""))
+            rows += [f"outside {name}" for name in oracle._OUTSIDERS]
+            header = len(rows)
+            for step in system.script:
+                rows.append(
+                    f"{'outsidesend' if step.from_outside else 'send'} "
+                    f"{endpoint(step.sender, step.sender_law)} -> "
+                    f"{endpoint(step.target, step.target_law)} "
+                    f'op {step.operation} payload "{step.payload.decode()}"')
+            scn = parse_scenario("\n".join(rows))
+            assert scn.components == system.components, seed
+            assert scn.outsides == list(oracle._OUTSIDERS), seed
+            assert scn.steps == [
+                dataclasses.replace(step, line=header + step.line)
+                for step in system.script], seed
 
 
 class TestDifferential:
