@@ -7,7 +7,7 @@ and the sender identification enveloped onto in-system traffic.
 """
 
 from .conformance import (ConformanceViolation, ViolationKind,
-                          build_hierarchy, derive_law)
+                          build_hierarchy, check_overrides)
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
                          Certificate, Decision, Delivery, DemoIssuer, Envelope,
                          Ruling, adopt, handle_arrive, handle_send,
@@ -51,7 +51,7 @@ __all__ = [
     "adopt",
     "build_hierarchy",
     "check_law_dir",
-    "derive_law",
+    "check_overrides",
     "handle_arrive",
     "handle_send",
     "load_scenario",

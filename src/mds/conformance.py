@@ -2,24 +2,28 @@
 
 A child law conforms to its ancestry when every override it declares targets
 an ancestor's default rule and is covered by a meta permission of compatible
-direction granted by the law that owns that rule.  Categorical rules can
-never be overridden.  New rules a child introduces need no permission; they
-are only reachable where no ancestor rule already matches, because ancestor
-rules are always scanned first.
+direction granted by the law that owns that rule: the nearest law above the
+child that declares the rule's id.  Categorical rules can never be
+overridden.  New rules a child introduces need no permission; they are only
+reachable where no ancestor rule already matches, because ancestor rules are
+always scanned first.
+
+Validation only checks: ``build_hierarchy`` holds the very laws it is
+given, hashed by the parser (``law_lang.finalize``), and writes nothing
+onto them.  The controller pairs each override with its target rule on the
+leaf's path (``controller.program_for``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from . import law_lang
 from .model import (
     Law,
     LawHierarchy,
     MetaDirection,
-    Override,
     OverrideKind,
     Rule,
     RuleMode,
@@ -59,48 +63,39 @@ def _resolve_target(chain: Sequence[Law], target: str) -> Optional[tuple[Law, Ru
     return None
 
 
-def derive_law(parent: Law, child: Law,
-               ancestors: Sequence[Law] = ()) -> tuple[Optional[Law], list[ConformanceViolation]]:
-    """Validate a child law against its parent (plus the parent's ancestry).
+def check_overrides(chain: Sequence[Law], law: Law) -> list[ConformanceViolation]:
+    """The violations of ``law``'s overrides against the laws above it.
 
-    Returns the child with every override annotated with the name of the law
-    owning its target rule, or None plus the violations found.  ``ancestors``
-    are the laws above the parent, root first; omit it for a two-level
-    hierarchy.
+    ``chain`` holds those laws, root first and the parent last.  Each
+    override must target the nearest declaration of its rule id in the
+    chain, a default rule whose law grants a compatible direction.
     """
-    chain: list[Law] = list(ancestors) + [parent]
     violations: list[ConformanceViolation] = []
-    annotated: list[Override] = []
-    for ov in child.overrides:
+    for ov in law.overrides:
         resolved = _resolve_target(chain, ov.target)
         if resolved is None:
             violations.append(ConformanceViolation(
-                ViolationKind.NO_META_PERMISSION, child.name,
+                ViolationKind.NO_META_PERMISSION, law.name,
                 f"override targets {ov.target!r}, which no ancestor law declares"))
             continue
         owner, rule = resolved
         if rule.mode is RuleMode.CATEGORICAL:
             violations.append(ConformanceViolation(
-                ViolationKind.OVERRIDES_CATEGORICAL, child.name,
+                ViolationKind.OVERRIDES_CATEGORICAL, law.name,
                 f"override targets categorical rule {ov.target!r} of law {owner.name!r}"))
             continue
         grants = owner.grants(ov.target)
         if not grants:
             violations.append(ConformanceViolation(
-                ViolationKind.NO_META_PERMISSION, child.name,
+                ViolationKind.NO_META_PERMISSION, law.name,
                 f"law {owner.name!r} grants no override permission on {ov.target!r}"))
-            continue
-        if not any(g in _COMPATIBLE[ov.kind] for g in grants):
+        elif not any(g in _COMPATIBLE[ov.kind] for g in grants):
             granted = ", ".join(str(g) for g in grants)
             violations.append(ConformanceViolation(
-                ViolationKind.WRONG_DIRECTION, child.name,
+                ViolationKind.WRONG_DIRECTION, law.name,
                 f"{ov.kind.value} override of {ov.target!r} not covered by "
                 f"granted direction(s) {granted}"))
-            continue
-        annotated.append(replace(ov, owner=owner.name))
-    if violations:
-        return None, violations
-    return replace(child, overrides=tuple(annotated)), []
+    return violations
 
 
 def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[ConformanceViolation]]:
@@ -108,13 +103,12 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
 
     Structural checks (names, parent links, single root, acyclicity) run
     first; conformance of every law against its ancestry runs root-down.
-    All violations found are returned together.
+    All violations found are returned together.  The hierarchy holds the
+    given laws themselves, in the walk's order.
     """
     violations: list[ConformanceViolation] = []
     by_name: dict[str, Law] = {}
     for law in laws:
-        if not law.hash:
-            law = law_lang.finalize(law)
         if law.name in by_name:
             violations.append(ConformanceViolation(
                 ViolationKind.DUPLICATE_NAME, law.name,
@@ -165,14 +159,13 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
         return None, violations
 
     root = roots[0]
-    # Walk root-down so every law is validated against an already-annotated
-    # ancestry; children in name order for deterministic reports.  Each
-    # law's chain (root first, itself last) and lineage extend its parent's.
+    # Walk root-down, children in name order for deterministic reports.
+    # Each law's chain (root first, itself last) and lineage extend its
+    # parent's.
     children: dict[str, list[str]] = {name: [] for name in by_name}
     for law in by_name.values():
         if law.parent is not None:
             children[law.parent].append(law.name)
-    validated: dict[str, Law] = {root.name: root}
     chains: dict[str, list[Law]] = {root.name: [root]}
     lineage: dict[str, tuple[str, ...]] = {root.name: (root.hash,)}
     order = [root.name]
@@ -180,17 +173,14 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
         chain = chains[current]
         for name in sorted(children[current]):
             law = by_name[name]
-            derived, child_violations = derive_law(chain[-1], law,
-                                                   ancestors=chain[:-1])
-            if child_violations:
-                violations.extend(child_violations)
-                derived = law  # unannotated, so descendants still get checked
-            validated[name] = derived
-            chains[name] = chain + [derived]
-            lineage[name] = lineage[current] + (derived.hash,)
+            violations.extend(check_overrides(chain, law))
+            chains[name] = chain + [law]
+            lineage[name] = lineage[current] + (law.hash,)
             order.append(name)
     # Unreached laws would mean a cycle, which was already rejected.
 
     if violations:
         return None, violations
-    return LawHierarchy(root=root.name, laws=validated, lineage=lineage), []
+    return LawHierarchy(root=root.name,
+                        laws={name: by_name[name] for name in order},
+                        lineage=lineage), []

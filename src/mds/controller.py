@@ -22,8 +22,9 @@ permit for outflow, innerflow, and adoption.
 ``program_for`` does the per-rule work once per leaf law.  Its entries list
 the rules on the path root-first: each with its guard and body compiled to
 closures, values that name the module resolved against the leaf, and its
-matched pair; a default rule also carries the overrides that may replace
-it, compiled the same way.  A guard costs as few calls as its shape allows
+matched pair; a default rule also carries the overrides that target it,
+paired with it in one walk up the path from the leaf and compiled the same
+way.  A guard costs as few calls as its shape allows
 (``compile_predicate``).  A guard or body is compiled once per hierarchy
 (``_compile_clause``): the cache is keyed on the parsed node, which the
 laws of one directory load share wherever they spell it alike, so one
@@ -80,7 +81,6 @@ from .model import (
     Predicate,
     RequireCertificate,
     Rule,
-    RuleMode,
     SetState,
     SpecialValue,
     StateEquals,
@@ -679,23 +679,21 @@ def program_for(h: LawHierarchy, leaf: str) -> Program:
     cached = h.cache.get(("program", leaf))
     if cached is not None:
         return cached
-    laws = [h.law(name) for name in h.path(leaf)]
-    profile = laws[-1].profile
-    # Overrides on the path by (owner, target), deepest law first and in
-    # textual order within a law.
-    overrides: dict[tuple[Optional[str], str], list[_OvEntry]] = {}
-    for law in reversed(laws):
+    profile = h.law(leaf).profile
+    # One walk up the path, leaf first.  An override targets the nearest
+    # law above its own that declares the id, so each rule takes the
+    # overrides met so far for its id (deepest law first, textual order
+    # within a law) before its own law's overrides join them.
+    pending: dict[str, list[_OvEntry]] = {}
+    entries: list[_RuleEntry] = []
+    for name in reversed(h.path(leaf)):
+        law = h.law(name)
+        entries[:0] = [_RuleEntry(
+            name, rule, *_compile_clause(h, rule, leaf, profile),
+            tuple(pending.pop(rule.id, ()))) for rule in law.rules]
         for ov in law.overrides:
-            overrides.setdefault((ov.owner, ov.target), []).append(_OvEntry(
-                law.name, ov, *_compile_clause(h, ov, leaf, profile)))
-    entries = []
-    for law in laws:
-        for rule in law.rules:
-            ovs = ()
-            if rule.mode is RuleMode.DEFAULT:
-                ovs = tuple(overrides.get((law.name, rule.id), ()))
-            entries.append(_RuleEntry(
-                law.name, rule, *_compile_clause(h, rule, leaf, profile), ovs))
+            pending.setdefault(ov.target, []).append(_OvEntry(
+                name, ov, *_compile_clause(h, ov, leaf, profile)))
     program = Program(h.cache.setdefault("tokens", _Tokens()),
                       tuple(entries), h.lineage)
     h.cache[("program", leaf)] = program

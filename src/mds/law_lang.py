@@ -58,9 +58,12 @@ A law tree repeats its guards and bodies from law to law, so
 passes to every parse of one directory load and then drops.  The memo
 maps the lexemes from a guard's ``if`` up to its ``{``, or from a body's
 ``{`` up to its ``}``, to the node they parsed to, and holds a node only
-if its parse succeeded and stopped right at that delimiter.  So every
+if its parse succeeded and stopped right at that delimiter.  A permit or
+block override body that lacks its terminal is completed with it, and the
+completed body is kept in the memo under its own actions.  So every
 clause that spells a guard or body alike gets the same immutable node,
-and no law, hash or diagnostic changes.
+every clause without a guard the one ``TruePred``, and no law, hash or
+diagnostic changes.
 
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
@@ -121,6 +124,7 @@ from .model import (
 HASH_ALGORITHM = "sha256"
 
 _EVENT_ORDER = (EventKind.ADOPTED, EventKind.SENT, EventKind.ARRIVED)
+_TRUE = TruePred()  # the guard of every clause without an ``if``
 _FLOW_TOKENS = {k.value: k for k in FlowKind}
 _EVENT_TOKENS = {e.value: e for e in EventKind}
 _DIRECTION_TOKENS = {d.value: d for d in MetaDirection}
@@ -246,10 +250,10 @@ def _lex_error(text: str) -> ParseDiagnostic:
 class _Parser:
     """Recursive descent over lexeme strings.  A failure records the index
     of the lexeme it is about; ``parse_law`` turns that into a line and
-    column only once a diagnostic is made.  ``memo``, if given, holds the
-    guards and bodies parsed so far (see ``shared``)."""
+    column only once a diagnostic is made.  ``memo`` holds the guards and
+    bodies parsed so far (see ``shared``)."""
 
-    def __init__(self, lexemes: list[str], memo: Optional[dict]):
+    def __init__(self, lexemes: list[str], memo: dict):
         self.lex = lexemes
         self.pos = 0
         self.depth = 0
@@ -314,8 +318,6 @@ class _Parser:
         so every text that spells them alike gets the same object and the
         same outcome.  Nodes are immutable, so laws may share them."""
         memo = self.memo
-        if memo is None:
-            return parse()
         lex, start = self.lex, self.pos
         try:
             end = lex.index(close, start)
@@ -414,7 +416,7 @@ class _Parser:
         seen = self.comma_list(self.event)
         events = tuple(e for e in _EVENT_ORDER if e in seen)
         predicate = (self.shared(self.parse_or, "{") if self.accept("if")
-                     else TruePred())
+                     else _TRUE)
         return events, predicate, self.parse_body()
 
     def parse_rule(self) -> Rule:
@@ -452,7 +454,9 @@ class _Parser:
                 self.fail("replace override body needs a terminal action",
                           kind_at)
         elif term is None:
-            actions += (Permit() if kind is OverrideKind.PERMIT else Block(),)
+            done = actions + (
+                Permit() if kind is OverrideKind.PERMIT else Block(),)
+            actions = self.memo.setdefault(done, done)
         elif term != kind.value:
             self.fail(f"{kind.value} override body ends in {term}", kind_at)
         return Override(target=target, kind=kind, events=events,
@@ -666,14 +670,15 @@ def parse_law(text: str, origin: str = "<law>",
     Raises :class:`LawParseError` naming ``origin`` and carrying 1-based
     positioned diagnostics.  ``memo`` is an empty dict that the caller
     passes to every parse of one batch of laws and then drops: a guard or
-    body spelled alike in two of them is parsed once and shared.
+    body spelled alike in two of them is parsed once and shared.  Without
+    one, the parse shares nodes within its own law only.
     """
     # With the newline, the end of the text always reads as two "", so an
     # earlier "" is a bad lexeme.
     lexemes = _LEXEME.findall(text + "\n")
     if text.startswith("\ufeff") or lexemes.index("") < len(lexemes) - 2:
         raise LawParseError(origin, [_lex_error(text)])
-    parser = _Parser(lexemes, memo)
+    parser = _Parser(lexemes, {} if memo is None else memo)
     try:
         law = parser.parse()
     except _Abort:

@@ -281,8 +281,9 @@ class MetaPermission:
 class Override:
     """A child law's deviation from an ancestor's default rule.
 
-    ``owner`` is the name of the law that declares the target rule; it is
-    resolved during conformance validation and is None on freshly parsed laws.
+    ``target`` names the rule of the nearest law above the declaring one
+    that declares that id; the law stays as written, and the controller
+    finds that rule on the leaf's path.
     """
 
     target: str
@@ -290,7 +291,6 @@ class Override:
     events: tuple[EventKind, ...]
     predicate: Predicate
     actions: tuple[Action, ...]
-    owner: Optional[str] = None
 
 
 @dataclass(frozen=True)

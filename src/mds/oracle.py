@@ -26,6 +26,7 @@ from typing import Iterator, NamedTuple, Optional
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
                          EventContext, adopt, handle_arrive, handle_send)
+from .law_lang import finalize
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
                     LawHierarchy, MetaDirection, MetaPermission, Not,
@@ -378,9 +379,9 @@ def _gen_law(rng: random.Random, name: str, parent: Optional[str],
             actions=actions))
     profile = tuple(sorted({rng.choice(_LABELS)
                             for _ in range(rng.randint(0, 2))}))
-    return Law(name=name, parent=parent, profile=profile,
-               rules=tuple(rules), meta=tuple(meta),
-               overrides=tuple(overrides))
+    return finalize(Law(name=name, parent=parent, profile=profile,
+                        rules=tuple(rules), meta=tuple(meta),
+                        overrides=tuple(overrides)))
 
 
 def generate_system(seed: int) -> GeneratedSystem:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from mds.conformance import ViolationKind, build_hierarchy, derive_law
+from mds.conformance import (ConformanceViolation, ViolationKind,
+                              build_hierarchy, check_overrides)
+from mds.controller import (BareInbound, Decision, Envelope, adopt,
+                            handle_arrive, matched_token)
 from mds.law_lang import parse_law
 from mds.runner import check_law_dir
 
@@ -31,6 +34,20 @@ def _kinds(violations):
     return {v.kind for v in violations}
 
 
+def _arrival(h, leaf, op="knock", sender_law=None):
+    """The (decision, token) of a ``leaf`` agent's ruling on an arrival:
+    inflow from a ``sender_law`` agent, or an import when that is None."""
+    agent, _ = adopt("r", h, leaf)
+    if sender_law is None:
+        inbound = BareInbound("10.0.0.9:1", op, b"")
+    else:
+        inbound = Envelope(sender_module=sender_law, sender_profile=(),
+                           sender_lineage=h.lineage[sender_law],
+                           operation=op, payload=b"", sender="peer")
+    ruling, _ = handle_arrive(agent, inbound)
+    return ruling.decision, matched_token(ruling.matched)
+
+
 class TestViolationData:
     """Each directory holds a parseable but non-conforming law set."""
 
@@ -54,6 +71,15 @@ class TestBuildHierarchy:
         assert set(shipped.laws) == {"S", "MS", "SB", "OPS", "MGMT", "P"}
         for name in shipped.laws:
             assert shipped.lineage[name][0] == shipped.laws["S"].hash
+
+    def test_holds_the_given_laws(self):
+        laws = [parse_law(ROOT),
+                parse_law('law A extends Root {'
+                          ' override d-shut permit on arrived { } }')]
+        h, violations = build_hierarchy(laws)
+        assert h is not None, violations
+        assert [h.laws[law.name] for law in laws] == laws
+        assert all(h.laws[law.name] is law for law in laws)
 
     def test_empty_child_conforms(self):
         h, violations = _build(ROOT, "law Kid extends Root { }")
@@ -142,8 +168,11 @@ class TestTransitiveConformance:
             'law Leaf extends Mid {'
             ' override d-shut permit on arrived if op == "knock" { } }')
         assert h is not None, violations
-        ov = h.laws["Leaf"].overrides[0]
-        assert ov.owner == "Root"
+        # Mid declares no d-shut, so Leaf's override replaces Root's
+        assert _arrival(h, "Leaf", "knock", "Mid") == (
+            Decision.DELIVER, "Leaf:d-shut")
+        assert _arrival(h, "Leaf", "other", "Mid") == (
+            Decision.BLOCK_SILENT, "Root:d-shut")
 
     def test_parent_cannot_narrow_grandchild_grants(self):
         # Mid grants nothing itself; the root grant still reaches Leaf.
@@ -156,23 +185,64 @@ class TestTransitiveConformance:
     def test_nearest_ancestor_owns_shadowed_id(self):
         mid = """
         law Mid extends Root {
-          default rule local on arrived if flow == import { block; }
-          allow-override local may-permit;
+          default rule d-shut on arrived if flow == import { block; }
+          allow-override d-shut may-permit;
         }
         """
         h, violations = _build(
             ROOT, mid,
             'law Leaf extends Mid {'
-            ' override local permit on arrived { } }')
+            ' override d-shut permit on arrived { } }')
         assert h is not None, violations
-        assert h.laws["Leaf"].overrides[0].owner == "Mid"
+        # The override substitutes Mid's d-shut, which rules on imports;
+        # Root's d-shut decides inflow first and keeps its own body.
+        assert _arrival(h, "Leaf") == (Decision.DELIVER, "Leaf:d-shut")
+        assert _arrival(h, "Leaf", sender_law="Mid") == (
+            Decision.BLOCK_SILENT, "Root:d-shut")
+        assert _arrival(h, "Mid") == (Decision.BLOCK_SILENT, "Mid:d-shut")
 
 
-class TestDeriveLaw:
-    def test_annotates_owner(self):
-        parent = parse_law(ROOT)
+class TestCheckOverrides:
+    def test_override_pairs_with_its_rule_at_the_ruling(self):
+        root = parse_law(ROOT)
         child = parse_law(
             'law A extends Root { override d-shut permit on arrived { } }')
-        derived, violations = derive_law(parent, child)
-        assert not violations
-        assert derived.overrides[0].owner == "Root"
+        assert check_overrides([root], child) == []
+        h, violations = build_hierarchy([root, child])
+        assert h is not None, violations
+        assert h.laws["A"] is child
+        assert _arrival(h, "A", sender_law="Root") == (
+            Decision.DELIVER, "A:d-shut")
+        assert _arrival(h, "Root", sender_law="A") == (
+            Decision.BLOCK_SILENT, "Root:d-shut")
+
+    def test_reports_each_bad_override_in_order(self):
+        mid = parse_law("""
+        law Mid extends Root {
+          default rule quiet on sent { permit; }
+        }
+        """)
+        leaf = parse_law("""
+        law Leaf extends Mid {
+          override ghost permit on sent { }
+          override fixed permit on sent { }
+          override d-shut permit on arrived { }
+          override quiet block on sent { }
+          override d-open permit on sent { }
+        }
+        """)
+        assert check_overrides([parse_law(ROOT), mid], leaf) == [
+            ConformanceViolation(
+                ViolationKind.NO_META_PERMISSION, "Leaf",
+                "override targets 'ghost', which no ancestor law declares"),
+            ConformanceViolation(
+                ViolationKind.OVERRIDES_CATEGORICAL, "Leaf",
+                "override targets categorical rule 'fixed' of law 'Root'"),
+            ConformanceViolation(
+                ViolationKind.NO_META_PERMISSION, "Leaf",
+                "law 'Mid' grants no override permission on 'quiet'"),
+            ConformanceViolation(
+                ViolationKind.WRONG_DIRECTION, "Leaf",
+                "permit override of 'd-open' not covered by granted "
+                "direction(s) may-prohibit"),
+        ]

@@ -13,7 +13,7 @@ from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             Certificate, Decision, DemoIssuer, Envelope,
                             EventContext, adopt, demo_verify, handle_arrive,
                             handle_send, matched_token)
-from mds.law_lang import parse_law
+from mds.law_lang import finalize, parse_law
 from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
                        PeerProfileHas, StateEquals, StateLess, TruePred)
@@ -684,9 +684,9 @@ _OP_ONLY_GUARDS = (
 def _with_op_only_overrides(laws, rng):
     """The laws with each override's guard swapped for one that reads only
     the operation; conformance does not look at guards."""
-    return {name: replace(law, hash="", overrides=tuple(
+    return {name: finalize(replace(law, overrides=tuple(
         replace(ov, predicate=rng.choice(_OP_ONLY_GUARDS))
-        for ov in law.overrides)) for name, law in laws.items()}
+        for ov in law.overrides))) for name, law in laws.items()}
 
 
 def _guards(p):

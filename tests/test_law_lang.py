@@ -720,6 +720,18 @@ class TestDirectoryMemo:
         # shared across laws, not only within one
         assert sum(len(names) > 1 for _, names in found.values()) > 50
 
+    def test_shipped_laws_hold_each_node_once(self, law_dir):
+        laws, problems = load_law_dir(law_dir)
+        assert not problems
+        clauses = [c for law in laws for c in law.rules + law.overrides]
+        guards = {id(c.predicate): c.predicate for c in clauses}
+        assert len(guards) == len(set(guards.values())) == 18
+        # The permit and block override bodies completed with their
+        # terminal are shared too, though not with the rules that spell
+        # ``{ permit; }`` and ``{ block; }``: 11 objects for 9 bodies.
+        bodies = {id(c.actions): c.actions for c in clauses}
+        assert (len(bodies), len(set(bodies.values()))) == (11, 9)
+
     def test_separate_loads_share_nothing(self, monkeypatch, tmp_path):
         first = self._canonical_deep(monkeypatch, tmp_path / "deep")
         second, problems = load_law_dir(tmp_path / "deep")
@@ -778,8 +790,6 @@ class TestHashing:
 
 class TestGeneratedRoundTrip:
     def test_thousand_generated_laws_survive_print_and_reparse(self):
-        # Equality is judged on canonical text and digest: conformance
-        # annotates override owners, which fresh parses rightly lack.
         seen = 0
         seed = 0
         while seen < 1000:
