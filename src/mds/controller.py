@@ -37,15 +37,16 @@ the agent (``Agent.program``), so a send or an arrival goes straight to
 ``evaluate``, and its ruling names the decider by a token rendered once.
 
 Scans are built on demand, never at compile time.  The first scan of an
-event kind lists the entries that kind can reach (``Program.candidates``);
-``Program.scan`` builds from that list the scan of one event and
-operation, the first time that pair is seen, and a guard the operation
-settles is dropped or never run.  An entry without overrides puts the
-same ready-made row into every scan that keeps it, one with its guard as
-written and one with the guard settled, each made when first needed; the
-row of an entry with overrides is built per scan, since its overrides
-depend on the event and operation.  ``evaluate`` looks the scan up, then
-runs guards and bodies and nothing else.
+event kind lists the entries that kind can reach (``Program.candidates``).
+``evaluate`` looks the scan of one event and operation up in
+``Program.tables``; only on a miss does ``Program.scan`` build it from
+that list, and a guard the operation settles is dropped or never run.
+An entry without overrides puts the same ready-made row into every scan
+that keeps it, one with its guard as written and one with the guard
+settled, each made when first needed; the row of an entry with overrides
+is built per scan, since its overrides depend on the event and
+operation.  Past the lookup, ``evaluate`` runs guards and bodies and
+nothing else.
 """
 
 from __future__ import annotations
@@ -588,7 +589,8 @@ class Program:
     ``entries`` lists every rule on the path root-first.  ``candidates``
     holds, per event kind, the entries that event can reach, and ``tables``
     the scan each operation reaches, keyed by operation (``_OTHER`` for
-    every operation no ``op ==`` names); ``scan`` fills both on first use.
+    every operation no ``op ==`` names).  A scan is built on a miss in
+    ``tables``, by ``scan``, which fills both.
     A scan row is (guard, body, matched, overrides as (guard, body,
     matched)); a None guard always holds.  An entry without overrides
     lends every scan that keeps it one of two ready-made rows, ``row``
@@ -616,7 +618,8 @@ class Program:
 
     def scan(self, event: EventKind, operation: str) -> tuple:
         """The rows of ``entries`` that the event and operation can reach,
-        in scan order, built in one pass on first use.
+        in scan order, built in one pass on a miss in ``tables``, which
+        ``evaluate`` has already looked up.
 
         A clause whose event or ``op ==`` atoms exclude the operation is
         skipped.  For a named operation, a guard that reads only the
@@ -627,10 +630,6 @@ class Program:
         scan, so a peer cannot grow the table.
         """
         key = operation if operation in self.named else _OTHER
-        table = self.tables[event]
-        rows = table.get(key)
-        if rows is not None:
-            return rows
         candidates = self.candidates.get(event)
         if candidates is None:
             candidates = self.candidates[event] = tuple(
@@ -671,7 +670,7 @@ class Program:
                 overrides.append((ov.pred, ov.body, ov.matched))
             kept.append((None if settled else entry.pred, body, matched,
                          tuple(overrides)))
-        rows = table[key] = tuple(kept)
+        rows = self.tables[event][key] = tuple(kept)
         return rows
 
 

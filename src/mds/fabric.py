@@ -17,15 +17,18 @@ carries the decoded message objects themselves, so it never runs the
 codec.
 
 ``SimNetwork`` and ``TcpNetwork`` offer one interface: ``register``,
-``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``.
+``send``, ``run_until_idle``, ``advance``, ``now`` and ``close``, and
+keep one delivery contract: ``send`` queues, only ``run_until_idle``
+delivers, messages arrive in send order, and ``advance`` only moves time.
 ``run_until_idle`` returns the last handler's result (None if it delivered
 nothing), and a handler's exception propagates from it; ``send`` to an
-unregistered address raises KeyError.  ``TcpNetwork`` sends every frame
-on one own connection and reads them back in send order, ruling on the
-caller's thread: a hop is one ``send`` and, when the read returns
-exactly one whole frame, one ``recv`` decoded where it lies.  The
-reading end acks late where the platform allows it, about one ACK
-segment per two frames, set again after each ``advance`` pause.
+unregistered address raises KeyError before anything is queued.
+``TcpNetwork`` sends every frame on one own connection and reads them
+back in send order, ruling on the caller's thread: a hop is one ``send``
+and, when the read returns exactly one whole frame, one ``recv`` decoded
+where it lies.  The reading end acks late where the platform allows it,
+about one ACK segment per two frames, set again after each ``advance``
+pause.
 ``TcpService`` serves a run's outside peers from one selector thread, so
 a ``TcpNetwork`` handler may run there while the caller's thread runs
 one too: the handlers' owner serializes them.  From outside, such a
@@ -35,10 +38,8 @@ carries.  ``LawServer.respond`` and ``Registry.respond`` are
 one entry point, in process too.  ``call_remote`` opens one connection
 per request, for law fetches and registry calls, and ``CALL_TIMEOUT``
 bounds the whole call but the host name lookup: every address tried,
-however slowly a peer trickles its reply.  The simulator delivers
-strictly in (deliver_at, enqueue sequence) order, so a fixed schedule of
-sends yields one possible execution, always the same.  The registry is
-best-effort bookkeeping: rulings never depend on it.
+however slowly a peer trickles its reply.  The registry is best-effort
+bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import law_lang
@@ -297,13 +297,13 @@ def decode_body(body: bytes) -> WireMessage:
 
 
 class SimNetwork:
-    """Logical-tick transport: ``run_until_idle`` and ``advance`` pop the
-    (deliver_at, seq) heap and deliver each message due themselves."""
+    """Logical-tick transport: ``send`` queues a message due ``latency``
+    ticks from now, and ``run_until_idle`` delivers the queue in send
+    order, moving the clock to each message's due tick."""
 
     def __init__(self):
         self.clock = 0
-        self._seq = 0
-        self._pending: list[tuple[int, int, Callable, WireMessage]] = []
+        self._pending: deque[tuple[int, Callable, WireMessage]] = deque()
         self._handlers: dict[str, Callable[[WireMessage], object]] = {}
 
     def register(self, address: str,
@@ -314,32 +314,23 @@ class SimNetwork:
 
     def send(self, address: str, msg: WireMessage, latency: int = 0):
         handler = self._handlers[address]
-        heappush(self._pending, (self.clock + latency, self._seq, handler, msg))
-        self._seq += 1
+        self._pending.append((self.clock + latency, handler, msg))
 
     def run_until_idle(self) -> object:
         pending = self._pending
         result = None
         while pending:
-            deliver_at, _, handler, msg = heappop(pending)
+            deliver_at, handler, msg = pending.popleft()
             if deliver_at > self.clock:
                 self.clock = deliver_at
             result = handler(msg)
         return result
 
     def advance(self, ticks: int) -> str:
-        """Move the clock forward, delivering everything due on the way.
-
-        Returns the step text a scenario report shows.
-        """
-        target = self.clock + ticks
-        while self._pending and self._pending[0][0] <= target:
-            deliver_at, _, handler, msg = heappop(self._pending)
-            if deliver_at > self.clock:
-                self.clock = deliver_at
-            handler(msg)
-        if target > self.clock:
-            self.clock = target
+        """Move the clock forward, never back; returns the step text a
+        scenario report shows."""
+        if ticks > 0:
+            self.clock += ticks
         return f"advance {ticks} -> t={self.clock}"
 
     def now(self) -> int:

@@ -811,8 +811,8 @@ def print_law(law: Law) -> str:
 
 
 def text_hash(text: str) -> str:
-    """Content digest (sha256 hex) of a law text."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Content digest (``HASH_ALGORITHM`` hex) of a law text."""
+    return hashlib.new(HASH_ALGORITHM, text.encode("utf-8")).hexdigest()
 
 
 def finalize(law: Law) -> Law:

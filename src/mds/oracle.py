@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
                          EventContext, adopt, handle_arrive, handle_send)
-from .law_lang import finalize
+from .law_lang import parse_law, print_law
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
                     LawHierarchy, MetaDirection, MetaPermission, Not,
@@ -232,13 +232,9 @@ MAX_MESSAGES = 60  # messages in one generated script at most
 
 @dataclass
 class GeneratedSystem:
-    """A random law hierarchy, cast and script.  A step names the module
-    of each end inside the system, and None for an end outside it;
-    ``from_outside`` marks an outside sender, and ``line`` is the step's
-    place in the script, from 1."""
+    """A random law hierarchy, root first, with its cast and script."""
     seed: int
     laws: dict[str, Law]
-    root: str
     components: list[ComponentDecl]
     script: list[SendStep]
 
@@ -327,7 +323,9 @@ def _gen_events(rng: random.Random, allow_adopted: bool) -> tuple[EventKind, ...
 
 
 def _gen_law(rng: random.Random, name: str, parent: Optional[str],
-             modules: list[str], ancestors: list[Law]) -> Law:
+             modules: list[str], ancestors: list[Law], memo: dict) -> Law:
+    """A random law, as the parser makes it from the law's printed text;
+    ``memo`` is the parse memo of the system's laws."""
     rules: list[Rule] = []
     meta: list[MetaPermission] = []
     for r in range(rng.randint(1, 4)):
@@ -379,9 +377,9 @@ def _gen_law(rng: random.Random, name: str, parent: Optional[str],
             actions=actions))
     profile = tuple(sorted({rng.choice(_LABELS)
                             for _ in range(rng.randint(0, 2))}))
-    return finalize(Law(name=name, parent=parent, profile=profile,
-                        rules=tuple(rules), meta=tuple(meta),
-                        overrides=tuple(overrides)))
+    return parse_law(print_law(Law(
+        name=name, parent=parent, profile=profile, rules=tuple(rules),
+        meta=tuple(meta), overrides=tuple(overrides))), name, memo)
 
 
 def generate_system(seed: int) -> GeneratedSystem:
@@ -390,6 +388,7 @@ def generate_system(seed: int) -> GeneratedSystem:
     names = list(_MODULES[:count])
     laws: dict[str, Law] = {}
     order: list[str] = []
+    memo: dict = {}  # one parse memo per system, as per law directory
     for i, name in enumerate(names):
         if i == 0:
             parent = None
@@ -397,7 +396,7 @@ def generate_system(seed: int) -> GeneratedSystem:
         else:
             parent = rng.choice(order)
             ancestors = oracle_path(laws, parent)
-        law = _gen_law(rng, name, parent, names, ancestors)
+        law = _gen_law(rng, name, parent, names, ancestors, memo)
         laws[name] = law
         order.append(name)
 
@@ -426,8 +425,8 @@ def generate_system(seed: int) -> GeneratedSystem:
                 target, tmod = rng.choice(personas)
         script.append(SendStep(sender, smod, target, tmod, op, payload,
                                smod is None, line))
-    return GeneratedSystem(seed=seed, laws=laws, root=names[0],
-                           components=components, script=script)
+    return GeneratedSystem(seed=seed, laws=laws, components=components,
+                           script=script)
 
 
 # ---------------------------------------------------------------------------

@@ -745,13 +745,20 @@ class TestOperationIndex:
         assert [r[0] for r in q1_rows] == [None, d.pred]
         assert q1_rows[1][1:] == (d.overrides[0].body, ("IdxKid", "d"), ())
         # an unnamed operation keeps the guards it cannot settle, and
-        # loses the override only q1 can reach
+        # loses the override only q1 can reach; evaluate builds that scan
+        # for q9 and finds it in the table for zz
         ov = d.overrides[1]
-        assert program.scan(EventKind.SENT, "q9") == (
+        sent = program.tables[EventKind.SENT]
+        controller.evaluate(program, {}, {}, EventContext(
+            EventKind.SENT, "q9", FlowKind.INNER, "IdxKid"))
+        q9_rows = sent[controller._OTHER]
+        assert q9_rows == (
             (b.pred, b.body, b.matched, ()),
             (d.pred, d.body, d.matched, ((ov.pred, ov.body, ov.matched),)))
-        assert program.scan(EventKind.SENT, "zz") is \
-            program.scan(EventKind.SENT, "q9")
+        controller.evaluate(program, {}, {}, EventContext(
+            EventKind.SENT, "zz", FlowKind.INNER, "IdxKid"))
+        assert sent.keys() == {"x", "q1", controller._OTHER}
+        assert sent[controller._OTHER] is q9_rows
 
     def test_made_up_operations_share_one_scan(self, shipped):
         h, _ = build_hierarchy(shipped.laws.values())

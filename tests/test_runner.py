@@ -60,6 +60,25 @@ class TestShippedScenarios:
             assert ([int(ts) for ts, _ in tcp_cols]
                     == list(range(len(tcp_cols)))), name
 
+    @pytest.mark.parametrize("mode", ["sim", "tcp"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_each_send_is_run_to_idle_before_the_next(
+            self, scenario_dir, monkeypatch, name, mode):
+        # At most one message is ever queued, so the order in which a
+        # network would deliver several can move no ruling.
+        network = fabric.SimNetwork if mode == "sim" else fabric.TcpNetwork
+        calls: list[str] = []
+        for method in ("send", "run_until_idle"):
+            def wrapped(net, *args, _real=getattr(network, method),
+                        _method=method, **kwargs):
+                calls.append(_method)
+                return _real(net, *args, **kwargs)
+
+            monkeypatch.setattr(network, method, wrapped)
+        report = run_scenario(scenario_dir / f"{name}.mds", mode=mode, seed=7)
+        assert report.ok, [s.text for s in report.failures()]
+        assert calls and calls == ["send", "run_until_idle"] * (len(calls) // 2)
+
     def test_tcp_run_survives_stray_frames(self, scenario_dir):
         scn = load_scenario(str(scenario_dir / "sandbox.mds"))
         runner = ScenarioRunner(scn, scenario_dir, mode="tcp", seed=7)
