@@ -9,8 +9,8 @@ and the sender identification enveloped onto in-system traffic.
 from .conformance import (ConformanceViolation, ViolationKind,
                           build_hierarchy, check_overrides)
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Certificate, Decision, Delivery, DemoIssuer, Envelope,
-                         Ruling, adopt, handle_arrive, handle_send,
+                         Certificate, Decision, Delivery, Envelope, Ruling,
+                         adopt, handle_arrive, handle_send, issue_certificate,
                          matched_token)
 from .law_lang import HASH_ALGORITHM, LawParseError, parse_law, print_law
 from .model import (EventKind, FlowKind, Law, LawHierarchy, MetaDirection,
@@ -29,7 +29,6 @@ __all__ = [
     "ConformanceViolation",
     "Decision",
     "Delivery",
-    "DemoIssuer",
     "Envelope",
     "EventKind",
     "FlowKind",
@@ -54,6 +53,7 @@ __all__ = [
     "check_overrides",
     "handle_arrive",
     "handle_send",
+    "issue_certificate",
     "load_scenario",
     "matched_token",
     "parse_law",

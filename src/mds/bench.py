@@ -29,8 +29,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .controller import (AdoptionRefused, DemoIssuer, adopt, handle_arrive,
-                         handle_send)
+from .controller import (AdoptionRefused, adopt, handle_arrive, handle_send,
+                         issue_certificate)
 from .runner import RunnerError, check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
@@ -68,11 +68,10 @@ class BenchReport:
 def _timed_round(h, events: int) -> tuple[list[int], int]:
     """Per-event thread CPU nanoseconds of one round over fresh agents,
     and the round's wall-clock nanoseconds."""
-    issuer = DemoIssuer("demo-ca")
     members = []
     for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")):
         try:
-            members.append(adopt(name, h, module, cert=issuer.issue(
+            members.append(adopt(name, h, module, cert=issue_certificate(
                 name, {"modules": module}))[0])
         except AdoptionRefused as exc:
             raise RunnerError(f"adopt {name}@{module}: refused "

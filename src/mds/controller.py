@@ -52,8 +52,9 @@ nothing else.
 from __future__ import annotations
 
 import fnmatch
-import hashlib
+import hmac
 import re
+import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
@@ -118,41 +119,34 @@ class Certificate:
     """A signed attribute record presented at adoption.
 
     ``attributes["modules"]`` lists, comma-separated, the laws the subject
-    may adopt.  ``adopt`` checks every certificate with ``demo_verify``,
-    which accepts only what ``DemoIssuer`` signed; that issuer is a
-    stand-in for a real certification authority and must not be mistaken
-    for one.
+    may adopt.  ``issue_certificate`` is the one certification authority:
+    ``demo_verify`` accepts only what it signed in this process, and
+    ``adopt`` reads only a certificate that verifies and names the adopting
+    component as its subject.  The authority is a stand-in for a real one
+    and must not be mistaken for one.
     """
 
     subject: str
-    issuer: str
     attributes: tuple[tuple[str, str], ...]  # sorted (key, value) pairs
-    signature: str
+    signature: bytes
 
 
-def _cert_digest(subject: str, issuer: str,
-                 attributes: tuple[tuple[str, str], ...], secret: str) -> str:
-    blob = "|".join([secret, subject, issuer] +
-                    [f"{k}={v}" for k, v in attributes])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+_CA_KEY = secrets.token_bytes(32)  # drawn once per process
 
 
-class DemoIssuer:
-    """Toy certificate authority: the issuer name doubles as signing secret."""
+def _sign(subject: str, attributes: tuple[tuple[str, str], ...]) -> bytes:
+    return hmac.digest(_CA_KEY, repr((subject, attributes)).encode("utf-8"),
+                       "sha256")
 
-    def __init__(self, name: str = "demo-ca"):
-        self.name = name
 
-    def issue(self, subject: str, attributes: dict[str, str]) -> Certificate:
-        attrs = tuple(sorted(attributes.items()))
-        return Certificate(
-            subject=subject, issuer=self.name, attributes=attrs,
-            signature=_cert_digest(subject, self.name, attrs, self.name))
+def issue_certificate(subject: str, attributes: dict[str, str]) -> Certificate:
+    attrs = tuple(sorted(attributes.items()))
+    return Certificate(subject, attrs, _sign(subject, attrs))
 
 
 def demo_verify(cert: Certificate) -> bool:
-    return cert.signature == _cert_digest(
-        cert.subject, cert.issuer, cert.attributes, cert.issuer)
+    return hmac.compare_digest(cert.signature,
+                               _sign(cert.subject, cert.attributes))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +431,8 @@ def _compile_step(act: Action, leaf: str,
                 if equals:
                     if have != want:
                         return refusal
-                elif want not in [x.strip() for x in (have or "").split(",")]:
+                elif have is None or want not in [
+                        x.strip() for x in have.split(",")]:
                     return refusal
             return None
         return require_cert
@@ -750,11 +745,11 @@ def adopt(component: str, h: LawHierarchy, law: str,
     The adoption event runs every matching adopted-event rule root-first;
     a failed certificate requirement or a block terminal refuses adoption.
     Certificate attributes are readable by rules only if ``demo_verify``
-    accepts the certificate.
+    accepts the certificate and its subject is ``component``.
     """
     h.law(law)  # raises UnknownLawError early
     attrs: dict[str, str] = {}
-    if cert is not None and demo_verify(cert):
+    if cert is not None and cert.subject == component and demo_verify(cert):
         attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
                   program=program_for(h, law), cert_attrs=attrs)

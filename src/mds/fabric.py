@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import random
 import selectors
 import socket
 import struct
@@ -297,12 +298,14 @@ def decode_body(body: bytes) -> WireMessage:
 
 
 class SimNetwork:
-    """Logical-tick transport: ``send`` queues a message due ``latency``
-    ticks from now, and ``run_until_idle`` delivers the queue in send
-    order, moving the clock to each message's due tick."""
+    """Logical-tick transport: ``send`` queues a message due as many ticks
+    from now as ``random.Random(seed).randint(1, 3)`` draws, and
+    ``run_until_idle`` delivers the queue in send order, moving the clock
+    to each message's due tick."""
 
-    def __init__(self):
+    def __init__(self, seed: int = 0):
         self.clock = 0
+        self._bits = random.Random(seed).getrandbits
         self._pending: deque[tuple[int, Callable, WireMessage]] = deque()
         self._handlers: dict[str, Callable[[WireMessage], object]] = {}
 
@@ -312,9 +315,13 @@ class SimNetwork:
         self._handlers[address] = handler
         return address
 
-    def send(self, address: str, msg: WireMessage, latency: int = 0):
+    def send(self, address: str, msg: WireMessage):
         handler = self._handlers[address]
-        self._pending.append((self.clock + latency, handler, msg))
+        # randint(1, 3) inlined: the same draws of two bits, 3 redrawn
+        latency = self._bits(2)
+        while latency == 3:
+            latency = self._bits(2)
+        self._pending.append((self.clock + latency + 1, handler, msg))
 
     def run_until_idle(self) -> object:
         pending = self._pending
@@ -849,8 +856,7 @@ class TcpNetwork:
     """The ``SimNetwork`` interface over loopback sockets.
 
     One own connection (``_own_link``), opened when the network is made,
-    carries every frame ``send`` writes (``latency`` is the real
-    network's, so the argument is ignored).  ``run_until_idle`` reads them
+    carries every frame ``send`` writes.  ``run_until_idle`` reads them
     back in send order and runs each one's handler on the calling thread,
     so the handler's result or exception reaches the caller.  A write
     never waits (``_write``); only a read that would block waits, up to
@@ -898,7 +904,7 @@ class TcpNetwork:
         self._handlers[address] = handler
         return f"{host}:{port}"
 
-    def send(self, address: str, msg: WireMessage, latency: int = 0):
+    def send(self, address: str, msg: WireMessage):
         handler = self._handlers[address]
         _write(self._link, encode_frame(msg))
         self._sent.append(handler)

@@ -24,8 +24,8 @@ from fnmatch import fnmatchcase
 from typing import Iterator, NamedTuple, Optional
 
 from .conformance import build_hierarchy
-from .controller import (OUTSIDE, AdoptionRefused, BareInbound, DemoIssuer,
-                         EventContext, adopt, handle_arrive, handle_send)
+from .controller import (OUTSIDE, AdoptionRefused, BareInbound, EventContext,
+                         adopt, handle_arrive, handle_send, issue_certificate)
 from .law_lang import parse_law, print_law
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
@@ -146,11 +146,11 @@ def _run_body(actions, leaf: str, leaf_profile: tuple[str, ...], state: dict,
             pass
         elif isinstance(act, AppendProfile):
             raw = state.get("profile")
-            labels = raw.split(",") if isinstance(raw, str) and raw else []
-            for lbl in act.labels:
-                if lbl not in labels:
-                    labels.append(lbl)
-            state["profile"] = ",".join(labels)
+            labels = ([x for x in raw.split(",") if x]
+                      if isinstance(raw, str) else [])
+            added = [lbl for lbl in act.labels if lbl not in labels]
+            if added:
+                state["profile"] = ",".join(labels + added)
         elif isinstance(act, RequireCertificate):
             for c in act.constraints:
                 want = leaf if isinstance(c.value, SpecialValue) else c.value
@@ -490,7 +490,7 @@ def _production(system: GeneratedSystem, h: LawHierarchy,
                       dict(agents[key].state) if key in agents else {})
 
     for comp in system.components:
-        cert = DemoIssuer().issue(comp.name, comp.attributes())
+        cert = issue_certificate(comp.name, comp.attributes())
         for module in comp.modules:
             key = (comp.name, module)
             try:

@@ -5,14 +5,15 @@ The runner drives one transport interface (``fabric.SimNetwork`` or
 depends on it.  ``run_until_idle`` returns the receiver's ruling from the
 delivery that made it, so a step reports the ruling on its own message,
 and a handler failure raises out of the step in both modes.  In ``sim``
-mode messages travel a deterministic in-process network on a logical
-clock, so a scenario plus a seed fixes the audit byte for byte.  In
-``tcp`` mode every frame crosses the network's one own loopback
-connection, and every adopted persona listens for outside peers, whose
-controller messages alone ``fabric`` hands on, to be ruled on its service
-thread.  So each ruling and its audit line run under the runner's one
-lock, which no socket I/O is ever done under: a ruling is a function of
-the agent's state only while no other ruling writes that state.
+mode messages travel a deterministic in-process network whose logical
+clock moves by latencies it draws from the run's seed, so a scenario plus
+a seed fixes the audit byte for byte.  In ``tcp`` mode every frame
+crosses the network's one own loopback connection, and every adopted
+persona listens for outside peers, whose controller messages alone
+``fabric`` hands on, to be ruled on its service thread.  So each ruling
+and its audit line run under the runner's one lock, which no socket I/O
+is ever done under: a ruling is a function of the agent's state only
+while no other ruling writes that state.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import os
-import random
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,8 +35,8 @@ from typing import Optional, Union
 from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Decision, DemoIssuer, Envelope, adopt,
-                         handle_arrive, handle_send)
+                         Decision, Envelope, adopt, handle_arrive,
+                         handle_send, issue_certificate)
 from .model import (FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8,
                     unsigned_decimal)
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
@@ -146,8 +146,6 @@ class ScenarioRunner:
         self.scn = scn
         self.mode = mode
         self.seed = seed
-        self.rng = random.Random(seed)
-        self._bits = self.rng.getrandbits  # latency draws, see _transmit
         self.audit: list[str] = []
         self.reports: list[StepReport] = []
         self.outbound: list[tuple[str, str, bytes]] = []  # left the system
@@ -165,12 +163,12 @@ class ScenarioRunner:
         self._remote_registry = (_service_address(ENV_REGISTRY)
                                  if mode == "tcp" else None)
 
-        self.issuer = DemoIssuer("demo-ca")
         self.decls = {d.name: d for d in scn.components}
         self.agents: dict[str, Agent] = {}
         # (name, @MODULE or None) -> persona label, once it has taken part
         self._labels: dict[tuple[str, Optional[str]], str] = {}
-        self.net = fabric.SimNetwork() if mode == "sim" else fabric.TcpNetwork()
+        self.net = (fabric.SimNetwork(seed) if mode == "sim"
+                    else fabric.TcpNetwork())
         try:
             self._adopt_all()
         except BaseException:
@@ -224,7 +222,7 @@ class ScenarioRunner:
 
     def _adopt_all(self):
         for decl in self.scn.components:
-            cert = self.issuer.issue(decl.name, decl.attributes())
+            cert = issue_certificate(decl.name, decl.attributes())
             for module in decl.modules:
                 label = f"{decl.name}@{module}"
                 try:
@@ -290,11 +288,7 @@ class ScenarioRunner:
     def _transmit(self, label: str, msg: fabric.WireMessage) -> tuple[str, str]:
         """Send msg to a persona, wait for its arrival ruling, and return
         (outcome, matched token)."""
-        # rng.randint(1, 3) inlined: the same draws of two bits, 3 redrawn
-        latency = self._bits(2)
-        while latency == 3:
-            latency = self._bits(2)
-        self.net.send(label, msg, latency=latency + 1)
+        self.net.send(label, msg)
         decision, token = self.net.run_until_idle()
         if decision is _DELIVER:
             return DELIVERED, token

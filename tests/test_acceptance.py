@@ -12,14 +12,12 @@ from dataclasses import replace
 
 from mds.bench import run_bench
 from mds.conformance import build_hierarchy
-from mds.controller import (OUTSIDE, BareInbound, Decision, DemoIssuer,
-                            adopt, handle_arrive, handle_send, matched_token)
+from mds.controller import (OUTSIDE, BareInbound, Decision, adopt,
+                            handle_arrive, handle_send, issue_certificate,
+                            matched_token)
 from mds.law_lang import parse_law
 from mds.oracle import generate_system, run_differential
 from mds.runner import check_law_dir, run_scenario
-
-ISSUER = DemoIssuer("demo-ca")
-
 
 def _timed_scenario(scenario_dir, name, seed=7):
     started = time.perf_counter()
@@ -127,7 +125,7 @@ class TestDefaultsRegularity:
         agents = {}
         for name, module in (("p1", "D1"), ("p2", "D1"),
                              ("p3", "D2"), ("p4", "D2")):
-            cert = ISSUER.issue(name, {"modules": module})
+            cert = issue_certificate(name, {"modules": module})
             agents[name], _ = adopt(name, h, module, cert=cert)
 
         failures = []
@@ -221,7 +219,7 @@ class TestRulingLocality:
         for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS"),
                              ("boxed", "SB"), ("boss", "MGMT"),
                              ("buyer", "P")):
-            cert = ISSUER.issue(name, {"modules": module})
+            cert = issue_certificate(name, {"modules": module})
             agent, _ = adopt(name, h, module, cert=cert)
             agents.append(agent)
         return h, agents
@@ -254,7 +252,7 @@ class TestRulingLocality:
             assert h is not None, violations
             agents = []
             for comp in system.components:
-                cert = ISSUER.issue(comp.name, comp.attributes())
+                cert = issue_certificate(comp.name, comp.attributes())
                 for module in comp.modules:
                     agent, _ = adopt(comp.name, h, module, cert=cert)
                     agents.append(agent)

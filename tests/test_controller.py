@@ -1,5 +1,6 @@
 """Per-component enforcement: flows, adoption, rulings, disclosure."""
 
+import hmac
 import random
 from dataclasses import replace
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from mds import controller, oracle
 from mds.conformance import build_hierarchy
 from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
-                            Certificate, Decision, DemoIssuer, Envelope,
-                            EventContext, adopt, demo_verify, handle_arrive,
-                            handle_send, matched_token)
+                            Certificate, Decision, Envelope, EventContext,
+                            adopt, demo_verify, handle_arrive, handle_send,
+                            issue_certificate, matched_token)
 from mds.law_lang import finalize, parse_law
 from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
@@ -20,15 +21,12 @@ from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
 from mds.oracle import generate_system, oracle_evaluate, oracle_flow
 from mds.runner import check_law_dir
 
-ISSUER = DemoIssuer("demo-ca")
-
-
 def _adopt(h, name, module, attrs=None, cert=True):
     c = None
     if cert:
         full = {"modules": module}
         full.update(attrs or {})
-        c = ISSUER.issue(name, full)
+        c = issue_certificate(name, full)
     return adopt(name, h, module, cert=c)
 
 
@@ -82,21 +80,31 @@ class TestRulingFlow:
 
 class TestCertificates:
     def test_issue_verify_round_trip(self):
-        cert = ISSUER.issue("alice", {"modules": "MS", "clearance": "high"})
+        cert = issue_certificate("alice", {"modules": "MS",
+                                           "clearance": "high"})
         assert demo_verify(cert)
         assert dict(cert.attributes)["clearance"] == "high"
 
     def test_tampered_attribute_fails(self):
-        cert = ISSUER.issue("alice", {"modules": "MS"})
-        forged = Certificate(cert.subject, cert.issuer,
-                             (("modules", "MS,P"),), cert.signature)
+        cert = issue_certificate("alice", {"modules": "MS"})
+        forged = Certificate(cert.subject, (("modules", "MS,P"),),
+                             cert.signature)
         assert not demo_verify(forged)
 
-    def test_wrong_issuer_secret_fails(self):
-        other = DemoIssuer("rogue-ca").issue("alice", {"modules": "MS"})
-        looks_real = Certificate(other.subject, "demo-ca", other.attributes,
-                                 other.signature)
-        assert not demo_verify(looks_real)
+    def test_wrong_issuer_secret_fails(self, shipped):
+        # signed as the authority signs, under a key it does not hold
+        attrs = (("modules", "MS"),)
+        forged = Certificate("alice", attrs, hmac.digest(
+            b"rogue-ca", repr(("alice", attrs)).encode("utf-8"), "sha256"))
+        assert not demo_verify(forged)
+        with pytest.raises(AdoptionRefused):
+            adopt("alice", shipped, "MS", cert=forged)
+
+    def test_attributes_resplit_across_the_separators_fail(self):
+        cert = issue_certificate("alice", {"dept": "eng|modules=MS"})
+        resplit = Certificate("alice", (("dept", "eng"), ("modules", "MS")),
+                              cert.signature)
+        assert not demo_verify(resplit)
 
 
 class TestAdoption:
@@ -117,19 +125,26 @@ class TestAdoption:
             _adopt(shipped, "m", "MS", cert=False)
 
     def test_certificate_without_module_refused(self, shipped):
-        cert = ISSUER.issue("m", {"modules": "OPS,SB"})
+        cert = issue_certificate("m", {"modules": "OPS,SB"})
         with pytest.raises(AdoptionRefused):
             adopt("m", shipped, "MS", cert=cert)
 
     def test_tampered_certificate_refused(self, shipped):
-        cert = ISSUER.issue("m", {"modules": "OPS"})
-        forged = Certificate(cert.subject, cert.issuer,
-                             (("modules", "MS"),), cert.signature)
+        cert = issue_certificate("m", {"modules": "OPS"})
+        forged = Certificate(cert.subject, (("modules", "MS"),),
+                             cert.signature)
         with pytest.raises(AdoptionRefused):
             adopt("m", shipped, "MS", cert=forged)
 
+    def test_certificate_of_another_subject_refused(self, shipped):
+        alices = issue_certificate("alice", {"modules": "MS"})
+        assert adopt("alice", shipped, "MS", cert=alices)[0].cert_attrs
+        with pytest.raises(AdoptionRefused) as refused:
+            adopt("mallory", shipped, "MS", cert=alices)
+        assert refused.value.outcome.matched == "S:init"
+
     def test_multi_module_component_gets_separate_agents(self, shipped):
-        cert = ISSUER.issue("b", {"modules": "OPS,P"})
+        cert = issue_certificate("b", {"modules": "OPS,P"})
         ops_agent, _ = adopt("b", shipped, "OPS", cert=cert)
         p_agent, _ = adopt("b", shipped, "P", cert=cert)
         assert ops_agent.state["module"] == "OPS"
@@ -619,7 +634,7 @@ class TestCompiledBodiesMatchOracle:
         h = _hier(self.ROOT, self.LEFT, self.RIGHT)
         reasons = {}  # (component, op) -> reason of an inner-flow block
         for name, leaf, attrs in self.CAST:
-            cert = ISSUER.issue(name, {"modules": leaf, **attrs})
+            cert = issue_certificate(name, {"modules": leaf, **attrs})
             agent, ruling = adopt(name, h, leaf, cert=cert)
             expected = oracle_evaluate(h.laws, leaf, {}, agent.cert_attrs,
                                        EventContext(EventKind.ADOPTED))
@@ -670,6 +685,39 @@ class TestCompiledBodiesMatchOracle:
             _, _, expected = oracle_evaluate(h.laws, "Grow", start, {},
                                              EventContext(EventKind.ADOPTED))
             assert state == expected, start
+
+    @staticmethod
+    def _adopted_both_ways(body: str, cert: dict) -> tuple:
+        """(production's, the oracle's) ruling of the adopted event under a
+        one-rule law, each as (verdict, token, state after)."""
+        h = _hier("law G {\n  default rule init on adopted {\n"
+                  f"    {body}\n  }}\n}}\n")
+        state: dict = {}
+        verdict, matched, *_ = controller.evaluate(
+            controller.program_for(h, "G"), state, cert,
+            EventContext(EventKind.ADOPTED))
+        return ((verdict, matched_token(matched), state),
+                oracle_evaluate(h.laws, "G", {}, cert,
+                                EventContext(EventKind.ADOPTED)))
+
+    @pytest.mark.parametrize("label,profile", [("c", "a,c"), ("a", ",a")])
+    def test_append_profile_skips_empty_labels_as_the_oracle_does(
+            self, label, profile):
+        # Labels are the non-empty parts; the value is rewritten only when
+        # a label is added.
+        production, expected = self._adopted_both_ways(
+            f'set state.profile = ",a"; append-profile {label};', {})
+        assert production == expected
+        assert production[2] == {"profile": profile}
+
+    @pytest.mark.parametrize("cert,verdict", [
+        ({}, "block"), ({"dept": "eng"}, "block"), ({"dept": ""}, "permit")])
+    def test_an_absent_attribute_lists_nothing_as_in_the_oracle(
+            self, cert, verdict):
+        production, expected = self._adopted_both_ways(
+            'require-cert dept contains ""; permit;', cert)
+        assert production == expected
+        assert production[0] == verdict
 
 
 # Guards that read only the operation, some of which hold for an
@@ -992,7 +1040,7 @@ class TestSharedNodes:
             assert agent.state["module"] == leaf
             assert ruling.state_updates == (("set", "module", leaf),)
         with pytest.raises(AdoptionRefused, match="does not list 'B'"):
-            adopt("x", h, "B", cert=ISSUER.issue("x", {"modules": "A"}))
+            adopt("x", h, "B", cert=issue_certificate("x", {"modules": "A"}))
 
     def test_a_shared_guard_compiles_to_one_closure(self, h):
         assert (h.law("A").rules[1].predicate

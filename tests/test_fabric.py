@@ -489,8 +489,8 @@ def test_messages_arrive_in_send_order(network):
     try:
         seen = []
         net.register("x", seen.append)
-        for op, latency in (("slow", 9), ("fast", 1), ("mid", 5)):
-            net.send("x", BareInbound("s", op, b""), latency=latency)
+        for op in ("slow", "fast", "mid"):
+            net.send("x", BareInbound("s", op, b""))
         net.run_until_idle()
         assert [m.operation for m in seen] == ["slow", "fast", "mid"]
     finally:
@@ -503,16 +503,17 @@ def test_advance_delivers_nothing(network):
     try:
         seen = []
         net.register("x", seen.append)
-        for op, latency in (("slow", 9), ("fast", 1), ("mid", 5)):
-            net.send("x", BareInbound("s", op, b""), latency=latency)
-        net.advance(4)
+        for op in ("slow", "fast", "mid"):
+            net.send("x", BareInbound("s", op, b""))
+        net.advance(1)  # a message may be due at tick 1; none is delivered
         assert seen == []
         if network is SimNetwork:
-            assert net.clock == 4
+            assert net.clock == 1
         net.run_until_idle()
         assert [m.operation for m in seen] == ["slow", "fast", "mid"]
         if network is SimNetwork:  # the clock moves to the latest due tick
-            assert net.clock == 9
+            draws = random.Random(0)  # the network's seed
+            assert net.clock == max(draws.randint(1, 3) for _ in range(3))
     finally:
         net.close()
 
@@ -528,7 +529,7 @@ def test_run_until_idle_returns_the_last_result_and_raises_errors(network):
         net.register("bad", fail)
         assert net.run_until_idle() is None  # nothing was sent
         for op in ("first", "last"):
-            net.send("x", BareInbound("s", op, b""), latency=1)
+            net.send("x", BareInbound("s", op, b""))
         assert net.run_until_idle() == "last"
         net.send("bad", BareInbound("s", "op", b""))
         with pytest.raises(RuntimeError, match="handler fails on op"):

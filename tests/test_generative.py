@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mds.conformance import build_hierarchy
-from mds.controller import (BareInbound, DemoIssuer, Envelope, EventContext,
-                            adopt, handle_arrive, matched_token)
+from mds.controller import (BareInbound, Envelope, EventContext, adopt,
+                            handle_arrive, issue_certificate, matched_token)
 from mds.fabric import (WIRE_FORMAT, FrameError, decode_body, encode_frame,
                         read_frame)
 from mds.law_lang import LawParseError, parse_law
@@ -264,9 +264,6 @@ class TestFrameReader:
         assert encode_frame(msg)[4:] == body
 
 
-ISSUER = DemoIssuer("demo-ca")
-
-
 @cache
 def _agents() -> tuple:
     """(hierarchy, agent) for an agent of every shipped law and of one leaf
@@ -287,7 +284,7 @@ def _agents() -> tuple:
     agents = []
     for h, law in [(shipped, name) for name in sorted(shipped.laws)] + [
             (deep, leaf)]:
-        cert = ISSUER.issue(f"{law.lower()}0", {"modules": law})
+        cert = issue_certificate(f"{law.lower()}0", {"modules": law})
         agent, _ = adopt(f"{law.lower()}0", h, law, cert=cert)
         agents.append((h, agent))
     return tuple(agents)

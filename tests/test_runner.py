@@ -146,16 +146,21 @@ class TestDeterminism:
 
     def test_latencies_are_the_seeds_randint_draws(self, scenario_dir,
                                                    monkeypatch):
-        # The runner draws latencies by hand; they must stay the draws of
-        # random.Random(seed).randint(1, 3), which fix the sim audits.
+        # The simulator draws latencies by hand; they must stay the draws
+        # of random.Random(seed).randint(1, 3), which fix the sim audits.
+        # The runner runs each message to idle alone, so the clock step of
+        # each delivery is that message's latency.
         seen: list[int] = []
-        real_send = fabric.SimNetwork.send
+        real_run = fabric.SimNetwork.run_until_idle
 
-        def send(net, address, msg, latency=0):
-            seen.append(latency)
-            return real_send(net, address, msg, latency)
+        def run_until_idle(net):
+            before = net.clock
+            result = real_run(net)
+            seen.append(net.clock - before)
+            return result
 
-        monkeypatch.setattr(fabric.SimNetwork, "send", send)
+        monkeypatch.setattr(fabric.SimNetwork, "run_until_idle",
+                            run_until_idle)
         scn = load_scenario(str(scenario_dir / "monitoring.mds"))
         for seed in range(200):
             del seen[:]
