@@ -36,11 +36,11 @@ program, which also holds the hierarchy's lineage table and token cache, to
 the agent (``Agent.program``), so a send or an arrival goes straight to
 ``evaluate``, and its ruling names the decider by a token rendered once.
 
-Scans are built on demand, never at compile time.  The first scan of an
-event kind lists the entries that kind can reach (``Program.candidates``).
-``evaluate`` looks the scan of one event and operation up in
-``Program.tables``; only on a miss does ``Program.scan`` build it from
-that list, and a guard the operation settles is dropped or never run.
+Scans are built on demand, never at compile time.  ``evaluate`` looks
+the scan of one event and operation up in ``Program.tables``; only on a
+miss does ``Program.scan`` build it, in one walk of the entries that skips
+those the event cannot reach, and a guard the operation settles is dropped
+or never run.
 An entry without overrides puts the same ready-made row into every scan
 that keeps it, one with its guard as written and one with the guard
 settled, each made when first needed; the row of an entry with overrides
@@ -581,11 +581,10 @@ _OTHER = object()  # table key of the scan for operations no ``op ==`` names
 class Program:
     """Pre-resolved scan order for one leaf law of one hierarchy.
 
-    ``entries`` lists every rule on the path root-first.  ``candidates``
-    holds, per event kind, the entries that event can reach, and ``tables``
-    the scan each operation reaches, keyed by operation (``_OTHER`` for
-    every operation no ``op ==`` names).  A scan is built on a miss in
-    ``tables``, by ``scan``, which fills both.
+    ``entries`` lists every rule on the path root-first, and ``tables``
+    holds, per event kind, the scan each operation reaches, keyed by
+    operation (``_OTHER`` for every operation no ``op ==`` names).  A scan
+    is built on a miss in ``tables``, by ``scan``, which fills it in.
     A scan row is (guard, body, matched, overrides as (guard, body,
     matched)); a None guard always holds.  An entry without overrides
     lends every scan that keeps it one of two ready-made rows, ``row``
@@ -596,8 +595,7 @@ class Program:
     ``tokens`` its token cache (see ``_Tokens``).
     """
 
-    __slots__ = ("tokens", "entries", "lineages", "named", "candidates",
-                 "tables")
+    __slots__ = ("tokens", "entries", "lineages", "named", "tables")
 
     def __init__(self, tokens: _Tokens, entries: tuple[_RuleEntry, ...],
                  lineages: dict[str, tuple[str, ...]]):
@@ -608,7 +606,6 @@ class Program:
         self.named = frozenset().union(*(
             c.ops for e in entries for c in (e, *e.overrides)
             if c.ops is not None))
-        self.candidates: dict[EventKind, tuple[_RuleEntry, ...]] = {}
         self.tables: dict[EventKind, dict] = {event: {} for event in EventKind}
 
     def scan(self, event: EventKind, operation: str) -> tuple:
@@ -625,16 +622,13 @@ class Program:
         scan, so a peer cannot grow the table.
         """
         key = operation if operation in self.named else _OTHER
-        candidates = self.candidates.get(event)
-        if candidates is None:
-            candidates = self.candidates[event] = tuple(
-                e for e in self.entries if event in e.events)
         # op-only guards are settled by a named operation alone
         ctx = None if key is _OTHER else EventContext(event, operation)
         kept = []
-        for entry in candidates:
+        for entry in self.entries:
             # ops lie within named, so an unnamed operation is in none
-            if entry.ops is not None and operation not in entry.ops:
+            if event not in entry.events or (
+                    entry.ops is not None and operation not in entry.ops):
                 continue
             settled = ctx is not None and entry.op_only
             if settled and not entry.pred(ctx, None, None):

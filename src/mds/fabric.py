@@ -38,7 +38,9 @@ carries.  ``LawServer.respond`` and ``Registry.respond`` are
 one entry point, in process too.  ``call_remote`` opens one connection
 per request, for law fetches and registry calls, and ``CALL_TIMEOUT``
 bounds the whole call but the host name lookup: every address tried,
-however slowly a peer trickles its reply.  The registry is best-effort
+however slowly a peer trickles its reply.  Every request but one gets a
+reply: ``Registry.respond`` keeps a ``Registration`` and answers nothing,
+so ``call_remote`` reads no reply to one.  The registry is best-effort
 bookkeeping: rulings never depend on it.
 """
 
@@ -749,19 +751,24 @@ def _connect(address: tuple[str, int], deadline: float) -> socket.socket:
     raise errors[0] if errors else OSError("getaddrinfo returns an empty list")
 
 
-def call_remote(address: tuple[str, int], msg: WireMessage,
-                expect_reply: bool = True) -> Optional[WireMessage]:
-    """One request (and optionally one reply) over a fresh connection, all
-    within ``CALL_TIMEOUT`` seconds but for the host name lookup: each
-    connect attempt, the send and each read wait only for the time left, so
-    a reply that trickles in times out as a silent one does."""
+def call_remote(address: tuple[str, int],
+                msg: WireMessage) -> Optional[WireMessage]:
+    """One request and its reply over a fresh connection, all within
+    ``CALL_TIMEOUT`` seconds but for the host name lookup: each connect
+    attempt, the send and each read wait only for the time left, so a reply
+    that trickles in times out as a silent one does.  A ``Registration``
+    gets no reply, so its call returns None once it is sent; any other
+    request whose stream ends before its reply raises ``FrameError``."""
     deadline = time.monotonic() + CALL_TIMEOUT
     with _connect(address, deadline) as sock:
         sock.settimeout(_time_left(deadline))
         sock.sendall(encode_frame(msg))  # the timeout bounds the whole send
-        if not expect_reply:
+        if isinstance(msg, Registration):
             return None
-        return read_frame(_DeadlineReader(sock, deadline))
+        reply = read_frame(_DeadlineReader(sock, deadline))
+        if reply is None:
+            raise FrameError("connection closed with no reply")
+        return reply
 
 
 class _Link(NamedTuple):

@@ -165,8 +165,6 @@ class ScenarioRunner:
 
         self.decls = {d.name: d for d in scn.components}
         self.agents: dict[str, Agent] = {}
-        # (name, @MODULE or None) -> persona label, once it has taken part
-        self._labels: dict[tuple[str, Optional[str]], str] = {}
         self.net = (fabric.SimNetwork(seed) if mode == "sim"
                     else fabric.TcpNetwork())
         try:
@@ -256,8 +254,7 @@ class ScenarioRunner:
                 fabric.call_remote(
                     self._remote_registry,
                     fabric.Registration(component=component, module=module,
-                                        address=address),
-                    expect_reply=False)
+                                        address=address))
             except OSError:  # registration is best effort: stop trying
                 self._remote_registry = None
 
@@ -319,14 +316,11 @@ class ScenarioRunner:
                          audit_lines=list(self.audit))
 
     def _persona(self, name: str, explicit: Optional[str]) -> str:
-        label = self._labels.get((name, explicit))
-        if label is None:
-            decl = self.decls[name]
-            module = explicit if explicit is not None else decl.modules[0]
-            label = f"{name}@{module}"
-            if label not in self.agents:
-                raise RunnerError(f"{label} refused adoption; cannot take part")
-            self._labels[name, explicit] = label
+        module = (explicit if explicit is not None
+                  else self.decls[name].modules[0])
+        label = f"{name}@{module}"
+        if label not in self.agents:
+            raise RunnerError(f"{label} refused adoption; cannot take part")
         return label
 
     def _send_step(self, step: SendStep):

@@ -141,10 +141,12 @@ class TestRunCommand:
         assert err.count("\n") == 1, err
         assert err.startswith("run failed: hash mismatch for fetched law 'MS'")
 
-    @pytest.mark.parametrize("reply", [None, fabric.RegistryRecords(())],
-                             ids=["closes", "wrong-kind"])
+    @pytest.mark.parametrize("reply, reason", [
+        (None, "connection closed with no reply"),
+        (fabric.RegistryRecords(()), "law server sent no law_response")],
+        ids=["closes", "wrong-kind"])
     def test_a_bad_law_server_reply_fails_in_one_line(
-            self, scenario_dir, monkeypatch, capsys, reply):
+            self, scenario_dir, monkeypatch, capsys, reply, reason):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             listener.settimeout(10.0)
 
@@ -166,7 +168,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert status == 1
         assert err == (f"run failed: cannot fetch 'MGMT' from {address}: "
-                       f"law server sent no law_response\n")
+                       f"{reason}\n")
 
     @pytest.mark.parametrize("change, message", [
         ({"found": False}, "law server lacks 'P'"),

@@ -939,11 +939,11 @@ class TestScanRows:
     def test_building_a_program_makes_no_rows(self):
         h = _hier(TestOperationIndex.INDEXED, TestOperationIndex.KID)
         program = controller.program_for(h, "IdxKid")
-        assert program.candidates == {}
         assert not any(program.tables.values())
         assert all(e.row is e.settled_row is None for e in program.entries)
         program.scan(EventKind.SENT, "x")
-        assert list(program.candidates) == [EventKind.SENT]
+        assert [event for event, table in program.tables.items()
+                if table] == [EventKind.SENT]
         assert [e.row is not None or e.settled_row is not None
                 for e in program.entries] == [True, False, True, False]
 

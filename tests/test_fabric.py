@@ -722,8 +722,7 @@ class TestTcpServices:
         service = TcpService(reg.respond)
         try:
             address = service.address
-            ack = call_remote(address, Registration("c", "M", "addr"),
-                              expect_reply=False)
+            ack = call_remote(address, Registration("c", "M", "addr"))
             assert ack is None
             # registration is fire-and-forget: the thread serving its
             # connection may not have handled it when the query arrives
@@ -731,6 +730,20 @@ class TestTcpServices:
             reply = call_remote(address, RegistryQuery("name", "c"))
             assert isinstance(reply, RegistryRecords)
             assert reply.records[0].address == "addr"
+        finally:
+            service.close()
+
+    def test_a_registration_call_returns_without_waiting_for_a_reply(self):
+        """The registry answers a registration with nothing, so the call
+        returns once it is sent and never waits out CALL_TIMEOUT."""
+        reg = Registry()
+        service = TcpService(reg.respond)
+        try:
+            start = time.monotonic()
+            assert call_remote(service.address,
+                               Registration("c", "M", "addr")) is None
+            assert time.monotonic() - start < 1.0
+            assert _settle(lambda: reg.query(name="c"))
         finally:
             service.close()
 
@@ -1316,7 +1329,9 @@ class TestServiceLimits:
                 sock = socket.create_connection(service.address)
                 peers.append(sock)
                 sock.sendall(b"\x00")  # a frame begun, not finished
-            time.sleep(0.2)
+            # the fifth peer comes once the service has begun all four frames
+            assert _settle(lambda: [p.since is not None for p in tuple(
+                service._peers.values())] == [True] * 4, within=5.0)
             with pytest.raises((FrameError, OSError)):
                 call_remote(service.address, LawFetch("SB"))
             assert not select.select(peers, [], [], 0)[0]  # all still open

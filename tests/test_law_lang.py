@@ -600,12 +600,14 @@ class TestLexer:
     def test_mutated_laws_keep_their_outcomes(self, law_dir):
         # Regression pin: the digest of each of 2,000 damaged shipped laws'
         # hash or full diagnostic list, as the row-by-row lexer and its
-        # parser gave them (353 parse; the rest fail with 36 kinds of message).
+        # parser gave them (368 parse; the rest fail with 38 kinds of message).
+        # The damage falls on the files as written, comments too, so an
+        # edited comment moves the digest as a lexer change would.
         texts = [file.read_text() for file in sorted(law_dir.glob("*.law"))]
         outcomes = [_outcome(text) for text in _mutations(texts, 2000, 15)]
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-        assert digest == ("cfd826c75d02a3cb925f60e98fcbc73c91e11d6a9c904161"
-                          "909b40d0cd818cde")
+        assert digest == ("2fb1df9a95c1d89e867acc2732c5f8cf0011421ca5e8c844"
+                          "aa956aec11ecaf7a")
 
     @pytest.mark.parametrize("text", [
         pytest.param(BODY + "permit; } }" + " " * 100_000,

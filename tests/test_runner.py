@@ -127,6 +127,26 @@ class TestShippedScenarios:
             time.sleep(0.01)
         assert threading.active_count() <= before
 
+    @pytest.mark.parametrize("mode", ["sim", "tcp"])
+    def test_the_sandbox_lets_ident_out_and_its_members_talk(
+            self, scenario_dir, mode):
+        """SB's allow-list binds only what S lets it override: the root's
+        categorical ident rule and its open inner flow still decide."""
+        scn = parse_scenario(
+            "scenario sandbox-gaps\nlaw ../laws\n"
+            "component boxed1 modules SB\ncomponent boxed2 modules SB\n"
+            "outside wild\n"
+            "send boxed1 -> wild op ident\n"
+            "expect delivered matched S:ident\n"
+            "send boxed1 -> boxed2 op sync\n"
+            "expect delivered matched S:inner-permit\n")
+        report = ScenarioRunner(scn, scenario_dir, mode=mode, seed=7).run()
+        assert report.ok, [s.text for s in report.failures()]
+        assert [s.text for s in report.steps[2:]] == [
+            "send boxed1 -> wild op ident: delivered matched=S:ident [ok]",
+            "send boxed1 -> boxed2 op sync: delivered"
+            " matched=S:inner-permit [ok]"]
+
 
 class TestDeterminism:
     def test_same_seed_same_audit(self, scenario_dir):
@@ -500,10 +520,10 @@ class TestExternalServices:
         calls = []
         real = fabric.call_remote
 
-        def call_remote(to, msg, expect_reply=True):
+        def call_remote(to, msg):
             if isinstance(msg, fabric.Registration):
                 calls.append(msg)
-            return real(to, msg, expect_reply)
+            return real(to, msg)
 
         monkeypatch.setattr(fabric, "call_remote", call_remote)
         scn = load_scenario(str(scenario_dir / "sandbox.mds"))
