@@ -53,24 +53,29 @@ from it.  Columns count characters from 1, tabs included.  A predicate
 nests at most ``MAX_NESTING`` (64) levels of ``(`` and ``not``, so no
 text can exhaust the interpreter's stack.
 
-A law tree repeats its guards and bodies from law to law, so
-``parse_law`` takes an optional memo, which ``runner.load_law_dir``
-passes to every parse of one directory load and then drops.  The memo
-maps the lexemes from a guard's ``if`` up to its ``{``, or from a body's
-``{`` up to its ``}``, to the node they parsed to, and holds a node only
-if its parse succeeded and stopped right at that delimiter.  A permit or
-block override body that lacks its terminal is completed with it, and the
-completed body is kept in the memo under its own actions.  So every
-clause that spells a guard or body alike gets the same immutable node,
-every clause without a guard the one ``TruePred``, and no law, hash or
-diagnostic changes.
+A law tree repeats its clauses from law to law, so ``parse_law`` takes
+an optional memo, which ``runner.load_law_dir`` passes to every parse of
+one directory load and then drops.  The memo maps the lexemes of a
+clause's tail, from its ``on`` up to its body's ``}``, to the (events,
+guard, body) they parsed to; those of a guard, from its ``if`` up to its
+``{``, and of a body, from its ``{`` up to its ``}``, to their nodes.  It
+holds a node only if its parse succeeded and stopped right at that
+delimiter, so a tail that misses still shares its guard and body, and a
+damaged one is parsed again and gives the diagnostics it gives alone.  A
+permit or block override body that lacks its terminal is completed with
+it, and the completed body is kept in the memo under its own actions.
+So every clause that spells a tail, guard or body alike gets the same
+immutable nodes, every clause without a guard the one ``TruePred``, and
+no law, hash or diagnostic changes.
 
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
 overrides, two-space indent, comments stripped.  ``print_law`` is idempotent
-across a parse round trip.  :func:`finalize` prints a law once and keeps the
-text on ``Law.text`` beside its hash; that kept text is what a law server
-serves.
+across a parse round trip.  :func:`finalize` keeps the printed text on
+``Law.text`` beside its hash; that kept text is what a law server serves.
+``parse_law`` has it print through the memo, which also holds the printed
+text of each events tuple, and of each guard and body node under the
+node's ``id``, so a directory load prints each shared piece once.
 """
 
 from __future__ import annotations
@@ -250,8 +255,8 @@ def _lex_error(text: str) -> ParseDiagnostic:
 class _Parser:
     """Recursive descent over lexeme strings.  A failure records the index
     of the lexeme it is about; ``parse_law`` turns that into a line and
-    column only once a diagnostic is made.  ``memo`` holds the guards and
-    bodies parsed so far (see ``shared``)."""
+    column only once a diagnostic is made.  ``memo`` holds the tails,
+    guards and bodies parsed so far (see ``shared``)."""
 
     def __init__(self, lexemes: list[str], memo: dict):
         self.lex = lexemes
@@ -311,12 +316,13 @@ class _Parser:
         return value
 
     def shared(self, parse: Callable[[], object], close: str):
-        """``parse()`` of the lexemes from the one just passed (``if`` or
-        ``{``) up to the next ``close``, taken from the memo if they were
-        parsed before.  A node is stored only when its parse succeeded and
-        stopped right at ``close``: it then depends on those lexemes alone,
-        so every text that spells them alike gets the same object and the
-        same outcome.  Nodes are immutable, so laws may share them."""
+        """``parse()`` of the lexemes from the one just passed (``on``,
+        ``if`` or ``{``) up to the next ``close``, taken from the memo if
+        they were parsed before.  A node is stored only when its parse
+        succeeded and stopped right at ``close``: it then depends on those
+        lexemes alone, so every text that spells them alike gets the same
+        object and the same outcome.  Nodes are immutable, so laws may
+        share them."""
         memo = self.memo
         lex, start = self.lex, self.pos
         try:
@@ -411,13 +417,22 @@ class _Parser:
 
     def guarded(self) -> tuple[tuple[EventKind, ...], Predicate,
                                tuple[Action, ...]]:
-        """The ``on EVENTS [if PRED] BODY`` tail of rules and overrides."""
+        """The ``on EVENTS [if PRED] BODY`` tail of rules and overrides,
+        shared whole from ``on`` to the body's ``}``."""
         self.expect_keyword("on")
+        tail = self.shared(self.parse_tail, "}")
+        self.pos += 1  # "}"
+        return tail
+
+    def parse_tail(self) -> tuple[tuple[EventKind, ...], Predicate,
+                                  tuple[Action, ...]]:
+        """A tail after its ``on``, up to the body's closing ``}``."""
         seen = self.comma_list(self.event)
         events = tuple(e for e in _EVENT_ORDER if e in seen)
         predicate = (self.shared(self.parse_or, "{") if self.accept("if")
                      else _TRUE)
-        return events, predicate, self.parse_body()
+        self.expect_punct("{")
+        return events, predicate, self.shared(self.parse_actions, "}")
 
     def parse_rule(self) -> Rule:
         mode = (RuleMode.CATEGORICAL if self.lex[self.pos] == "categorical"
@@ -463,12 +478,6 @@ class _Parser:
                         predicate=predicate, actions=actions)
 
     # -- bodies / actions ---------------------------------------------------
-
-    def parse_body(self) -> tuple[Action, ...]:
-        self.expect_punct("{")
-        actions = self.shared(self.parse_actions, "}")
-        self.pos += 1  # "}"
-        return actions
 
     def parse_actions(self) -> tuple[Action, ...]:
         """The actions of a body, up to its closing ``}``."""
@@ -669,9 +678,10 @@ def parse_law(text: str, origin: str = "<law>",
 
     Raises :class:`LawParseError` naming ``origin`` and carrying 1-based
     positioned diagnostics.  ``memo`` is an empty dict that the caller
-    passes to every parse of one batch of laws and then drops: a guard or
-    body spelled alike in two of them is parsed once and shared.  Without
-    one, the parse shares nodes within its own law only.
+    passes to every parse of one batch of laws and then drops: a clause
+    tail, guard or body spelled alike in two of them is parsed once and
+    shared, and each shared guard and body is printed once.  Without one,
+    the parse shares nodes and printed pieces within its own law only.
     """
     # With the newline, the end of the text always reads as two "", so an
     # earlier "" is a bad lexeme.
@@ -687,7 +697,7 @@ def parse_law(text: str, origin: str = "<law>",
         raise LawParseError(origin, [
             _error(text, next(islice(_offsets(text), at, None)), message)
             for at, message in parser.errors])
-    return finalize(law)
+    return finalize(law, parser.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -774,38 +784,50 @@ def _print_action(a: Action) -> str:
     raise TypeError(f"unknown action {a!r}")  # pragma: no cover
 
 
-def _print_events(events: tuple[EventKind, ...]) -> str:
-    return ", ".join(e.value for e in events)
+def _clause(head: str, clause: Union[Rule, Override], pieces: dict) -> str:
+    events = pieces.get(clause.events)
+    if events is None:
+        events = pieces[clause.events] = ", ".join(
+            [e._value_ for e in clause.events])
+    predicate, actions = clause.predicate, clause.actions
+    guard = pieces.get(id(predicate))
+    if guard is None:
+        text = print_predicate(predicate)
+        guard = pieces[id(predicate)] = (
+            predicate, f" if {text} {{" if text else " {")
+    body = pieces.get(id(actions))
+    if body is None:
+        body = pieces[id(actions)] = (actions, "".join(
+            f"\n    {_print_action(a)}" for a in actions) + "\n  }")
+    return head + events + guard[1] + body[1]
 
 
-def _print_block(head: str, predicate: Predicate, actions: tuple[Action, ...],
-                 out: list[str]):
-    guard = print_predicate(predicate)
-    if guard:
-        head += f" if {guard}"
-    out.append(f"  {head} {{")
-    for act in actions:
-        out.append(f"    {_print_action(act)}")
-    out.append("  }")
+def print_law(law: Law, pieces: Optional[dict] = None) -> str:
+    """Canonical text: the serialization that gets hashed and served.
 
-
-def print_law(law: Law) -> str:
-    """Canonical text: the serialization that gets hashed and served."""
+    ``pieces`` holds the pieces printed so far: each events tuple maps to
+    its text, and ``id(node)`` of each guard and body to ``(node, text)``,
+    the guard's `` if GUARD {`` (or `` {``), the body's action rows and
+    closing ``  }``.  A caller that passes one dict to several prints gets
+    each shared piece printed once; a node is kept beside its text so that
+    its id is not reused while the dict lives.  ``parse_law`` passes its
+    parse memo, whose other keys are tuples of lexemes or actions.
+    """
+    if pieces is None:
+        pieces = {}
     head = f"law {law.name}"
     if law.parent is not None:
         head += f" extends {law.parent}"
-    out = [head + " {"]
-    out.append("  profile [" + ", ".join(law.profile) + "];")
+    out = [head + " {", "  profile [" + ", ".join(law.profile) + "];"]
     for rule in law.rules:
-        _print_block(
-            f"{rule.mode.value} rule {rule.id} on {_print_events(rule.events)}",
-            rule.predicate, rule.actions, out)
+        out.append(_clause(f"  {rule.mode._value_} rule {rule.id} on ",
+                           rule, pieces))
     for grant in law.meta:
-        out.append(f"  allow-override {grant.rule_id} {grant.direction.value};")
+        out.append(f"  allow-override {grant.rule_id} "
+                   f"{grant.direction._value_};")
     for ov in law.overrides:
-        _print_block(
-            f"override {ov.target} {ov.kind.value} on {_print_events(ov.events)}",
-            ov.predicate, ov.actions, out)
+        out.append(_clause(f"  override {ov.target} {ov.kind._value_} on ",
+                           ov, pieces))
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -815,7 +837,8 @@ def text_hash(text: str) -> str:
     return hashlib.new(HASH_ALGORITHM, text.encode("utf-8")).hexdigest()
 
 
-def finalize(law: Law) -> Law:
-    """Return the law with its canonical text and that text's hash set."""
-    text = print_law(law)
+def finalize(law: Law, pieces: Optional[dict] = None) -> Law:
+    """Return the law with its canonical text and that text's hash set;
+    ``pieces`` is passed on to :func:`print_law`."""
+    text = print_law(law, pieces)
     return replace(law, hash=text_hash(text), text=text)

@@ -58,8 +58,9 @@ def load_law_dir(path: Union[str, Path]) -> tuple[list[Law], list[str]]:
     """Parse every *.law file in path whose name does not start with a dot,
     as the shell's ``*.law`` reads them.  Returns (laws, problems).
 
-    One memo serves every parse of the load, so a guard or body spelled
-    alike in several laws is parsed once and shared (``law_lang.parse_law``).
+    One memo serves every parse of the load, so a clause tail, guard or
+    body spelled alike in several laws is parsed once and shared, and a
+    shared guard or body is printed once (``law_lang.parse_law``).
     Name clashes are left in the list on purpose; the conformance check
     reports them with the other hierarchy violations.
     """

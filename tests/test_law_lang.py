@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from test_generative import LAW_PIECES, REPO_ROOT, SETTINGS, _joined
 
+from mds import law_lang
 from mds.law_lang import (_LEXEME, LawParseError, _offsets, parse_law,
                           print_law, print_predicate, text_hash)
 from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
@@ -19,6 +20,7 @@ from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
 from mds.oracle import generate_system
 from mds.runner import load_law_dir
 
+LEXER_CORPUS = REPO_ROOT / "tests" / "data" / "lexer-corpus"
 ROOT_HASH = "179e48fadf68a4c1abe509984725d69f7f631a93a5535c8914cb509cf3df2d1e"
 
 
@@ -597,13 +599,15 @@ class TestLexer:
             "SB": "0f2889b519c0acad84f3466fc80223d33f7fc515aab7a195651b3635e67319c3",
         }
 
-    def test_mutated_laws_keep_their_outcomes(self, law_dir):
-        # Regression pin: the digest of each of 2,000 damaged shipped laws'
-        # hash or full diagnostic list, as the row-by-row lexer and its
-        # parser gave them (368 parse; the rest fail with 38 kinds of message).
-        # The damage falls on the files as written, comments too, so an
-        # edited comment moves the digest as a lexer change would.
-        texts = [file.read_text() for file in sorted(law_dir.glob("*.law"))]
+    def test_mutated_laws_keep_their_outcomes(self):
+        # Regression pin: the digest of each of 2,000 damaged laws' hash or
+        # full diagnostic list, as the row-by-row lexer and its parser gave
+        # them (368 parse; the rest fail with 38 kinds of message).  The
+        # damage falls on a fixed copy of the six shipped laws as they were
+        # written when the pin was taken, comments too, so an edit to a
+        # shipped law leaves it be, while a lexer or parser change moves it.
+        texts = [file.read_text()
+                 for file in sorted(LEXER_CORPUS.glob("*.law"))]
         outcomes = [_outcome(text) for text in _mutations(texts, 2000, 15)]
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
         assert digest == ("2fb1df9a95c1d89e867acc2732c5f8cf0011421ca5e8c844"
@@ -629,9 +633,9 @@ class TestLexer:
 
 
 class TestDirectoryMemo:
-    """``load_law_dir`` parses a directory's files with one memo of guards
-    and bodies; each law and each problem must be what parsing its file
-    alone gives."""
+    """``load_law_dir`` parses a directory's files with one memo of tails,
+    guards and bodies; each law and each problem must be what parsing its
+    file alone gives."""
 
     @staticmethod
     def _alone(directory):
@@ -733,6 +737,50 @@ class TestDirectoryMemo:
         # ``{ permit; }`` and ``{ block; }``: 11 objects for 9 bodies.
         bodies = {id(c.actions): c.actions for c in clauses}
         assert (len(bodies), len(set(bodies.values()))) == (11, 9)
+
+    def test_alike_tails_are_one_object(self, monkeypatch, tmp_path):
+        # In canonical text, two tails from ``on`` to the body's ``}`` are
+        # spelled alike exactly when their events, guards and bodies are
+        # equal; overrides print their completed bodies.
+        laws = self._canonical_deep(monkeypatch, tmp_path / "deep")
+        found: dict = {}
+        for law in laws:
+            for clause in law.rules + law.overrides:
+                tail = (clause.events, clause.predicate, clause.actions)
+                ids, names = found.setdefault(tail, (set(), set()))
+                ids.add(id(clause.events))
+                names.add(law.name)
+        assert all(len(ids) == 1 for ids, _ in found.values())
+        assert sum(len(names) > 1 for _, names in found.values()) > 50
+
+    def test_each_shared_body_is_printed_once(self, monkeypatch, tmp_path):
+        self._canonical_deep(monkeypatch, tmp_path / "deep")
+        printed = []
+        real = law_lang._print_action
+
+        def print_action(action):
+            printed.append(action)
+            return real(action)
+
+        monkeypatch.setattr(law_lang, "_print_action", print_action)
+        laws, problems = load_law_dir(tmp_path / "deep")
+        assert not problems
+        bodies = {id(c.actions): c.actions
+                  for law in laws for c in law.rules + law.overrides}
+        clauses = sum(len(c.actions)
+                      for law in laws for c in law.rules + law.overrides)
+        assert len(printed) == sum(map(len, bodies.values())) < clauses
+
+    def test_kept_text_is_the_plain_print(self, law_dir, monkeypatch,
+                                          tmp_path):
+        # Printed with no shared pieces, each law reads as the text its
+        # directory load printed through the memo.
+        self._write(tmp_path / "generated", self._deep_texts(monkeypatch))
+        for directory in (law_dir, tmp_path / "generated"):
+            laws, problems = load_law_dir(directory)
+            assert laws and not problems
+            for law in laws:
+                assert law.text == print_law(law), law.name
 
     def test_separate_loads_share_nothing(self, monkeypatch, tmp_path):
         first = self._canonical_deep(monkeypatch, tmp_path / "deep")

@@ -404,9 +404,9 @@ class TestLawDistribution:
         printed = []
         real = law_lang.print_law
 
-        def print_law(law):
+        def print_law(law, pieces=None):
             printed.append(law.name)
-            return real(law)
+            return real(law, pieces)
 
         monkeypatch.setattr(law_lang, "print_law", print_law)
         scn = load_scenario(str(scenario_dir / "crosscutting.mds"))
