@@ -148,6 +148,15 @@ def positive_int(text: str) -> int:
     return n
 
 
+def seed_number(text: str) -> int:
+    """argparse type of a seed: an optional '-', then ASCII digits."""
+    sign = -1 if text.startswith("-") else 1
+    n = unsigned_decimal(text[1:] if sign < 0 else text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text}")
+    return sign * n
+
+
 def port_number(text: str) -> int:
     """argparse type of a TCP port: 0 (any free port) to 65535."""
     n = unsigned_decimal(text)
@@ -175,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario")
     run.add_argument("scenario")
     run.add_argument("--mode", choices=("sim", "tcp"), default="sim")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=seed_number, default=0)
     run.add_argument("--audit", help="write the audit trail to this file")
     run.set_defaults(func=_cmd_run)
 
     fuzz = sub.add_parser("fuzz",
                           help="differential-test the two evaluators")
     fuzz.add_argument("--trials", type=positive_int, default=100)
-    fuzz.add_argument("--seed", type=int, default=0)
+    fuzz.add_argument("--seed", type=seed_number, default=0)
     fuzz.set_defaults(func=_cmd_fuzz)
 
     bench = sub.add_parser("bench", help="time the enforcement hot path")

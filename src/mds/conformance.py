@@ -9,7 +9,7 @@ reachable where no ancestor rule already matches, because ancestor rules are
 always scanned first.
 
 Validation only checks: ``build_hierarchy`` holds the very laws it is
-given, hashed by the parser (``law_lang.finalize``), and writes nothing
+given, hashed by the parser (``law_lang.parse_law``), and writes nothing
 onto them.  The controller pairs each override with its target rule on the
 leaf's path (``controller.program_for``).
 """

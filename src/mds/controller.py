@@ -373,7 +373,8 @@ _CompiledBody = Callable[[dict, dict, list, list], _Decided]
 
 _PERMIT = ("permit", None)
 _BLOCK = ("block", None)
-_NOTIFY = ("notify-registry",)
+# The effect a notify-registry action appends; the runner looks for it.
+NOTIFY_REGISTRY = ("notify-registry",)
 
 
 def _compile_step(act: Action, leaf: str,
@@ -401,7 +402,8 @@ def _compile_step(act: Action, leaf: str,
             updates.append(note)
         return increment
     if isinstance(act, NotifyRegistry):
-        return lambda st, ce, updates, effects: effects.append(_NOTIFY)
+        return lambda st, ce, updates, effects: effects.append(
+            NOTIFY_REGISTRY)
     if isinstance(act, AppendProfile):
         wanted = act.labels
 
@@ -482,28 +484,23 @@ def _names_module(actions: tuple[Action, ...]) -> bool:
     return False
 
 
-def _ops_of(p: Predicate) -> Optional[frozenset]:
-    """Operations whose ``op ==`` atoms can make p true, or None for any."""
+def _op_facts(p: Predicate) -> tuple[Optional[frozenset], bool]:
+    """(ops, op_only) of a guard: the operations whose ``op ==`` atoms can
+    make p true, or None for any, and whether p reads nothing but the
+    operation."""
     if isinstance(p, OpEquals):
-        return frozenset((p.value,))
-    if isinstance(p, And):
-        known = [ops for ops in map(_ops_of, p.parts) if ops is not None]
-        return frozenset.intersection(*known) if known else None
-    if isinstance(p, Or):
-        sets = [_ops_of(x) for x in p.parts]
-        return None if None in sets else frozenset().union(*sets)
-    return None
-
-
-def _reads_only_op(p: Predicate) -> bool:
-    """True if p reads nothing but the operation."""
-    if isinstance(p, (TruePred, OpEquals, OpGlob)):
-        return True
+        return frozenset((p.value,)), True
     if isinstance(p, Not):
-        return _reads_only_op(p.inner)
+        return None, _op_facts(p.inner)[1]
     if isinstance(p, (And, Or)):
-        return all(map(_reads_only_op, p.parts))
-    return False
+        facts = [_op_facts(x) for x in p.parts]
+        sets = [ops for ops, _ in facts]
+        op_only = all(only for _, only in facts)
+        if isinstance(p, Or):
+            return None if None in sets else frozenset().union(*sets), op_only
+        known = [ops for ops in sets if ops is not None]
+        return frozenset.intersection(*known) if known else None, op_only
+    return None, isinstance(p, (TruePred, OpGlob))
 
 
 def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
@@ -526,7 +523,7 @@ def _compile_clause(h: LawHierarchy, clause: Union[Rule, Override], leaf: str,
     if guard is None:
         # Each node is kept so that its id is not reused while cached.
         guard = nodes[id(pred)] = (
-            pred, compile_predicate(pred), _ops_of(pred), _reads_only_op(pred))
+            pred, compile_predicate(pred), *_op_facts(pred))
     body = nodes.get(id(actions))
     if body is None:
         body = nodes[id(actions)] = (
@@ -550,7 +547,7 @@ class _OvEntry:
         self.pred = pred
         self.body = body
         self.matched = (source, ov.target)
-        self.ops = ops            # see _ops_of
+        self.ops = ops            # see _op_facts
         self.op_only = op_only
 
 

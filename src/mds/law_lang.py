@@ -71,11 +71,14 @@ no law, hash or diagnostic changes.
 The canonical form emitted by :func:`print_law` is what gets hashed: profile
 line first, then rules in textual order, then allow-override lines, then
 overrides, two-space indent, comments stripped.  ``print_law`` is idempotent
-across a parse round trip.  :func:`finalize` keeps the printed text on
-``Law.text`` beside its hash; that kept text is what a law server serves.
-``parse_law`` has it print through the memo, which also holds the printed
-text of each events tuple, and of each guard and body node under the
-node's ``id``, so a directory load prints each shared piece once.
+across a parse round trip.  An ``or`` is put in parentheses only inside
+an ``and`` or a ``not``, an ``and`` only inside a ``not``, and a string
+escapes exactly ``\\ \" \n \t`` (``_ESCAPES``, the lexer's table).
+:func:`parse_law` keeps the printed text on ``Law.text`` beside its hash;
+that kept text is what a law server serves.  It prints through the memo,
+which also holds the printed text of each events tuple, and of each guard
+and body node under the node's ``id``, so a directory load prints each
+shared piece once.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ from .model import (
 
 HASH_ALGORITHM = "sha256"
 
-_EVENT_ORDER = (EventKind.ADOPTED, EventKind.SENT, EventKind.ARRIVED)
+_EVENT_ORDER = tuple(EventKind)
 _TRUE = TruePred()  # the guard of every clause without an ``if``
 _FLOW_TOKENS = {k.value: k for k in FlowKind}
 _EVENT_TOKENS = {e.value: e for e in EventKind}
@@ -184,6 +187,7 @@ _BAD_LEXEME = re.compile(_SKIP + "(" + _BAD + ")")
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_QUOTE = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()})
 
 # A lexeme's first character gives its kind; "" is the end of input.
 _NAME_FIRST = frozenset(ascii_letters + "_")
@@ -563,23 +567,23 @@ class _Parser:
             self.fail(f"predicate nested deeper than {MAX_NESTING} levels")
         self.pos += 1
 
-    def parse_or(self) -> Predicate:
+    def chain(self, word: str, part: Callable[[], Predicate],
+              kind: type) -> Predicate:
+        """One or more ``part()`` separated by ``word``, flattened into one
+        ``kind`` node: a part that is a ``kind`` node gives its parts.  A
+        single other part is returned as it is."""
         parts: list[Predicate] = []
-        first = self.parse_and()
-        parts.extend(first.parts if isinstance(first, Or) else (first,))
-        while self.accept("or"):
-            nxt = self.parse_and()
-            parts.extend(nxt.parts if isinstance(nxt, Or) else (nxt,))
-        return parts[0] if len(parts) == 1 else Or(parts=tuple(parts))
+        while True:
+            nxt = part()
+            parts.extend(nxt.parts if isinstance(nxt, kind) else (nxt,))
+            if not self.accept(word):
+                return parts[0] if len(parts) == 1 else kind(parts=tuple(parts))
+
+    def parse_or(self) -> Predicate:
+        return self.chain("or", self.parse_and, Or)
 
     def parse_and(self) -> Predicate:
-        parts: list[Predicate] = []
-        first = self.parse_not()
-        parts.extend(first.parts if isinstance(first, And) else (first,))
-        while self.accept("and"):
-            nxt = self.parse_not()
-            parts.extend(nxt.parts if isinstance(nxt, And) else (nxt,))
-        return parts[0] if len(parts) == 1 else And(parts=tuple(parts))
+        return self.chain("and", self.parse_not, And)
 
     def parse_not(self) -> Predicate:
         if self.lex[self.pos] != "not":
@@ -697,7 +701,8 @@ def parse_law(text: str, origin: str = "<law>",
         raise LawParseError(origin, [
             _error(text, next(islice(_offsets(text), at, None)), message)
             for at, message in parser.errors])
-    return finalize(law, parser.memo)
+    text = print_law(law, parser.memo)
+    return replace(law, hash=text_hash(text), text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -706,54 +711,41 @@ def parse_law(text: str, origin: str = "<law>",
 
 
 def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
-
-
-def _pred_prec(p: Predicate) -> int:
-    if isinstance(p, Or):
-        return 1
-    if isinstance(p, And):
-        return 2
-    if isinstance(p, Not):
-        return 3
-    return 4
+    return f'"{s.translate(_QUOTE)}"'
 
 
 def print_predicate(p: Predicate, parent_prec: int = 0) -> str:
+    """Canonical text of p under a parent of precedence ``parent_prec``:
+    0 for none, 1 for ``or``, 2 for ``and``, 3 for ``not``."""
     if isinstance(p, Or):
         text = " or ".join(print_predicate(x, 1) for x in p.parts)
-    elif isinstance(p, And):
+        return f"({text})" if parent_prec > 1 else text
+    if isinstance(p, And):
         text = " and ".join(print_predicate(x, 2) for x in p.parts)
-    elif isinstance(p, Not):
-        text = "not " + print_predicate(p.inner, 3)
-    elif isinstance(p, OpEquals):
-        text = f"op == {_quote(p.value)}"
-    elif isinstance(p, OpGlob):
-        text = f"op matches {_quote(p.pattern)}"
-    elif isinstance(p, FlowIs):
-        text = f"flow == {p.kind.value}"
-    elif isinstance(p, PeerModuleIs):
-        text = f"peer.module == {p.name}"
-    elif isinstance(p, PeerProfileHas):
-        text = f"peer.profile has {_quote(p.label)}"
-    elif isinstance(p, PeerOutside):
-        text = "peer.outside"
-    elif isinstance(p, StateEquals):
-        rhs = _quote(p.value) if isinstance(p.value, str) else str(p.value)
-        text = f"state.{p.key} == {rhs}"
-    elif isinstance(p, StateLess):
-        text = f"state.{p.key} < {p.bound}"
-    elif isinstance(p, CertEquals):
-        text = f"cert.{p.attr} == {_quote(p.value)}"
-    elif isinstance(p, TruePred):
-        text = ""
-    else:  # pragma: no cover - exhaustive over the model
-        raise TypeError(f"unknown predicate node {p!r}")
-    if _pred_prec(p) < parent_prec:
-        return f"({text})"
-    return text
+        return f"({text})" if parent_prec > 2 else text
+    if isinstance(p, Not):
+        return "not " + print_predicate(p.inner, 3)
+    if isinstance(p, OpEquals):
+        return f"op == {_quote(p.value)}"
+    if isinstance(p, OpGlob):
+        return f"op matches {_quote(p.pattern)}"
+    if isinstance(p, FlowIs):
+        return f"flow == {p.kind.value}"
+    if isinstance(p, PeerModuleIs):
+        return f"peer.module == {p.name}"
+    if isinstance(p, PeerProfileHas):
+        return f"peer.profile has {_quote(p.label)}"
+    if isinstance(p, PeerOutside):
+        return "peer.outside"
+    if isinstance(p, StateEquals):
+        return f"state.{p.key} == {_print_value(p.value)}"
+    if isinstance(p, StateLess):
+        return f"state.{p.key} < {p.bound}"
+    if isinstance(p, CertEquals):
+        return f"cert.{p.attr} == {_quote(p.value)}"
+    if isinstance(p, TruePred):
+        return ""
+    raise TypeError(f"unknown predicate node {p!r}")  # pragma: no cover
 
 
 def _print_value(v: Union[str, int, SpecialValue]) -> str:
@@ -835,10 +827,3 @@ def print_law(law: Law, pieces: Optional[dict] = None) -> str:
 def text_hash(text: str) -> str:
     """Content digest (``HASH_ALGORITHM`` hex) of a law text."""
     return hashlib.new(HASH_ALGORITHM, text.encode("utf-8")).hexdigest()
-
-
-def finalize(law: Law, pieces: Optional[dict] = None) -> Law:
-    """Return the law with its canonical text and that text's hash set;
-    ``pieces`` is passed on to :func:`print_law`."""
-    text = print_law(law, pieces)
-    return replace(law, hash=text_hash(text), text=text)

@@ -318,8 +318,7 @@ def _gen_events(rng: random.Random, allow_adopted: bool) -> tuple[EventKind, ...
     chosen = [e for e in pool if rng.random() < 0.55]
     if not chosen:
         chosen = [rng.choice(pool)]
-    order = (EventKind.ADOPTED, EventKind.SENT, EventKind.ARRIVED)
-    return tuple(e for e in order if e in chosen)
+    return tuple(e for e in EventKind if e in chosen)
 
 
 def _gen_law(rng: random.Random, name: str, parent: Optional[str],

@@ -35,8 +35,8 @@ from typing import Optional, Union
 from . import fabric, law_lang
 from .conformance import build_hierarchy
 from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Decision, Envelope, adopt, handle_arrive,
-                         handle_send, issue_certificate)
+                         Decision, Envelope, NOTIFY_REGISTRY, adopt,
+                         handle_arrive, handle_send, issue_certificate)
 from .model import (FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8,
                     unsigned_decimal)
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
@@ -240,7 +240,7 @@ class ScenarioRunner:
                 self.agents[label] = agent
                 address = self.net.register(
                     label, functools.partial(self._deliver, label, agent))
-                if ("notify-registry",) in ruling.effects:
+                if NOTIFY_REGISTRY in ruling.effects:
                     self._register(decl.name, module, address)
                 with self._lock:
                     self._audit_line(label, "adopted", None, "adopted",

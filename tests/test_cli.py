@@ -384,6 +384,28 @@ class TestOtherCommands:
         assert err.value.code == 2
         assert f"must be at least 1, not {argv[2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "fuzz"])
+    @pytest.mark.parametrize("seed", [
+        # int() reads each of the first four as a seed: 1, 10, 7 and 3
+        pytest.param("\u0661", id="arabic-indic-1"),
+        pytest.param("1_0", id="underscore"),
+        pytest.param(" 7", id="leading-space"),
+        "+3", "--5"])
+    def test_a_seed_that_is_not_a_plain_integer_is_a_usage_error(
+            self, scenario_dir, command, seed, capsys):
+        argv = (["run", str(scenario_dir / "sandbox.mds")]
+                if command == "run" else ["fuzz", "--trials", "1"])
+        with pytest.raises(SystemExit) as err:
+            main(argv + [f"--seed={seed}"])
+        assert err.value.code == 2
+        assert f"must be an integer, not {seed}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-3", "0"])
+    def test_a_negative_or_zero_seed_runs(self, scenario_dir, seed, capsys):
+        assert main(["run", str(scenario_dir / "sandbox.mds"),
+                     "--seed", seed]) == 0
+        assert f" seed={int(seed)}\n" in capsys.readouterr().out
+
     def test_bench_with_a_law_that_refuses_adoption_fails_in_one_line(
             self, law_dir, tmp_path, capsys):
         for law in law_dir.glob("*.law"):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_law_lang import NESTINGS, generated_predicates
 
 from mds import controller, oracle
 from mds.conformance import build_hierarchy
@@ -14,7 +15,7 @@ from mds.controller import (OUTSIDE, AdoptionRefused, BareInbound,
                             Certificate, Decision, Envelope, EventContext,
                             adopt, demo_verify, handle_arrive, handle_send,
                             issue_certificate, matched_token)
-from mds.law_lang import finalize, parse_law
+from mds.law_lang import parse_law, print_law
 from mds.model import (And, CertEquals, EventKind, FlowIs, FlowKind, Not,
                        OpEquals, OpGlob, Or, PeerModuleIs, PeerOutside,
                        PeerProfileHas, StateEquals, StateLess, TruePred)
@@ -732,9 +733,9 @@ _OP_ONLY_GUARDS = (
 def _with_op_only_overrides(laws, rng):
     """The laws with each override's guard swapped for one that reads only
     the operation; conformance does not look at guards."""
-    return {name: finalize(replace(law, overrides=tuple(
+    return {name: parse_law(print_law(replace(law, overrides=tuple(
         replace(ov, predicate=rng.choice(_OP_ONLY_GUARDS))
-        for ov in law.overrides))) for name, law in laws.items()}
+        for ov in law.overrides)))) for name, law in laws.items()}
 
 
 def _guards(p):
@@ -744,6 +745,44 @@ def _guards(p):
         yield from _guards(p.inner)
     for child in getattr(p, "parts", ()):
         yield from _guards(child)
+
+
+def _ref_ops_of(p):
+    """Operations whose ``op ==`` atoms can make p true, or None for any."""
+    if isinstance(p, OpEquals):
+        return frozenset((p.value,))
+    if isinstance(p, And):
+        known = [ops for ops in map(_ref_ops_of, p.parts) if ops is not None]
+        return frozenset.intersection(*known) if known else None
+    if isinstance(p, Or):
+        sets = [_ref_ops_of(x) for x in p.parts]
+        return None if None in sets else frozenset().union(*sets)
+    return None
+
+
+def _ref_reads_only_op(p):
+    """True if p reads nothing but the operation."""
+    if isinstance(p, (TruePred, OpEquals, OpGlob)):
+        return True
+    if isinstance(p, Not):
+        return _ref_reads_only_op(p.inner)
+    if isinstance(p, (And, Or)):
+        return all(map(_ref_reads_only_op, p.parts))
+    return False
+
+
+class TestOpFacts:
+    """``_op_facts`` gives in one walk what one walk per fact gives."""
+
+    @pytest.mark.parametrize("p", NESTINGS + _OP_ONLY_GUARDS)
+    def test_hand_built_guards(self, p):
+        assert controller._op_facts(p) == (_ref_ops_of(p),
+                                           _ref_reads_only_op(p))
+
+    def test_generated_guards(self):
+        for p in generated_predicates():
+            assert controller._op_facts(p) == (_ref_ops_of(p),
+                                               _ref_reads_only_op(p)), p
 
 
 class TestOperationIndex:

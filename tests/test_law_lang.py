@@ -9,13 +9,15 @@ import time
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from test_generative import LAW_PIECES, REPO_ROOT, SETTINGS, _joined
 
-from mds import law_lang
+from mds import law_lang, oracle
 from mds.law_lang import (_LEXEME, LawParseError, _offsets, parse_law,
                           print_law, print_predicate, text_hash)
-from mds.model import (NAME, NAME_CHAR, And, EventKind, FlowKind,
-                       MetaDirection, Not, OpEquals, OpGlob, Or, RuleMode,
+from mds.model import (NAME, NAME_CHAR, And, CertEquals, EventKind, FlowIs,
+                       FlowKind, MetaDirection, Not, OpEquals, OpGlob, Or,
+                       PeerModuleIs, PeerOutside, PeerProfileHas, RuleMode,
                        StateEquals, StateLess, TruePred)
 from mds.oracle import generate_system
 from mds.runner import load_law_dir
@@ -807,6 +809,107 @@ class TestCanonicalPrint:
         law = parse_law("law T {\n  default rule r on sent "
                         "if flow == outflow { permit; }\n}\n")
         assert "profile [];" in print_law(law)
+
+
+def _ref_quote(s):
+    """The printer's string quoting as one ``replace`` per escape."""
+    out = s.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{out}"'
+
+
+def _ref_prec(p):
+    if isinstance(p, Or):
+        return 1
+    if isinstance(p, And):
+        return 2
+    if isinstance(p, Not):
+        return 3
+    return 4
+
+
+def _ref_print_predicate(p, parent_prec=0):
+    """The printer with its precedence table kept apart from its walk."""
+    if isinstance(p, Or):
+        text = " or ".join(_ref_print_predicate(x, 1) for x in p.parts)
+    elif isinstance(p, And):
+        text = " and ".join(_ref_print_predicate(x, 2) for x in p.parts)
+    elif isinstance(p, Not):
+        text = "not " + _ref_print_predicate(p.inner, 3)
+    elif isinstance(p, OpEquals):
+        text = f"op == {_ref_quote(p.value)}"
+    elif isinstance(p, OpGlob):
+        text = f"op matches {_ref_quote(p.pattern)}"
+    elif isinstance(p, FlowIs):
+        text = f"flow == {p.kind.value}"
+    elif isinstance(p, PeerModuleIs):
+        text = f"peer.module == {p.name}"
+    elif isinstance(p, PeerProfileHas):
+        text = f"peer.profile has {_ref_quote(p.label)}"
+    elif isinstance(p, PeerOutside):
+        text = "peer.outside"
+    elif isinstance(p, StateEquals):
+        rhs = (_ref_quote(p.value) if isinstance(p.value, str)
+               else str(p.value))
+        text = f"state.{p.key} == {rhs}"
+    elif isinstance(p, StateLess):
+        text = f"state.{p.key} < {p.bound}"
+    elif isinstance(p, CertEquals):
+        text = f"cert.{p.attr} == {_ref_quote(p.value)}"
+    else:
+        assert isinstance(p, TruePred)
+        text = ""
+    return f"({text})" if _ref_prec(p) < parent_prec else text
+
+
+_A, _B, _C = OpEquals("a"), OpGlob("b*"), StateLess("n", 2)
+
+# Hand-built nestings: an or under an and, an or under a not, an and under
+# a not, a not under an or, not not, and a few deeper ones.
+NESTINGS = (
+    And((Or((_A, _B)), _C)),
+    Not(Or((_A, _B))),
+    Not(And((_A, _B))),
+    Or((Not(_A), _B)),
+    Not(Not(_A)),
+    Not(Not(Or((_A, And((_B, Not(_C))))))),
+    And((_A, Not(Or((And((_B, _C)), _A))))),
+    Or((And((Or((_A, _B)), _C)), Not(And((_A, _C))))),
+    And((OpEquals("a"), OpEquals("b"))),
+    And((OpEquals("a"), Or((OpEquals("a"), OpEquals("b"))))),
+)
+
+
+def generated_predicates(draws=200):
+    """``oracle._gen_predicate`` draws at depths 0-4, both ``top``s."""
+    rng = random.Random(0)
+    modules = ["M0", "M1"]
+    for depth in range(5):
+        for top in (True, False):
+            for _ in range(draws):
+                yield oracle._gen_predicate(rng, modules, depth, top)
+
+
+class TestPrinterReference:
+    """The printer's one walk prints what a printer with a separate
+    precedence table prints, under every parent precedence."""
+
+    @pytest.mark.parametrize("p", NESTINGS, ids=_ref_print_predicate)
+    @pytest.mark.parametrize("parent_prec", range(4))
+    def test_hand_built_nestings(self, p, parent_prec):
+        assert (print_predicate(p, parent_prec)
+                == _ref_print_predicate(p, parent_prec))
+
+    @pytest.mark.parametrize("parent_prec", range(4))
+    def test_generated_predicates(self, parent_prec):
+        for p in generated_predicates():
+            assert (print_predicate(p, parent_prec)
+                    == _ref_print_predicate(p, parent_prec)), p
+
+    @SETTINGS
+    @given(st.text(st.one_of(st.sampled_from('\\"\n\t'), st.characters())))
+    def test_quote(self, s):
+        assert law_lang._quote(s) == _ref_quote(s)
 
 
 class TestHashing:
