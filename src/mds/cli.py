@@ -116,9 +116,9 @@ def _serve_forever(args, what: str, handler: fabric.Handler) -> int:
         print(f"cannot listen on {args.host}:{args.port}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 1
-    host, port = service.address
-    print(f"{what} listening on {host}:{port}", flush=True)
-    try:
+    try:  # an interrupt as soon as the line is out still closes the service
+        host, port = service.address
+        print(f"{what} listening on {host}:{port}", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

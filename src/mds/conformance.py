@@ -125,24 +125,18 @@ def build_hierarchy(laws: Iterable[Law]) -> tuple[Optional[LawHierarchy], list[C
 
     # Cycle detection over the parent links that do resolve.
     state: dict[str, int] = {}  # 1 = on current walk, 2 = done
-    cycles_reported: set[str] = set()
     for start in sorted(by_name):
-        if state.get(start):
-            continue
         trail: list[str] = []
         cursor: Optional[str] = start
-        while cursor is not None and cursor in by_name and not state.get(cursor):
+        while cursor in by_name and not state.get(cursor):
             state[cursor] = 1
             trail.append(cursor)
             cursor = by_name[cursor].parent
-        if cursor is not None and state.get(cursor) == 1:
+        if state.get(cursor) == 1:  # a loop no earlier walk met
             loop = trail[trail.index(cursor):]
-            key = min(loop)
-            if key not in cycles_reported:
-                cycles_reported.add(key)
-                violations.append(ConformanceViolation(
-                    ViolationKind.CYCLE_DETECTED, key,
-                    "parent chain loops: " + " -> ".join(loop + [cursor])))
+            violations.append(ConformanceViolation(
+                ViolationKind.CYCLE_DETECTED, min(loop),
+                "parent chain loops: " + " -> ".join(loop + [cursor])))
         for name in trail:
             state[name] = 2
 

@@ -738,12 +738,12 @@ def adopt(component: str, h: LawHierarchy, law: str,
     Certificate attributes are readable by rules only if ``demo_verify``
     accepts the certificate and its subject is ``component``.
     """
-    h.law(law)  # raises UnknownLawError early
+    program = program_for(h, law)  # raises UnknownLawError for no such law
     attrs: dict[str, str] = {}
     if cert is not None and cert.subject == component and demo_verify(cert):
         attrs = dict(cert.attributes)
     agent = Agent(component=component, law=law, lineage=h.lineage[law],
-                  program=program_for(h, law), cert_attrs=attrs)
+                  program=program, cert_attrs=attrs)
     verdict, matched, updates, effects, reason = evaluate(
         agent.program, agent.state, agent.cert_attrs, EventContext(_ADOPTED))
     token = agent.program.tokens[matched]
@@ -798,19 +798,14 @@ def handle_arrive(agent: Agent, inbound: Union[Envelope, BareInbound]
             return ruling, None
         # in-system only if the lineage is the one this hierarchy holds for
         # the claimed module, root to leaf
-        genuine = (agent.program.lineages.get(inbound.sender_module)
-                   == inbound.sender_lineage)
-        if genuine and inbound.sender_module == agent.law:
-            flow = _INNER
-        elif genuine:
-            flow = _INFLOW
-        else:
-            flow = _IMPORT
-        if genuine:
-            peer_name: Optional[str] = inbound.sender_module
+        module = inbound.sender_module
+        if agent.program.lineages.get(module) == inbound.sender_lineage:
+            flow = _INNER if module == agent.law else _INFLOW
+            peer_name: Optional[str] = module
             peer_profile = inbound.sender_profile
             peer_outside = False
         else:
+            flow = _IMPORT
             peer_name = inbound.sender
             peer_profile = _NO_PROFILE
             peer_outside = True

@@ -36,12 +36,15 @@ handler sees only controller messages, an envelope as the bare one it
 carries.  ``LawServer.respond`` and ``Registry.respond`` are
 ``TcpService`` handlers as they stand; ``respond`` is the law server's
 one entry point, in process too.  ``call_remote`` opens one connection
-per request, for law fetches and registry calls, and ``CALL_TIMEOUT``
-bounds the whole call but the host name lookup: every address tried,
-however slowly a peer trickles its reply.  Every request but one gets a
-reply: ``Registry.respond`` keeps a ``Registration`` and answers nothing,
-so ``call_remote`` reads no reply to one.  The registry is best-effort
-bookkeeping: rulings never depend on it.
+per request, for law fetches and registry calls, and only once it has
+encoded the request, so a message too big for a frame raises
+``FrameError`` having opened none (the runner drops such a registration
+like a refused one).  ``CALL_TIMEOUT`` bounds the whole call but the host
+name lookup: every address tried, however slowly a peer trickles its
+reply.  Every request but one gets a reply: ``Registry.respond`` keeps a
+``Registration`` and answers nothing, so ``call_remote`` reads no reply
+to one.  The registry is best-effort bookkeeping: rulings never depend
+on it.
 """
 
 from __future__ import annotations
@@ -759,10 +762,11 @@ def call_remote(address: tuple[str, int],
     that trickles in times out as a silent one does.  A ``Registration``
     gets no reply, so its call returns None once it is sent; any other
     request whose stream ends before its reply raises ``FrameError``."""
+    frame = encode_frame(msg)  # a frame that cannot be sent opens nothing
     deadline = time.monotonic() + CALL_TIMEOUT
     with _connect(address, deadline) as sock:
         sock.settimeout(_time_left(deadline))
-        sock.sendall(encode_frame(msg))  # the timeout bounds the whole send
+        sock.sendall(frame)  # the timeout bounds the whole send
         if isinstance(msg, Registration):
             return None
         reply = read_frame(_DeadlineReader(sock, deadline))

@@ -181,28 +181,24 @@ class ScenarioRunner:
         ``h0``, the hierarchy it was served from."""
         service = None
         if self.mode == "sim":
-            server = fabric.LawServer(h0)
-
-            def fetch(name: str) -> fabric.LawResponse:
-                return server.respond(fabric.LawFetch(name))
+            fetch, where = fabric.LawServer(h0).respond, "the law server"
         else:
             addr = _service_address(ENV_LAW_SERVER)
             if addr is None:
                 service = fabric.TcpService(fabric.LawServer(h0).respond)
                 addr = service.address
-
-            def fetch(name: str) -> fabric.LawResponse:
-                try:
-                    reply = fabric.call_remote(addr, fabric.LawFetch(name))
-                    if isinstance(reply, fabric.LawResponse):
-                        return reply
-                    raise fabric.FrameError("law server sent no law_response")
-                except (fabric.FrameError, OSError) as exc:
-                    raise RunnerError(f"cannot fetch {name!r} from "
-                                      f"{addr[0]}:{addr[1]}: {exc}") from exc
+            fetch = functools.partial(fabric.call_remote, addr)
+            where = f"{addr[0]}:{addr[1]}"
         try:
             for name in sorted(h0.laws):
-                resp = fetch(name)
+                try:
+                    resp = fetch(fabric.LawFetch(name))
+                    if not isinstance(resp, fabric.LawResponse):
+                        raise fabric.FrameError(
+                            "law server sent no law_response")
+                except (fabric.FrameError, OSError) as exc:
+                    raise RunnerError(f"cannot fetch {name!r} from "
+                                      f"{where}: {exc}") from exc
                 if not resp.found:
                     raise RunnerError(f"law server lacks {name!r}")
                 if resp.algo != law_lang.HASH_ALGORITHM:
@@ -256,7 +252,7 @@ class ScenarioRunner:
                     self._remote_registry,
                     fabric.Registration(component=component, module=module,
                                         address=address))
-            except OSError:  # registration is best effort: stop trying
+            except (fabric.FrameError, OSError):  # best effort: stop trying
                 self._remote_registry = None
 
     # -- delivery -----------------------------------------------------------

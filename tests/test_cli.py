@@ -1,16 +1,26 @@
 """Command-line entry points and exit codes."""
 
 import dataclasses
+import os
+import random
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import mds
 from mds import fabric, oracle
 from mds.cli import main
+from mds.conformance import ConformanceViolation, ViolationKind
 from mds.controller import AdoptionRefused, Decision, Ruling
+from mds.model import EventKind
 
 
 class TestLawCommands:
@@ -363,6 +373,47 @@ class TestOtherCommands:
         assert all(": adoption c0@" in line and "prod ('block', '-')" in line
                    for line in lines[1:-1])
 
+    @staticmethod
+    def _first_system():
+        """The seed and first adoption of ``fuzz --seed 1``'s first trial,
+        with the token the oracle decides that adoption by."""
+        seed = random.Random(1).getrandbits(48)
+        system = oracle.generate_system(seed)
+        first = next(oracle.replay(system.laws, system.components,
+                                   system.script))
+        return seed, "{}@{}".format(*first.persona), first.token
+
+    def test_fuzz_reports_an_adoption_only_the_oracle_refuses(
+            self, monkeypatch, capsys):
+        seed, persona, token = self._first_system()
+        real = oracle.oracle_evaluate
+
+        def oracle_evaluate(laws, leaf, state, cert_attrs, ev):
+            verdict, matched, state = real(laws, leaf, state, cert_attrs, ev)
+            if ev.event is EventKind.ADOPTED:
+                verdict = "block"
+            return verdict, matched, state
+
+        monkeypatch.setattr(oracle, "oracle_evaluate", oracle_evaluate)
+        assert main(["fuzz", "--trials", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"seed {seed}: oracle refused adoption {persona} via {token}",
+            "1 disagreement(s)"]
+
+    def test_fuzz_reports_a_rejected_generated_hierarchy(self, monkeypatch,
+                                                         capsys):
+        seed, _, _ = self._first_system()
+        monkeypatch.setattr(oracle, "build_hierarchy", lambda laws: (None, [
+            ConformanceViolation(ViolationKind.CYCLE_DETECTED, "L0", ""),
+            ConformanceViolation(ViolationKind.MULTIPLE_ROOTS, "L0", "")]))
+        assert main(["fuzz", "--trials", "1", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("trials 1, events compared 0, ")
+        assert lines[1:] == [
+            f"seed {seed}: generated hierarchy rejected: "
+            "CycleDetected; MultipleRoots",
+            "1 disagreement(s)"]
+
     def test_bench_tiny(self, law_dir, capsys):
         assert main(["bench", "--events", "400",
                      "--laws", str(law_dir)]) == 0
@@ -477,3 +528,26 @@ class TestServeCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot listen on 127.0.0.1:{port}: ")
         assert err.count("\n") == 1, err
+
+    def test_an_interrupt_stops_the_service_cleanly(self, serve):
+        """SIGINT ends a service with exit 0 and no traceback, and its
+        port refuses connections once it has gone."""
+        src = str(Path(mds.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mds.cli", *serve, "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            line = proc.stdout.readline()
+            found = re.fullmatch(r".* listening on (.+):(\d+)\n", line)
+            assert found, line
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert (proc.returncode, out, err) == (0, "", "")
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(
+                (found[1], int(found[2])), timeout=5).close()

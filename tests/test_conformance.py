@@ -1,12 +1,17 @@
 """Hierarchy assembly and the conformance rules that guard it."""
 
+from typing import Optional
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mds.conformance import (ConformanceViolation, ViolationKind,
                               build_hierarchy, check_overrides)
 from mds.controller import (BareInbound, Decision, Envelope, adopt,
                             handle_arrive, matched_token)
 from mds.law_lang import parse_law
+from mds.model import Law
 from mds.runner import check_law_dir
 
 ROOT = """
@@ -246,3 +251,82 @@ class TestCheckOverrides:
                 "permit override of 'd-open' not covered by granted "
                 "direction(s) may-prohibit"),
         ]
+
+
+def _ref_cycles(laws) -> list[ConformanceViolation]:
+    """The cycle violations of the parent links, as the walk with a
+    ``cycles_reported`` set and an early-out for finished laws found them."""
+    violations: list[ConformanceViolation] = []
+    by_name: dict[str, Law] = {}
+    for law in laws:
+        by_name.setdefault(law.name, law)
+    state: dict[str, int] = {}  # 1 = on current walk, 2 = done
+    cycles_reported: set[str] = set()
+    for start in sorted(by_name):
+        if state.get(start):
+            continue
+        trail: list[str] = []
+        cursor: Optional[str] = start
+        while cursor is not None and cursor in by_name and not state.get(cursor):
+            state[cursor] = 1
+            trail.append(cursor)
+            cursor = by_name[cursor].parent
+        if cursor is not None and state.get(cursor) == 1:
+            loop = trail[trail.index(cursor):]
+            key = min(loop)
+            if key not in cycles_reported:
+                cycles_reported.add(key)
+                violations.append(ConformanceViolation(
+                    ViolationKind.CYCLE_DETECTED, key,
+                    "parent chain loops: " + " -> ".join(loop + [cursor])))
+        for name in trail:
+            state[name] = 2
+    return violations
+
+
+def _links(*pairs) -> list[Law]:
+    """Bare laws with the given (name, parent) links and no clauses."""
+    return [Law(name, parent, (), (), (), ()) for name, parent in pairs]
+
+
+# 8 names a law may have, and 2 more a parent link may name
+_LINK_SETS = st.lists(st.tuples(st.sampled_from("ABCDEFGH"),
+                            st.sampled_from([None, *"ABCDEFGHXY"])),
+                  min_size=1, max_size=9)
+
+
+class TestCycleWalkReference:
+    """``build_hierarchy`` reports each loop of parent links once, at the
+    least name on it, in the order the reference walk finds them."""
+
+    @staticmethod
+    def _cycles(laws):
+        return [v for v in build_hierarchy(laws)[1]
+                if v.kind is ViolationKind.CYCLE_DETECTED]
+
+    @pytest.mark.parametrize("pairs, loops", [
+        ([("A", "A")], ["A -> A"]),
+        ([("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")],
+         ["A -> B -> A", "C -> D -> C"]),
+        ([("A", "B"), ("B", "C"), ("C", "D"), ("D", "C")], ["C -> D -> C"]),
+        ([("E", "F"), ("F", "G"), ("G", "E"), ("A", "F")],
+         ["F -> G -> E -> F"]),
+        ([("R", None), ("A", "X"), ("B", "B"), ("C", None)], ["B -> B"]),
+        ([("R", None), ("A", "R")], []),
+    ], ids=["self-loop", "two-disjoint-loops", "tail-into-a-loop",
+            "tail-entered-first", "unknown-parent-and-roots", "no-loop"])
+    def test_hand_built_link_sets(self, pairs, loops):
+        laws = _links(*pairs)
+        found = self._cycles(laws)
+        assert found == _ref_cycles(laws)
+        assert [v.detail.removeprefix("parent chain loops: ")
+                for v in found] == loops
+        assert [v.law for v in found] == [min(l.split(" -> ")) for l in loops]
+
+    @given(_LINK_SETS)
+    @example([("A", "A"), ("B", "B")])
+    @example([("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"), ("E", "C")])
+    @example([("A", "X"), ("B", None), ("C", None), ("D", "D")])
+    def test_generated_link_sets(self, pairs):
+        laws = _links(*pairs)
+        assert self._cycles(laws) == _ref_cycles(laws)

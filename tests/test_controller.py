@@ -785,6 +785,95 @@ class TestOpFacts:
                                                _ref_reads_only_op(p)), p
 
 
+def _ref_arrival(agent, inbound):
+    """The event context an arrival is ruled on, as classified with a
+    ``genuine`` flag read by two ``if`` chains; None for a malformed
+    envelope, which is refused before any ruling."""
+    if isinstance(inbound, Envelope):
+        if (not inbound.sender_module or not inbound.sender
+                or not inbound.sender_lineage):
+            return None
+        genuine = (agent.program.lineages.get(inbound.sender_module)
+                   == inbound.sender_lineage)
+        if genuine and inbound.sender_module == agent.law:
+            flow = FlowKind.INNER
+        elif genuine:
+            flow = FlowKind.INFLOW
+        else:
+            flow = FlowKind.IMPORT
+        if genuine:
+            peer = (inbound.sender_module, inbound.sender_profile, False)
+        else:
+            peer = (inbound.sender, (), True)
+    else:
+        flow = FlowKind.IMPORT
+        peer = (inbound.sender_address, (), True)
+    return EventContext(EventKind.ARRIVED, inbound.operation, flow, *peer)
+
+
+def _arrivals(h, receiver, sender):
+    """An arrival of each kind at a ``receiver`` agent, by name; the
+    enveloped ones claim the module of agent ``sender``."""
+    genuine = Envelope(sender.law, sender.profile_labels(), sender.lineage,
+                       "op", b"", sender.component)
+    other = next(law for law in h.lineage if law != sender.law)
+    return {
+        "genuine": genuine,
+        "forged-hash": replace(genuine, sender_lineage=("0" * 64,)),
+        "forged-other-lineage": replace(genuine,
+                                        sender_lineage=h.lineage[other]),
+        "forged-extended": replace(
+            genuine, sender_lineage=sender.lineage + ("0" * 64,)),
+        "malformed-module": replace(genuine, sender_module=""),
+        "malformed-sender": replace(genuine, sender=""),
+        "malformed-lineage": replace(genuine, sender_lineage=()),
+        "bare": BareInbound("10.0.0.9:1", "op", b""),
+    }
+
+
+class TestArrivalReference:
+    """``handle_arrive`` reads the lineage verdict once and rules on the
+    context the reference classification gives, for every pair of shipped
+    modules, the receiver's own module included."""
+
+    @pytest.fixture
+    def ruled(self, monkeypatch):
+        """The contexts ``handle_arrive`` passes to ``evaluate``."""
+        contexts = []
+        real = controller.evaluate
+
+        def evaluate(program, state, cert_attrs, ctx):
+            contexts.append(ctx)
+            return real(program, state, cert_attrs, ctx)
+
+        monkeypatch.setattr(controller, "evaluate", evaluate)
+        return contexts
+
+    def test_every_kind_of_arrival_between_shipped_modules(self, shipped,
+                                                           ruled):
+        seen = set()
+        for receiving in shipped.laws:
+            for sending in shipped.laws:
+                receiver, _ = _adopt(shipped, "r", receiving)
+                sender, _ = _adopt(shipped, "s", sending)
+                for kind, inbound in _arrivals(shipped, receiver,
+                                               sender).items():
+                    want = _ref_arrival(receiver, inbound)
+                    ruled.clear()
+                    ruling, _ = handle_arrive(receiver, inbound)
+                    if want is None:
+                        assert ruled == [] and ruling.matched == "-", kind
+                        assert ruling.decision is Decision.BLOCK_NOTICE
+                    else:
+                        assert ruled == [want], (receiving, sending, kind)
+                        assert ruling.flow is want.flow
+                    seen.add((kind, want and want.flow))
+        assert {flow for kind, flow in seen if kind == "genuine"} == {
+            FlowKind.INNER, FlowKind.INFLOW}
+        assert {flow for kind, flow in seen if kind.startswith("forged")
+                or kind == "bare"} == {FlowKind.IMPORT}
+
+
 class TestOperationIndex:
     """``evaluate`` runs only the rows of ``entries`` that ``Program.scan``
     keeps for the event and its operation."""

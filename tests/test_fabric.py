@@ -733,6 +733,18 @@ class TestTcpServices:
         finally:
             service.close()
 
+    def test_a_message_too_big_for_a_frame_opens_no_connection(self):
+        """``call_remote`` encodes before it connects, so a message it
+        cannot frame raises ``FrameError`` and the listener it names has
+        nothing to accept."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            with pytest.raises(FrameError, match="frame body too large"):
+                call_remote(listener.getsockname(), Registration(
+                    "c" * (1024 * 1024 + 100), "M", "addr"))
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
     def test_a_registration_call_returns_without_waiting_for_a_reply(self):
         """The registry answers a registration with nothing, so the call
         returns once it is sent and never waits out CALL_TIMEOUT."""

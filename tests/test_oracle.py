@@ -10,9 +10,9 @@ from mds.conformance import build_hierarchy
 from mds.controller import EventContext
 from mds.law_lang import parse_law
 from mds.model import EventKind, FlowKind
-from mds.oracle import (generate_system, oracle_evaluate, oracle_flow, replay,
-                        run_differential, run_trial)
-from mds.scenario import parse_scenario
+from mds.oracle import (GeneratedSystem, generate_system, oracle_evaluate,
+                        oracle_flow, replay, run_differential, run_trial)
+from mds.scenario import ComponentDecl, parse_scenario
 
 LAW_TEXTS = {
     "Top": """
@@ -204,6 +204,29 @@ class TestDifferential:
         assert report.disagreements
         assert report.events_compared == sum(until_split)
         assert report.events_compared < sum(map(len, records))
+
+    def test_a_state_written_after_its_adoption_is_a_final_split(
+            self, monkeypatch):
+        """A production write the oracle's records never see, made into
+        one agent while another adopts, shows only at the final
+        comparison."""
+        system = GeneratedSystem(
+            seed=7, laws={"R": parse_law("law R {\n}\n")},
+            components=[ComponentDecl("a", ("R",), ()),
+                        ComponentDecl("b", ("R",), ())],
+            script=[])
+        real_adopt, adopted = oracle.adopt, []
+
+        def adopt(*args, **kwargs):
+            agent, ruling = real_adopt(*args, **kwargs)
+            if adopted:
+                adopted[0].state["late"] = 1
+            adopted.append(agent)
+            return agent, ruling
+
+        monkeypatch.setattr(oracle, "adopt", adopt)
+        assert oracle._lockstep(system) == (2, [
+            "seed 7: final state split at ('a', 'R'): {'late': 1} != {}"])
 
     def test_the_oracle_reads_certificates_from_the_script(
             self, monkeypatch):

@@ -534,6 +534,32 @@ class TestExternalServices:
         assert len(calls) == 1
 
 
+    def test_a_registration_too_big_for_a_frame_stops_registering(
+            self, law_dir, tmp_path, monkeypatch):
+        """A registration that cannot be framed is dropped like a refused
+        one: the run adopts and audits the persona, and registers with the
+        remote registry no more."""
+        name = "c" * (1024 * 1024 + 100)
+        (tmp_path / "big.mds").write_text(
+            f"scenario big\nlaw {law_dir}\n\ncomponent {name} modules MS\n")
+        registry = fabric.Registry()
+        service = fabric.TcpService(registry.respond)
+        try:
+            monkeypatch.setenv(ENV_REGISTRY, "{}:{}".format(*service.address))
+            scn = load_scenario(str(tmp_path / "big.mds"))
+            runner = ScenarioRunner(scn, tmp_path, mode="tcp", seed=0)
+            report = runner.run()
+        finally:
+            service.close()
+        assert report.ok
+        assert [s.text for s in report.steps] == [f"adopt {name}@MS: adopted"]
+        [line] = report.audit_lines
+        assert line.split(" | ")[1:5] == [f"{name}@MS", "adopted", "-",
+                                          "adopted"]
+        assert runner._remote_registry is None
+        assert registry.query() == []
+
+
 class TestOneRulingAtATime:
     """In tcp mode an outside peer's frame is ruled on the network's
     service thread, and the runner's lock keeps that ruling from
