@@ -400,11 +400,14 @@ class Registry:
             record = RegistryRecord(component, address, module,
                                     self._stamp + 1)
             old = self._records.get((component, module))
-            size = (self._size + record_size(record)
-                    - (record_size(old) if old else 0))
+            added = record_size(record)
+            size = self._size + added - (record_size(old) if old else 0)
             # a body holds MAX_FRAME bytes, a list a u16 count of items
             if size > MAX_FRAME or (not old and len(self._records) >= 0xFFFF):
-                if not self._full:
+                if 3 + added > MAX_FRAME:  # a listing of it alone
+                    log.warning("dropping a registration of %d bytes: no "
+                                "reply could carry it", added)
+                elif not self._full:
                     self._full = True
                     log.warning("registry full at %d records: dropping "
                                 "registrations one reply could not carry",

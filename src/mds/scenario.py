@@ -17,8 +17,9 @@ or more modules) and outside parties, then a script of deliveries:
 `expect` binds to the nearest preceding send step and fills its two fields,
 ``expect_outcome`` and ``expect_matched``; `@LAW` picks which of a
 component's modules speaks or listens and may be dropped when only one was
-declared.  One pass of `_ROW` reads the text: it skips blank and `#` lines,
-and only lines that are not a well-formed send or expect are split into words.
+declared.  One pass of `_ROW` reads the text a row at a time, where a row is
+a line, or a send and the expect line right after it: it skips blank and `#`
+lines, and splits into words only the lines of no well-formed send row.
 """
 
 from __future__ import annotations
@@ -99,24 +100,26 @@ _WORD = re.compile(rf'("{_STRING_BODY})"|(")|(\S+)')
 _QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 _ENDPOINT = re.compile(f"({NAME})(?:@({NAME}))?")
 
-# One match per line, ended by "\n" or the end of the text; blanks are all
-# whitespace but "\n", so a "\r" before it is one.  The last group a match
-# closes sorts it: 6-7 a send (an outside sender takes no @MODULE, an
-# operation no '"', a payload one string with no backslash), 8-9 an expect,
-# 10 any other line, none a blank or '#' line.  A run of blanks is always
-# followed by a word or the line's end, so 3.10's greedy repeats take the
-# rows 3.11's possessive ones take (which read sim-mix's script about 1 ms
-# sooner, BENCH_26.json), and a failing line backs off in linear time.
+# One match per row, ended by "\n" or the end of the text: a line, or a send
+# and the expect line right after it.  Blanks are all whitespace but "\n", so
+# a "\r" before it is one.  The last group a match closes sorts it: 6-7 a
+# send (an outside sender takes no @MODULE, an operation no '"', a payload one
+# string with no backslash), 8-9 a send and its expect, 10 any other line,
+# none a blank or '#' line; an expect line that does not follow its send is
+# another line.  A run of blanks is always followed by a word or the line's
+# end, so 3.10's greedy repeats take the rows 3.11's possessive ones take
+# (which read sim-mix's script about 1 ms sooner, BENCH_26.json), and a
+# failing line backs off in linear time.
 _P = "+" if sys.version_info >= (3, 11) else ""
 _BLANKS, _GAP = rf"[^\S\n]*{_P}", rf"[^\S\n]+{_P}"
 _ROW = re.compile(
     rf"{_BLANKS}(?:(?:send|(outside)send){_GAP}({NAME})(?(1)|(?:@({NAME}))?)"
     rf'{_GAP}->{_GAP}({NAME})(?:@({NAME}))?{_GAP}op{_GAP}([^\s"]+{_P})'
     rf'(?:{_GAP}payload{_GAP}"([^"\\\n]*{_P})")?{_BLANKS}'
-    rf'|expect{_GAP}({"|".join(OUTCOMES)})'
-    rf'(?:{_GAP}matched{_GAP}([^\s"]+{_P}))?{_BLANKS}'
+    rf'(?:\n{_BLANKS}expect{_GAP}({"|".join(OUTCOMES)})'
+    rf'(?:{_GAP}matched{_GAP}([^\s"]+{_P}))?{_BLANKS}(?=\n|\Z))?'
     rf"|#[^\n]*)?(?:\n|\Z)|([^\n]*)\n?")
-_EXPECT_ROW, _OTHER_ROW = 8, 10
+_SEND_ROW, _OTHER_ROW = 7, 10
 
 
 def _split(line: str, lineno: int) -> list[str]:
@@ -180,18 +183,19 @@ def _parse(text: str) -> Scenario:
     steps: list[Step] = []
     last_send: Optional[SendStep] = None  # what an expect line binds to
 
-    for lineno, m in enumerate(_ROW.finditer(text), start=1):
+    lineno = 0
+    for m in _ROW.finditer(text):
+        lineno += 1
         if (kind := m.lastindex) is None:
             continue
-        if kind < _EXPECT_ROW:
-            last_send = SendStep(m[2], m[3], m[4], m[5], m[6],
-                                 (m[7] or "").encode(), m[1] is not None,
-                                 lineno)
-            steps.append(last_send)
-            continue
-        if (kind < _OTHER_ROW and last_send
-                and last_send.expect_outcome is None):
-            last_send.expect_outcome, last_send.expect_matched = m[8], m[9]
+        if kind < _OTHER_ROW:
+            (outside, sender, sender_law, target, target_law, operation,
+             payload, outcome, matched, _) = m.groups()
+            steps.append(last_send := SendStep(
+                sender, sender_law, target, target_law, operation,
+                (payload or "").encode(), outside is not None, lineno,
+                outcome, matched))
+            lineno += kind > _SEND_ROW  # a send and its expect: two lines
             continue
         words = _split(m[0], lineno)
         head = words[0]
@@ -266,10 +270,9 @@ def _parse(text: str) -> Scenario:
                 payload = rest[1][1:].encode("utf-8")
             if head == "outsidesend" and sender_law is not None:
                 raise ScenarioError(lineno, "outside senders hold no law")
-            last_send = SendStep(sender, sender_law, target, target_law,
-                                 operation, payload, head == "outsidesend",
-                                 lineno)
-            steps.append(last_send)
+            steps.append(last_send := SendStep(
+                sender, sender_law, target, target_law, operation, payload,
+                head == "outsidesend", lineno))
 
         elif head == "advance":
             ticks = unsigned_decimal(words[1]) if len(words) == 2 else None
@@ -297,8 +300,7 @@ def _parse(text: str) -> Scenario:
                 raise ScenarioError(lineno, "expect with no send before it")
             if last_send.expect_outcome is not None:
                 raise ScenarioError(lineno, "step already has an expectation")
-            last_send.expect_outcome = outcome
-            last_send.expect_matched = matched
+            last_send.expect_outcome, last_send.expect_matched = outcome, matched
 
         else:
             raise ScenarioError(lineno, f"unknown directive {head!r}")
@@ -346,10 +348,8 @@ def _check_module(step: SendStep, decl: ComponentDecl, law: Optional[str]):
     or is left out where it adopted only one."""
     if law is None:
         if len(decl.modules) > 1:
-            raise ScenarioError(
-                step.line,
-                f"{decl.name!r} holds several modules; write "
-                f"{decl.name}@MODULE")
+            raise ScenarioError(step.line, f"{decl.name!r} holds several "
+                                f"modules; write {decl.name}@MODULE")
     elif law not in decl.modules:
         raise ScenarioError(step.line,
                             f"{decl.name!r} adopted no module {law!r}")

@@ -657,6 +657,21 @@ class TestRegistry:
         assert reg.register("x", "M", "a" * (100 + room - 22)) is not None
         assert body() == fabric.MAX_FRAME
 
+    def test_a_record_no_reply_carries_does_not_fill_the_registry(
+            self, caplog):
+        reg = Registry()
+        assert reg.register("x" * (1024 * 1024 + 100), "MS", "a") is None
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping a registration of {1024 * 1024 + 123} bytes: no reply "
+            "could carry it"]
+        kept = [reg.register(f"{i:04}".ljust(1000, "c"), "M", "a" * 100)
+                for i in range(1000)]
+        assert 0 < kept.index(None)
+        full = [r for r in caplog.records if "registry full" in r.message]
+        assert len(full) == 1
+        assert f"registry full at {kept.index(None)} records" in (
+            full[0].getMessage())
+
     def test_listing_stays_within_a_list_count(self, monkeypatch):
         monkeypatch.setattr(fabric, "MAX_FRAME", 1 << 22)
         reg = Registry()

@@ -358,6 +358,26 @@ class TestLineEnds:
         _expect_error(text, fragment, line=line)
         _expect_error(text.removesuffix(end), fragment, line=line)
 
+    @pytest.mark.parametrize("body,fragment,line", [
+        pytest.param("send a -> c op x\nexpect delivered\nsend c@M -> a op y"
+                     "\nexpect blocked-at-sender matched T\ntransmit a\n",
+                     "unknown directive", 9, id="unknown-directive"),
+        pytest.param("send a -> c op x\nexpect delivered\nsend a -> ghost op y"
+                     "\nexpect delivered\n", "unknown target", 7,
+                     id="unknown-target"),
+        pytest.param("send a -> c op x\nexpect delivered\nsend a -> c op y\n"
+                     "expect delivered\nexpect blocked-at-sender\n",
+                     "step already has an expectation", 9,
+                     id="second-expect"),
+    ])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_errors_after_paired_rows_keep_their_line(self, body, fragment,
+                                                      line, end):
+        """A send and its expect are one row but two lines."""
+        text = (MINI + body).replace("\n", end)
+        _expect_error(text, fragment, line=line)
+        _assert_paths_agree(text)
+
     @pytest.mark.parametrize("blank", ["\xa0", "\x0b", "\x1c"])
     def test_unicode_blanks_between_words(self, blank):
         lines = ['send a -> c@N op x payload "p"',
@@ -467,9 +487,14 @@ def _damaged(draw, words):
         st.sampled_from(["", " ", "\x85", "\xa0\t"]))
 
 
-# A send, mostly with its expect after it, and now and then a lone expect.
+# A send, mostly with its expect after it; now and then a blank or '#' line
+# or a "\r" between the two, a second expect, or a lone expect.
 _BLOCKS = st.one_of(
     st.tuples(_send_line(), _expect_line()).map("\n".join),
+    st.tuples(_send_line(), st.sampled_from(["\n\n", "\n\t\n", "\n# x\n",
+                                             "\r\n"]),
+              _expect_line()).map("".join),
+    st.tuples(_send_line(), _expect_line(), _expect_line()).map("\n".join),
     _send_line(), _expect_line())
 
 _HEADER = ("scenario t\nlaw d\ncomponent a modules M\n"
@@ -490,14 +515,26 @@ class TestFastLinesAgreeWithWords:
         _assert_paths_agree(text)
 
     def test_shipped_send_and_expect_lines_take_the_patterns(self):
+        """Each shipped send with an expect line right after it is one row
+        that carries the expect's words, and no expect line is a row of its
+        own."""
+        pairs = 0
         for path in SCENARIO_FILES:
-            for m in scenario._ROW.finditer(path.read_text(encoding="utf-8")):
-                line = m[0].strip()
-                if line.startswith(("send ", "outsidesend ")):
-                    assert m.lastindex < scenario._EXPECT_ROW, line
-                elif line.startswith("expect "):
-                    assert (scenario._EXPECT_ROW <= m.lastindex
-                            < scenario._OTHER_ROW), line
+            text = path.read_text(encoding="utf-8")
+            lines = text.split("\n")
+            at = 0  # the index in ``lines`` of the row's first line
+            for m in scenario._ROW.finditer(text):
+                first = lines[at].strip()
+                assert not first.startswith("expect"), first
+                if (first.startswith(("send ", "outsidesend "))
+                        and lines[at + 1].strip().startswith("expect ")):
+                    assert m.lastindex in (8, 9), first
+                    words = lines[at + 1].split()
+                    assert m.group(8, 9) == (
+                        words[1], words[3] if len(words) == 4 else None)
+                    pairs += 1
+                at += m[0].count("\n")
+        assert pairs > 10
 
     def test_words_only_pattern_sorts_every_line_as_other(self):
         for path in SCENARIO_FILES:
@@ -516,6 +553,8 @@ class TestFastLinesAgreeWithWords:
         ("send a -> c op x payload{b}y", "payload must be quoted"),
         ("send a -> c op x\nexpect delivered matched T{b}y",
          "expected: expect OUTCOME"),
+        ("send{b}a{b}->{b}c{b}op{b}x{b}\n{b}expect{b}delivered{b}matched{b}"
+         "T{b}y", "expected: expect OUTCOME"),
     ])
     def test_long_blank_runs_take_linear_time(self, line, fragment):
         """A failing line is given up in time linear in its length: at
