@@ -8,10 +8,9 @@ and the sender identification enveloped onto in-system traffic.
 
 from .conformance import (ConformanceViolation, ViolationKind,
                           build_hierarchy, check_overrides)
-from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Certificate, Decision, Delivery, Envelope, Ruling,
-                         adopt, handle_arrive, handle_send, issue_certificate,
-                         matched_token)
+from .controller import (OUTSIDE, Agent, BareInbound, Certificate, Decision,
+                         Delivery, Envelope, Ruling, adopt, handle_arrive,
+                         handle_send, issue_certificate, matched_token)
 from .law_lang import HASH_ALGORITHM, LawParseError, parse_law, print_law
 from .model import (EventKind, FlowKind, Law, LawHierarchy, MetaDirection,
                     OverrideKind, Rule, RuleMode, UnknownLawError)
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OUTSIDE",
-    "AdoptionRefused",
     "Agent",
     "BareInbound",
     "Certificate",

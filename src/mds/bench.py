@@ -25,12 +25,12 @@ every sample of every round.
 from __future__ import annotations
 
 import gc
+import math
 import statistics
 import time
 from dataclasses import dataclass
 
-from .controller import (AdoptionRefused, adopt, handle_arrive, handle_send,
-                         issue_certificate)
+from .controller import adopt, handle_arrive, handle_send, issue_certificate
 from .runner import RunnerError, check_law_dir
 
 MEDIAN_BUDGET_US = 100.0
@@ -70,12 +70,12 @@ def _timed_round(h, events: int) -> tuple[list[int], int]:
     and the round's wall-clock nanoseconds."""
     members = []
     for name, module in (("m1", "MS"), ("m2", "MS"), ("app", "OPS")):
-        try:
-            members.append(adopt(name, h, module, cert=issue_certificate(
-                name, {"modules": module}))[0])
-        except AdoptionRefused as exc:
+        agent, ruling = adopt(name, h, module, cert=issue_certificate(
+            name, {"modules": module}))
+        if agent is None:
             raise RunnerError(f"adopt {name}@{module}: refused "
-                              f"({exc.reason})") from None
+                              f"({ruling.reason})")
+        members.append(agent)
     m1, m2, app = members
     payload = b"x" * 32
     # (sender, target agent, target module, operation)
@@ -128,6 +128,6 @@ def run_bench(events: int = 100_000, law_dir: str = "laws") -> BenchReport:
         events=events,
         elapsed_s=sum(elapsed for _, elapsed in runs) / 1e9,
         median_us=statistics.median(pooled) / 1e3,
-        p99_us=pooled[int(len(pooled) * 0.99) - 1] / 1e3,
+        p99_us=pooled[math.ceil(0.99 * len(pooled)) - 1] / 1e3,
         max_us=worst / 1e3,
     )

@@ -102,13 +102,6 @@ OUTSIDE = _Outside()
 Locus = Union[str, _Outside]
 
 
-class AdoptionRefused(RuntimeError):
-    def __init__(self, reason: str, outcome: "Ruling"):
-        super().__init__(reason)
-        self.reason = reason
-        self.outcome = outcome
-
-
 # ---------------------------------------------------------------------------
 # Identities and certificates
 # ---------------------------------------------------------------------------
@@ -373,7 +366,8 @@ _CompiledBody = Callable[[dict, dict, list, list], _Decided]
 
 _PERMIT = ("permit", None)
 _BLOCK = ("block", None)
-# The effect a notify-registry action appends; the runner looks for it.
+# The effect a notify-registry action appends.  The runner looks for it in
+# an adoption's ruling only: in a sent or arrived rule it does nothing.
 NOTIFY_REGISTRY = ("notify-registry",)
 
 
@@ -730,11 +724,13 @@ def evaluate(program: Program, state: dict, cert_attrs: dict,
 
 
 def adopt(component: str, h: LawHierarchy, law: str,
-          cert: Optional[Certificate] = None) -> tuple[Agent, Ruling]:
+          cert: Optional[Certificate] = None
+          ) -> tuple[Optional[Agent], Ruling]:
     """Create an agent of ``law`` for the named component, or refuse.
 
     The adoption event runs every matching adopted-event rule root-first;
-    a failed certificate requirement or a block terminal refuses adoption.
+    a failed certificate requirement or a block terminal refuses adoption,
+    which returns no agent and a block-notice ruling with the reason.
     Certificate attributes are readable by rules only if ``demo_verify``
     accepts the certificate and its subject is ``component``.
     """
@@ -748,11 +744,9 @@ def adopt(component: str, h: LawHierarchy, law: str,
         agent.program, agent.state, agent.cert_attrs, EventContext(_ADOPTED))
     token = agent.program.tokens[matched]
     if verdict == "block":
-        ruling = Ruling(_BLOCK_NOTICE, token,
-                        reason or "adoption blocked", updates, effects)
-        raise AdoptionRefused(ruling.reason, ruling)
-    ruling = Ruling(_DELIVER, token, None, updates, effects)
-    return agent, ruling
+        return None, Ruling(_BLOCK_NOTICE, token,
+                            reason or "adoption blocked", updates, effects)
+    return agent, Ruling(_DELIVER, token, None, updates, effects)
 
 
 def handle_send(agent: Agent, operation: str, payload: bytes, target: str,

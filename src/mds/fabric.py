@@ -29,7 +29,8 @@ and, when the read returns exactly one whole frame, one ``recv`` decoded
 where it lies.  The reading end acks late where the platform allows it,
 about one ACK segment per two frames, set again after each ``advance``
 pause.
-``TcpService`` serves a run's outside peers from one selector thread, so
+``TcpService`` serves a run's outside peers, and its own law server
+(``TcpNetwork.serve``) until the run closes, from one selector thread, so
 a ``TcpNetwork`` handler may run there while the caller's thread runs
 one too: the handlers' owner serializes them.  From outside, such a
 handler sees only controller messages, an envelope as the bare one it
@@ -879,9 +880,11 @@ class TcpNetwork:
     that runs out is a TimeoutError.
     Outside peers reach an address at the host:port ``register`` returns;
     one ``TcpService`` loop thread serves them all, sends no reply and logs
-    a handler's failure.  Only a controller puts an envelope on the own
-    connection, so one from outside is handled as the bare message it
-    carries, and a frame of another kind is dropped.  An outside frame
+    a handler's failure.  ``serve`` puts any other service, such as the
+    run's law server, on that thread too, until ``close``.  Only a
+    controller puts an envelope on the own connection, so one from
+    outside is handled as the bare message it carries, and a frame of
+    another kind is dropped.  An outside frame
     arrives on another connection, so it cannot end a wait, but its
     handler runs on the loop thread while the caller's thread runs on: the
     network takes no lock, and the handlers' owner serializes them.
@@ -913,10 +916,16 @@ class TcpNetwork:
             elif isinstance(msg, BareInbound):
                 handler(msg)  # any other kind is no controller message
 
-        host, port = self._service.serve(
-            socket.create_server(("127.0.0.1", 0)), serve)
+        host, port = self.serve(serve)
         self._handlers[address] = handler
         return f"{host}:{port}"
+
+    def serve(self, handler: Handler) -> tuple[str, int]:
+        """Serve ``handler``, a ``TcpService`` handler, at a fresh listening
+        socket on the network's service until ``close``; returns its
+        address."""
+        return self._service.serve(socket.create_server(("127.0.0.1", 0)),
+                                   handler)
 
     def send(self, address: str, msg: WireMessage):
         handler = self._handlers[address]

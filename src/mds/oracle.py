@@ -24,8 +24,8 @@ from fnmatch import fnmatchcase
 from typing import Iterator, NamedTuple, Optional
 
 from .conformance import build_hierarchy
-from .controller import (OUTSIDE, AdoptionRefused, BareInbound, EventContext,
-                         adopt, handle_arrive, handle_send, issue_certificate)
+from .controller import (OUTSIDE, BareInbound, EventContext, adopt,
+                         handle_arrive, handle_send, issue_certificate)
 from .law_lang import parse_law, print_law
 from .model import (And, AppendProfile, Block, CertConstraint, CertEquals,
                     EventKind, FlowIs, FlowKind, IncrementState, Law,
@@ -492,11 +492,11 @@ def _production(system: GeneratedSystem, h: LawHierarchy,
         cert = issue_certificate(comp.name, comp.attributes())
         for module in comp.modules:
             key = (comp.name, module)
-            try:
-                agents[key], ruling = adopt(comp.name, h, module, cert=cert)
-            except AdoptionRefused as exc:
-                yield record(-1, key, "adopted", exc.outcome)
+            agent, ruling = adopt(comp.name, h, module, cert=cert)
+            if agent is None:
+                yield record(-1, key, "adopted", ruling)
                 return
+            agents[key] = agent
             yield record(-1, key, "adopted", ruling)
     for idx, msg in enumerate(system.script):
         target = (msg.target, msg.target_law)

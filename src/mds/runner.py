@@ -13,7 +13,13 @@ persona listens for outside peers, whose controller messages alone
 ``fabric`` hands on, to be ruled on its service thread.  So each ruling
 and its audit line run under the runner's one lock, which no socket I/O
 is ever done under: a ruling is a function of the agent's state only
-while no other ruling writes that state.
+while no other ruling writes that state.  Unless ``MDS_LAW_SERVER`` names
+one, the law server a tcp run fetches its laws from is served by that
+same service, until the run closes.
+
+Adoption is ruled as a send or an arrival is: ``adopt`` returns a refusal
+as a block-notice ruling with no agent, and the runner audits and reports
+each persona's adoption from its ruling alike.
 
 Either way the run leaves an audit trail, one line per controller event:
 
@@ -34,9 +40,9 @@ from typing import Optional, Union
 
 from . import fabric, law_lang
 from .conformance import build_hierarchy
-from .controller import (OUTSIDE, AdoptionRefused, Agent, BareInbound,
-                         Decision, Envelope, NOTIFY_REGISTRY, adopt,
-                         handle_arrive, handle_send, issue_certificate)
+from .controller import (OUTSIDE, Agent, BareInbound, Decision, Envelope,
+                         NOTIFY_REGISTRY, adopt, handle_arrive, handle_send,
+                         issue_certificate)
 from .model import (FlowKind, Law, LawHierarchy, UnknownLawError, not_utf8,
                     unsigned_decimal)
 from .scenario import (BLOCKED_AT_RECEIVER, BLOCKED_AT_SENDER, DELIVERED,
@@ -157,18 +163,16 @@ class ScenarioRunner:
         if h0 is None:
             raise RunnerError("law directory rejected:\n  " +
                               "\n  ".join(problems))
-        self._distribute(h0)
         self.h = h0
-
         self.registry = fabric.Registry()
         self._remote_registry = (_service_address(ENV_REGISTRY)
                                  if mode == "tcp" else None)
-
         self.decls = {d.name: d for d in scn.components}
         self.agents: dict[str, Agent] = {}
         self.net = (fabric.SimNetwork(seed) if mode == "sim"
                     else fabric.TcpNetwork())
         try:
+            self._distribute(h0)
             self._adopt_all()
         except BaseException:
             self.net.close()
@@ -178,40 +182,32 @@ class ScenarioRunner:
 
     def _distribute(self, h0: LawHierarchy):
         """Re-obtain every law through the law server and check it against
-        ``h0``, the hierarchy it was served from."""
-        service = None
+        ``h0``, the hierarchy it was served from.  A tcp run fetches from
+        ``MDS_LAW_SERVER``, or else from a law server on its own network's
+        service, which serves it until the run closes."""
         if self.mode == "sim":
             fetch, where = fabric.LawServer(h0).respond, "the law server"
         else:
-            addr = _service_address(ENV_LAW_SERVER)
-            if addr is None:
-                service = fabric.TcpService(fabric.LawServer(h0).respond)
-                addr = service.address
+            addr = (_service_address(ENV_LAW_SERVER)
+                    or self.net.serve(fabric.LawServer(h0).respond))
             fetch = functools.partial(fabric.call_remote, addr)
             where = f"{addr[0]}:{addr[1]}"
-        try:
-            for name in sorted(h0.laws):
-                try:
-                    resp = fetch(fabric.LawFetch(name))
-                    if not isinstance(resp, fabric.LawResponse):
-                        raise fabric.FrameError(
-                            "law server sent no law_response")
-                except (fabric.FrameError, OSError) as exc:
-                    raise RunnerError(f"cannot fetch {name!r} from "
-                                      f"{where}: {exc}") from exc
-                if not resp.found:
-                    raise RunnerError(f"law server lacks {name!r}")
-                if resp.algo != law_lang.HASH_ALGORITHM:
-                    raise RunnerError(f"law server hashes with {resp.algo!r}")
-                if resp.lineage != h0.lineage[name]:
-                    raise RunnerError(f"lineage mismatch for fetched law "
-                                      f"{name!r}")
-                if law_lang.text_hash(resp.text) != h0.law(name).hash:
-                    raise RunnerError(f"hash mismatch for fetched law "
-                                      f"{name!r}")
-        finally:
-            if service is not None:
-                service.close()
+        for name in sorted(h0.laws):
+            try:
+                resp = fetch(fabric.LawFetch(name))
+                if not isinstance(resp, fabric.LawResponse):
+                    raise fabric.FrameError("law server sent no law_response")
+            except (fabric.FrameError, OSError) as exc:
+                raise RunnerError(f"cannot fetch {name!r} from "
+                                  f"{where}: {exc}") from exc
+            if not resp.found:
+                raise RunnerError(f"law server lacks {name!r}")
+            if resp.algo != law_lang.HASH_ALGORITHM:
+                raise RunnerError(f"law server hashes with {resp.algo!r}")
+            if resp.lineage != h0.lineage[name]:
+                raise RunnerError(f"lineage mismatch for fetched law {name!r}")
+            if law_lang.text_hash(resp.text) != h0.law(name).hash:
+                raise RunnerError(f"hash mismatch for fetched law {name!r}")
 
     # -- assembly -----------------------------------------------------------
 
@@ -226,22 +222,19 @@ class ScenarioRunner:
                     raise RunnerError(f"component {decl.name}: no module "
                                       f"{module!r} in {self.scn.law_dir}"
                                       ) from None
-                except AdoptionRefused as exc:
-                    with self._lock:
-                        self._audit_line(label, "adopted", None, "refused",
-                                         exc.outcome.matched)
-                    self.reports.append(StepReport(
-                        0, f"adopt {label}: refused ({exc.reason})", True))
-                    continue
-                self.agents[label] = agent
-                address = self.net.register(
-                    label, functools.partial(self._deliver, label, agent))
-                if NOTIFY_REGISTRY in ruling.effects:
-                    self._register(decl.name, module, address)
+                if agent is None:
+                    verdict, text = "refused", f"refused ({ruling.reason})"
+                else:
+                    self.agents[label] = agent
+                    address = self.net.register(
+                        label, functools.partial(self._deliver, label, agent))
+                    if NOTIFY_REGISTRY in ruling.effects:
+                        self._register(decl.name, module, address)
+                    verdict = text = "adopted"
                 with self._lock:
-                    self._audit_line(label, "adopted", None, "adopted",
+                    self._audit_line(label, "adopted", None, verdict,
                                      ruling.matched)
-                self.reports.append(StepReport(0, f"adopt {label}: adopted",
+                self.reports.append(StepReport(0, f"adopt {label}: {text}",
                                                True))
 
     def _register(self, component: str, module: str, address: str):

@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import mds
-from mds import fabric, oracle
+from mds import bench, fabric, oracle
 from mds.cli import main
 from mds.conformance import ConformanceViolation, ViolationKind
-from mds.controller import AdoptionRefused, Decision, Ruling
+from mds.controller import Decision, Ruling
 from mds.model import EventKind
 
 
@@ -363,8 +363,7 @@ class TestOtherCommands:
         """Production refusing what the oracle adopts is a disagreement,
         and the run ends with exit 1, not a traceback."""
         def refuse(*args, **kwargs):
-            raise AdoptionRefused("refused", Ruling(
-                Decision.BLOCK_NOTICE, "-", "refused", (), ()))
+            return None, Ruling(Decision.BLOCK_NOTICE, "-", "refused", (), ())
 
         monkeypatch.setattr(oracle, "adopt", refuse)
         assert main(["fuzz", "--trials", "3", "--seed", "1"]) == 1
@@ -418,6 +417,17 @@ class TestOtherCommands:
         assert main(["bench", "--events", "400",
                      "--laws", str(law_dir)]) == 0
         assert "median per event" in capsys.readouterr().out
+
+    def test_bench_p99_is_the_nearest_rank(self, law_dir, monkeypatch):
+        """0.99 of 30 samples is 29.7, so p99 is the 30th: the largest."""
+        rounds = iter(range(bench.ROUNDS))
+
+        def timed_round(h, events):  # 1-30 us across the three rounds
+            first = next(rounds) * events + 1
+            return [1000 * us for us in range(first, first + events)], 0
+
+        monkeypatch.setattr(bench, "_timed_round", timed_round)
+        assert bench.run_bench(events=10, law_dir=str(law_dir)).p99_us == 30
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -206,6 +206,16 @@ class TestRoundTrip:
             kinds.add(frame[4])
         assert kinds == set(range(len(WIRE_FORMAT)))
 
+    @pytest.mark.parametrize("msg", [
+        Registration("c", "M", "a"), LawFetch("M"),
+        LawResponse("M", True, "", (), "sha256"), RegistryQuery("", ""),
+        RegistryRecord("c", "a", "M", 1), RegistryRecords(())],
+        ids=lambda msg: type(msg).__name__)
+    def test_a_wire_record_refuses_assignment(self, msg):
+        name = dataclasses.fields(msg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, getattr(msg, name))
+
     def test_reader_handles_arbitrary_chunking(self):
         rng = random.Random(5)
         messages = [_random_message(rng) for _ in range(60)]
@@ -671,6 +681,20 @@ class TestRegistry:
         assert len(full) == 1
         assert f"registry full at {kept.index(None)} records" in (
             full[0].getMessage())
+
+    def test_a_record_one_reply_carries_alone_fills_the_registry(
+            self, caplog):
+        """A record whose listing alone is ``MAX_FRAME`` bytes fits a reply,
+        so one dropped beside another record means the registry is full."""
+        component = "x" * (fabric.MAX_FRAME - 3 - record_size(
+            RegistryRecord("", "a", "M", 0)))
+        assert Registry().register(component, "M", "a") is not None
+        reg = Registry()
+        assert reg.register("c", "M", "a") is not None
+        assert reg.register(component, "M", "a") is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "registry full at 1 records: dropping registrations one reply "
+            "could not carry"]
 
     def test_listing_stays_within_a_list_count(self, monkeypatch):
         monkeypatch.setattr(fabric, "MAX_FRAME", 1 << 22)

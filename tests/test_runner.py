@@ -303,14 +303,18 @@ class TestRunnerMechanics:
             "component X modules P cert modules=MS\n"
             "component b modules MS\n"
             "send X -> b op retrieve\n")
-        runner = ScenarioRunner(load_scenario(str(script)), tmp_path)
-        assert runner.audit[0] == "0 | X@P | adopted | - | refused | S:init"
-        assert runner.reports[0].text == (
-            "adopt X@P: refused (certificate attribute 'modules' does not "
-            "list 'P')")
-        with pytest.raises(RunnerError) as err:
-            runner.run()
-        assert str(err.value) == "X@P refused adoption; cannot take part"
+        for mode in ("sim", "tcp"):
+            runner = ScenarioRunner(load_scenario(str(script)), tmp_path,
+                                    mode=mode)
+            assert runner.audit[0] == (
+                "0 | X@P | adopted | - | refused | S:init")
+            assert runner.reports[0].text == (
+                "adopt X@P: refused (certificate attribute 'modules' does "
+                "not list 'P')")
+            assert list(runner.agents) == ["b@MS"]
+            with pytest.raises(RunnerError) as err:
+                runner.run()
+            assert str(err.value) == "X@P refused adoption; cannot take part"
 
     @pytest.mark.parametrize("mode", ["sim", "tcp"])
     def test_unknown_module_is_a_runner_error(self, tmp_path, law_dir, mode):
@@ -321,15 +325,84 @@ class TestRunnerMechanics:
                            match="^component a: no module 'NOPE' in "):
             run_scenario(script, mode=mode)
 
-    def test_failed_tcp_set_up_closes_its_network(self, tmp_path, law_dir):
+    def test_failed_tcp_set_up_closes_its_network(self, tmp_path, law_dir,
+                                                  monkeypatch):
+        """Set-up fails at adoption, or earlier, at fetching the laws from a
+        law server that is not there: either way it leaves no thread."""
         script = tmp_path / "nope.mds"
         script.write_text(f"scenario nope\nlaw {law_dir}\n"
                           "component a modules MS\ncomponent b modules NOPE\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            closed = "{}:{}".format(*listener.getsockname())
         before = threading.active_count()
-        for _ in range(3):
-            with pytest.raises(RunnerError):
-                run_scenario(script, mode="tcp")
+        for law_server, error in (
+                (None, "component b: no module 'NOPE'"),
+                (closed, f"cannot fetch 'MGMT' from {closed}")):
+            if law_server is not None:
+                monkeypatch.setenv(ENV_LAW_SERVER, law_server)
+            for _ in range(3):
+                with pytest.raises(RunnerError, match=f"^{error}"):
+                    run_scenario(script, mode="tcp")
         assert threading.active_count() <= before
+
+    @pytest.mark.parametrize("mode, services", [("sim", 0), ("tcp", 1)])
+    def test_set_up_starts_one_service_in_tcp_mode_and_none_in_sim(
+            self, scenario_dir, monkeypatch, mode, services):
+        """A tcp run serves its own laws from its network's one service."""
+        made = []
+
+        class Spy(fabric.TcpService):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fabric, "TcpService", Spy)
+        fetched = []
+        real = fabric.call_remote
+
+        def call_remote(address, msg):
+            fetched.append(msg)
+            return real(address, msg)
+
+        monkeypatch.setattr(fabric, "call_remote", call_remote)
+        scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+        runner = ScenarioRunner(scn, scenario_dir, mode=mode, seed=7)
+        report = runner.run()
+        assert report.ok, [s.text for s in report.failures()]
+        assert len(made) == services
+        laws = [fabric.LawFetch(name) for name in sorted(runner.h.laws)]
+        assert [m for m in fetched if isinstance(m, fabric.LawFetch)] == (
+            laws if mode == "tcp" else [])
+
+    def test_default_seed_is_zero(self, scenario_dir):
+        path = scenario_dir / "crosscutting.mds"
+        audit = run_scenario(path).audit_lines
+        assert audit == run_scenario(path, seed=0).audit_lines
+        assert audit != run_scenario(path, seed=1).audit_lines
+
+    def test_notify_registry_acts_only_in_an_adoption_ruling(self, tmp_path):
+        """A sent rule's notify-registry is in its ruling's effects, but the
+        runner registers a persona only when its adoption ruling says so."""
+        laws = tmp_path / "laws"
+        laws.mkdir()
+        (laws / "R.law").write_text(
+            "law R {\n  default rule talk on sent { notify-registry; "
+            "permit; }\n}\n")
+        (laws / "A.law").write_text(
+            "law A extends R {\n  default rule join on adopted "
+            "{ notify-registry; }\n}\n")
+        (laws / "B.law").write_text("law B extends R {\n}\n")
+        script = tmp_path / "notify.mds"
+        script.write_text("scenario notify\nlaw laws\n"
+                          "component a modules A\ncomponent b modules B\n"
+                          "send b -> a op x\nsend a -> b op x\n")
+        runner = ScenarioRunner(load_scenario(str(script)), tmp_path)
+        assert runner.run().ok
+        ruling, _ = controller.handle_send(runner.agents["b@B"], "x", b"",
+                                           "a", "A")
+        assert controller.NOTIFY_REGISTRY in ruling.effects
+        assert [(r.component, r.module, r.registered_at)
+                for r in runner.registry.query()] == [("a", "A", 1)]
 
     def test_step_reports_its_own_arrival_not_a_later_one(self, tmp_path,
                                                           law_dir,
