@@ -37,15 +37,18 @@ handler sees only controller messages, an envelope as the bare one it
 carries.  ``LawServer.respond`` and ``Registry.respond`` are
 ``TcpService`` handlers as they stand; ``respond`` is the law server's
 one entry point, in process too.  ``call_remote`` opens one connection
-per request, for law fetches and registry calls, and only once it has
-encoded the request, so a message too big for a frame raises
-``FrameError`` having opened none (the runner drops such a registration
-like a refused one).  ``CALL_TIMEOUT`` bounds the whole call but the host
-name lookup: every address tried, however slowly a peer trickles its
-reply.  Every request but one gets a reply: ``Registry.respond`` keeps a
-``Registration`` and answers nothing, so ``call_remote`` reads no reply
-to one.  The registry is best-effort bookkeeping: rulings never depend
-on it.
+per call, for law fetches and registry calls: it writes every request of
+the call before it reads a reply, and reads the replies in request
+order.  It connects only once it has encoded them all, so a message too
+big for a frame raises ``FrameError`` having opened none (the runner
+drops such a registration like a refused one).  ``CALL_TIMEOUT`` bounds
+the whole call but the host name lookup: every address tried, however
+slowly a peer trickles its replies.  Every request but one gets a reply:
+``Registry.respond`` keeps a ``Registration`` and answers nothing, so
+``call_remote`` reads no reply to one.  A peer that ends or resets the
+stream between two replies leaves the call with the replies read so far;
+before the first, the call raises ``FrameError``.  The registry is
+best-effort bookkeeping: rulings never depend on it.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ MAX_CONNECTIONS = 32  # connections one TcpService serves at once
 SEND_BUFFER = 64 * 1024
 MEMO_SIZE = 1024  # distinct blocks each codec memo keeps; cleared when full
 MEMO_BYTES = 2048  # bytes of the largest block a codec memo keeps
-CALL_TIMEOUT = 5.0  # seconds one call_remote takes, name lookup aside
+# seconds one call_remote takes, name lookup aside, for all its requests
+CALL_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -727,7 +731,8 @@ def _time_left(deadline: float) -> float:
 
 class _DeadlineReader:
     """The socket ``read_frame`` reads for ``call_remote``: each ``recv``
-    waits only for the time left to one deadline."""
+    waits only for the time left to one deadline, and reads a reset as the
+    end of the stream."""
 
     def __init__(self, sock: socket.socket, deadline: float):
         self._sock = sock
@@ -735,7 +740,10 @@ class _DeadlineReader:
 
     def recv(self, size: int) -> bytes:
         self._sock.settimeout(_time_left(self._deadline))
-        return self._sock.recv(size)
+        try:
+            return self._sock.recv(size)
+        except ConnectionResetError:  # a peer that closes with requests
+            return b""                # unread resets the stream
 
 
 def _connect(address: tuple[str, int], deadline: float) -> socket.socket:
@@ -759,24 +767,37 @@ def _connect(address: tuple[str, int], deadline: float) -> socket.socket:
 
 
 def call_remote(address: tuple[str, int],
-                msg: WireMessage) -> Optional[WireMessage]:
-    """One request and its reply over a fresh connection, all within
-    ``CALL_TIMEOUT`` seconds but for the host name lookup: each connect
-    attempt, the send and each read wait only for the time left, so a reply
-    that trickles in times out as a silent one does.  A ``Registration``
-    gets no reply, so its call returns None once it is sent; any other
-    request whose stream ends before its reply raises ``FrameError``."""
-    frame = encode_frame(msg)  # a frame that cannot be sent opens nothing
+                *requests: WireMessage) -> list[Optional[WireMessage]]:
+    """Every request on one fresh connection, written with one send before
+    any reply is read, and the replies in request order: the one at index
+    i answers request i, and a ``Registration``'s is None, as it gets no
+    reply and none is read.  The whole call ends within ``CALL_TIMEOUT``
+    seconds but for the host name lookup: each connect attempt, the send
+    and each read wait only for the time left, so a reply that trickles in
+    times out as a silent one does.  A peer that ends or resets the stream
+    between two replies ends the list there, with the replies read so far;
+    if it does so before the first, the call raises ``FrameError``."""
+    # every frame is encoded first, so one that cannot be sent opens nothing
+    frames = b"".join(map(encode_frame, requests))
     deadline = time.monotonic() + CALL_TIMEOUT
+    replies: list[Optional[WireMessage]] = []
     with _connect(address, deadline) as sock:
         sock.settimeout(_time_left(deadline))
-        sock.sendall(frame)  # the timeout bounds the whole send
-        if isinstance(msg, Registration):
-            return None
-        reply = read_frame(_DeadlineReader(sock, deadline))
-        if reply is None:
-            raise FrameError("connection closed with no reply")
-        return reply
+        sock.sendall(frames)  # the timeout bounds the whole send
+        reader = _DeadlineReader(sock, deadline)
+        answered = False
+        for msg in requests:
+            if isinstance(msg, Registration):
+                replies.append(None)
+                continue
+            reply = read_frame(reader)
+            if reply is None:
+                if not answered:
+                    raise FrameError("connection closed with no reply")
+                break
+            replies.append(reply)
+            answered = True
+    return replies
 
 
 class _Link(NamedTuple):

@@ -32,6 +32,7 @@ built-in fallback as default:FLOW, or ``-`` for a malformed envelope.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -184,22 +185,29 @@ class ScenarioRunner:
         """Re-obtain every law through the law server and check it against
         ``h0``, the hierarchy it was served from.  A tcp run fetches from
         ``MDS_LAW_SERVER``, or else from a law server on its own network's
-        service, which serves it until the run closes."""
+        service, which serves it until the run closes: one ``call_remote``
+        for every law, on one connection.  The replies are checked in name
+        order, and the first law whose reply is not a law_response, or did
+        not come before the server ended the stream, fails the run."""
+        names = sorted(h0.laws)
+        fetches = map(fabric.LawFetch, names)
         if self.mode == "sim":
-            fetch, where = fabric.LawServer(h0).respond, "the law server"
+            replies = map(fabric.LawServer(h0).respond, fetches)
+            where = "the law server"
         else:
             addr = (_service_address(ENV_LAW_SERVER)
                     or self.net.serve(fabric.LawServer(h0).respond))
-            fetch = functools.partial(fabric.call_remote, addr)
             where = f"{addr[0]}:{addr[1]}"
-        for name in sorted(h0.laws):
             try:
-                resp = fetch(fabric.LawFetch(name))
-                if not isinstance(resp, fabric.LawResponse):
-                    raise fabric.FrameError("law server sent no law_response")
+                replies = fabric.call_remote(addr, *fetches)
             except (fabric.FrameError, OSError) as exc:
-                raise RunnerError(f"cannot fetch {name!r} from "
+                raise RunnerError(f"cannot fetch {names[0]!r} from "
                                   f"{where}: {exc}") from exc
+        for name, resp in itertools.zip_longest(names, replies):
+            if not isinstance(resp, fabric.LawResponse):
+                why = ("law server sent no law_response" if resp is not None
+                       else "connection closed with no reply")
+                raise RunnerError(f"cannot fetch {name!r} from {where}: {why}")
             if not resp.found:
                 raise RunnerError(f"law server lacks {name!r}")
             if resp.algo != law_lang.HASH_ALGORITHM:

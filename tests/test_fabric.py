@@ -761,12 +761,12 @@ class TestTcpServices:
         service = TcpService(reg.respond)
         try:
             address = service.address
-            ack = call_remote(address, Registration("c", "M", "addr"))
-            assert ack is None
+            assert call_remote(address, Registration("c", "M", "addr")) == [
+                None]
             # registration is fire-and-forget: the thread serving its
             # connection may not have handled it when the query arrives
             assert _settle(lambda: reg.query(name="c"))
-            reply = call_remote(address, RegistryQuery("name", "c"))
+            [reply] = call_remote(address, RegistryQuery("name", "c"))
             assert isinstance(reply, RegistryRecords)
             assert reply.records[0].address == "addr"
         finally:
@@ -792,7 +792,7 @@ class TestTcpServices:
         try:
             start = time.monotonic()
             assert call_remote(service.address,
-                               Registration("c", "M", "addr")) is None
+                               Registration("c", "M", "addr")) == [None]
             assert time.monotonic() - start < 1.0
             assert _settle(lambda: reg.query(name="c"))
         finally:
@@ -813,7 +813,7 @@ class TestTcpServices:
                 filling.sendall(encode_frame(RegistryQuery("name",
                                                            "nobody")))
                 assert read_frame(filling) == RegistryRecords(())
-            reply = call_remote(service.address, RegistryQuery("", ""))
+            [reply] = call_remote(service.address, RegistryQuery("", ""))
         finally:
             service.close()
         assert isinstance(reply, RegistryRecords)
@@ -875,13 +875,133 @@ class TestTcpServices:
     def test_law_fetch_over_sockets(self, shipped):
         service = TcpService(LawServer(shipped).respond)
         try:
-            reply = call_remote(service.address, LawFetch("SB"))
+            [reply] = call_remote(service.address, LawFetch("SB"))
             assert reply.found
             assert reply.lineage == shipped.lineage["SB"]
-            missing = call_remote(service.address, LawFetch("ZZ"))
+            [missing] = call_remote(service.address, LawFetch("ZZ"))
             assert not missing.found
         finally:
             service.close()
+
+
+def _batch_peer(listener, requests: int, replies: list, read_all: bool):
+    """A stand-in server for one call: it reads every request (or only
+    the first), sends ``replies``, then closes.  Closing with requests
+    left unread makes the kernel reset the stream instead of ending it."""
+    conn, _ = listener.accept()
+    with conn:
+        for _ in range(requests if read_all else 1):
+            read_frame(conn)
+        for reply in replies:
+            conn.sendall(encode_frame(reply))
+
+
+class TestBatchedCalls:
+    """``call_remote`` writes every request of a call on one connection
+    before it reads any reply."""
+
+    def test_replies_come_back_in_request_order(self, shipped):
+        server = LawServer(shipped)
+        fetches = [LawFetch(name) for name in sorted(shipped.laws,
+                                                     reverse=True)]
+        fetches.insert(2, LawFetch("ZZ"))
+        service = TcpService(server.respond)
+        try:
+            replies = call_remote(service.address, *fetches)
+        finally:
+            service.close()
+        assert replies == [server.respond(fetch) for fetch in fetches]
+        assert not replies[2].found
+
+    def test_a_registration_in_a_batch_reads_nothing(self):
+        """The registry keeps a registration and answers nothing; the
+        query after it in the same batch already finds what it kept."""
+        reg = Registry()
+        service = TcpService(reg.respond)
+        try:
+            ask = RegistryQuery("name", "c")
+            empty, kept, found = call_remote(
+                service.address, ask, Registration("c", "M", "addr"), ask)
+            start = time.monotonic()
+            assert call_remote(service.address,
+                               Registration("d", "M", "addr"),
+                               Registration("e", "M", "addr")) == [None, None]
+            assert time.monotonic() - start < 1.0
+        finally:
+            service.close()
+        assert empty == RegistryRecords(())
+        assert kept is None
+        assert [r.address for r in found.records] == ["addr"]
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [
+        Registration("c" * (1024 * 1024 + 100), "M", "addr"), object()],
+        ids=["too-big", "not-a-message"])
+    def test_an_unencodable_request_anywhere_opens_no_connection(self, at,
+                                                                bad):
+        requests = [LawFetch("SB"), RegistryQuery("", ""), LawFetch("S")]
+        requests.insert(at, bad)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            with pytest.raises(FrameError):
+                call_remote(listener.getsockname(), *requests)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
+    @pytest.mark.parametrize("read_all", [True, False], ids=["ends", "resets"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_a_peer_that_closes_early_yields_the_replies_it_sent(
+            self, shipped, k, read_all):
+        server = LawServer(shipped)
+        fetches = [LawFetch(name) for name in sorted(shipped.laws)]
+        want = [server.respond(fetch) for fetch in fetches]
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+            peer = threading.Thread(target=_batch_peer, daemon=True, args=(
+                listener, len(fetches), want[:k], read_all))
+            peer.start()
+            try:
+                if k == 0:
+                    with pytest.raises(FrameError,
+                                       match="^connection closed with no "
+                                             "reply$"):
+                        call_remote(listener.getsockname(), *fetches)
+                else:
+                    assert call_remote(listener.getsockname(),
+                                       *fetches) == want[:k]
+            finally:
+                peer.join(timeout=10.0)
+        assert not peer.is_alive()
+
+    def test_replies_past_the_send_buffer_come_back_whole_and_in_order(
+            self, monkeypatch):
+        """64 replies of about 2 KB each pass ``SEND_BUFFER``; at most 1 KiB
+        leaves per ``send``, so the service waits to send again and again
+        (``_pump``'s backed-up branch) before the call reads them all."""
+        real_send = socket.socket.send
+        short = []
+
+        def send(sock, data, *args):
+            sent = real_send(sock, data[:1024], *args)
+            if sent < len(data):
+                short.append(sent)
+            return sent
+
+        def respond(msg):
+            return LawResponse(msg.name, True, msg.name * 500, (msg.name,),
+                               "sha256")
+
+        monkeypatch.setattr(socket.socket, "send", send)
+        fetches = [LawFetch(f"{i:04}") for i in range(64)]
+        want = [respond(fetch) for fetch in fetches]
+        assert sum(map(len, map(encode_frame, want))) > fabric.SEND_BUFFER
+        service = TcpService(respond)
+        try:
+            replies = call_remote(service.address, *fetches)
+        finally:
+            service.close()
+        assert replies == want
+        assert len(short) >= 64
 
 
 class TestTcpNetwork:
@@ -1316,7 +1436,7 @@ class TestServiceLimits:
         try:
             with socket.create_connection(service.address) as loris:
                 loris.sendall(b"\x00\x00")  # half a length prefix, then idle
-                reply = call_remote(service.address, LawFetch("SB"))
+                [reply] = call_remote(service.address, LawFetch("SB"))
                 assert reply.found and reply.lineage == shipped.lineage["SB"]
                 start = time.monotonic()
                 assert _ended(loris)
@@ -1342,7 +1462,7 @@ class TestServiceLimits:
             assert len(closed) == 8
             assert all(_ended(sock) for sock in flood)
             assert threading.active_count() <= threads
-            assert call_remote(service.address, LawFetch("SB")).found
+            assert call_remote(service.address, LawFetch("SB"))[0].found
         finally:
             for sock in flood:
                 sock.close()
@@ -1360,7 +1480,7 @@ class TestServiceLimits:
                 sock.sendall(encode_frame(LawFetch("SB")))
                 assert read_frame(sock).found
             # a fifth peer
-            assert call_remote(service.address, LawFetch("SB")).found
+            assert call_remote(service.address, LawFetch("SB"))[0].found
             assert _ended(peers[0])
             for sock in peers[1:]:  # the rest are served still
                 sock.sendall(encode_frame(LawFetch("S")))
@@ -1453,8 +1573,8 @@ class TestServiceLimits:
                     sender.join(timeout=10.0)
                     assert not sender.is_alive()
                     _wait_for(greedy, 4096)  # replies wait, unread
-                    assert call_remote(address, LawFetch("SB")) == want[
-                        names.index("SB")]
+                    assert call_remote(address, LawFetch("SB")) == [
+                        want[names.index("SB")]]
                     if round == "drain":
                         assert [read_frame(greedy) for _ in names] == want
                 closing = threading.Thread(target=service.close, daemon=True)
@@ -1484,8 +1604,8 @@ class TestServiceLimits:
                 slow.connect(service.address)
                 slow.sendall(b"".join(encode_frame(LawFetch(name))
                                       for name in names))
-                reply = call_remote(service.address, LawFetch("SB"))
-                assert reply == server.respond(LawFetch("SB"))
+                assert call_remote(service.address, LawFetch("SB")) == [
+                    server.respond(LawFetch("SB"))]
                 slow.settimeout(5.0)
 
                 class SlowReader:
@@ -1528,8 +1648,8 @@ class TestServiceLimits:
                     asking.sendall(encode_frame(query))
                     assert _ended(asking)
                 assert refused in caplog.records[-1].getMessage()
-                reply = call_remote(service.address,
-                                    RegistryQuery("name", "component7"))
+                [reply] = call_remote(service.address,
+                                      RegistryQuery("name", "component7"))
                 assert [r.address for r in reply.records] == ["address7"]
         finally:
             service.close()

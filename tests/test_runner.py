@@ -360,9 +360,9 @@ class TestRunnerMechanics:
         fetched = []
         real = fabric.call_remote
 
-        def call_remote(address, msg):
-            fetched.append(msg)
-            return real(address, msg)
+        def call_remote(address, *msgs):
+            fetched.extend(msgs)
+            return real(address, *msgs)
 
         monkeypatch.setattr(fabric, "call_remote", call_remote)
         scn = load_scenario(str(scenario_dir / "sandbox.mds"))
@@ -373,6 +373,47 @@ class TestRunnerMechanics:
         laws = [fabric.LawFetch(name) for name in sorted(runner.h.laws)]
         assert [m for m in fetched if isinstance(m, fabric.LawFetch)] == (
             laws if mode == "tcp" else [])
+
+    @pytest.mark.parametrize("generated", [0, 47],
+                             ids=["shipped", "generated"])
+    def test_a_tcp_set_up_fetches_every_law_on_one_connection(
+            self, law_dir, tmp_path, monkeypatch, generated):
+        """However many laws there are, a tcp set-up fetches them all in
+        one ``call_remote`` that opens one connection."""
+        if generated:  # a root and 47 laws under it
+            laws, module = tmp_path / "laws", "R"
+            laws.mkdir()
+            (laws / "R.law").write_text(
+                "law R {\n  default rule talk on sent { permit; }\n}\n")
+            for i in range(generated):
+                (laws / f"L{i:02}.law").write_text(
+                    f"law L{i:02} extends R {{\n}}\n")
+        else:
+            laws, module = law_dir, "MS"
+        script = tmp_path / "one.mds"
+        script.write_text(f"scenario one\nlaw {laws}\n"
+                          f"component a modules {module}\n")
+        monkeypatch.delenv(ENV_LAW_SERVER, raising=False)
+        calls, connects = [], []
+        real_call, real_connect = fabric.call_remote, fabric._connect
+
+        def call_remote(address, *msgs):
+            calls.append(msgs)
+            return real_call(address, *msgs)
+
+        def connect(address, deadline):
+            connects.append(address)
+            return real_connect(address, deadline)
+
+        monkeypatch.setattr(fabric, "call_remote", call_remote)
+        monkeypatch.setattr(fabric, "_connect", connect)
+        runner = ScenarioRunner(load_scenario(str(script)), tmp_path,
+                                mode="tcp")
+        assert runner.run().ok
+        assert len(runner.h.laws) == (generated + 1 if generated else 6)
+        assert calls == [tuple(fabric.LawFetch(name)
+                               for name in sorted(runner.h.laws))]
+        assert len(connects) == 1
 
     def test_default_seed_is_zero(self, scenario_dir):
         path = scenario_dir / "crosscutting.mds"
@@ -547,6 +588,37 @@ class TestLawDistribution:
             ScenarioRunner(scn, scenario_dir, mode="sim", seed=0)
 
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_server_that_stops_short_fails_at_the_first_law_it_lacks(
+            self, scenario_dir, shipped, monkeypatch, k):
+        """Every law is fetched in one call; a server that sends the first
+        k replies and closes fails the run at the law after them."""
+        names = sorted(shipped.laws)
+        server = fabric.LawServer(shipped)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+
+            def serve():  # read one fetch, send k replies, close: a reset
+                conn, _ = listener.accept()
+                with conn:
+                    fabric.read_frame(conn)
+                    for name in names[:k]:
+                        conn.sendall(fabric.encode_frame(
+                            server.respond(fabric.LawFetch(name))))
+
+            peer = threading.Thread(target=serve, daemon=True)
+            peer.start()
+            address = "{}:{}".format(*listener.getsockname())
+            monkeypatch.setenv(ENV_LAW_SERVER, address)
+            scn = load_scenario(str(scenario_dir / "sandbox.mds"))
+            with pytest.raises(RunnerError) as failed:
+                ScenarioRunner(scn, scenario_dir, mode="tcp")
+            peer.join(timeout=10.0)
+        assert not peer.is_alive()
+        assert str(failed.value) == (f"cannot fetch {names[k]!r} from "
+                                     f"{address}: connection closed with "
+                                     f"no reply")
+
 class TestExternalServices:
     def test_tcp_run_uses_the_law_server_and_registry_it_is_given(
             self, scenario_dir, shipped, monkeypatch):
@@ -593,10 +665,9 @@ class TestExternalServices:
         calls = []
         real = fabric.call_remote
 
-        def call_remote(to, msg):
-            if isinstance(msg, fabric.Registration):
-                calls.append(msg)
-            return real(to, msg)
+        def call_remote(to, *msgs):
+            calls.extend(m for m in msgs if isinstance(m, fabric.Registration))
+            return real(to, *msgs)
 
         monkeypatch.setattr(fabric, "call_remote", call_remote)
         scn = load_scenario(str(scenario_dir / "sandbox.mds"))
